@@ -3,7 +3,8 @@
 Subpackages and modules:
 
 * ``starpoly``  -- exact *-polynomials, relation ideals, membership certificates
-* ``numkern``   -- dense complex matrix kernel (norms, functional calculus)
+* ``relations`` -- the twelve balanced-pair relations as one table
+* ``numkern``   -- dense complex matrix kernel (norms, unitary spectra)
 * ``balanced``  -- numerical balanced pairs, homotopies, finite splits
 * ``loops``     -- matrix loops on the circle, winding and topological index
 * ``opmodel``   -- truncated circle operators, tail norms, splitting projections

@@ -22,12 +22,47 @@ from typing import Dict, Literal, Optional, Tuple
 import numpy as np
 
 from .errors import ShapeError
-from .numkern import (Array, adjoint, as_matrix, eig_unitary, nearest_projection,
-                      opnorm, random_unitary)
+from .numkern import (Array, as_matrix, eig_unitary, nearest_projection, opnorm,
+                      random_unitary, stack_opnorm)
+from .relations import REL1_NAMES, REL2_NAMES, RELATIONS
 
-REL1_NAMES = ("a*a-b*b", "aa*-bb*", "a(1-a*a)-b(1-b*b)", "(1-aa*)a-(1-bb*)b")
-REL2_NAMES = ("(a-b)(1-a*a)", "(a-b)(1-b*b)", "(a*-b*)(1-aa*)", "(a*-b*)(1-bb*)",
-              "(1-aa*)(a-b)", "(1-bb*)(a-b)", "(1-a*a)(a*-b*)", "(1-b*b)(a*-b*)")
+
+def _adj(x: Array) -> Array:
+    return x.conj().swapaxes(-1, -2)
+
+
+def relation_residuals(a: Array, b: Array,
+                       mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Operator norms of the twelve residuals of ``RELATIONS`` for every pair
+    in (..., n, n) stacks; the result has shape (..., 12).
+
+    With a boolean mask over the n coordinates every residual is compressed
+    to the masked rows and columns, and only the masked columns of the
+    defects are formed (a product compresses as X[mask, :] Y[:, mask]); an
+    empty mask gives zeros.
+    """
+    sel = slice(None) if mask is None else np.flatnonzero(mask)
+    eye = np.eye(a.shape[-1])[:, sel]
+    rows = {"a": a[..., sel, :], "b": b[..., sel, :]}
+    cols = {"a": a[..., sel], "b": b[..., sel]}
+    rows["d"], cols["d"] = rows["a"] - rows["b"], cols["a"] - cols["b"]
+    rows["d*"], cols["d*"] = _adj(cols["d"]), _adj(rows["d"])
+    cols.update(qa=eye - _adj(a) @ cols["a"], qb=eye - _adj(b) @ cols["b"],
+                pa=eye - a @ _adj(rows["a"]), pb=eye - b @ _adj(rows["b"]))
+
+    def product(left: str, right: str) -> Array:
+        if left == "1":
+            return cols[right][..., sel, :]
+        if left in rows:
+            return rows[left] @ cols[right]
+        # a defect is self-adjoint: its masked rows are the adjoint of its
+        # masked columns, and without a mask it is whole
+        return (cols[left] if mask is None else _adj(cols[left])) @ cols[right]
+
+    norms = [stack_opnorm(product(*first) if second is None
+                          else product(*first) - product(*second))
+             for _, first, second in RELATIONS]
+    return np.stack(norms, axis=-1)
 
 
 @dataclass
@@ -56,30 +91,9 @@ def check_balanced(a: Array, b: Array, tol: float = 1e-10) -> BalanceReport:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"need equal square shapes, got {a.shape} and {b.shape}")
-    dim = a.shape[0]
-    eye = np.eye(dim)
-    astar, bstar = a.conj().T, b.conj().T
-    qa, qb = eye - astar @ a, eye - bstar @ b      # domain defects
-    pa, pb = eye - a @ astar, eye - b @ bstar      # range defects
-    diff = a - b
-    diff_star = astar - bstar
-
-    rel1 = {
-        REL1_NAMES[0]: opnorm(qb - qa),
-        REL1_NAMES[1]: opnorm(pb - pa),
-        REL1_NAMES[2]: opnorm(a @ qa - b @ qb),
-        REL1_NAMES[3]: opnorm(pa @ a - pb @ b),
-    }
-    rel2 = {
-        REL2_NAMES[0]: opnorm(diff @ qa),
-        REL2_NAMES[1]: opnorm(diff @ qb),
-        REL2_NAMES[2]: opnorm(diff_star @ pa),
-        REL2_NAMES[3]: opnorm(diff_star @ pb),
-        REL2_NAMES[4]: opnorm(pa @ diff),
-        REL2_NAMES[5]: opnorm(pb @ diff),
-        REL2_NAMES[6]: opnorm(qa @ diff_star),
-        REL2_NAMES[7]: opnorm(qb @ diff_star),
-    }
+    values = relation_residuals(a, b).tolist()
+    rel1 = dict(zip(REL1_NAMES, values[:4]))
+    rel2 = dict(zip(REL2_NAMES, values[4:]))
     norm_a, norm_b = opnorm(a), opnorm(b)
     balanced = (norm_a <= 1 + tol and norm_b <= 1 + tol
                 and max(rel1.values()) <= tol)
@@ -261,13 +275,12 @@ def validate_path(path: HomotopyPath, grid: int = 101,
     if grid < 2:
         raise ValueError("grid must be at least 2")
     tol = path.base.tol if tol is None else tol
-    worst, worst_t = 0.0, 0.0
-    for t in np.linspace(0.0, np.pi / 2, grid):
-        left, right = homotopy_eval(path, float(t))
-        rep = check_balanced(left, right, tol)
-        if rep.max_rel1 > worst:
-            worst, worst_t = rep.max_rel1, float(t)
-    return PathReport(path.kind, grid, worst, worst_t, worst <= tol)
+    ts = np.linspace(0.0, np.pi / 2, grid)
+    left, right = zip(*(homotopy_eval(path, float(t)) for t in ts))
+    rel1 = relation_residuals(np.stack(left), np.stack(right))[:, :4].max(axis=1)
+    k = int(np.argmax(rel1))
+    worst = float(rel1[k])
+    return PathReport(path.kind, grid, worst, float(ts[k]), worst <= tol)
 
 
 # -- finite split ----------------------------------------------------------------

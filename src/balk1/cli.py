@@ -1,15 +1,15 @@
 """Command line entry point.
 
 Exit codes: 0 on pass, 1 on verification failure, 2 on usage or IO errors.
-Sweeps parallelize across instances; BALK1_THREADS caps the worker count.
+Sweeps run their instances one after another; numpy's BLAS already spreads
+each instance over the available cores.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
 import click
 import numpy as np
 
@@ -19,12 +19,6 @@ from .relindex import verify_index_theorem
 from .starpoly import suites
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-def _workers(n_jobs: int) -> int:
-    cap = os.environ.get("BALK1_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, limit))
 
 
 def _write_or_print(payload: dict, out: str | None) -> None:
@@ -146,8 +140,7 @@ def cmd_make_pair(dim, seed, delta, out):
     sys.exit(PASS)
 
 
-def _index_one(args):
-    p, q, grid, modes, splits, split_sym, tail_cutoff = args
+def _index_one(p, q, grid, modes, splits, split_sym, tail_cutoff):
     sp = loops.standard_symbol_pair(p, q, grid)
     report = verify_index_theorem(sp, modes, split_symbol=split_sym,
                                   splits=splits, tail_cutoff=tail_cutoff)
@@ -215,10 +208,8 @@ def _run_sweep(sweep: str, modes: int, grid: int | None,
     base = loops.standard_symbol_pair(0, 0, grid)
     splits = {n: splitting_projection(base, n, explicit_symbol=split_sym)
               for n in (modes, 2 * modes)}
-    jobs = [(p, q, grid, modes, splits, split_sym, tail_cutoff)
+    return [_index_one(p, q, grid, modes, splits, split_sym, tail_cutoff)
             for p in range(p0, p1 + 1) for q in range(q0, q1 + 1)]
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
-        return list(pool.map(_index_one, jobs))
 
 
 if __name__ == "__main__":

@@ -20,18 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .balanced import BalancedPair
+from .balanced import BalancedPair, relation_residuals
 from .errors import ConstraintError, NotUnitaryError, ShapeError, WindingError
-from .numkern import Array, opnorm
+from .numkern import Array, opnorm, stack_opnorm
 
 HALF_PI = np.pi / 2
-
-
-def _batch_opnorm(stack: np.ndarray) -> float:
-    """Largest singular value over a (grid, d, d) stack of matrices."""
-    if stack.size == 0:
-        return 0.0
-    return float(np.linalg.svd(stack, compute_uv=False).max())
 
 
 @dataclass(frozen=True)
@@ -117,15 +110,8 @@ class LoopPair:
 
     def max_pointwise_residual(self) -> float:
         a, b = self.sigma1.samples, self.sigma2.samples
-        ah = a.conj().transpose(0, 2, 1)
-        bh = b.conj().transpose(0, 2, 1)
-        eye = np.eye(self.dim)[np.newaxis]
-        qa, qb = eye - ah @ a, eye - bh @ b
-        pa, pb = eye - a @ ah, eye - b @ bh
-        worst = max(_batch_opnorm(qb - qa), _batch_opnorm(pb - pa),
-                    _batch_opnorm(a @ qa - b @ qb),
-                    _batch_opnorm(pa @ a - pb @ b))
-        norms = max(_batch_opnorm(a), _batch_opnorm(b))
+        worst = float(relation_residuals(a, b)[:, :4].max(initial=0.0))
+        norms = float(np.max(stack_opnorm(np.stack((a, b))), initial=0.0))
         return max(worst, norms - 1.0, 0.0)
 
     def validate(self) -> "LoopPair":
@@ -333,7 +319,8 @@ def det_loop(ml: MatrixLoop) -> np.ndarray:
 def _certified_unitary_dets(lp: LoopPair) -> np.ndarray:
     c = canonical_unitary_loop(lp)
     eye = np.eye(lp.dim)[np.newaxis]
-    defect = _batch_opnorm(c.samples.conj().transpose(0, 2, 1) @ c.samples - eye)
+    defect = float(np.max(stack_opnorm(
+        c.samples.conj().transpose(0, 2, 1) @ c.samples - eye), initial=0.0))
     allowed = max(50 * lp.tol, 1e-12)
     if defect > allowed:
         raise NotUnitaryError(

@@ -1,14 +1,14 @@
 """Dense complex matrix kernel.
 
-Thin, explicitly-toleranced wrappers around LAPACK via numpy/scipy: operator
-norms, SVD, Haar-random unitaries, functional calculus of unitaries through
-the complex Schur form, and spectral rounding of near-projections.  All
-callers in this package speak complex128 2-d arrays.
+Explicitly-toleranced helpers over LAPACK via numpy/scipy: operator norms of
+single matrices and of (..., m, n) stacks, Haar-random unitaries, the
+spectral decomposition of unitaries through the complex Schur form, and
+spectral rounding of near-projections.  Matrices are complex128 arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,28 +25,6 @@ def as_matrix(x) -> Array:
     return m
 
 
-def adjoint(x: Array) -> Array:
-    return as_matrix(x).conj().T
-
-
-def matmul(x: Array, y: Array) -> Array:
-    x, y = as_matrix(x), as_matrix(y)
-    if x.shape[1] != y.shape[0]:
-        raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
-    return x @ y
-
-
-def add(x: Array, y: Array) -> Array:
-    x, y = as_matrix(x), as_matrix(y)
-    if x.shape != y.shape:
-        raise ShapeError(f"cannot add {x.shape} and {y.shape}")
-    return x + y
-
-
-def scale(x: Array, alpha: complex) -> Array:
-    return as_matrix(x) * alpha
-
-
 def opnorm(x: Array) -> float:
     """Largest singular value; 0 for empty matrices."""
     x = as_matrix(x)
@@ -55,8 +33,13 @@ def opnorm(x: Array) -> float:
     return float(np.linalg.norm(x, 2))
 
 
-def svd(x: Array) -> Tuple[Array, Array, Array]:
-    return np.linalg.svd(as_matrix(x))
+def stack_opnorm(x: Array) -> np.ndarray:
+    """Largest singular value of every matrix in a (..., m, n) stack, with
+    the stack's leading shape; 0 for empty matrices."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[-2] == 0 or x.shape[-1] == 0:
+        return np.zeros(x.shape[:-2])
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def random_unitary(dim: int, seed: int) -> Array:
@@ -69,11 +52,6 @@ def random_unitary(dim: int, seed: int) -> Array:
     return q * phases[np.newaxis, :]
 
 
-def unitary_defect(u: Array) -> float:
-    u = as_matrix(u)
-    return opnorm(u.conj().T @ u - np.eye(u.shape[0]))
-
-
 def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
     """Spectral decomposition of a unitary via the complex Schur form.
 
@@ -84,25 +62,13 @@ def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ShapeError("unitary input must be square")
-    defect = unitary_defect(u)
+    defect = opnorm(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > tol:
         raise NotUnitaryError(f"input is not unitary: defect {defect:.3e} > {tol:.1e}")
     t, q = sla.schur(u, output="complex")
     eigs = np.diag(t).copy()
     eigs /= np.abs(eigs)
     return eigs, q
-
-
-def func_calc_unitary(u: Array, f: Callable, tol: float = 1e-8) -> Array:
-    """Apply a scalar function on the unit circle to a unitary matrix."""
-    eigs, q = eig_unitary(u, tol=tol)
-    try:
-        values = np.asarray(f(eigs), dtype=np.complex128)
-        if values.shape != eigs.shape:
-            raise TypeError
-    except Exception:
-        values = np.array([f(z) for z in eigs], dtype=np.complex128)
-    return (q * values[np.newaxis, :]) @ q.conj().T
 
 
 def nearest_projection(x: Array, tol: float = 1e-8, gap: float = 0.1) -> Array:

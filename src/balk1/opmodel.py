@@ -21,9 +21,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .balanced import relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
 from .loops import LoopPair, MatrixLoop, SymbolPair
 from .numkern import Array, opnorm
+from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
 
@@ -78,13 +80,13 @@ class TailCutoff:
         return np.abs(modes) <= self.m
 
 
-def tail_seminorm(op: TruncOp, cut: TailCutoff, m: Optional[int] = None) -> float:
-    mask = cut.band_mask(op.modes, op.dim, m)
-    return opnorm(op.matrix[np.ix_(mask, mask)])
-
-
-def _tail_matrix_norm(matrix: Array, mask: np.ndarray) -> float:
+def band_norm(matrix: Array, mask: np.ndarray) -> float:
+    """Operator norm of the compression to the masked rows and columns."""
     return opnorm(matrix[np.ix_(mask, mask)])
+
+
+def tail_seminorm(op: TruncOp, cut: TailCutoff, m: Optional[int] = None) -> float:
+    return band_norm(op.matrix, cut.band_mask(op.modes, op.dim, m))
 
 
 # -- quantization -------------------------------------------------------------
@@ -278,49 +280,12 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
             mask = np.zeros(a.size, dtype=bool)
         else:
             mask = cut.band_mask(a.modes, a.dim, m)
-        for name, value in _band_residuals(am, bm, mask).items():
+        values = relation_residuals(am, bm, mask)
+        for (name, _, _), value in zip(RELATIONS, values.tolist()):
             residuals.setdefault(name, {})[m] = value
-        contraction.setdefault("|a|", {})[m] = opnorm(am[np.ix_(mask, mask)])
-        contraction.setdefault("|b|", {})[m] = opnorm(bm[np.ix_(mask, mask)])
+        contraction.setdefault("|a|", {})[m] = band_norm(am, mask)
+        contraction.setdefault("|b|", {})[m] = band_norm(bm, mask)
     return KBalanceReport(cutoffs, residuals, contraction, tol)
-
-
-def _band_residuals(am: Array, bm: Array, mask: np.ndarray) -> Dict[str, float]:
-    """Band compressions of the twelve relation residuals."""
-    if not np.any(mask):
-        names = ("a*a-b*b", "aa*-bb*", "a(1-a*a)-b(1-b*b)", "(1-aa*)a-(1-bb*)b",
-                 "(a-b)(1-a*a)", "(a-b)(1-b*b)", "(a*-b*)(1-aa*)",
-                 "(a*-b*)(1-bb*)", "(1-aa*)(a-b)", "(1-bb*)(a-b)",
-                 "(1-a*a)(a*-b*)", "(1-b*b)(a*-b*)")
-        return {name: 0.0 for name in names}
-    eye_cols = np.eye(am.shape[0], dtype=np.complex128)[:, mask]
-    astar, bstar = am.conj().T, bm.conj().T
-    # defect columns (1 - x*x)[:, mask]; the defects are self-adjoint, so the
-    # corresponding rows are the conjugate transposes
-    qa_c = eye_cols - astar @ am[:, mask]
-    qb_c = eye_cols - bstar @ bm[:, mask]
-    pa_c = eye_cols - am @ astar[:, mask]
-    pb_c = eye_cols - bm @ bstar[:, mask]
-    diff_r = (am - bm)[mask, :]
-    diff_c = (am - bm)[:, mask]
-    dstar_r = (astar - bstar)[mask, :]
-    dstar_c = (astar - bstar)[:, mask]
-    out = {
-        "a*a-b*b": opnorm((qb_c - qa_c)[mask, :]),
-        "aa*-bb*": opnorm((pb_c - pa_c)[mask, :]),
-        "a(1-a*a)-b(1-b*b)": opnorm(am[mask, :] @ qa_c - bm[mask, :] @ qb_c),
-        "(1-aa*)a-(1-bb*)b": opnorm(
-            pa_c.conj().T @ am[:, mask] - pb_c.conj().T @ bm[:, mask]),
-        "(a-b)(1-a*a)": opnorm(diff_r @ qa_c),
-        "(a-b)(1-b*b)": opnorm(diff_r @ qb_c),
-        "(a*-b*)(1-aa*)": opnorm(dstar_r @ pa_c),
-        "(a*-b*)(1-bb*)": opnorm(dstar_r @ pb_c),
-        "(1-aa*)(a-b)": opnorm(pa_c.conj().T @ diff_c),
-        "(1-bb*)(a-b)": opnorm(pb_c.conj().T @ diff_c),
-        "(1-a*a)(a*-b*)": opnorm(qa_c.conj().T @ dstar_c),
-        "(1-b*b)(a*-b*)": opnorm(qb_c.conj().T @ dstar_c),
-    }
-    return out
 
 
 # -- splitting projection ---------------------------------------------------------
@@ -535,5 +500,5 @@ def verify_block_estimates(a: TruncOp, b: TruncOp, split: ModeSplit,
         "(B11-A11)(1-A11*A11)": 4 * eps,
         "(B11-A11)*(1-A11A11*)": 4 * eps,
     }
-    estimates = {k: _tail_matrix_norm(mat, mask) for k, mat in exprs.items()}
+    estimates = {k: band_norm(mat, mask) for k, mat in exprs.items()}
     return BlockEstimateReport(eps, estimates, bounds)

@@ -1,7 +1,8 @@
 """Fredholm index engines and the relative index of operator pairs.
 
-Two independent engines extract the index of a near-isometric Fredholm
-candidate from one singular value decomposition:
+``engine_values`` reads the index of a near-isometric Fredholm candidate off
+one singular value decomposition in two independent ways, both weighting
+every singular vector by its interior mass:
 
 * the counting engine compares the numbers of near-null directions of F and
   of F*; on a square truncation the raw counts always agree, so callers pass
@@ -15,7 +16,8 @@ The relative index of a pair (A, B) against a splitting projection follows
 the three equivalent recipes: the defining difference
 ind(C* A|H1) - ind(C* B|H1) for a comparison operator C, the corner formula
 ind(1 + B1*(A1 - B1)) on H1, and the global formula ind(1 + B*(A - B)) on
-the whole truncated space.  ``verify_index_theorem`` runs the full pipeline
+the whole truncated space; one builder forms the candidate operators of
+every recipe.  ``verify_index_theorem`` runs the full pipeline
 at a mode count and its double and checks every formula and engine against
 the winding-number index of the symbols.
 """
@@ -23,7 +25,7 @@ the winding-number index of the symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Literal, Optional, Tuple, Union
+from typing import Dict, List, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,148 +33,24 @@ from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
                      PipelineStageError, ShapeError, SingularGapError)
 from .loops import MatrixLoop, SymbolPair, topo_index
 from .numkern import Array, opnorm
-from .opmodel import (ModeSplit, TailCutoff, TruncOp, clip_to_contraction,
-                      kbalance_report, quantize, splitting_projection,
-                      verify_split_blocks)
+from .opmodel import (ModeSplit, TailCutoff, TruncOp, band_norm,
+                      clip_to_contraction, kbalance_report, quantize,
+                      splitting_projection, verify_split_blocks)
 
 Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
-
-
-def _interior_mass(vec: np.ndarray, weights: Weights) -> float:
-    if weights is None:
-        return 1.0
-    if weights.ndim == 1:
-        return float(np.real(np.sum(weights * np.abs(vec) ** 2)))
-    return float(np.real(vec.conj() @ (weights @ vec)))
-
-
-@dataclass
-class _Decomposition:
-    u: Array
-    s: np.ndarray
-    vh: Array
-
-    @property
-    def rows(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.vh.shape[1]
-
-
-def _decompose(f: Array) -> _Decomposition:
-    u, s, vh = np.linalg.svd(np.asarray(f, dtype=np.complex128),
-                             full_matrices=True)
-    return _Decomposition(u, s, vh)
 
 
 INCLUSIVE_THRESHOLD = 1e-3
 
 
-def _count_small(dec: _Decomposition, threshold: Optional[float],
-                 gap_factor: float, domain_weights: Weights,
-                 codomain_weights: Weights) -> Tuple[int, int]:
-    """Near-null counts of F and F*.
-
-    With an explicit threshold the singular spectrum must avoid the band
-    [threshold, gap_factor * threshold).  Without one, the count is taken
-    inclusively at a fixed loose cut: every strongly contracted direction
-    joins both counts, which is harmless for index differences as long as
-    its left and right vectors classify alike; the pipeline cross-checks
-    every such count against the trace engine, the other index formulas and
-    the doubled truncation, so a misclassification cannot pass silently.
-    """
-    s = dec.s
-    if threshold is None:
-        threshold = INCLUSIVE_THRESHOLD
-    else:
-        in_gap = (s >= threshold) & (s < gap_factor * threshold)
-        if np.any(in_gap):
-            raise SingularGapError(
-                f"singular value {float(s[in_gap][0]):.3e} inside the gap "
-                f"[{threshold:.1e}, {gap_factor * threshold:.1e})",
-                float(s[in_gap][0]))
-    rank = int(np.sum(s >= threshold))
-    v_full = dec.vh.conj().T
-    kernel = 0
-    for j in range(rank, dec.cols):
-        if _interior_mass(v_full[:, j], domain_weights) >= 0.5:
-            kernel += 1
-    cokernel = 0
-    for j in range(rank, dec.rows):
-        if _interior_mass(dec.u[:, j], codomain_weights) >= 0.5:
-            cokernel += 1
-    return kernel, cokernel
-
-
-def _trace_difference(dec: _Decomposition, p: int,
-                      domain_weights: Weights, codomain_weights: Weights
-                      ) -> float:
-    """tr_w (1-F*F)^p - tr_w (1-FF*)^p from the singular decomposition."""
-    k = len(dec.s)
-    defect = 1.0 - dec.s ** 2
-    max_defect = float(np.max(np.abs(defect), initial=0.0))
-    if max_defect > 1.2:
-        raise ValueError(
-            f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too far "
-            "from an isometry for the trace formula")
-    v_full = dec.vh.conj().T
-    total = 0.0
-    for j in range(dec.cols):
-        eig = defect[j] if j < k else 1.0
-        if eig == 0.0:
-            continue
-        total += (eig ** p) * _interior_mass(v_full[:, j], domain_weights)
-    for j in range(dec.rows):
-        eig = defect[j] if j < k else 1.0
-        if eig == 0.0:
-            continue
-        total -= (eig ** p) * _interior_mass(dec.u[:, j], codomain_weights)
-    return total
-
-
-def fredholm_index_svd(f: Array, threshold: float = 1e-6,
-                       gap_factor: float = 10.0,
-                       domain_weights: Weights = None,
-                       codomain_weights: Weights = None) -> int:
-    """Index by near-null counting: dim ker - dim coker at the threshold.
-
-    The singular spectrum must stay clear of [threshold, gap_factor *
-    threshold).  With interior weights, only null directions with at least
-    half their mass inside the window are counted.
-    """
-    dec = _decompose(f)
-    kernel, cokernel = _count_small(dec, threshold, gap_factor,
-                                    domain_weights, codomain_weights)
-    return kernel - cokernel
-
-
-class FedosovIndex(int):
-    """Integer index carrying the rounding residue of the trace formula."""
-
-    residue: float
-
-    def __new__(cls, value: int, residue: float):
-        obj = super().__new__(cls, value)
-        obj.residue = residue
-        return obj
-
-
-def fredholm_index_fedosov(f: Array, p: int = 2,
-                           domain_weights: Weights = None,
-                           codomain_weights: Weights = None,
-                           residue_ceiling: float = 0.2) -> FedosovIndex:
-    """Index by the defect-trace difference, rounded to the nearest integer."""
-    dec = _decompose(f)
-    total = _trace_difference(dec, p, domain_weights, codomain_weights)
-    nearest = int(np.rint(total))
-    residue = abs(total - nearest)
-    if residue >= residue_ceiling:
-        raise FedosovResidueError(
-            f"trace formula output {total:.4f} has residue {residue:.3f} "
-            f">= {residue_ceiling}", residue)
-    return FedosovIndex(nearest, residue)
+def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
+    """Weighted squared norm of every column: the share of each singular
+    vector carried by the interior window."""
+    if weights is None:
+        return np.ones(vectors.shape[1])
+    if weights.ndim == 1:
+        return weights @ (np.abs(vectors) ** 2)
+    return np.real(np.einsum("ij,ij->j", vectors.conj(), weights @ vectors))
 
 
 @dataclass
@@ -198,18 +76,58 @@ def engine_values(f: Array, threshold: Optional[float] = None,
                   p: int = 2, domain_weights: Weights = None,
                   codomain_weights: Weights = None,
                   residue_ceiling: float = 0.2) -> EngineValues:
-    """Both engines from a single decomposition.
+    """Both index engines from one singular value decomposition of F.
+
+    The counting engine takes dim ker - dim coker over the singular
+    directions below the threshold, counting only those with at least half
+    their interior mass inside the window.  With an explicit threshold the
+    singular spectrum must avoid the band [threshold, gap_factor *
+    threshold).  Without one, the count is taken inclusively at a fixed
+    loose cut: every strongly contracted direction joins both counts, which
+    is harmless for index differences as long as its left and right vectors
+    classify alike; the pipeline cross-checks every such count against the
+    trace engine, the other index formulas and the doubled truncation, so a
+    misclassification cannot pass silently.
+
+    The trace engine evaluates tr_w (1-F*F)^p - tr_w (1-FF*)^p with the same
+    interior masses and rounds it to the nearest integer; the distance is
+    the residue, which must stay below the ceiling.
 
     A square Hermitian candidate has equal kernel and cokernel whatever the
     threshold, and its two defect operators coincide, so both engines return
     0 exactly and the spectral-gap precondition is moot.
     """
-    if _is_hermitian(np.asarray(f, dtype=np.complex128)):
+    f = np.asarray(f, dtype=np.complex128)
+    if _is_hermitian(f):
         return EngineValues(0, 0, 0.0)
-    dec = _decompose(f)
-    kernel, cokernel = _count_small(dec, threshold, gap_factor,
-                                    domain_weights, codomain_weights)
-    total = _trace_difference(dec, p, domain_weights, codomain_weights)
+    u, s, vh = np.linalg.svd(f, full_matrices=True)
+    if threshold is None:
+        threshold = INCLUSIVE_THRESHOLD
+    else:
+        in_gap = (s >= threshold) & (s < gap_factor * threshold)
+        if np.any(in_gap):
+            raise SingularGapError(
+                f"singular value {float(s[in_gap][0]):.3e} inside the gap "
+                f"[{threshold:.1e}, {gap_factor * threshold:.1e})",
+                float(s[in_gap][0]))
+    defect = 1.0 - s ** 2
+    max_defect = float(np.max(np.abs(defect), initial=0.0))
+    if max_defect > 1.2:
+        raise ValueError(
+            f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too far "
+            "from an isometry for the trace formula")
+    domain_mass = _interior_masses(vh.conj().T, domain_weights)
+    codomain_mass = _interior_masses(u, codomain_weights)
+    rank = int(np.sum(s >= threshold))
+    kernel = int(np.sum(domain_mass[rank:] >= 0.5))
+    cokernel = int(np.sum(codomain_mass[rank:] >= 0.5))
+
+    # directions beyond the singular values are null: their defect is 1
+    def defect_power(count: int) -> np.ndarray:
+        return np.concatenate([defect, np.ones(count - len(s))]) ** p
+
+    total = float(defect_power(f.shape[1]) @ domain_mass
+                  - defect_power(f.shape[0]) @ codomain_mass)
     nearest = int(np.rint(total))
     residue = abs(total - nearest)
     if residue >= residue_ceiling:
@@ -217,14 +135,6 @@ def engine_values(f: Array, threshold: Optional[float] = None,
             f"trace formula output {total:.4f} has residue {residue:.3f} "
             f">= {residue_ceiling}", residue)
     return EngineValues(kernel - cokernel, nearest, residue)
-
-
-def agreed_index(f: Array, **kwargs) -> int:
-    values = engine_values(f, **kwargs)
-    if not values.agree:
-        raise EngineDisagreementError(
-            f"counting engine gave {values.svd}, trace engine {values.fedosov}")
-    return values.svd
 
 
 # -- relative index ------------------------------------------------------------
@@ -242,7 +152,8 @@ class CChoice:
 
 @dataclass
 class _SplitData:
-    """Shared frames, restrictions and mode-window Grams for one split."""
+    """Shared frames, restrictions, the interior Gram and the tail band of
+    one split."""
 
     v: Array
     w: Array
@@ -250,9 +161,8 @@ class _SplitData:
     bv: Array
     a1: Array
     b1: Array
-    mode_weights: np.ndarray
     h1_gram: Array
-    h1_band_gram: Array
+    band: np.ndarray
 
     @staticmethod
     def build(a: TruncOp, b: TruncOp, split: ModeSplit,
@@ -260,30 +170,28 @@ class _SplitData:
         v, w = split.frames()
         av, bv = a.matrix @ v, b.matrix @ v
         mode_weights = cut.interior_mask(a.modes, a.dim).astype(float)
-        band = cut.band_mask(a.modes, a.dim).astype(float)
         h1_gram = v.conj().T @ (mode_weights[:, None] * v)
-        h1_band_gram = v.conj().T @ (band[:, None] * v)
         return _SplitData(v, w, av, bv, v.conj().T @ av, v.conj().T @ bv,
-                          mode_weights, h1_gram, h1_band_gram)
+                          h1_gram, cut.band_mask(a.modes, a.dim))
 
 
-def _resolve_choice(data: _SplitData, choice: Union[str, CChoice]) -> Tuple[str, Array]:
+def _resolve_choice(data: _SplitData, choice: Union[str, CChoice]) -> Array:
     if isinstance(choice, CChoice):
         if choice.tag == "A-restricted":
-            return choice.tag, data.av
+            return data.av
         if choice.tag == "B-restricted":
-            return choice.tag, data.bv
+            return data.bv
         if choice.operator is None:
             raise CChoiceError("custom comparison operator requires a matrix")
         if choice.operator.shape != data.av.shape:
             raise ShapeError(
                 f"comparison operator shape {choice.operator.shape} "
                 f"does not match {data.av.shape}")
-        return choice.tag, choice.operator
+        return choice.operator
     if choice in ("A", "A-restricted"):
-        return "A-restricted", data.av
+        return data.av
     if choice in ("B", "B-restricted"):
-        return "B-restricted", data.bv
+        return data.bv
     raise CChoiceError(f"unknown comparison choice {choice!r}")
 
 
@@ -296,7 +204,8 @@ def validate_choice(c_matrix: Array, data: _SplitData,
     compact parts, the truncation collar its edge junk, and both discount).
     """
     v, w = data.v, data.w
-    band = (data.h1_band_gram + data.h1_band_gram.conj().T) / 2
+    band_gram = v.conj().T @ (data.band.astype(float)[:, None] * v)
+    band = (band_gram + band_gram.conj().T) / 2
     tw, tvec = np.linalg.eigh(band)
     band_half = (tvec * np.sqrt(np.clip(tw, 0.0, None))[np.newaxis, :]) @ tvec.conj().T
 
@@ -327,6 +236,50 @@ def validate_choice(c_matrix: Array, data: _SplitData,
     return out
 
 
+_FORMULAS = ("definition-A", "definition-B", "corner", "global")
+
+Candidate = Tuple[int, Array, Weights]  # sign, Fredholm candidate, weights
+
+
+def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
+                data: Optional[_SplitData] = None,
+                comparison: Optional[Array] = None) -> List[Candidate]:
+    """The signed Fredholm candidates of one relative-index formula, with the
+    interior weights their engines count against.
+
+    The formula's index is the signed sum of its candidates' indices.
+    ``definition-A`` and ``definition-B`` compare through C = A|H1 and
+    C = B|H1, ``definition-C`` through the given comparison operator; every
+    formula but ``global`` reads the split data.
+    """
+    if formula == "global":
+        weights = cut.interior_mask(a.modes, a.dim).astype(float)
+        return [(1, np.eye(a.size) + b.matrix.conj().T @ (a.matrix - b.matrix),
+                 weights)]
+    if formula == "corner":
+        return [(1, np.eye(data.a1.shape[0])
+                 + data.b1.conj().T @ (data.a1 - data.b1), data.h1_gram)]
+    c = {"definition-A": data.av, "definition-B": data.bv,
+         "definition-C": comparison}[formula]
+    return [(1, c.conj().T @ data.av, data.h1_gram),
+            (-1, c.conj().T @ data.bv, data.h1_gram)]
+
+
+def _checked_index(parts: List[Candidate], threshold: Optional[float],
+                   p: int) -> int:
+    """Signed sum of the candidates' indices; both engines must agree on
+    every candidate."""
+    total = 0
+    for sign, f, weights in parts:
+        values = engine_values(f, threshold=threshold, p=p,
+                               domain_weights=weights, codomain_weights=weights)
+        if not values.agree:
+            raise EngineDisagreementError(
+                f"counting engine gave {values.svd}, trace engine {values.fedosov}")
+        total += sign * values.svd
+    return total
+
+
 def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
               choice: Union[str, CChoice] = "A",
               cut: Optional[TailCutoff] = None, eps: Optional[float] = None,
@@ -334,14 +287,11 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
     """ind(C* A|H1) - ind(C* B|H1); independent of the admissible choice C."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     data = _SplitData.build(a, b, split, cut)
-    tag, c_matrix = _resolve_choice(data, choice)
+    c_matrix = _resolve_choice(data, choice)
     if eps is not None:
         validate_choice(c_matrix, data, eps)
-    weights = dict(domain_weights=data.h1_gram, codomain_weights=data.h1_gram,
-                   threshold=threshold, p=p)
-    f_a = c_matrix.conj().T @ data.av
-    f_b = c_matrix.conj().T @ data.bv
-    return agreed_index(f_a, **weights) - agreed_index(f_b, **weights)
+    return _checked_index(
+        _candidates(a, b, cut, "definition-C", data, c_matrix), threshold, p)
 
 
 def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
@@ -350,10 +300,7 @@ def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
     """ind(1 + B1*(A1 - B1)) on H1."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     data = _SplitData.build(a, b, split, cut)
-    f = np.eye(data.a1.shape[0]) + data.b1.conj().T @ (data.a1 - data.b1)
-    return agreed_index(f, domain_weights=data.h1_gram,
-                        codomain_weights=data.h1_gram,
-                        threshold=threshold, p=p)
+    return _checked_index(_candidates(a, b, cut, "corner", data), threshold, p)
 
 
 def rel_index_global(a: TruncOp, b: TruncOp,
@@ -361,10 +308,7 @@ def rel_index_global(a: TruncOp, b: TruncOp,
                      threshold: Optional[float] = None, p: int = 2) -> int:
     """ind(1 + B*(A - B)) on the whole truncated space; no split needed."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    weights = cut.interior_mask(a.modes, a.dim).astype(float)
-    f = np.eye(a.size) + b.matrix.conj().T @ (a.matrix - b.matrix)
-    return agreed_index(f, domain_weights=weights, codomain_weights=weights,
-                        threshold=threshold, p=p)
+    return _checked_index(_candidates(a, b, cut, "global"), threshold, p)
 
 
 # -- the index-theorem pipeline ---------------------------------------------------
@@ -380,9 +324,6 @@ class IndexReport:
     residuals: Dict[str, float]
     verdict: bool
     details: Dict[str, Dict[str, Dict[int, int]]] = field(default_factory=dict)
-
-
-_FORMULAS = ("definition-A", "definition-B", "corner", "global")
 
 
 def verify_index_theorem(sp: SymbolPair, modes: int,
@@ -418,7 +359,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         cut = TailCutoff(n // 2 if tail_cutoff is None
                          else (n // modes) * tail_cutoff)
         kb = stage("kbalance", kbalance_report, d1, d2, cut, kbalance_tol)
-        residuals[f"kbalance_worst_N{n}"] = kb.worst(max(kb.cutoffs))
+        residuals[f"kbalance_worst_N{n}"] = kb.worst(cut.m)
         if splits is not None and n in splits:
             split = splits[n]
         else:
@@ -429,34 +370,21 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         residuals[f"measured_eps_N{n}"] = blocks.max_measured
 
         data = _SplitData.build(d1, d2, split, cut)
-        h1 = dict(domain_weights=data.h1_gram, codomain_weights=data.h1_gram,
-                  threshold=threshold, p=p)
-        full_weights = cut.interior_mask(n, d1.dim).astype(float)
-        full = dict(domain_weights=full_weights, codomain_weights=full_weights,
-                    threshold=threshold, p=p)
-
-        f_global = np.eye(d1.size) + d2.matrix.conj().T @ (d1.matrix - d2.matrix)
-        residuals[f"global_unitarity_defect_N{n}"] = _tail_defect(
-            f_global, d1, cut)
-        candidates = {
-            "definition-A": [(data.av.conj().T @ data.av, h1),
-                             (data.av.conj().T @ data.bv, h1)],
-            "definition-B": [(data.bv.conj().T @ data.av, h1),
-                             (data.bv.conj().T @ data.bv, h1)],
-            "corner": [(np.eye(data.a1.shape[0])
-                           + data.b1.conj().T @ (data.a1 - data.b1), h1)],
-            "global": [(f_global, full)],
-        }
+        candidates = {f: _candidates(d1, d2, cut, f, data) for f in _FORMULAS}
+        f_global = candidates["global"][0][1]
+        residuals[f"global_unitarity_defect_N{n}"] = band_norm(
+            np.eye(d1.size) - f_global.conj().T @ f_global,
+            cut.band_mask(n, d1.dim))
         for formula, parts in candidates.items():
             svd_total, fed_total = 0, 0
-            for i, (f, kw) in enumerate(parts):
-                sign = 1 if i == 0 else -1
-                ev = stage(f"fredholm_index[{formula}]", engine_values, f, **kw)
+            for sign, f, weights in parts:
+                ev = stage(f"fredholm_index[{formula}]", engine_values, f,
+                           threshold=threshold, p=p, domain_weights=weights,
+                           codomain_weights=weights)
                 svd_total += sign * ev.svd
                 fed_total += sign * ev.fedosov
-                residuals[f"fedosov_residue_{formula}_N{n}"] = max(
-                    residuals.get(f"fedosov_residue_{formula}_N{n}", 0.0),
-                    ev.residue)
+                key = f"fedosov_residue_{formula}_N{n}"
+                residuals[key] = max(residuals.get(key, 0.0), ev.residue)
             values[formula]["svd"][n] = svd_total
             values[formula]["fedosov"][n] = fed_total
 
@@ -478,8 +406,3 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
     return IndexReport(analytic_svd, analytic_fedosov, topological,
                        residuals, verdict, values)
 
-
-def _tail_defect(f_global: Array, op: TruncOp, cut: TailCutoff) -> float:
-    defect = np.eye(op.size) - f_global.conj().T @ f_global
-    mask = cut.band_mask(op.modes, op.dim)
-    return opnorm(defect[np.ix_(mask, mask)])

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParseError
+from ..relations import RELATIONS
 from .algebra import StarPoly, format_poly
 from .membership import (MembershipCertificate, RelationIdeal, ideal_member,
                          certificate_is_valid)
@@ -59,16 +60,12 @@ def rel1_ideal() -> RelationIdeal:
     )
 
 
-REL2_PRODUCTS = {
-    "(a-b)(1-a*a)": (A - B) * (ONE - A.star * A),
-    "(a-b)(1-b*b)": (A - B) * (ONE - B.star * B),
-    "(a*-b*)(1-aa*)": (A.star - B.star) * (ONE - A * A.star),
-    "(a*-b*)(1-bb*)": (A.star - B.star) * (ONE - B * B.star),
-    "(1-aa*)(a-b)": (ONE - A * A.star) * (A - B),
-    "(1-bb*)(a-b)": (ONE - B * B.star) * (A - B),
-    "(1-a*a)(a*-b*)": (ONE - A.star * A) * (A.star - B.star),
-    "(1-b*b)(a*-b*)": (ONE - B.star * B) * (A.star - B.star),
-}
+_FACTORS = {"a": A, "b": B, "d": A - B, "d*": A.star - B.star,
+            "qa": ONE - A.star * A, "qb": ONE - B.star * B,
+            "pa": ONE - A * A.star, "pb": ONE - B * B.star}
+
+REL2_PRODUCTS = {name: _FACTORS[left] * _FACTORS[right]
+                 for name, (left, right), _ in RELATIONS[4:]}
 
 
 def rel2_ideal() -> RelationIdeal:

@@ -21,8 +21,8 @@ from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
                            quantize, splitting_projection,
                            verify_block_estimates, verify_split_blocks)
-from balk1.relindex import (fredholm_index_fedosov, fredholm_index_svd,
-                            rel_index, rel_index_global, verify_index_theorem)
+from balk1.relindex import (engine_values, rel_index, rel_index_global,
+                            verify_index_theorem)
 from balk1.starpoly import default_suite, verify_identity_suite
 
 SWEEP_MODES = 128
@@ -138,13 +138,12 @@ def test_criterion_4_engine_oracles(sweep):
             m[k + 1, k] = 1.0
         return m
 
-    shift_ok = all(
-        fredholm_index_svd(hardy_shift(n)) == -1
-        and int(fredholm_index_fedosov(hardy_shift(n), p=1)) == -1
-        for n in (64, 128))
+    shifts = [engine_values(hardy_shift(n), threshold=1e-6, p=1)
+              for n in (64, 128)]
+    shift_ok = all(v.svd == v.fedosov == -1 for v in shifts)
     u = random_unitary(32, 11)
-    unitary_ok = (fredholm_index_svd(u) == 0
-                  and int(fredholm_index_fedosov(u)) == 0)
+    unitary = engine_values(u, threshold=1e-6)
+    unitary_ok = unitary.svd == unitary.fedosov == 0
     agree = all(
         rep.details[f]["svd"][n] == rep.details[f]["fedosov"][n]
         for rep in sweep.reports.values()

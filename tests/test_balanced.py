@@ -111,6 +111,21 @@ def test_path_kinds_validate():
         assert report.ok, (kind, report.max_residual)
 
 
+def test_path_report_is_the_worst_sample():
+    # criterion-2 pair; the batched path check against one check_balanced
+    # per sample
+    pair = random_balanced_pair(4, 3)
+    ts = np.linspace(0.0, np.pi / 2, 101)
+    for kind in PATH_KINDS:
+        path = HomotopyPath(kind, pair)
+        worst = [check_balanced(*homotopy_eval(path, float(t)), 1e-9).max_rel1
+                 for t in ts]
+        report = validate_path(path, grid=101, tol=1e-9)
+        assert report.max_residual == max(worst), kind
+        assert report.worst_t == ts[int(np.argmax(worst))], kind
+        assert report.ok == (max(worst) <= 1e-9)
+
+
 def test_swap_endpoints():
     pair = random_balanced_pair(2, 23)
     a, b = pair.a, pair.b

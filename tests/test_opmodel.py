@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from balk1.balanced import REL1_NAMES, REL2_NAMES
 from balk1.errors import ShapeError, SpectralGapError, UndersampledError
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, standard_symbol_pair,
                          subbundle_projection_loop)
@@ -119,15 +120,33 @@ def test_kbalance_matches_naive_small_case():
     report = kbalance_report(d1, d2, cut)
     am, bm = d1.matrix, d2.matrix
     eye = np.eye(d1.size)
-    qa = eye - am.conj().T @ am
-    pb = eye - bm @ bm.conj().T
-    mask = cut.band_mask(16, 1, 4)
-    for name, resid in (("(a-b)(1-a*a)", (am - bm) @ qa),
-                        ("(1-bb*)(a-b)", pb @ (am - bm)),
-                        ("a(1-a*a)-b(1-b*b)",
-                         am @ qa - bm @ (eye - bm.conj().T @ bm))):
-        naive = opnorm(resid[np.ix_(mask, mask)])
-        assert report.residuals[name][4] == pytest.approx(naive, abs=1e-12)
+    ah, bh = am.conj().T, bm.conj().T
+    qa, qb = eye - ah @ am, eye - bh @ bm
+    pa, pb = eye - am @ ah, eye - bm @ bh
+    diff, diff_star = am - bm, ah - bh
+    dense = {
+        "a*a-b*b": ah @ am - bh @ bm,
+        "aa*-bb*": am @ ah - bm @ bh,
+        "a(1-a*a)-b(1-b*b)": am @ qa - bm @ qb,
+        "(1-aa*)a-(1-bb*)b": pa @ am - pb @ bm,
+        "(a-b)(1-a*a)": diff @ qa,
+        "(a-b)(1-b*b)": diff @ qb,
+        "(a*-b*)(1-aa*)": diff_star @ pa,
+        "(a*-b*)(1-bb*)": diff_star @ pb,
+        "(1-aa*)(a-b)": pa @ diff,
+        "(1-bb*)(a-b)": pb @ diff,
+        "(1-a*a)(a*-b*)": qa @ diff_star,
+        "(1-b*b)(a*-b*)": qb @ diff_star,
+    }
+    names = REL1_NAMES + REL2_NAMES
+    assert set(names) == set(dense) == set(report.residuals)
+    for m in report.cutoffs:
+        mask = cut.band_mask(16, 1, m)
+        assert mask.any()
+        for name in names:
+            naive = opnorm(dense[name][np.ix_(mask, mask)])
+            assert report.residuals[name][m] == pytest.approx(naive, abs=1e-12), \
+                (name, m)
 
 
 def test_kbalance_balanced_symbols_small():

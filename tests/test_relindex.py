@@ -8,9 +8,9 @@ from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
 from balk1.loops import (MatrixLoop, standard_symbol_pair,
                          subbundle_projection_loop)
 from balk1.numkern import random_unitary
-from balk1.opmodel import TailCutoff, clip_to_contraction, quantize, splitting_projection
-from balk1.relindex import (CChoice, engine_values, fredholm_index_fedosov,
-                            fredholm_index_svd, rel_index, rel_index_corner,
+from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
+                           quantize, splitting_projection)
+from balk1.relindex import (CChoice, engine_values, rel_index, rel_index_corner,
                             rel_index_global, verify_index_theorem)
 
 
@@ -27,29 +27,26 @@ def hardy_shift(n):
 @pytest.mark.parametrize("n", [64, 128])
 def test_shift_oracle_both_engines(n):
     f = hardy_shift(n)
-    assert fredholm_index_svd(f) == -1
-    fed = fredholm_index_fedosov(f, p=1)
-    assert int(fed) == -1 and fed.residue < 1e-12
-    assert int(fredholm_index_fedosov(f, p=2)) == -1
+    values = engine_values(f, threshold=1e-6, p=1)
+    assert values.svd == values.fedosov == -1 and values.residue < 1e-12
+    assert engine_values(f, threshold=1e-6, p=2).fedosov == -1
 
 
 def test_unitary_instance_is_zero():
-    u = random_unitary(24, 5)
-    assert fredholm_index_svd(u) == 0
-    fed = fredholm_index_fedosov(u)
-    assert int(fed) == 0 and fed.residue <= 1e-10
+    values = engine_values(random_unitary(24, 5), threshold=1e-6)
+    assert values.svd == values.fedosov == 0 and values.residue <= 1e-10
 
 
 def test_self_adjoint_examples():
-    assert fredholm_index_svd(np.diag([0.0, 1.0, 1.0])) == 0
-    assert int(fredholm_index_fedosov(np.diag([0.0, 1.0]), p=1)) == 0
-    assert fredholm_index_svd(np.eye(5)) == 0
+    assert engine_values(np.diag([0.0, 1.0, 1.0]), threshold=1e-6).svd == 0
+    assert engine_values(np.diag([0.0, 1.0]), p=1).fedosov == 0
+    assert engine_values(np.eye(5), threshold=1e-6).svd == 0
 
 
 def test_explicit_threshold_gap_error():
     f = np.diag([5e-6, 1.0]).astype(complex) + np.diag([1e-8], k=1)
     with pytest.raises(SingularGapError):
-        fredholm_index_svd(f, threshold=1e-6, gap_factor=10.0)
+        engine_values(f, threshold=1e-6, gap_factor=10.0)
 
 
 def test_fedosov_residue_error():
@@ -57,13 +54,15 @@ def test_fedosov_residue_error():
     weights = np.ones(17)
     weights[0] = 0.5  # half-weighted cokernel direction
     with pytest.raises(FedosovResidueError):
-        fredholm_index_fedosov(f, p=1, codomain_weights=weights,
-                               domain_weights=np.ones(16))
+        engine_values(f, p=1, codomain_weights=weights,
+                      domain_weights=np.ones(16))
 
 
 def test_fedosov_rejects_far_from_isometry():
+    # non-Hermitian, so the defect guard is reached: singular values 2 give
+    # defects 1 - 4 = -3
     with pytest.raises(ValueError):
-        fredholm_index_fedosov(2.0 * np.eye(3))
+        engine_values(2.0 * hardy_shift(3))
 
 
 def test_hermitian_shortcut():
@@ -79,12 +78,14 @@ def test_interior_weights_discard_edge_artifacts():
     for k in range(n):
         square[k + 1, k] = 1.0
     interior = (np.arange(n + 1) <= n // 2).astype(float)
-    assert fredholm_index_svd(square, threshold=1e-6,
-                              domain_weights=interior,
-                              codomain_weights=interior) == -1
-    fed = fredholm_index_fedosov(square, p=2, domain_weights=interior,
-                                 codomain_weights=interior)
-    assert int(fed) == -1
+    values = engine_values(square, threshold=1e-6, p=2,
+                           domain_weights=interior, codomain_weights=interior)
+    assert values.svd == values.fedosov == -1
+    gram = np.diag(interior)  # the same window as a Gram matrix
+    from_gram = engine_values(square, threshold=1e-6, p=2,
+                              domain_weights=gram, codomain_weights=gram)
+    assert from_gram.svd == from_gram.fedosov == -1
+    assert from_gram.residue == pytest.approx(values.residue, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,12 @@ def test_verify_index_theorem_flagship():
     for formula, engines in report.details.items():
         for engine, series in engines.items():
             assert set(series.values()) == {-1}, (formula, engine)
+    # the k-balance diagnostic is read at the populated cutoff N/2
+    for n in (64, 128):
+        d1, d2 = (clip_to_contraction(d) for d in quantize(sp, n))
+        cut = TailCutoff(n // 2)
+        worst = kbalance_report(d1, d2, cut).worst(cut.m)
+        assert report.residuals[f"kbalance_worst_N{n}"] == worst > 0
 
 
 def test_verify_index_theorem_equal_symbols():
