@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from . import balanced, loops, serialize
-from .errors import Balk1Error, ParseError, PipelineStageError
+from .errors import Balk1Error, DegreeBoundError, ParseError, PipelineStageError
 from .relindex import verify_index_theorem
 from .starpoly import suites
 
@@ -47,7 +47,11 @@ def cmd_verify_identities(suite_path, out):
     except (OSError, ParseError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(USAGE)
-    report = suites.verify_identity_suite(entries)
+    try:
+        report = suites.verify_identity_suite(entries)
+    except DegreeBoundError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(USAGE)
     if out:
         with open(out, "w") as fh:
             fh.write(report.to_json())

@@ -1,11 +1,31 @@
 """Bounded-degree two-sided ideal membership with replayable certificates.
 
 Membership of a target in the two-sided ideal generated by a list of
-polynomials is decided by exact linear algebra over Gaussian rationals on
-the span of products  left · generator · right  whose word degree stays
-within a caller-supplied bound.  Success yields a decomposition that an
-independent replay routine can re-multiply and compare against the target;
-failure only states that no decomposition exists up to the bound.
+polynomials is decided by linear algebra on the span of products
+left · generator · right  whose word degree stays within a caller-supplied
+bound.  Success yields a decomposition that an independent replay routine
+can re-multiply and compare against the target; failure only states that no
+decomposition exists up to the bound.
+
+The products are enumerated in a fixed order, shortest multipliers first, and
+the search runs in two stages:
+
+* **modular search**: the products are eliminated, a chunk at a time, in an
+  incremental row echelon over the prime field F_p, p = 998244353.  Since
+  p ≡ 1 (mod 4), the imaginary unit maps to a square root of -1 mod p.  Every
+  pivot row carries the combination of products it was built from, so once
+  the target reduces to zero mod p, the products its combination uses (the
+  support) are known;
+* **exact recovery**: the target is solved again over the Gaussian
+  rationals, on the rows of the support only.  Those rows are independent
+  mod p, hence over Q(i), so the multipliers are unique.
+
+Reduction mod p can lose a certificate whose multipliers need p in a
+denominator, and a combination mod p need not hold exactly.  So whenever a
+coefficient of the target or of a generator has a denominator divisible by
+p, the modular search finds nothing, or the exact solve on the support
+leaves a residue, the same exact solve runs over every product up to the
+bound.  Completeness up to the bound is that of exact elimination.
 
 Two structural reductions keep the search small without losing completeness:
 
@@ -15,7 +35,9 @@ Two structural reductions keep the search small without losing completeness:
   attached to the left multiplier of the certificate;
 * when every generator is homogeneous for the letter charge (+1 for a, b,
   -1 for their adjoints), the ideal is charge-graded, so only products
-  matching the charge of each target component can contribute.
+  matching the charge of each target component can contribute.  Components
+  of one charge share one modular echelon, extended as far as the most
+  demanding of them needs.
 
 Relation ideals are *-closed by default: the adjoint of every listed
 generator is adjoined to the working set, matching the semantics of
@@ -26,14 +48,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import DegreeBoundError
-from .algebra import (GaussianRational, Monomial, StarPoly, Word, _CHARGE_OF,
-                      mono_key, format_coefficient, format_poly, _format_monomial)
+from .algebra import (ONE_C, GaussianRational, Monomial, StarPoly, Word,
+                      _CHARGE_OF, mono_key, format_coefficient, format_poly,
+                      _format_monomial)
 from .parsing import parse
 
 DEFAULT_PRODUCT_CEILING = 400_000
+
+# the modular search runs over F_P; P = 119·2^23 + 1 ≡ 1 (mod 4) and 3
+# generates its multiplicative group, so _I below squares to -1 mod P
+P = 998_244_353
+_I = pow(3, (P - 1) // 4, P)
 
 
 @dataclass(frozen=True)
@@ -120,47 +149,46 @@ def _words_by_charge(length: int) -> Dict[int, List[Word]]:
     return got
 
 
-# -- sparse exact elimination -------------------------------------------------
-
-
-def _word_key(w: Word) -> Tuple[int, Word]:
-    return (len(w), w)
+# -- elimination over Q(i) and over F_P ---------------------------------------
+#
+# Rows are sparse dicts whose keys order themselves (tuples compared
+# natively); the leading term of a row is its largest key.
 
 
 class _Echelon:
     """Incremental row echelon over Gaussian rationals with combination traces."""
 
-    def __init__(self, order_key):
-        self.order_key = order_key
+    def __init__(self):
         self.pivots: Dict[object, Tuple[dict, dict]] = {}
 
-    def insert(self, poly: dict, combo: dict) -> None:
-        while poly:
-            lead = max(poly, key=self.order_key)
+    def insert(self, row: dict, combo: dict) -> None:
+        while row:
+            lead = max(row)
             hit = self.pivots.get(lead)
             if hit is None:
-                self.pivots[lead] = (poly, combo)
+                self.pivots[lead] = self._pivot(lead, row, combo)
                 return
-            prow, pcombo = hit
-            factor = poly[lead] / prow[lead]
-            _axpy(poly, prow, -factor)
-            _axpy(combo, pcombo, -factor)
+            self._eliminate(lead, row, combo, hit)
 
-    def reduce_fully(self, poly: dict) -> Tuple[dict, dict]:
-        poly = dict(poly)
+    def reduce_fully(self, row: dict) -> Tuple[dict, dict]:
+        row = dict(row)
         combo: dict = {}
-        key = self.order_key
+        pivots = self.pivots
         while True:
-            hit = None
-            for m in poly:
-                if m in self.pivots and (hit is None or key(m) > key(hit)):
-                    hit = m
+            hit = max((m for m in row if m in pivots), default=None)
             if hit is None:
-                return poly, combo
-            prow, pcombo = self.pivots[hit]
-            factor = poly[hit] / prow[hit]
-            _axpy(poly, prow, -factor)
-            _axpy(combo, pcombo, -factor)
+                return row, combo
+            self._eliminate(hit, row, combo, pivots[hit])
+
+    def _pivot(self, lead, row: dict, combo: dict) -> Tuple[dict, dict]:
+        return row, combo
+
+    def _eliminate(self, lead, row: dict, combo: dict,
+                   pivot: Tuple[dict, dict]) -> None:
+        prow, pcombo = pivot
+        factor = -(row[lead] / prow[lead])
+        _axpy(row, prow, factor)
+        _axpy(combo, pcombo, factor)
 
 
 def _axpy(dst: dict, src: dict, factor: GaussianRational) -> None:
@@ -171,6 +199,144 @@ def _axpy(dst: dict, src: dict, factor: GaussianRational) -> None:
             dst[key] = acc
         else:
             dst.pop(key, None)
+
+
+class _ModEchelon(_Echelon):
+    """The same echelon over F_P; every pivot row has leading coefficient 1."""
+
+    def _pivot(self, lead, row: dict, combo: dict) -> Tuple[dict, dict]:
+        inv = pow(row[lead], -1, P)
+        return ({key: val * inv % P for key, val in row.items()},
+                {key: val * inv % P for key, val in combo.items()})
+
+    def _eliminate(self, lead, row: dict, combo: dict,
+                   pivot: Tuple[dict, dict]) -> None:
+        prow, pcombo = pivot
+        factor = P - row[lead]
+        _axpy_mod(row, prow, factor)
+        _axpy_mod(combo, pcombo, factor)
+
+
+def _axpy_mod(dst: dict, src: dict, factor: int) -> None:
+    for key, val in src.items():
+        acc = (dst.get(key, 0) + val * factor) % P
+        if acc:
+            dst[key] = acc
+        else:
+            dst.pop(key, None)
+
+
+def _mod(q: GaussianRational) -> Optional[int]:
+    """The image of q in F_P (i maps to _I); None when P divides a denominator."""
+    den = q.re.denominator * q.im.denominator
+    if den % P == 0:
+        return None
+    num = (q.re.numerator * q.im.denominator
+           + q.im.numerator * q.re.denominator * _I)
+    return num * pow(den, -1, P) % P
+
+
+def _mod_row(row: dict) -> Optional[Dict[object, int]]:
+    out: Dict[object, int] = {}
+    for key, q in row.items():
+        r = _mod(q)
+        if r is None:
+            return None
+        if r:
+            out[key] = r
+    return out
+
+
+# -- the search ---------------------------------------------------------------
+
+
+Product = tuple  # (generator index, left multiplier, right word)
+Solution = List[Tuple[GaussianRational, Product]]
+
+
+class _Search:
+    """Certificate search over one enumeration of products.
+
+    ``products()`` enumerates the products afresh, always in the same order;
+    ``exact_row`` expands one over Q(i) and ``mod_row`` over F_P (None when
+    some generator coefficient has no image mod P).  Targets solved in turn
+    share one modular echelon, which each extends only as far as it needs.
+    """
+
+    def __init__(self, products: Callable[[], Iterator[Product]],
+                 exact_row: Callable[[Product], dict],
+                 mod_row: Optional[Callable[[Product], Dict[object, int]]],
+                 chunk: int):
+        self._products = products
+        self._exact_row = exact_row
+        self._mod_row = mod_row
+        self._chunk = chunk
+        self._pending = products()
+        self._seen: List[Product] = []
+        self._echelon = _ModEchelon()
+
+    def solve(self, target: dict) -> Optional[Solution]:
+        """Multipliers and products whose rows sum to the target row."""
+        target_mod = None if self._mod_row is None else _mod_row(target)
+        support = None if target_mod is None else self.support(target_mod)
+        if support is not None:
+            found = self._exact_solve(target, support)
+            if found is not None:
+                return found
+        return self._exact_solve(target, self._products())
+
+    def support(self, target_mod: Dict[object, int]) -> Optional[List[Product]]:
+        """The products of a combination equal to the target mod P, in
+        enumeration order; None when no product up to the bound gives one."""
+        while True:
+            residue, combo = self._echelon.reduce_fully(target_mod)
+            if not residue:
+                return [self._seen[j] for j in sorted(combo)]
+            if not self._extend():
+                return None
+
+    def _extend(self) -> bool:
+        start = len(self._seen)
+        for item in itertools.islice(self._pending, self._chunk):
+            self._seen.append(item)
+            row = self._mod_row(item)
+            if row:
+                self._echelon.insert(row, {len(self._seen) - 1: 1})
+        return len(self._seen) > start
+
+    def _exact_solve(self, target: dict, products: Iterable[Product]
+                     ) -> Optional[Solution]:
+        """Exact elimination of the products' rows in order, trying the
+        target after every chunk of products and after the last."""
+        echelon = _Echelon()
+        used: List[Product] = []
+
+        def finish() -> Optional[Solution]:
+            residue, combo = echelon.reduce_fully(target)
+            if residue:
+                return None
+            return [(-combo[j], used[j]) for j in sorted(combo)]
+
+        for item in products:
+            used.append(item)
+            row = self._exact_row(item)
+            if row:
+                echelon.insert(row, {len(used) - 1: ONE_C})
+            if len(used) % self._chunk == 0:
+                found = finish()
+                if found is not None:
+                    return found
+        return finish()
+
+
+def _capped(products: Iterable[Product], bound: int,
+            product_ceiling: int) -> Iterator[Product]:
+    for count, item in enumerate(products, 1):
+        if count > product_ceiling:
+            raise DegreeBoundError(
+                f"degree bound {bound} would enumerate more than "
+                f"{product_ceiling} products")
+        yield item
 
 
 # -- the solver ---------------------------------------------------------------
@@ -216,29 +382,40 @@ def ideal_member(target: StarPoly, ideal: RelationIdeal, degree_bound: int,
 
     central_free = all(g.poly.is_central_free for g in gens)
     graded = all(g.charge is not None for g in gens)
+    gen_mod = {g.index: [(m, _mod(q)) for m, q in g.terms] for g in gens}
+    reducible = all(r is not None for terms in gen_mod.values() for _, r in terms)
 
-    if central_free:
-        components = _split_components(target)
-        all_terms: List[CertTerm] = []
-        for (s_exp, c_exp, charge), word_poly in components.items():
-            want = charge if graded else None
-            terms = _solve_words(word_poly, gens, degree_bound, want,
-                                 product_ceiling, chunk)
-            if terms is None:
-                return None
-            for coeff, left_word, gen_idx, right_word in terms:
-                all_terms.append(CertTerm(
-                    coefficient=format_coefficient(coeff),
-                    left=_format_monomial(Monomial(left_word, s_exp, c_exp)) or "1",
-                    generator=gen_idx,
-                    right=_format_monomial(Monomial(right_word)) or "1"))
-        cert = MembershipCertificate(
-            target=format_poly(target), ideal=ideal.name, degree_bound=degree_bound,
-            generators=tuple(format_poly(g.poly) for g in gens),
-            terms=tuple(all_terms))
-        return cert
+    if not central_free:
+        return _solve_general(target, gens, ideal, degree_bound, reducible,
+                              product_ceiling, chunk)
 
-    return _solve_general(target, gens, ideal, degree_bound, product_ceiling, chunk)
+    exact_row = _word_rows({g.index: g.terms for g in gens})
+    mod_row = _word_rows({i: [(m, r) for m, r in terms if r]
+                          for i, terms in gen_mod.items()}) if reducible else None
+
+    searches: Dict[Optional[int], _Search] = {}
+    all_terms: List[CertTerm] = []
+    for (s_exp, c_exp, charge), word_row in _split_components(target).items():
+        want = charge if graded else None
+        search = searches.get(want)
+        if search is None:
+            search = searches[want] = _Search(
+                lambda want=want: _capped(_iter_products(gens, degree_bound, want),
+                                          degree_bound, product_ceiling),
+                exact_row, mod_row, chunk)
+        found = search.solve(word_row)
+        if found is None:
+            return None
+        for coeff, (gen_idx, left_word, right_word) in found:
+            all_terms.append(CertTerm(
+                coefficient=format_coefficient(coeff),
+                left=_format_monomial(Monomial(left_word, s_exp, c_exp)) or "1",
+                generator=gen_idx,
+                right=_format_monomial(Monomial(right_word)) or "1"))
+    return MembershipCertificate(
+        target=format_poly(target), ideal=ideal.name, degree_bound=degree_bound,
+        generators=tuple(format_poly(g.poly) for g in gens),
+        terms=tuple(all_terms))
 
 
 def _builtin_central_relation() -> StarPoly:
@@ -252,11 +429,27 @@ def _charge_of_poly(p: StarPoly) -> Optional[int]:
     return qs.pop() if len(qs) == 1 else None
 
 
-def _split_components(target: StarPoly) -> Dict[Tuple[int, int, int], Dict[Word, GaussianRational]]:
-    components: Dict[Tuple[int, int, int], Dict[Word, GaussianRational]] = {}
+def _word_key(w: Word) -> Tuple[int, Word]:
+    return (len(w), w)
+
+
+def _word_rows(gen_terms: Dict[int, List[Tuple[Monomial, object]]]
+               ) -> Callable[[Product], dict]:
+    """Row builder for central-free generators, whose terms have distinct words."""
+    words = {i: [(m.word, q) for m, q in terms] for i, terms in gen_terms.items()}
+
+    def row(item: Product) -> dict:
+        gen_idx, u, v = item
+        return {_word_key(u + w + v): q for w, q in words[gen_idx]}
+    return row
+
+
+def _split_components(target: StarPoly) -> Dict[Tuple[int, int, int], dict]:
+    """Word rows of the target, one per (s_exp, c_exp, charge) component."""
+    components: Dict[Tuple[int, int, int], dict] = {}
     for m, q in target.items():
         key = (m.s_exp, m.c_exp, m.charge)
-        components.setdefault(key, {})[m.word] = q
+        components.setdefault(key, {})[_word_key(m.word)] = q
     return components
 
 
@@ -286,104 +479,40 @@ def _iter_products(gens: Sequence[_GenMeta], bound: int, charge: Optional[int]):
                                 yield (g.index, u, v)
 
 
-def _solve_words(word_target: Dict[Word, GaussianRational], gens: Sequence[_GenMeta],
-                 bound: int, charge: Optional[int], product_ceiling: int,
-                 chunk: int) -> Optional[List[Tuple[GaussianRational, Word, int, Word]]]:
-    """Solve a pure word-polynomial membership; returns decomposition terms."""
-    gen_by_index = {g.index: g for g in gens}
-    echelon = _Echelon(_word_key)
-    target_row = dict(word_target)
-    products: List[Tuple[int, Word, Word]] = []
-
-    def try_finish() -> Optional[List[Tuple[GaussianRational, Word, int, Word]]]:
-        residue, combo = echelon.reduce_fully(target_row)
-        if residue:
-            return None
-        out = []
-        for j, lam in combo.items():
-            gen_idx, u, v = products[j]
-            out.append((-lam, u, gen_idx, v))
-        return out
-
-    pending = 0
-    for item in _iter_products(gens, bound, charge):
-        products.append(item)
-        if len(products) > product_ceiling:
-            raise DegreeBoundError(
-                f"degree bound {bound} would enumerate more than "
-                f"{product_ceiling} products")
-        gen_idx, u, v = item
-        row: Dict[Word, GaussianRational] = {}
-        for m, q in gen_by_index[gen_idx].terms:
-            w = u + m.word + v
-            acc = row.get(w)
-            acc = q if acc is None else acc + q
-            if acc:
-                row[w] = acc
-            else:
-                row.pop(w, None)
-        if row:
-            echelon.insert(row, {len(products) - 1: GaussianRational(1)})
-        pending += 1
-        if pending >= chunk:
-            pending = 0
-            solution = try_finish()
-            if solution is not None:
-                return solution
-    return try_finish()
-
-
 def _solve_general(target: StarPoly, gens: Sequence[_GenMeta], ideal: RelationIdeal,
-                   bound: int, product_ceiling: int, chunk: int
+                   bound: int, reducible: bool, product_ceiling: int, chunk: int
                    ) -> Optional[MembershipCertificate]:
-    """Fallback for generators carrying central symbols: enumerate central
-    multipliers explicitly (complete up to the stated central degree cap)."""
+    """Generators carrying central symbols: enumerate central multipliers
+    explicitly (complete up to the stated central degree cap)."""
     central_cap = target.central_degree + max(g.poly.central_degree for g in gens) + 2
     centrals = [(e, f) for e in (0, 1) for f in range(central_cap + 1)
                 if e + f <= central_cap]
     gen_by_index = {g.index: g for g in gens}
-    echelon = _Echelon(mono_key)
-    target_row = dict(target.items())
-    products: List[Tuple[int, Monomial, Word]] = []
 
-    def try_finish() -> Optional[Tuple[CertTerm, ...]]:
-        residue, combo = echelon.reduce_fully(target_row)
-        if residue:
-            return None
-        out = []
-        for j, lam in combo.items():
-            gen_idx, left, v = products[j]
-            out.append(CertTerm(
-                coefficient=format_coefficient(-lam),
-                left=_format_monomial(left) or "1",
-                generator=gen_idx,
-                right=_format_monomial(Monomial(v)) or "1"))
-        return tuple(out)
+    def products() -> Iterator[Product]:
+        return _capped(((gen_idx, Monomial(u, e, f), v)
+                        for gen_idx, u, v in _iter_products(gens, bound, None)
+                        for e, f in centrals), bound, product_ceiling)
 
-    def finish_cert(terms: Tuple[CertTerm, ...]) -> MembershipCertificate:
-        return MembershipCertificate(
-            target=format_poly(target), ideal=ideal.name, degree_bound=bound,
-            generators=tuple(format_poly(g.poly) for g in gens), terms=terms)
+    def exact_row(item: Product) -> dict:
+        gen_idx, left, v = item
+        p = StarPoly.monomial(left) * gen_by_index[gen_idx].poly * \
+            StarPoly.monomial(Monomial(v))
+        return {mono_key(m): q for m, q in p.items()}
 
-    pending = 0
-    for gen_idx, u, v in _iter_products(gens, bound, None):
-        for e, f in centrals:
-            left = Monomial(u, e, f)
-            products.append((gen_idx, left, v))
-            if len(products) > product_ceiling:
-                raise DegreeBoundError(
-                    f"degree bound {bound} would enumerate more than "
-                    f"{product_ceiling} products")
-            p = StarPoly.monomial(left) * gen_by_index[gen_idx].poly * \
-                StarPoly.monomial(Monomial(v))
-            row = dict(p.items())
-            if row:
-                echelon.insert(row, {len(products) - 1: GaussianRational(1)})
-        pending += 1
-        if pending >= chunk:
-            pending = 0
-            terms = try_finish()
-            if terms is not None:
-                return finish_cert(terms)
-    terms = try_finish()
-    return None if terms is None else finish_cert(terms)
+    def mod_row(item: Product) -> Dict[object, int]:
+        return _mod_row(exact_row(item))
+
+    found = _Search(products, exact_row, mod_row if reducible else None,
+                    chunk).solve(
+        {mono_key(m): q for m, q in target.items()})
+    if found is None:
+        return None
+    terms = tuple(CertTerm(coefficient=format_coefficient(coeff),
+                           left=_format_monomial(left) or "1",
+                           generator=gen_idx,
+                           right=_format_monomial(Monomial(v)) or "1")
+                  for coeff, (gen_idx, left, v) in found)
+    return MembershipCertificate(
+        target=format_poly(target), ideal=ideal.name, degree_bound=bound,
+        generators=tuple(format_poly(g.poly) for g in gens), terms=terms)

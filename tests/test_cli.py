@@ -91,6 +91,15 @@ def test_verify_identities_uncertifiable_entry(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_verify_identities_bound_below_target_degree(runner, tmp_path):
+    suite_path = tmp_path / "suite.txt"
+    suite_path.write_text("name: low\nideal: rel1\nbound: 1\ntarget: a*a - 1\n")
+    result = runner.invoke(main, ["verify-identities", str(suite_path)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: degree bound 1 is below the target degree 2" in result.output
+
+
 def test_verify_identities_missing_file(runner):
     result = runner.invoke(main, ["verify-identities", "/nonexistent.txt"])
     assert result.exit_code == 2

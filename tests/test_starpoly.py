@@ -1,8 +1,10 @@
 """Symbolic engine tests: parsing, involution, certificates, suites."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balk1.errors import DegreeBoundError, ParseError
 from balk1.starpoly import (GaussianRational, StarPoly, certificate_is_valid,
@@ -10,6 +12,7 @@ from balk1.starpoly import (GaussianRational, StarPoly, certificate_is_valid,
                             ideal_by_name, ideal_member, parse, parse_suite,
                             rel1_ideal, rel2_ideal, replay_certificate,
                             verify_identity_suite)
+from balk1.starpoly import membership
 from balk1.starpoly.suites import A, B, ONE, REL2_PRODUCTS, canonical_unitary_poly
 
 
@@ -103,6 +106,83 @@ def test_membership_not_found_for_difference():
 def test_crossed_defect_products_are_not_members():
     crossed = (A - B) * (ONE - A * A.star)
     assert ideal_member(crossed, rel1_ideal(), 7) is None
+
+
+def test_target_with_modulus_in_denominator_falls_back_to_exact(monkeypatch):
+    # 1/p has no image mod p, so the modular search must not even start
+    target = StarPoly.scalar(Fraction(1, membership.P)) * \
+        (B * canonical_unitary_poly() - A)
+
+    def no_modular_search(self, target_mod):
+        raise AssertionError("modular search ran on an unreducible target")
+
+    monkeypatch.setattr(membership._Search, "support", no_modular_search)
+    cert = ideal_member(target, rel1_ideal(), 5)
+    assert cert is not None and certificate_is_valid(cert)
+    assert parse(cert.target) == target
+
+
+def test_modular_miss_falls_back_to_exact(monkeypatch):
+    monkeypatch.setattr(membership._Search, "support",
+                        lambda self, target_mod: None)
+    cert = ideal_member(B * canonical_unitary_poly() - A, rel1_ideal(), 5)
+    assert cert is not None and certificate_is_valid(cert)
+    assert cert.max_term_degree() <= 5
+
+
+def test_modular_hit_without_exact_solution_is_rejected(monkeypatch):
+    # congruent mod p to the member b·c - a, yet not a member itself: the
+    # exact solve on the support leaves a residue, and so does the exact
+    # solve over every product
+    target = B * canonical_unitary_poly() - A + membership.P * (A - B)
+    exact_solve = membership._Search._exact_solve
+    calls = []
+
+    def counted(self, target_row, products):
+        calls.append(target_row)
+        return exact_solve(self, target_row, products)
+
+    monkeypatch.setattr(membership._Search, "_exact_solve", counted)
+    assert ideal_member(target, rel1_ideal(), 5) is None
+    assert len(calls) == 2
+
+
+def test_central_generator_member_and_non_member():
+    [entry] = parse_suite("name: central-member\nideal: custom: s·a - b\n"
+                          "bound: 4\ntarget: c·(s·a - b)·b* + 2/3i·a*·(s·a* - b*)")
+    report = verify_identity_suite([entry])
+    assert report.ok and report.results[0].n_terms > 0
+    # at s = 0 the ideal kills only b, so a - b survives
+    assert ideal_member(A - B, entry.ideal, 3) is None
+
+
+_REL1_GENERATORS = rel1_ideal().effective_generators()
+_LETTERS = (A, A.star, B, B.star)
+_words = st.lists(st.sampled_from(range(4)), max_size=2).map(
+    lambda w: [_LETTERS[x] for x in w])
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+_ideal_terms = st.lists(st.tuples(_fractions, _fractions, _words,
+                                  st.sampled_from(_REL1_GENERATORS), _words),
+                        min_size=1, max_size=3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_ideal_terms)
+def test_random_rel1_members_certify(terms):
+    bound = 6
+    target = StarPoly.zero()
+    for re, im, left, gen, right in terms:
+        right = right[:bound - gen.degree - len(left)]
+        piece = StarPoly.scalar(GaussianRational(re, im)) * gen
+        for x in reversed(left):
+            piece = x * piece
+        for x in right:
+            piece = piece * x
+        target = target + piece
+    cert = ideal_member(target, rel1_ideal(), bound)
+    assert cert is not None
+    assert replay_certificate(cert) == target
+    assert cert.max_term_degree() <= bound
 
 
 def test_bound_below_target_degree_rejected():
