@@ -6,6 +6,16 @@ by the + symbol, the negative modes the compression of the - symbol.  Loops
 sampled on the glued interval [0, pi/2) are read in the circle coordinate
 tau = 4t, so one loop turn is one Fourier harmonic.
 
+Operators are kept as their diagonal blocks over a partition of the
+coordinates: the two half-lines n < 0 and n >= 0, each a finite Toeplitz
+section, as quantization builds them, or the whole space as one block.  A
+dense matrix passes a structure check: it becomes the two half-line blocks
+when its off-diagonal half-line blocks are exactly zero, and one block
+otherwise.  Clipping, spectral splitting and the defect products preserve
+the half-line structure, so every stage works block by block and takes the
+maximum of the block norms; operands on different partitions meet as one
+block each.  ``TruncOp.matrix`` is a dense view for codecs and tests.
+
 Compactness has no exact finite stand-in: "small modulo compacts" is
 measured by the tail seminorm, the operator norm of the compression to a
 band of modes that excludes both the low modes (where genuine compact parts
@@ -16,10 +26,11 @@ as two-point convergence between a cutoff and its double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from .balanced import relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
@@ -29,33 +40,100 @@ from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
 
+Frames = Tuple[Array, Array]  # orthonormal bases of a range and its complement
 
-@dataclass(frozen=True)
+
+def _h(x: Array) -> Array:
+    return x.conj().T
+
+
+def half_lines(modes: int, dim: int) -> Tuple[int, int]:
+    """Sizes of the half-line blocks n < 0 and n >= 0."""
+    return dim * modes, dim * (modes + 1)
+
+
+def block_slices(sizes: Sequence[int]) -> List[slice]:
+    """Consecutive coordinate ranges of blocks with the given sizes."""
+    bounds = np.cumsum((0,) + tuple(sizes)).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def diagonal_blocks(matrix: Array, row_sizes: Sequence[int],
+                    col_sizes: Sequence[int]) -> Tuple[Array, ...]:
+    """The diagonal blocks of a matrix over row and column partitions when
+    every off-diagonal block is exactly zero, else the matrix as one block."""
+    rows, cols = block_slices(row_sizes), block_slices(col_sizes)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if i != j and np.any(matrix[r, c]):
+                return (matrix,)
+    return tuple(matrix[r, c].copy() for r, c in zip(rows, cols))
+
+
+def block_band_norm(blocks: Sequence[Array], mask: np.ndarray) -> float:
+    """Band norm of a block-diagonal matrix: the largest block band norm."""
+    slices = block_slices([blk.shape[0] for blk in blocks])
+    return max(band_norm(blk, mask[s]) for blk, s in zip(blocks, slices))
+
+
 class TruncOp:
-    """Matrix on Fourier modes -N..N tensor C^dim, row (n+N)*dim + j."""
+    """Operator on Fourier modes -N..N tensor C^dim, row (n+N)*dim + j, kept
+    as its diagonal blocks: the two half-lines, or the whole space.
 
-    modes: int
-    dim: int
-    matrix: Array
+    The constructor takes a dense matrix and splits it into the half-line
+    blocks exactly when its off-diagonal half-line blocks are zero.
+    """
 
-    def __post_init__(self):
-        size = self.dim * (2 * self.modes + 1)
-        m = np.asarray(self.matrix, dtype=np.complex128)
+    def __init__(self, modes: int, dim: int, matrix: Array):
+        size = dim * (2 * modes + 1)
+        m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (size, size):
             raise ShapeError(f"matrix shape {m.shape} does not match "
-                             f"(modes={self.modes}, dim={self.dim})")
-        object.__setattr__(self, "matrix", m)
+                             f"(modes={modes}, dim={dim})")
+        sizes = half_lines(modes, dim)
+        self.modes, self.dim = modes, dim
+        self.blocks = diagonal_blocks(m, sizes, sizes)
+
+    @classmethod
+    def from_blocks(cls, modes: int, dim: int,
+                    blocks: Sequence[Array]) -> "TruncOp":
+        """An operator from its half-line blocks or its one whole block."""
+        blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
+        sizes = tuple(b.shape[0] for b in blocks)
+        if (sizes not in (half_lines(modes, dim), (dim * (2 * modes + 1),))
+                or any(b.shape != (k, k) for b, k in zip(blocks, sizes))):
+            raise ShapeError(f"block shapes {[b.shape for b in blocks]} do not "
+                             f"match (modes={modes}, dim={dim})")
+        op = cls.__new__(cls)
+        op.modes, op.dim, op.blocks = modes, dim, blocks
+        return op
 
     @property
     def size(self) -> int:
         return self.dim * (2 * self.modes + 1)
 
-    def mode_values(self) -> np.ndarray:
-        """The Fourier mode of every row/column coordinate."""
-        return np.repeat(np.arange(-self.modes, self.modes + 1), self.dim)
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        return tuple(b.shape[0] for b in self.blocks)
 
-    def adjoint(self) -> "TruncOp":
-        return TruncOp(self.modes, self.dim, self.matrix.conj().T)
+    @property
+    def matrix(self) -> Array:
+        """Dense view; built on every access."""
+        return sla.block_diag(*self.blocks)
+
+    def merged(self) -> "TruncOp":
+        """The same operator as one block."""
+        if len(self.blocks) == 1:
+            return self
+        return TruncOp.from_blocks(self.modes, self.dim, (self.matrix,))
+
+
+def same_partition(*parts):
+    """Operators and splits on one partition: unchanged when they share one,
+    otherwise each merged into one block."""
+    if len({part.sizes for part in parts}) == 1:
+        return parts
+    return tuple(part.merged() for part in parts)
 
 
 @dataclass(frozen=True)
@@ -86,7 +164,7 @@ def band_norm(matrix: Array, mask: np.ndarray) -> float:
 
 
 def tail_seminorm(op: TruncOp, cut: TailCutoff, m: Optional[int] = None) -> float:
-    return band_norm(op.matrix, cut.band_mask(op.modes, op.dim, m))
+    return block_band_norm(op.blocks, cut.band_mask(op.modes, op.dim, m))
 
 
 # -- quantization -------------------------------------------------------------
@@ -145,17 +223,13 @@ def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int,
                     f"{name} symbol bandwidth ~{bw} needs at least {4 * bw} "
                     f"modes, got {modes}")
     max_lag = 2 * modes
-    d = plus.dim
-    size = d * (2 * modes + 1)
-    matrix = np.zeros((size, size), dtype=np.complex128)
     pos = np.arange(0, modes + 1)
     neg = np.arange(-modes, 0)
     cp = fourier_coefficients(plus, max_lag)
     cm = fourier_coefficients(minus, max_lag)
-    pos_rows = d * (pos[0] + modes)
-    matrix[pos_rows:, pos_rows:] = _toeplitz_block(cp, pos, pos, max_lag)
-    matrix[:pos_rows, :pos_rows] = _toeplitz_block(cm, neg, neg, max_lag)
-    return TruncOp(modes, d, matrix)
+    return TruncOp.from_blocks(modes, plus.dim, (
+        _toeplitz_block(cm, neg, neg, max_lag),
+        _toeplitz_block(cp, pos, pos, max_lag)))
 
 
 def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
@@ -168,6 +242,7 @@ def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
 def symbol_roundtrip_error(op: TruncOp, plus: MatrixLoop, minus: MatrixLoop) -> float:
     """Read the principal symbol back off the inner mode window |n| <= N/2
     and compare with the inputs in the pointwise operator norm."""
+    matrix = op.matrix
     worst = 0.0
     for loop, lo in ((plus, op.modes), (minus, 0)):
         half = op.modes // 2
@@ -186,7 +261,7 @@ def symbol_roundtrip_error(op: TruncOp, plus: MatrixLoop, minus: MatrixLoop) -> 
                     continue
                 r = (n + op.modes) * d
                 c = (m + op.modes) * d
-                blocks.append(op.matrix[r:r + d, c:c + d])
+                blocks.append(matrix[r:r + d, c:c + d])
             if blocks:
                 recovered[lag + half] = np.mean(blocks, axis=0)
         taus = 4.0 * loop.ts
@@ -202,14 +277,17 @@ def symbol_roundtrip_error(op: TruncOp, plus: MatrixLoop, minus: MatrixLoop) -> 
 
 
 def _top_singular_estimate(matrix: Array, iters: int = 80, seed: int = 0) -> float:
-    """Power iteration on M*M; converges to the top singular value from below."""
+    """Power iteration on M*M; converges to the top singular value from below.
+
+    M*x is formed as conj(conj(x) M), so no adjoint of M is ever copied.
+    """
     rng = np.random.default_rng(seed)
     n = matrix.shape[1]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = matrix.conj().T @ (matrix @ v)
+        w = np.conj(np.conj(matrix @ v) @ matrix)
         lam = np.linalg.norm(w)
         if lam == 0.0:
             return 0.0
@@ -217,22 +295,27 @@ def _top_singular_estimate(matrix: Array, iters: int = 80, seed: int = 0) -> flo
     return float(np.sqrt(lam))
 
 
+def _clipped(block: Array) -> Array:
+    if _top_singular_estimate(block) <= 1.0 + 1e-9:
+        return block
+    u, s, vh = np.linalg.svd(block)
+    if s.size == 0 or s[0] <= 1.0 + 1e-12:
+        return block
+    return (u * np.minimum(s, 1.0)[np.newaxis, :]) @ vh
+
+
 def clip_to_contraction(op: TruncOp) -> TruncOp:
     """Clip all singular values to at most 1; inputs already below stay put.
 
     Compressions of contraction-valued multiplication operators are exact
     contractions, so the common case is certified by a power-iteration norm
-    estimate at tolerance 1e-9 and returned untouched; anything estimated
-    above that is decomposed and clipped exactly.
+    estimate at tolerance 1e-9 per block and returned untouched; a block
+    estimated above that is decomposed and clipped exactly.
     """
-    est = _top_singular_estimate(op.matrix)
-    if est <= 1.0 + 1e-9:
+    blocks = tuple(_clipped(b) for b in op.blocks)
+    if all(new is old for new, old in zip(blocks, op.blocks)):
         return op
-    u, s, vh = np.linalg.svd(op.matrix)
-    if s.size == 0 or s[0] <= 1.0 + 1e-12:
-        return op
-    clipped = np.minimum(s, 1.0)
-    return TruncOp(op.modes, op.dim, (u * clipped[np.newaxis, :]) @ vh)
+    return TruncOp.from_blocks(op.modes, op.dim, blocks)
 
 
 # -- balanced modulo tails -------------------------------------------------------
@@ -240,16 +323,24 @@ def clip_to_contraction(op: TruncOp) -> TruncOp:
 
 @dataclass
 class KBalanceReport:
-    """Relation residuals in the tail seminorm at a cutoff and its double."""
+    """Relation residuals in the tail seminorm at a cutoff and its double.
+
+    ``populated`` lists the cutoffs whose tail band holds at least one mode;
+    an empty band measures nothing and reports zeros.
+    """
 
     cutoffs: Tuple[int, int]
     residuals: Dict[str, Dict[int, float]]
     contraction: Dict[str, Dict[int, float]]
     tol: float
+    populated: Tuple[int, ...]
 
     @property
     def verdict(self) -> bool:
-        top = max(self.cutoffs)
+        """Read at the largest populated cutoff; fails when none is."""
+        if not self.populated:
+            return False
+        top = max(self.populated)
         return (all(v[top] <= self.tol for v in self.residuals.values())
                 and all(v[top] <= 1 + self.tol
                         for v in self.contraction.values()))
@@ -263,29 +354,36 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
     """The twelve balanced-pair residuals in the tail seminorm at cutoffs
     {M, 2M} (a cutoff at or beyond the band end yields an empty band).
 
-    Only the band columns and rows of every residual are formed: each entry
-    costs a thin slice of the full matrix products, which keeps the report
-    usable inside the index pipeline at its largest truncations.
+    Every residual of block-diagonal operators is block-diagonal, so each is
+    the largest of its block residuals.  Only the band columns and rows of
+    every residual are formed: each entry costs a thin slice of the block
+    products, which keeps the report usable inside the index pipeline at
+    its largest truncations.
     """
     if a.modes != b.modes or a.dim != b.dim:
         raise ShapeError("operators must share modes and dimension")
     if cut.m >= a.modes:
         raise ValueError(f"cutoff {cut.m} must be below the mode count {a.modes}")
-    am, bm = a.matrix, b.matrix
+    a, b = same_partition(a, b)
+    slices = block_slices(a.sizes)
     cutoffs = (cut.m, min(2 * cut.m, a.modes))
     residuals: Dict[str, Dict[int, float]] = {}
     contraction: Dict[str, Dict[int, float]] = {}
+    populated = []
     for m in cutoffs:
         if m >= a.modes:
             mask = np.zeros(a.size, dtype=bool)
         else:
             mask = cut.band_mask(a.modes, a.dim, m)
-        values = relation_residuals(am, bm, mask)
+        if mask.any():
+            populated.append(m)
+        values = np.max([relation_residuals(ab, bb, mask[s])
+                         for ab, bb, s in zip(a.blocks, b.blocks, slices)], axis=0)
         for (name, _, _), value in zip(RELATIONS, values.tolist()):
             residuals.setdefault(name, {})[m] = value
-        contraction.setdefault("|a|", {})[m] = band_norm(am, mask)
-        contraction.setdefault("|b|", {})[m] = band_norm(bm, mask)
-    return KBalanceReport(cutoffs, residuals, contraction, tol)
+        contraction.setdefault("|a|", {})[m] = block_band_norm(a.blocks, mask)
+        contraction.setdefault("|b|", {})[m] = block_band_norm(b.blocks, mask)
+    return KBalanceReport(cutoffs, residuals, contraction, tol, tuple(populated))
 
 
 # -- splitting projection ---------------------------------------------------------
@@ -303,29 +401,46 @@ class SmoothStep:
         return y * y * (3 - 2 * y)
 
 
-@dataclass(frozen=True)
 class ModeSplit:
-    """A projection on the truncated space, with orthonormal frames."""
+    """A projection on the truncated space, kept as orthonormal frames
+    (V of the range, W of the kernel) on each of its diagonal blocks.
 
-    projector: Array
-    label: str = ""
-    _frames: tuple = field(default=None, repr=False, compare=False)
+    Built from a bare projector, it diagonalizes it as one block.
+    """
 
-    def __post_init__(self):
-        p = np.asarray(self.projector, dtype=np.complex128)
-        object.__setattr__(self, "projector", p)
-        w, v = np.linalg.eigh((p + p.conj().T) / 2)
-        inside = v[:, w > 0.5]
-        outside = v[:, w <= 0.5]
-        object.__setattr__(self, "_frames", (inside, outside))
+    def __init__(self, projector: Array, label: str = ""):
+        p = np.asarray(projector, dtype=np.complex128)
+        w, v = np.linalg.eigh((p + _h(p)) / 2)
+        self.label = label
+        self.blocks: Tuple[Frames, ...] = ((v[:, w > 0.5], v[:, w <= 0.5]),)
+
+    @classmethod
+    def from_frames(cls, blocks: Sequence[Frames], label: str = "") -> "ModeSplit":
+        split = cls.__new__(cls)
+        split.label = label
+        split.blocks = tuple(blocks)
+        return split
+
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        return tuple(v.shape[0] for v, _ in self.blocks)
 
     @property
     def rank(self) -> int:
-        return self._frames[0].shape[1]
+        return sum(v.shape[1] for v, _ in self.blocks)
 
-    def frames(self) -> Tuple[Array, Array]:
-        """Orthonormal bases (V of the range, W of the kernel)."""
-        return self._frames
+    @property
+    def projector(self) -> Array:
+        """Dense view; built on every access."""
+        return sla.block_diag(*(v @ _h(v) for v, _ in self.blocks))
+
+    def merged(self) -> "ModeSplit":
+        """The same split as one block."""
+        if len(self.blocks) == 1:
+            return self
+        vs, ws = zip(*self.blocks)
+        return ModeSplit.from_frames(
+            ((sla.block_diag(*vs), sla.block_diag(*ws)),), self.label)
 
 
 def _split_symbol_from_step(sp: SymbolPair, step: SmoothStep,
@@ -374,25 +489,26 @@ def splitting_projection(sp: SymbolPair, modes: int,
     the split.  The rounding is therefore inclusive: every eigenvector with
     eigenvalue above the low threshold joins the range, so the complement
     keeps only cleanly-absent states.  A populated band around the threshold
-    is reported as a spectral-gap failure.  The returned split is guaranteed
-    only to be a projection; its quality is established by
-    :func:`verify_split_blocks`.
+    is reported as a spectral-gap failure.  The eigenvectors of each
+    half-line block are the frames of the split on that block.  The returned
+    split is guaranteed only to be a projection; its quality is established
+    by :func:`verify_split_blocks`.
     """
     symbol = explicit_symbol if explicit_symbol is not None \
         else _split_symbol_from_step(sp, step)
     raw = quantize_symbol(symbol[0], symbol[1], modes, enforce_bandwidth=False)
     label = "explicit" if explicit_symbol is not None else "difference-support"
-    herm = (raw.matrix + raw.matrix.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    inside = np.abs(w - threshold) <= gap
-    if np.any(inside):
-        bad = float(w[inside][0])
+    frames, inside = [], []
+    for block in raw.blocks:
+        w, v = np.linalg.eigh((block + _h(block)) / 2)
+        inside.extend(w[np.abs(w - threshold) <= gap].tolist())
+        frames.append((v[:, w > threshold], v[:, w <= threshold]))
+    if inside:
+        bad = min(inside)
         raise SpectralGapError(
             f"eigenvalue {bad:.6f} inside the rounding band "
             f"[{threshold - gap:.3f}, {threshold + gap:.3f}]", bad)
-    keep = v[:, w > threshold]
-    projector = keep @ keep.conj().T
-    return ModeSplit((projector + projector.conj().T) / 2, label)
+    return ModeSplit.from_frames(frames, label)
 
 
 # -- split verification ------------------------------------------------------------
@@ -418,6 +534,10 @@ class SplitBlockReport:
         return max(values) if values else 0.0
 
 
+def _raise_to(values: Dict[str, float], key: str, value: float) -> None:
+    values[key] = max(values.get(key, 0.0), value)
+
+
 def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
                         cut: TailCutoff, eps: float) -> SplitBlockReport:
     """Check the decomposition conclusions at tolerance eps.
@@ -425,42 +545,43 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     The difference a - b must be small outside the (1,1) block in plain
     operator norm; each unitarity defect must be small outside the (2,2)
     block in the tail seminorm (its compact part is discounted).
+
+    Every norm is the largest over the diagonal blocks.  A defect Q is
+    applied to the range frame only, as the thin product QV = V - a*(aV):
+    its (1,1) block is V*QV, its (2,1) block W*QV, and since Q is
+    self-adjoint the (1,2) block is the adjoint of the (2,1) block.
     """
     if a.modes != b.modes or a.dim != b.dim:
         raise ShapeError("operators must share modes and dimension")
-    v, w = split.frames()
-    degenerate = w.shape[1] == 0 or v.shape[1] == 0
-    am, bm = a.matrix, b.matrix
-    eye = np.eye(am.shape[0])
-    diff = am - bm
-
-    dv, dw = diff @ v, diff @ w
-    diff_blocks = {
-        "12": opnorm(v.conj().T @ dw),
-        "21": opnorm(w.conj().T @ dv),
-        "22": opnorm(w.conj().T @ dw),
-    }
-
+    a, b, split = same_partition(a, b, split)
     mask = cut.band_mask(a.modes, a.dim)
-    defects = {
-        "1-a*a": eye - am.conj().T @ am,
-        "1-aa*": eye - am @ am.conj().T,
-        "1-b*b": eye - bm.conj().T @ bm,
-        "1-bb*": eye - bm @ bm.conj().T,
-    }
-    frames = {"1": v, "2": w}
+    diff_blocks: Dict[str, float] = {}
     defect_blocks: Dict[str, float] = {}
-    for name, mat in defects.items():
-        cols = {side: mat @ frame for side, frame in frames.items()}
-        for left in ("1", "2"):
-            for right in ("1", "2"):
-                if left == right == "2":
-                    continue
-                fl, fr = frames[left], frames[right]
-                middle = fl.conj().T @ cols[right]
-                # band compression of the embedded block fl middle fr*
-                compressed = fl[mask, :] @ middle @ fr[mask, :].conj().T
-                defect_blocks[f"{name}:{left}{right}"] = opnorm(compressed)
+    for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
+                                 block_slices(a.sizes)):
+        diff = am - bm
+        dv, dw = diff @ v, diff @ w
+        _raise_to(diff_blocks, "12", opnorm(_h(v) @ dw))
+        _raise_to(diff_blocks, "21", opnorm(_h(w) @ dv))
+        _raise_to(diff_blocks, "22", opnorm(_h(w) @ dw))
+
+        av, bv = am @ v, bm @ v
+        defect_v = {
+            "1-a*a": v - _h(am) @ av,
+            "1-aa*": v - am @ (_h(am) @ v),
+            "1-b*b": v - _h(bm) @ bv,
+            "1-bb*": v - bm @ (_h(bm) @ v),
+        }
+        band_v, band_w = v[mask[s]], w[mask[s]]
+        for name, qv in defect_v.items():
+            # band compressions of the embedded blocks V (V*QV) V* and
+            # W (W*QV) V*
+            within = opnorm(band_v @ (_h(v) @ qv) @ _h(band_v))
+            across = opnorm(band_w @ (_h(w) @ qv) @ _h(band_v))
+            _raise_to(defect_blocks, f"{name}:11", within)
+            _raise_to(defect_blocks, f"{name}:12", across)
+            _raise_to(defect_blocks, f"{name}:21", across)
+    degenerate = split.rank == 0 or all(w.shape[1] == 0 for _, w in split.blocks)
     return SplitBlockReport(eps, diff_blocks, defect_blocks, degenerate)
 
 
@@ -483,22 +604,31 @@ def verify_block_estimates(a: TruncOp, b: TruncOp, split: ModeSplit,
 
     |A11*A11 - B11*B11| and |A11A11* - B11B11*| below 2 eps,
     |(B11-A11)(1-A11*A11)| and |(B11-A11)*(1-A11A11*)| below 4 eps.
+
+    Each corner expression is V X V* with X formed from A1 = V*AV and
+    B1 = V*BV on each diagonal block; its band norm is that of
+    V[band] X V[band]*.
     """
-    p = split.projector
-    a11 = p @ a.matrix @ p
-    b11 = p @ b.matrix @ p
+    a, b, split = same_partition(a, b, split)
     mask = cut.band_mask(a.modes, a.dim)
-    exprs = {
-        "A11*A11-B11*B11": a11.conj().T @ a11 - b11.conj().T @ b11,
-        "A11A11*-B11B11*": a11 @ a11.conj().T - b11 @ b11.conj().T,
-        "(B11-A11)(1-A11*A11)": (b11 - a11) @ (p - a11.conj().T @ a11),
-        "(B11-A11)*(1-A11A11*)": (b11 - a11).conj().T @ (p - a11 @ a11.conj().T),
-    }
+    estimates: Dict[str, float] = {}
+    for am, bm, (v, _), s in zip(a.blocks, b.blocks, split.blocks,
+                                 block_slices(a.sizes)):
+        a1, b1 = _h(v) @ am @ v, _h(v) @ bm @ v
+        eye = np.eye(v.shape[1])
+        exprs = {
+            "A11*A11-B11*B11": _h(a1) @ a1 - _h(b1) @ b1,
+            "A11A11*-B11B11*": a1 @ _h(a1) - b1 @ _h(b1),
+            "(B11-A11)(1-A11*A11)": (b1 - a1) @ (eye - _h(a1) @ a1),
+            "(B11-A11)*(1-A11A11*)": _h(b1 - a1) @ (eye - a1 @ _h(a1)),
+        }
+        band_v = v[mask[s]]
+        for key, x in exprs.items():
+            _raise_to(estimates, key, opnorm(band_v @ x @ _h(band_v)))
     bounds = {
         "A11*A11-B11*B11": 2 * eps,
         "A11A11*-B11B11*": 2 * eps,
         "(B11-A11)(1-A11*A11)": 4 * eps,
         "(B11-A11)*(1-A11A11*)": 4 * eps,
     }
-    estimates = {k: band_norm(mat, mask) for k, mat in exprs.items()}
     return BlockEstimateReport(eps, estimates, bounds)

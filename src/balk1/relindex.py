@@ -1,8 +1,8 @@
 """Fredholm index engines and the relative index of operator pairs.
 
 ``engine_values`` reads the index of a near-isometric Fredholm candidate off
-one singular value decomposition in two independent ways, both weighting
-every singular vector by its interior mass:
+one singular value decomposition per diagonal block in two independent ways,
+both weighting every singular vector by its interior mass:
 
 * the counting engine compares the numbers of near-null directions of F and
   of F*; on a square truncation the raw counts always agree, so callers pass
@@ -17,15 +17,18 @@ the three equivalent recipes: the defining difference
 ind(C* A|H1) - ind(C* B|H1) for a comparison operator C, the corner formula
 ind(1 + B1*(A1 - B1)) on H1, and the global formula ind(1 + B*(A - B)) on
 the whole truncated space; one builder forms the candidate operators of
-every recipe.  ``verify_index_theorem`` runs the full pipeline
+every recipe, block by block over the half-lines of the operator model (the
+index of a block-diagonal candidate is the sum of its block indices).
+``verify_index_theorem`` runs the full pipeline
 at a mode count and its double and checks every formula and engine against
 the winding-number index of the symbols.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Tuple, Union
+from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,9 +36,10 @@ from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
                      PipelineStageError, ShapeError, SingularGapError)
 from .loops import MatrixLoop, SymbolPair, topo_index
 from .numkern import Array, opnorm
-from .opmodel import (ModeSplit, TailCutoff, TruncOp, band_norm,
-                      clip_to_contraction, kbalance_report, quantize,
-                      splitting_projection, verify_split_blocks)
+from .opmodel import (ModeSplit, TailCutoff, TruncOp, block_slices,
+                      clip_to_contraction, diagonal_blocks, kbalance_report,
+                      quantize, same_partition, splitting_projection,
+                      verify_split_blocks)
 
 Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
 
@@ -55,13 +59,25 @@ def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
 
 @dataclass
 class EngineValues:
+    """Both engines' indices, the trace residue, and the singular values
+    nearest the counting cut: the largest below it (0 when none) and the
+    smallest at or above it (infinite when none)."""
+
     svd: int
     fedosov: int
     residue: float
+    below: float
+    above: float
 
     @property
     def agree(self) -> bool:
         return self.svd == self.fedosov
+
+    @property
+    def count_gap(self) -> float:
+        """Ratio of the singular values on either side of the counting cut;
+        infinite when either side is empty."""
+        return self.above / self.below if self.below > 0 else math.inf
 
 
 def _is_hermitian(f: Array) -> bool:
@@ -71,12 +87,21 @@ def _is_hermitian(f: Array) -> bool:
     return float(np.linalg.norm(f - f.conj().T)) <= 1e-10 * scale
 
 
-def engine_values(f: Array, threshold: Optional[float] = None,
+Blocks = Union[Array, Sequence[Array]]
+
+
+def engine_values(f: Blocks, threshold: Optional[float] = None,
                   gap_factor: float = 10.0,
-                  p: int = 2, domain_weights: Weights = None,
-                  codomain_weights: Weights = None,
+                  p: int = 2, domain_weights: Union[Weights, Sequence[Weights]] = None,
+                  codomain_weights: Union[Weights, Sequence[Weights]] = None,
                   residue_ceiling: float = 0.2) -> EngineValues:
-    """Both index engines from one singular value decomposition of F.
+    """Both index engines from one singular value decomposition per block.
+
+    F is one matrix, or a sequence of the diagonal blocks of a
+    block-diagonal operator with the weights then given per block (or
+    None).  The index of a block-diagonal operator is the sum of the block
+    indices, so counts and trace totals are summed over the blocks before
+    the trace total is rounded.
 
     The counting engine takes dim ker - dim coker over the singular
     directions below the threshold, counting only those with at least half
@@ -93,48 +118,59 @@ def engine_values(f: Array, threshold: Optional[float] = None,
     interior masses and rounds it to the nearest integer; the distance is
     the residue, which must stay below the ceiling.
 
-    A square Hermitian candidate has equal kernel and cokernel whatever the
-    threshold, and its two defect operators coincide, so both engines return
-    0 exactly and the spectral-gap precondition is moot.
+    A square Hermitian block has equal kernel and cokernel whatever the
+    threshold, and its two defect operators coincide, so it adds exactly 0
+    to both engines, its spectral-gap precondition is moot, and it is not
+    decomposed.
     """
-    f = np.asarray(f, dtype=np.complex128)
-    if _is_hermitian(f):
-        return EngineValues(0, 0, 0.0)
-    u, s, vh = np.linalg.svd(f, full_matrices=True)
-    if threshold is None:
-        threshold = INCLUSIVE_THRESHOLD
+    if isinstance(f, (list, tuple)):
+        none = [None] * len(f)
+        parts = zip(f, domain_weights or none, codomain_weights or none)
     else:
-        in_gap = (s >= threshold) & (s < gap_factor * threshold)
-        if np.any(in_gap):
-            raise SingularGapError(
-                f"singular value {float(s[in_gap][0]):.3e} inside the gap "
-                f"[{threshold:.1e}, {gap_factor * threshold:.1e})",
-                float(s[in_gap][0]))
-    defect = 1.0 - s ** 2
-    max_defect = float(np.max(np.abs(defect), initial=0.0))
-    if max_defect > 1.2:
-        raise ValueError(
-            f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too far "
-            "from an isometry for the trace formula")
-    domain_mass = _interior_masses(vh.conj().T, domain_weights)
-    codomain_mass = _interior_masses(u, codomain_weights)
-    rank = int(np.sum(s >= threshold))
-    kernel = int(np.sum(domain_mass[rank:] >= 0.5))
-    cokernel = int(np.sum(codomain_mass[rank:] >= 0.5))
+        parts = [(f, domain_weights, codomain_weights)]
+    explicit = threshold is not None
+    threshold = threshold if explicit else INCLUSIVE_THRESHOLD
+    kernel = cokernel = 0
+    total, below, above = 0.0, 0.0, math.inf
+    for block, dom_w, cod_w in parts:
+        block = np.asarray(block, dtype=np.complex128)
+        if _is_hermitian(block):
+            continue
+        u, s, vh = np.linalg.svd(block, full_matrices=True)
+        if explicit:
+            in_gap = (s >= threshold) & (s < gap_factor * threshold)
+            if np.any(in_gap):
+                raise SingularGapError(
+                    f"singular value {float(s[in_gap][0]):.3e} inside the gap "
+                    f"[{threshold:.1e}, {gap_factor * threshold:.1e})",
+                    float(s[in_gap][0]))
+        defect = 1.0 - s ** 2
+        max_defect = float(np.max(np.abs(defect), initial=0.0))
+        if max_defect > 1.2:
+            raise ValueError(
+                f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too "
+                "far from an isometry for the trace formula")
+        domain_mass = _interior_masses(vh.conj().T, dom_w)
+        codomain_mass = _interior_masses(u, cod_w)
+        rank = int(np.sum(s >= threshold))
+        kernel += int(np.sum(domain_mass[rank:] >= 0.5))
+        cokernel += int(np.sum(codomain_mass[rank:] >= 0.5))
+        below = max(below, float(s[rank:].max(initial=0.0)))
+        above = min(above, float(s[:rank].min(initial=math.inf)))
 
-    # directions beyond the singular values are null: their defect is 1
-    def defect_power(count: int) -> np.ndarray:
-        return np.concatenate([defect, np.ones(count - len(s))]) ** p
+        # directions beyond the singular values are null: their defect is 1
+        def defect_power(count: int) -> np.ndarray:
+            return np.concatenate([defect, np.ones(count - len(s))]) ** p
 
-    total = float(defect_power(f.shape[1]) @ domain_mass
-                  - defect_power(f.shape[0]) @ codomain_mass)
+        total += float(defect_power(block.shape[1]) @ domain_mass
+                       - defect_power(block.shape[0]) @ codomain_mass)
     nearest = int(np.rint(total))
     residue = abs(total - nearest)
     if residue >= residue_ceiling:
         raise FedosovResidueError(
             f"trace formula output {total:.4f} has residue {residue:.3f} "
             f">= {residue_ceiling}", residue)
-    return EngineValues(kernel - cokernel, nearest, residue)
+    return EngineValues(kernel - cokernel, nearest, residue, below, above)
 
 
 # -- relative index ------------------------------------------------------------
@@ -144,7 +180,10 @@ ChoiceTag = Literal["A-restricted", "B-restricted", "custom"]
 
 @dataclass(frozen=True)
 class CChoice:
-    """Comparison operator C: H1 -> H as a full-height matrix block."""
+    """Comparison operator C: H1 -> H as a full-height matrix block.
+
+    The columns of a custom operator follow the range frames of the split,
+    block by block."""
 
     tag: ChoiceTag
     operator: Optional[Array] = None  # (size, rank), required for custom
@@ -152,8 +191,8 @@ class CChoice:
 
 @dataclass
 class _SplitData:
-    """Shared frames, restrictions, the interior Gram and the tail band of
-    one split."""
+    """Frames, restrictions, the interior Gram and the tail band of one
+    diagonal block of a split."""
 
     v: Array
     w: Array
@@ -164,69 +203,85 @@ class _SplitData:
     h1_gram: Array
     band: np.ndarray
 
-    @staticmethod
-    def build(a: TruncOp, b: TruncOp, split: ModeSplit,
-              cut: TailCutoff) -> "_SplitData":
-        v, w = split.frames()
-        av, bv = a.matrix @ v, b.matrix @ v
-        mode_weights = cut.interior_mask(a.modes, a.dim).astype(float)
-        h1_gram = v.conj().T @ (mode_weights[:, None] * v)
-        return _SplitData(v, w, av, bv, v.conj().T @ av, v.conj().T @ bv,
-                          h1_gram, cut.band_mask(a.modes, a.dim))
+
+def _split_data(a: TruncOp, b: TruncOp, split: ModeSplit,
+                cut: TailCutoff) -> List[_SplitData]:
+    """The split data of every diagonal block shared by a, b and the split."""
+    a, b, split = same_partition(a, b, split)
+    interior = cut.interior_mask(a.modes, a.dim).astype(float)
+    band = cut.band_mask(a.modes, a.dim)
+    data = []
+    for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
+                                 block_slices(a.sizes)):
+        av, bv = am @ v, bm @ v
+        vh = v.conj().T
+        data.append(_SplitData(v, w, av, bv, vh @ av, vh @ bv,
+                               vh @ (interior[s][:, None] * v), band[s]))
+    return data
 
 
-def _resolve_choice(data: _SplitData, choice: Union[str, CChoice]) -> Array:
-    if isinstance(choice, CChoice):
-        if choice.tag == "A-restricted":
-            return data.av
-        if choice.tag == "B-restricted":
-            return data.bv
-        if choice.operator is None:
-            raise CChoiceError("custom comparison operator requires a matrix")
-        if choice.operator.shape != data.av.shape:
-            raise ShapeError(
-                f"comparison operator shape {choice.operator.shape} "
-                f"does not match {data.av.shape}")
-        return choice.operator
-    if choice in ("A", "A-restricted"):
-        return data.av
-    if choice in ("B", "B-restricted"):
-        return data.bv
-    raise CChoiceError(f"unknown comparison choice {choice!r}")
+def _resolve_choice(data: List[_SplitData],
+                    choice: Union[str, CChoice]) -> Tuple[Array, ...]:
+    """The comparison operator's blocks; a custom operator that couples the
+    blocks of the split comes back as one block."""
+    tag = choice.tag if isinstance(choice, CChoice) else choice
+    if tag in ("A", "A-restricted"):
+        return tuple(d.av for d in data)
+    if tag in ("B", "B-restricted"):
+        return tuple(d.bv for d in data)
+    if not isinstance(choice, CChoice):
+        raise CChoiceError(f"unknown comparison choice {choice!r}")
+    if choice.operator is None:
+        raise CChoiceError("custom comparison operator requires a matrix")
+    rows = [d.v.shape[0] for d in data]
+    cols = [d.v.shape[1] for d in data]
+    if choice.operator.shape != (sum(rows), sum(cols)):
+        raise ShapeError(
+            f"comparison operator shape {choice.operator.shape} "
+            f"does not match {(sum(rows), sum(cols))}")
+    return diagonal_blocks(np.asarray(choice.operator, dtype=np.complex128),
+                           rows, cols)
 
 
-def validate_choice(c_matrix: Array, data: _SplitData,
+def validate_choice(c_blocks: Sequence[Array], data: List[_SplitData],
                     eps: float) -> Dict[str, float]:
-    """Residuals of the three closeness conditions against both restrictions.
+    """Residuals of the three closeness conditions against both restrictions,
+    each the largest over the diagonal blocks.
 
     The first condition compares the lower blocks in plain norm; the other
     two are Calkin-style and use the tail band of H1 (low modes carry the
     compact parts, the truncation collar its edge junk, and both discount).
     """
-    v, w = data.v, data.w
-    band_gram = v.conj().T @ (data.band.astype(float)[:, None] * v)
-    band = (band_gram + band_gram.conj().T) / 2
-    tw, tvec = np.linalg.eigh(band)
-    band_half = (tvec * np.sqrt(np.clip(tw, 0.0, None))[np.newaxis, :]) @ tvec.conj().T
-
-    def h1_seminorm(x: Array) -> float:
-        return opnorm(band_half @ x @ band_half)
-
-    c1 = v.conj().T @ c_matrix
-    c2 = w.conj().T @ c_matrix
     out: Dict[str, float] = {}
-    for name, xv in (("A", data.av), ("B", data.bv)):
-        x1, x2 = v.conj().T @ xv, w.conj().T @ xv
-        out[f"C2-{name}2"] = opnorm(c2 - x2)
-        out[f"C1*C1-{name}1*{name}1"] = h1_seminorm(
-            c1.conj().T @ c1 - x1.conj().T @ x1)
-        out[f"C1C1*-{name}1{name}1*"] = h1_seminorm(
-            c1 @ c1.conj().T - x1 @ x1.conj().T)
-        eye = np.eye(x1.shape[1])
-        out[f"(C1-{name}1)(1-{name}1*{name}1)"] = h1_seminorm(
-            (c1 - x1) @ (eye - x1.conj().T @ x1))
-        out[f"(C1-{name}1)*(1-{name}1{name}1*)"] = h1_seminorm(
-            (c1 - x1).conj().T @ (eye - x1 @ x1.conj().T))
+    for c_matrix, blk in zip(c_blocks, data):
+        v, w = blk.v, blk.w
+        band_gram = v.conj().T @ (blk.band.astype(float)[:, None] * v)
+        band = (band_gram + band_gram.conj().T) / 2
+        tw, tvec = np.linalg.eigh(band)
+        band_half = ((tvec * np.sqrt(np.clip(tw, 0.0, None))[np.newaxis, :])
+                     @ tvec.conj().T)
+
+        def h1_seminorm(x: Array) -> float:
+            return opnorm(band_half @ x @ band_half)
+
+        c1 = v.conj().T @ c_matrix
+        c2 = w.conj().T @ c_matrix
+        for name, xv in (("A", blk.av), ("B", blk.bv)):
+            x1, x2 = v.conj().T @ xv, w.conj().T @ xv
+            eye = np.eye(x1.shape[1])
+            values = {
+                f"C2-{name}2": opnorm(c2 - x2),
+                f"C1*C1-{name}1*{name}1": h1_seminorm(
+                    c1.conj().T @ c1 - x1.conj().T @ x1),
+                f"C1C1*-{name}1{name}1*": h1_seminorm(
+                    c1 @ c1.conj().T - x1 @ x1.conj().T),
+                f"(C1-{name}1)(1-{name}1*{name}1)": h1_seminorm(
+                    (c1 - x1) @ (eye - x1.conj().T @ x1)),
+                f"(C1-{name}1)*(1-{name}1{name}1*)": h1_seminorm(
+                    (c1 - x1).conj().T @ (eye - x1 @ x1.conj().T)),
+            }
+            for key, value in values.items():
+                out[key] = max(out.get(key, 0.0), value)
     bounds = {"C2": eps, "C1*C1": 2 * eps, "C1C1*": 2 * eps, "(C1-": 4 * eps}
     for key, value in out.items():
         bound = next(b for prefix, b in bounds.items() if key.startswith(prefix))
@@ -238,31 +293,36 @@ def validate_choice(c_matrix: Array, data: _SplitData,
 
 _FORMULAS = ("definition-A", "definition-B", "corner", "global")
 
-Candidate = Tuple[int, Array, Weights]  # sign, Fredholm candidate, weights
+# sign, the diagonal blocks of a Fredholm candidate, and their weights
+Candidate = Tuple[int, Tuple[Array, ...], Tuple[Weights, ...]]
 
 
 def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
-                data: Optional[_SplitData] = None,
-                comparison: Optional[Array] = None) -> List[Candidate]:
-    """The signed Fredholm candidates of one relative-index formula, with the
-    interior weights their engines count against.
+                data: Optional[List[_SplitData]] = None,
+                comparison: Optional[Sequence[Array]] = None) -> List[Candidate]:
+    """The signed Fredholm candidates of one relative-index formula, block
+    by block, with the interior weights their engines count against.
 
     The formula's index is the signed sum of its candidates' indices.
     ``definition-A`` and ``definition-B`` compare through C = A|H1 and
-    C = B|H1, ``definition-C`` through the given comparison operator; every
+    C = B|H1, ``definition-C`` through the given comparison blocks; every
     formula but ``global`` reads the split data.
     """
     if formula == "global":
-        weights = cut.interior_mask(a.modes, a.dim).astype(float)
-        return [(1, np.eye(a.size) + b.matrix.conj().T @ (a.matrix - b.matrix),
-                 weights)]
+        a, b = same_partition(a, b)
+        interior = cut.interior_mask(a.modes, a.dim).astype(float)
+        return [(1, tuple(np.eye(len(am)) + bm.conj().T @ (am - bm)
+                          for am, bm in zip(a.blocks, b.blocks)),
+                 tuple(interior[s] for s in block_slices(a.sizes)))]
+    grams = tuple(d.h1_gram for d in data)
     if formula == "corner":
-        return [(1, np.eye(data.a1.shape[0])
-                 + data.b1.conj().T @ (data.a1 - data.b1), data.h1_gram)]
-    c = {"definition-A": data.av, "definition-B": data.bv,
+        return [(1, tuple(np.eye(len(d.a1)) + d.b1.conj().T @ (d.a1 - d.b1)
+                          for d in data), grams)]
+    c = {"definition-A": tuple(d.av for d in data),
+         "definition-B": tuple(d.bv for d in data),
          "definition-C": comparison}[formula]
-    return [(1, c.conj().T @ data.av, data.h1_gram),
-            (-1, c.conj().T @ data.bv, data.h1_gram)]
+    return [(1, tuple(ci.conj().T @ d.av for ci, d in zip(c, data)), grams),
+            (-1, tuple(ci.conj().T @ d.bv for ci, d in zip(c, data)), grams)]
 
 
 def _checked_index(parts: List[Candidate], threshold: Optional[float],
@@ -270,8 +330,8 @@ def _checked_index(parts: List[Candidate], threshold: Optional[float],
     """Signed sum of the candidates' indices; both engines must agree on
     every candidate."""
     total = 0
-    for sign, f, weights in parts:
-        values = engine_values(f, threshold=threshold, p=p,
+    for sign, blocks, weights in parts:
+        values = engine_values(blocks, threshold=threshold, p=p,
                                domain_weights=weights, codomain_weights=weights)
         if not values.agree:
             raise EngineDisagreementError(
@@ -286,12 +346,14 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
               threshold: Optional[float] = None, p: int = 2) -> int:
     """ind(C* A|H1) - ind(C* B|H1); independent of the admissible choice C."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    data = _SplitData.build(a, b, split, cut)
-    c_matrix = _resolve_choice(data, choice)
+    data = _split_data(a, b, split, cut)
+    c_blocks = _resolve_choice(data, choice)
+    if len(c_blocks) != len(data):
+        data = _split_data(a.merged(), b.merged(), split.merged(), cut)
     if eps is not None:
-        validate_choice(c_matrix, data, eps)
+        validate_choice(c_blocks, data, eps)
     return _checked_index(
-        _candidates(a, b, cut, "definition-C", data, c_matrix), threshold, p)
+        _candidates(a, b, cut, "definition-C", data, c_blocks), threshold, p)
 
 
 def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
@@ -299,7 +361,7 @@ def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
                         threshold: Optional[float] = None, p: int = 2) -> int:
     """ind(1 + B1*(A1 - B1)) on H1."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    data = _SplitData.build(a, b, split, cut)
+    data = _split_data(a, b, split, cut)
     return _checked_index(_candidates(a, b, cut, "corner", data), threshold, p)
 
 
@@ -369,24 +431,32 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
                        d1, d2, split, cut, eps)
         residuals[f"measured_eps_N{n}"] = blocks.max_measured
 
-        data = _SplitData.build(d1, d2, split, cut)
+        data = _split_data(d1, d2, split, cut)
         candidates = {f: _candidates(d1, d2, cut, f, data) for f in _FORMULAS}
-        f_global = candidates["global"][0][1]
-        residuals[f"global_unitarity_defect_N{n}"] = band_norm(
-            np.eye(d1.size) - f_global.conj().T @ f_global,
-            cut.band_mask(n, d1.dim))
+        band = cut.band_mask(n, d1.dim)
+        _, f_global, _ = candidates["global"][0]
+        defect = 0.0
+        for f, s in zip(f_global, block_slices([f.shape[0] for f in f_global])):
+            cols = f[:, band[s]]  # 1 - F*F on the band is 1 - cols* cols
+            defect = max(defect, opnorm(np.eye(cols.shape[1])
+                                        - cols.conj().T @ cols))
+        residuals[f"global_unitarity_defect_N{n}"] = defect
+        gap = math.inf
         for formula, parts in candidates.items():
             svd_total, fed_total = 0, 0
-            for sign, f, weights in parts:
-                ev = stage(f"fredholm_index[{formula}]", engine_values, f,
+            for sign, blocks, weights in parts:
+                ev = stage(f"fredholm_index[{formula}]", engine_values, blocks,
                            threshold=threshold, p=p, domain_weights=weights,
                            codomain_weights=weights)
                 svd_total += sign * ev.svd
                 fed_total += sign * ev.fedosov
+                gap = min(gap, ev.count_gap)
                 key = f"fedosov_residue_{formula}_N{n}"
                 residuals[key] = max(residuals.get(key, 0.0), ev.residue)
             values[formula]["svd"][n] = svd_total
             values[formula]["fedosov"][n] = fed_total
+        if math.isfinite(gap):
+            residuals[f"count_gap_N{n}"] = gap
 
     deltas = {}
     for formula in _FORMULAS:

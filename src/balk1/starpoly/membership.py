@@ -107,11 +107,17 @@ class MembershipCertificate:
     terms: Tuple[CertTerm, ...]
 
     def max_term_degree(self) -> int:
-        out = 0
-        for t in self.terms:
-            gdeg = parse(self.generators[t.generator]).degree
-            out = max(out, parse(t.left).degree + gdeg + parse(t.right).degree)
-        return out
+        """Largest degree of left · generator · right over the terms; each
+        distinct generator or word text is parsed once."""
+        degrees: Dict[str, int] = {}
+
+        def degree(text: str) -> int:
+            if text not in degrees:
+                degrees[text] = parse(text).degree
+            return degrees[text]
+
+        return max((degree(t.left) + degree(self.generators[t.generator])
+                    + degree(t.right) for t in self.terms), default=0)
 
 
 def replay_certificate(cert: MembershipCertificate) -> StarPoly:

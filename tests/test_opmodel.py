@@ -5,15 +5,17 @@ import pytest
 
 from balk1.balanced import REL1_NAMES, REL2_NAMES
 from balk1.errors import ShapeError, SpectralGapError, UndersampledError
-from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, standard_symbol_pair,
-                         subbundle_projection_loop)
+from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
+                         rotating_diagonal_pair, standard_symbol_pair,
+                         subbundle_projection_loop, turn)
 from balk1.numkern import opnorm
 from balk1.opmodel import (ModeSplit, SmoothStep, TailCutoff, TruncOp,
-                           bandwidth_estimate, clip_to_contraction,
+                           bandwidth_estimate, block_slices, clip_to_contraction,
                            kbalance_report, quantize, quantize_symbol,
-                           splitting_projection, symbol_roundtrip_error,
-                           tail_seminorm, verify_block_estimates,
-                           verify_split_blocks)
+                           same_partition, splitting_projection,
+                           symbol_roundtrip_error, tail_seminorm,
+                           verify_block_estimates, verify_split_blocks)
+from balk1.relindex import engine_values
 
 
 def scalar_loop(fn, grid):
@@ -110,21 +112,14 @@ def test_tail_seminorm_band():
     assert empty.sum() == 0
 
 
-def test_kbalance_matches_naive_small_case():
-    plus1 = scalar_loop(lambda t: np.exp(4j * t), 256)
-    plus2 = scalar_loop(lambda t: 1.0, 256)
-    lp = LoopPair(plus1, plus2)
-    sp = SymbolPair(lp, LoopPair(identity_loop(1, 256), identity_loop(1, 256)))
-    d1, d2 = quantize(sp, 16)
-    cut = TailCutoff(4, collar=2)
-    report = kbalance_report(d1, d2, cut)
-    am, bm = d1.matrix, d2.matrix
-    eye = np.eye(d1.size)
+def dense_relations(am, bm):
+    """The twelve relation residuals of a dense pair, written out."""
+    eye = np.eye(len(am))
     ah, bh = am.conj().T, bm.conj().T
     qa, qb = eye - ah @ am, eye - bh @ bm
     pa, pb = eye - am @ ah, eye - bm @ bh
     diff, diff_star = am - bm, ah - bh
-    dense = {
+    return {
         "a*a-b*b": ah @ am - bh @ bm,
         "aa*-bb*": am @ ah - bm @ bh,
         "a(1-a*a)-b(1-b*b)": am @ qa - bm @ qb,
@@ -138,6 +133,17 @@ def test_kbalance_matches_naive_small_case():
         "(1-a*a)(a*-b*)": qa @ diff_star,
         "(1-b*b)(a*-b*)": qb @ diff_star,
     }
+
+
+def test_kbalance_matches_naive_small_case():
+    plus1 = scalar_loop(lambda t: np.exp(4j * t), 256)
+    plus2 = scalar_loop(lambda t: 1.0, 256)
+    lp = LoopPair(plus1, plus2)
+    sp = SymbolPair(lp, LoopPair(identity_loop(1, 256), identity_loop(1, 256)))
+    d1, d2 = quantize(sp, 16)
+    cut = TailCutoff(4, collar=2)
+    report = kbalance_report(d1, d2, cut)
+    dense = dense_relations(d1.matrix, d2.matrix)
     names = REL1_NAMES + REL2_NAMES
     assert set(names) == set(dense) == set(report.residuals)
     for m in report.cutoffs:
@@ -147,6 +153,19 @@ def test_kbalance_matches_naive_small_case():
             naive = opnorm(dense[name][np.ix_(mask, mask)])
             assert report.residuals[name][m] == pytest.approx(naive, abs=1e-12), \
                 (name, m)
+
+
+def test_kbalance_verdict_reads_populated_cutoff():
+    # at the default cut M = N/2 the doubled cutoff 2M = N has an empty band
+    grid = 512
+    lp = LoopPair(MatrixLoop.constant(0.5 * np.eye(1), grid),
+                  MatrixLoop.constant(np.eye(1), grid), tol=10.0)
+    sp = SymbolPair(lp, LoopPair(identity_loop(1, grid), identity_loop(1, grid)))
+    d1, d2 = quantize(sp, 32)
+    report = kbalance_report(d1, d2, TailCutoff(16))
+    assert report.cutoffs == (16, 32) and report.populated == (16,)
+    assert report.residuals["a*a-b*b"][16] == pytest.approx(0.75)
+    assert not report.verdict
 
 
 def test_kbalance_balanced_symbols_small():
@@ -281,3 +300,115 @@ def test_cutoff_bounds():
     op = quantize_symbol(plus, minus, 16)
     with pytest.raises(ValueError):
         kbalance_report(op, op, TailCutoff(16))
+
+
+def test_trunc_op_structure_check():
+    sp = standard_symbol_pair(1, 0, 1024)
+    d1, _ = quantize(sp, 64)
+    assert len(d1.blocks) == 2
+    dense = d1.matrix
+    k = 2 * 64  # coordinates on the negative half-line
+    assert len(TruncOp(64, 2, dense).blocks) == 2
+    for corner in (np.s_[:k, k:], np.s_[k:, :k]):
+        coupled = dense.copy()
+        coupled[corner][0, -1] = 1e-300
+        op = TruncOp(64, 2, coupled)
+        assert len(op.blocks) == 1
+        assert np.array_equal(op.matrix, coupled)
+    assert len(ModeSplit(np.eye(d1.size)).blocks) == 1
+
+
+# -- the block path against dense formulas ----------------------------------------
+
+
+def dense_split_blocks(am, bm, projector, mask):
+    """verify_split_blocks written out on dense matrices."""
+    vals, vecs = np.linalg.eigh(projector)
+    frames = {"1": vecs[:, vals > 0.5], "2": vecs[:, vals <= 0.5]}
+    v, w = frames["1"], frames["2"]
+    diff = am - bm
+    diff_blocks = {"12": opnorm(v.conj().T @ diff @ w),
+                   "21": opnorm(w.conj().T @ diff @ v),
+                   "22": opnorm(w.conj().T @ diff @ w)}
+    eye = np.eye(len(am))
+    defects = {"1-a*a": eye - am.conj().T @ am, "1-aa*": eye - am @ am.conj().T,
+               "1-b*b": eye - bm.conj().T @ bm, "1-bb*": eye - bm @ bm.conj().T}
+    defect_blocks = {}
+    for name, q in defects.items():
+        for left, right in ("11", "12", "21"):
+            fl, fr = frames[left], frames[right]
+            embedded = fl @ (fl.conj().T @ q @ fr) @ fr.conj().T
+            defect_blocks[f"{name}:{left}{right}"] = opnorm(
+                embedded[np.ix_(mask, mask)])
+    return diff_blocks, defect_blocks
+
+
+def dense_engines(f, weights, threshold=1e-3, p=2):
+    """Counting index, trace total and singular values of one square matrix."""
+    u, s, vh = np.linalg.svd(f)
+    domain = weights @ np.abs(vh.conj().T) ** 2
+    codomain = weights @ np.abs(u) ** 2
+    rank = int(np.sum(s >= threshold))
+    count = int(np.sum(domain[rank:] >= 0.5)) - int(np.sum(codomain[rank:] >= 0.5))
+    powers = (1 - s ** 2) ** p
+    return count, float(powers @ domain - powers @ codomain), s
+
+
+@pytest.fixture(scope="module")
+def two_way_winding():
+    """Both half-lines wind, so both blocks carry part of the index."""
+    grid, modes = 1024, 64
+    plus = rotating_diagonal_pair(turn(1), turn(0), default_gamma, grid)
+    minus = rotating_diagonal_pair(turn(0), turn(1), default_gamma, grid)
+    sp = SymbolPair(plus, minus)
+    split_loop = subbundle_projection_loop(grid)
+    split = splitting_projection(sp, modes, explicit_symbol=(split_loop, split_loop))
+    d1, d2 = (clip_to_contraction(d) for d in quantize(sp, modes))
+    return d1, d2, split, TailCutoff(modes // 2)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_block_path_matches_dense_reference(two_way_winding, coupled):
+    d1, d2, split, cut = two_way_winding
+    assert len(d1.blocks) == len(d2.blocks) == len(split.blocks) == 2
+    if coupled:
+        # small nonzero off-diagonal blocks: a is one block, and so is a split
+        # built from its bare projector; b stays on the half-lines
+        rng = np.random.default_rng(3)
+        dense = d1.matrix
+        k = d1.blocks[0].shape[0]
+        dense[:k, k:] += 1e-3 * rng.standard_normal((k, dense.shape[0] - k))
+        d1 = TruncOp(d1.modes, d1.dim, dense)
+        split = ModeSplit(split.projector)
+        assert len(d1.blocks) == len(split.blocks) == 1
+    am, bm = d1.matrix, d2.matrix
+    mask = cut.band_mask(d1.modes, d1.dim)
+
+    report = verify_split_blocks(d1, d2, split, cut, eps=0.1)
+    diff_blocks, defect_blocks = dense_split_blocks(am, bm, split.projector, mask)
+    assert report.diff_blocks == pytest.approx(diff_blocks, abs=1e-12)
+    assert report.defect_blocks == pytest.approx(defect_blocks, abs=1e-12)
+
+    kb = kbalance_report(d1, d2, cut)
+    dense = dense_relations(am, bm)
+    for m in kb.cutoffs:
+        band = (cut.band_mask(d1.modes, d1.dim, m) if m < d1.modes
+                else np.zeros(d1.size, dtype=bool))
+        for name, mat in dense.items():
+            assert kb.residuals[name][m] == pytest.approx(
+                opnorm(mat[np.ix_(band, band)]), abs=1e-12), (name, m)
+        assert kb.contraction["|a|"][m] == pytest.approx(
+            opnorm(am[np.ix_(band, band)]), abs=1e-12)
+
+    # the global candidate 1 + B*(A - B), block by block and dense
+    interior = cut.interior_mask(d1.modes, d1.dim).astype(float)
+    a, b = same_partition(d1, d2)
+    blocks = [np.eye(len(x)) + y.conj().T @ (x - y) for x, y in zip(a.blocks, b.blocks)]
+    weights = [interior[s] for s in block_slices(a.sizes)]
+    values = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
+    count, total, s = dense_engines(np.eye(len(am)) + bm.conj().T @ (am - bm),
+                                    interior)
+    assert values.svd == count == values.fedosov == round(total) == -2
+    assert values.residue == pytest.approx(abs(total - round(total)), abs=1e-12)
+    assert values.below == pytest.approx(s[s < 1e-3].max(), abs=1e-12)
+    assert values.above == pytest.approx(s[s >= 1e-3].min(), abs=1e-12)

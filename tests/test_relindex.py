@@ -5,8 +5,9 @@ import pytest
 
 from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
                           SingularGapError)
-from balk1.loops import (MatrixLoop, standard_symbol_pair,
-                         subbundle_projection_loop)
+from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
+                         rotating_diagonal_pair, standard_symbol_pair,
+                         subbundle_projection_loop, turn)
 from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
                            quantize, splitting_projection)
@@ -63,6 +64,18 @@ def test_fedosov_rejects_far_from_isometry():
     # defects 1 - 4 = -3
     with pytest.raises(ValueError):
         engine_values(2.0 * hardy_shift(3))
+
+
+def test_count_gap_reports_the_cut_margin():
+    f = random_unitary(3, 7) @ np.diag([1.0, 0.5, 1e-6])
+    values = engine_values(f)
+    assert values.svd == values.fedosov == 0
+    assert values.below == pytest.approx(1e-6, rel=1e-6)
+    assert values.above == pytest.approx(0.5)
+    assert values.count_gap == pytest.approx(5e5, rel=1e-6)
+    # a Hermitian block is skipped and leaves no margin
+    assert engine_values([np.eye(2), f]).count_gap == values.count_gap
+    assert engine_values(np.eye(2)).count_gap == np.inf
 
 
 def test_hermitian_shortcut():
@@ -154,6 +167,34 @@ def test_verify_index_theorem_flagship():
         cut = TailCutoff(n // 2)
         worst = kbalance_report(d1, d2, cut).worst(cut.m)
         assert report.residuals[f"kbalance_worst_N{n}"] == worst > 0
+        assert report.residuals[f"count_gap_N{n}"] > 100
+
+
+def winding_direction(turns, grid):
+    """A rotating diagonal pair and its splitting symbol, or the identity
+    pair with the zero splitting symbol when ``turns`` is None."""
+    if turns is None:
+        eye = MatrixLoop.constant(np.eye(2), grid)
+        return LoopPair(eye, eye), MatrixLoop.constant(np.zeros((2, 2)), grid)
+    return (rotating_diagonal_pair(turn(turns[0]), turn(turns[1]),
+                                   default_gamma, grid),
+            subbundle_projection_loop(grid))
+
+
+@pytest.mark.parametrize("plus, minus, expected", [
+    (None, (1, 0), 1),      # only the minus direction winds
+    ((1, 0), (0, 1), -2),   # both directions wind
+])
+def test_verify_index_theorem_winding_families(plus, minus, expected):
+    grid, modes = 1024, 64
+    (plus_pair, plus_split), (minus_pair, minus_split) = (
+        winding_direction(plus, grid), winding_direction(minus, grid))
+    report = verify_index_theorem(SymbolPair(plus_pair, minus_pair), modes,
+                                  split_symbol=(plus_split, minus_split))
+    values = [report.details[f][e][n] for f in report.details
+              for e in ("svd", "fedosov") for n in (modes, 2 * modes)]
+    assert report.verdict and report.topological == expected
+    assert len(values) == 16 and set(values) == {expected}
 
 
 def test_verify_index_theorem_equal_symbols():
