@@ -166,30 +166,30 @@ def rotating_diagonal_pair(alpha: Callable[[float], complex],
     defect and the shared gamma entry cancels in every relation.
     """
     ts = HALF_PI * np.arange(grid) / grid
+    values = {}
     for name, fn, unimodular in (("alpha", alpha, True), ("beta", beta, True),
                                  ("gamma", gamma, False)):
-        for endpoint in (0.0, HALF_PI):
-            value = complex(fn(endpoint))
+        # the grid points, then the far glued endpoint
+        at = np.array([complex(fn(float(t))) for t in ts] + [complex(fn(HALF_PI))])
+        for endpoint, value in ((0.0, at[0]), (HALF_PI, at[-1])):
             if abs(value - 1.0) > 1e-9:
                 raise ConstraintError(
                     f"{name}({endpoint:.4f}) = {value:.6f} must equal 1")
-        for t in ts[1:]:
-            value = complex(fn(float(t)))
-            if unimodular and abs(abs(value) - 1.0) > 1e-9:
-                raise ConstraintError(
-                    f"|{name}(t)| must be 1 on the grid; got {abs(value):.6f} "
-                    f"at t = {float(t):.4f}")
-            if not unimodular and abs(value) >= 1.0 - 1e-12:
-                raise ConstraintError(
-                    f"|{name}(t)| must stay below 1 on the open interval; "
-                    f"got {abs(value):.6f} at t = {float(t):.4f}")
+        moduli = np.abs(at[1:-1])
+        bad = np.abs(moduli - 1.0) > 1e-9 if unimodular else moduli >= 1.0 - 1e-12
+        if bad.any():
+            k = int(np.argmax(bad)) + 1
+            rule = ("must be 1 on the grid" if unimodular
+                    else "must stay below 1 on the open interval")
+            raise ConstraintError(f"|{name}(t)| {rule}; got {abs(at[k]):.6f} "
+                                  f"at t = {float(ts[k]):.4f}")
+        values[name] = at[:-1]
 
-    def sample(diag_fn: Callable[[float], complex], t: float) -> Array:
-        u = rotation_2x2(t)
-        return u.conj().T @ np.diag([complex(diag_fn(t)), complex(gamma(t))]) @ u
-
-    s1 = MatrixLoop.from_function(lambda t: sample(alpha, t), grid, dim=2)
-    s2 = MatrixLoop.from_function(lambda t: sample(beta, t), grid, dim=2)
+    # U(t)* diag(x, gamma) U(t) at every grid point at once
+    u = np.moveaxis(rotation_2x2(ts), -1, 0)
+    uh = u.conj().transpose(0, 2, 1)
+    s1, s2 = (MatrixLoop((uh * np.stack((values[x], values["gamma"]), axis=-1)
+                          [:, np.newaxis, :]) @ u) for x in ("alpha", "beta"))
     return LoopPair(s1, s2, tol).validate()
 
 

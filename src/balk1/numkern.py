@@ -26,9 +26,10 @@ def as_matrix(x) -> Array:
 
 
 def opnorm(x: Array) -> float:
-    """Largest singular value; 0 for empty matrices."""
+    """Largest singular value; 0 for empty and all-zero matrices, which are
+    not decomposed."""
     x = as_matrix(x)
-    if x.size == 0:
+    if not x.any():
         return 0.0
     return float(np.linalg.norm(x, 2))
 

@@ -16,6 +16,12 @@ the half-line structure, so every stage works block by block and takes the
 maximum of the block norms; operands on different partitions meet as one
 block each.  ``TruncOp.matrix`` is a dense view for codecs and tests.
 
+Everything that reads a pair against a split (the split verification, the
+corner estimates, and in ``relindex`` the comparison check and the index
+candidates) reads one record per diagonal block, ``SplitBlock``, from one
+builder, ``split_blocks``.  The four corner expressions and their 2 eps and
+4 eps bounds are written once, in ``corner_estimates``.
+
 Compactness has no exact finite stand-in: "small modulo compacts" is
 measured by the tail seminorm, the operator norm of the compression to a
 band of modes that excludes both the low modes (where genuine compact parts
@@ -26,7 +32,7 @@ as two-point convergence between a cutoff and its double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -515,6 +521,65 @@ def splitting_projection(sp: SymbolPair, modes: int,
 
 
 @dataclass
+class SplitBlock:
+    """One diagonal block shared by a pair a, b and a split: the operator
+    blocks, the range and kernel frames V and W, AV and BV, the (1,1)
+    corners A1 = V*AV and B1 = V*BV, the tail-band rows of the block and
+    the interior Gram V* diag(interior) V."""
+
+    a: Array
+    b: Array
+    v: Array
+    w: Array
+    av: Array
+    bv: Array
+    a1: Array
+    b1: Array
+    band: np.ndarray
+    h1_gram: Array
+
+
+def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
+                 cut: TailCutoff) -> List[SplitBlock]:
+    """The split records of every diagonal block shared by a, b and the
+    split; operands on different partitions meet as one block."""
+    if a.modes != b.modes or a.dim != b.dim:
+        raise ShapeError("operators must share modes and dimension")
+    a, b, split = same_partition(a, b, split)
+    band = cut.band_mask(a.modes, a.dim)
+    interior = cut.interior_mask(a.modes, a.dim).astype(float)
+    records = []
+    for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
+                                 block_slices(a.sizes)):
+        av, bv, vh = am @ v, bm @ v, _h(v)
+        records.append(SplitBlock(am, bm, v, w, av, bv, vh @ av, vh @ bv,
+                                  band[s], vh @ (interior[s][:, None] * v)))
+    return records
+
+
+def merge_split_blocks(records: Sequence[SplitBlock]) -> SplitBlock:
+    """The records of several diagonal blocks as the record of one block."""
+    parts = [[getattr(r, f.name) for r in records] for f in fields(SplitBlock)]
+    return SplitBlock(*(np.concatenate(p) if p[0].ndim == 1 else sla.block_diag(*p)
+                        for p in parts))
+
+
+def corner_estimates(x: Array, y: Array, band_v: Array,
+                     eps: float) -> List[Tuple[float, float]]:
+    """The four corner expressions of a pair (x, y) of operators on H1 as
+    (tail seminorm, bound): |x*x - y*y| and |xx* - yy*| below 2 eps,
+    |(y - x)(1 - x*x)| and |(y - x)*(1 - xx*)| below 4 eps.
+
+    An expression X on H1 is the operator V X V* on the block; its tail
+    seminorm is the norm of V[band] X V[band]*, with band_v = V[band].
+    """
+    eye = np.eye(x.shape[1])
+    exprs = ((_h(x) @ x - _h(y) @ y, 2), (x @ _h(x) - y @ _h(y), 2),
+             ((y - x) @ (eye - _h(x) @ x), 4), (_h(y - x) @ (eye - x @ _h(x)), 4))
+    return [(opnorm(band_v @ e @ _h(band_v)), k * eps) for e, k in exprs]
+
+
+@dataclass
 class SplitBlockReport:
     """Block norms of the difference and tail norms of the defect blocks."""
 
@@ -551,28 +616,22 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     its (1,1) block is V*QV, its (2,1) block W*QV, and since Q is
     self-adjoint the (1,2) block is the adjoint of the (2,1) block.
     """
-    if a.modes != b.modes or a.dim != b.dim:
-        raise ShapeError("operators must share modes and dimension")
-    a, b, split = same_partition(a, b, split)
-    mask = cut.band_mask(a.modes, a.dim)
     diff_blocks: Dict[str, float] = {}
     defect_blocks: Dict[str, float] = {}
-    for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
-                                 block_slices(a.sizes)):
-        diff = am - bm
-        dv, dw = diff @ v, diff @ w
+    for blk in split_blocks(a, b, split, cut):
+        am, bm, v, w = blk.a, blk.b, blk.v, blk.w
+        dv, dw = blk.av - blk.bv, (am - bm) @ w
         _raise_to(diff_blocks, "12", opnorm(_h(v) @ dw))
         _raise_to(diff_blocks, "21", opnorm(_h(w) @ dv))
         _raise_to(diff_blocks, "22", opnorm(_h(w) @ dw))
 
-        av, bv = am @ v, bm @ v
         defect_v = {
-            "1-a*a": v - _h(am) @ av,
+            "1-a*a": v - _h(am) @ blk.av,
             "1-aa*": v - am @ (_h(am) @ v),
-            "1-b*b": v - _h(bm) @ bv,
+            "1-b*b": v - _h(bm) @ blk.bv,
             "1-bb*": v - bm @ (_h(bm) @ v),
         }
-        band_v, band_w = v[mask[s]], w[mask[s]]
+        band_v, band_w = v[blk.band], w[blk.band]
         for name, qv in defect_v.items():
             # band compressions of the embedded blocks V (V*QV) V* and
             # W (W*QV) V*
@@ -598,37 +657,20 @@ class BlockEstimateReport:
         return all(self.estimates[k] < self.bounds[k] for k in self.estimates)
 
 
+_BLOCK_ESTIMATES = ("A11*A11-B11*B11", "A11A11*-B11B11*",
+                    "(B11-A11)(1-A11*A11)", "(B11-A11)*(1-A11A11*)")
+
+
 def verify_block_estimates(a: TruncOp, b: TruncOp, split: ModeSplit,
                            cut: TailCutoff, eps: float) -> BlockEstimateReport:
-    """Tail-seminorm estimates on the (1,1) corner:
-
-    |A11*A11 - B11*B11| and |A11A11* - B11B11*| below 2 eps,
-    |(B11-A11)(1-A11*A11)| and |(B11-A11)*(1-A11A11*)| below 4 eps.
-
-    Each corner expression is V X V* with X formed from A1 = V*AV and
-    B1 = V*BV on each diagonal block; its band norm is that of
-    V[band] X V[band]*.
-    """
-    a, b, split = same_partition(a, b, split)
-    mask = cut.band_mask(a.modes, a.dim)
+    """Tail-seminorm estimates on the (1,1) corner: the corner expressions
+    of (A11, B11) = (V*AV, V*BV) on each diagonal block (see
+    ``corner_estimates``), each the largest over the blocks."""
     estimates: Dict[str, float] = {}
-    for am, bm, (v, _), s in zip(a.blocks, b.blocks, split.blocks,
-                                 block_slices(a.sizes)):
-        a1, b1 = _h(v) @ am @ v, _h(v) @ bm @ v
-        eye = np.eye(v.shape[1])
-        exprs = {
-            "A11*A11-B11*B11": _h(a1) @ a1 - _h(b1) @ b1,
-            "A11A11*-B11B11*": a1 @ _h(a1) - b1 @ _h(b1),
-            "(B11-A11)(1-A11*A11)": (b1 - a1) @ (eye - _h(a1) @ a1),
-            "(B11-A11)*(1-A11A11*)": _h(b1 - a1) @ (eye - a1 @ _h(a1)),
-        }
-        band_v = v[mask[s]]
-        for key, x in exprs.items():
-            _raise_to(estimates, key, opnorm(band_v @ x @ _h(band_v)))
-    bounds = {
-        "A11*A11-B11*B11": 2 * eps,
-        "A11A11*-B11B11*": 2 * eps,
-        "(B11-A11)(1-A11*A11)": 4 * eps,
-        "(B11-A11)*(1-A11A11*)": 4 * eps,
-    }
+    bounds: Dict[str, float] = {}
+    for blk in split_blocks(a, b, split, cut):
+        table = corner_estimates(blk.a1, blk.b1, blk.v[blk.band], eps)
+        for key, (value, bound) in zip(_BLOCK_ESTIMATES, table):
+            _raise_to(estimates, key, value)
+            bounds[key] = bound
     return BlockEstimateReport(eps, estimates, bounds)

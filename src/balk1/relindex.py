@@ -18,7 +18,10 @@ ind(C* A|H1) - ind(C* B|H1) for a comparison operator C, the corner formula
 ind(1 + B1*(A1 - B1)) on H1, and the global formula ind(1 + B*(A - B)) on
 the whole truncated space; one builder forms the candidate operators of
 every recipe, block by block over the half-lines of the operator model (the
-index of a block-diagonal candidate is the sum of its block indices).
+index of a block-diagonal candidate is the sum of its block indices), from
+the split records of ``opmodel.split_blocks``.  A comparison operator is
+admissible when it meets the corner estimates of the split decomposition,
+so ``validate_choice`` reads the same ``opmodel.corner_estimates`` table.
 ``verify_index_theorem`` runs the full pipeline
 at a mode count and its double and checks every formula and engine against
 the winding-number index of the symbols.
@@ -36,9 +39,10 @@ from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
                      PipelineStageError, ShapeError, SingularGapError)
 from .loops import MatrixLoop, SymbolPair, topo_index
 from .numkern import Array, opnorm
-from .opmodel import (ModeSplit, TailCutoff, TruncOp, block_slices,
-                      clip_to_contraction, diagonal_blocks, kbalance_report,
-                      quantize, same_partition, splitting_projection,
+from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
+                      clip_to_contraction, corner_estimates, diagonal_blocks,
+                      kbalance_report, merge_split_blocks, quantize,
+                      same_partition, split_blocks, splitting_projection,
                       verify_split_blocks)
 
 Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
@@ -189,38 +193,7 @@ class CChoice:
     operator: Optional[Array] = None  # (size, rank), required for custom
 
 
-@dataclass
-class _SplitData:
-    """Frames, restrictions, the interior Gram and the tail band of one
-    diagonal block of a split."""
-
-    v: Array
-    w: Array
-    av: Array
-    bv: Array
-    a1: Array
-    b1: Array
-    h1_gram: Array
-    band: np.ndarray
-
-
-def _split_data(a: TruncOp, b: TruncOp, split: ModeSplit,
-                cut: TailCutoff) -> List[_SplitData]:
-    """The split data of every diagonal block shared by a, b and the split."""
-    a, b, split = same_partition(a, b, split)
-    interior = cut.interior_mask(a.modes, a.dim).astype(float)
-    band = cut.band_mask(a.modes, a.dim)
-    data = []
-    for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
-                                 block_slices(a.sizes)):
-        av, bv = am @ v, bm @ v
-        vh = v.conj().T
-        data.append(_SplitData(v, w, av, bv, vh @ av, vh @ bv,
-                               vh @ (interior[s][:, None] * v), band[s]))
-    return data
-
-
-def _resolve_choice(data: List[_SplitData],
+def _resolve_choice(data: List[SplitBlock],
                     choice: Union[str, CChoice]) -> Tuple[Array, ...]:
     """The comparison operator's blocks; a custom operator that couples the
     blocks of the split comes back as one block."""
@@ -243,51 +216,32 @@ def _resolve_choice(data: List[_SplitData],
                            rows, cols)
 
 
-def validate_choice(c_blocks: Sequence[Array], data: List[_SplitData],
+def validate_choice(c_blocks: Sequence[Array], data: List[SplitBlock],
                     eps: float) -> Dict[str, float]:
     """Residuals of the three closeness conditions against both restrictions,
     each the largest over the diagonal blocks.
 
     The first condition compares the lower blocks in plain norm; the other
-    two are Calkin-style and use the tail band of H1 (low modes carry the
-    compact parts, the truncation collar its edge junk, and both discount).
+    two are the corner expressions of (X1, C1) for X = A, B, in the tail
+    seminorm of H1 (low modes carry the compact parts, the truncation collar
+    its edge junk, and both discount).
     """
     out: Dict[str, float] = {}
+    bounds: Dict[str, float] = {}
     for c_matrix, blk in zip(c_blocks, data):
-        v, w = blk.v, blk.w
-        band_gram = v.conj().T @ (blk.band.astype(float)[:, None] * v)
-        band = (band_gram + band_gram.conj().T) / 2
-        tw, tvec = np.linalg.eigh(band)
-        band_half = ((tvec * np.sqrt(np.clip(tw, 0.0, None))[np.newaxis, :])
-                     @ tvec.conj().T)
-
-        def h1_seminorm(x: Array) -> float:
-            return opnorm(band_half @ x @ band_half)
-
-        c1 = v.conj().T @ c_matrix
-        c2 = w.conj().T @ c_matrix
-        for name, xv in (("A", blk.av), ("B", blk.bv)):
-            x1, x2 = v.conj().T @ xv, w.conj().T @ xv
-            eye = np.eye(x1.shape[1])
-            values = {
-                f"C2-{name}2": opnorm(c2 - x2),
-                f"C1*C1-{name}1*{name}1": h1_seminorm(
-                    c1.conj().T @ c1 - x1.conj().T @ x1),
-                f"C1C1*-{name}1{name}1*": h1_seminorm(
-                    c1 @ c1.conj().T - x1 @ x1.conj().T),
-                f"(C1-{name}1)(1-{name}1*{name}1)": h1_seminorm(
-                    (c1 - x1) @ (eye - x1.conj().T @ x1)),
-                f"(C1-{name}1)*(1-{name}1{name}1*)": h1_seminorm(
-                    (c1 - x1).conj().T @ (eye - x1 @ x1.conj().T)),
-            }
-            for key, value in values.items():
+        c1, c2 = blk.v.conj().T @ c_matrix, blk.w.conj().T @ c_matrix
+        for x, xv, x1 in (("A", blk.av, blk.a1), ("B", blk.bv, blk.b1)):
+            keys = (f"C2-{x}2", f"C1*C1-{x}1*{x}1", f"C1C1*-{x}1{x}1*",
+                    f"(C1-{x}1)(1-{x}1*{x}1)", f"(C1-{x}1)*(1-{x}1{x}1*)")
+            table = [(opnorm(c2 - blk.w.conj().T @ xv), eps)]
+            table += corner_estimates(x1, c1, blk.v[blk.band], eps)
+            for key, (value, bound) in zip(keys, table):
                 out[key] = max(out.get(key, 0.0), value)
-    bounds = {"C2": eps, "C1*C1": 2 * eps, "C1C1*": 2 * eps, "(C1-": 4 * eps}
+                bounds[key] = bound
     for key, value in out.items():
-        bound = next(b for prefix, b in bounds.items() if key.startswith(prefix))
-        if value >= bound:
+        if value >= bounds[key]:
             raise CChoiceError(
-                f"comparison condition {key} = {value:.4f} exceeds {bound:.4f}")
+                f"comparison condition {key} = {value:.4f} exceeds {bounds[key]:.4f}")
     return out
 
 
@@ -298,7 +252,7 @@ Candidate = Tuple[int, Tuple[Array, ...], Tuple[Weights, ...]]
 
 
 def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
-                data: Optional[List[_SplitData]] = None,
+                data: Optional[List[SplitBlock]] = None,
                 comparison: Optional[Sequence[Array]] = None) -> List[Candidate]:
     """The signed Fredholm candidates of one relative-index formula, block
     by block, with the interior weights their engines count against.
@@ -318,26 +272,29 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     if formula == "corner":
         return [(1, tuple(np.eye(len(d.a1)) + d.b1.conj().T @ (d.a1 - d.b1)
                           for d in data), grams)]
-    c = {"definition-A": tuple(d.av for d in data),
-         "definition-B": tuple(d.bv for d in data),
-         "definition-C": comparison}[formula]
+    c = (comparison if formula == "definition-C"
+         else _resolve_choice(data, formula[-1]))
     return [(1, tuple(ci.conj().T @ d.av for ci, d in zip(c, data)), grams),
             (-1, tuple(ci.conj().T @ d.bv for ci, d in zip(c, data)), grams)]
 
 
-def _checked_index(parts: List[Candidate], threshold: Optional[float],
-                   p: int) -> int:
-    """Signed sum of the candidates' indices; both engines must agree on
-    every candidate."""
-    total = 0
+def _formula_index(parts: List[Candidate], threshold: Optional[float], p: int,
+                   strict: bool) -> Tuple[int, int, List[EngineValues]]:
+    """Signed sums of both engines' indices over the candidates of one
+    formula, with each candidate's values; when strict, both engines must
+    agree on every candidate."""
+    svd = fedosov = 0
+    values = []
     for sign, blocks, weights in parts:
-        values = engine_values(blocks, threshold=threshold, p=p,
-                               domain_weights=weights, codomain_weights=weights)
-        if not values.agree:
+        ev = engine_values(blocks, threshold=threshold, p=p,
+                           domain_weights=weights, codomain_weights=weights)
+        if strict and not ev.agree:
             raise EngineDisagreementError(
-                f"counting engine gave {values.svd}, trace engine {values.fedosov}")
-        total += sign * values.svd
-    return total
+                f"counting engine gave {ev.svd}, trace engine {ev.fedosov}")
+        svd += sign * ev.svd
+        fedosov += sign * ev.fedosov
+        values.append(ev)
+    return svd, fedosov, values
 
 
 def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
@@ -346,14 +303,14 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
               threshold: Optional[float] = None, p: int = 2) -> int:
     """ind(C* A|H1) - ind(C* B|H1); independent of the admissible choice C."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    data = _split_data(a, b, split, cut)
+    data = split_blocks(a, b, split, cut)
     c_blocks = _resolve_choice(data, choice)
     if len(c_blocks) != len(data):
-        data = _split_data(a.merged(), b.merged(), split.merged(), cut)
+        data = [merge_split_blocks(data)]
     if eps is not None:
         validate_choice(c_blocks, data, eps)
-    return _checked_index(
-        _candidates(a, b, cut, "definition-C", data, c_blocks), threshold, p)
+    parts = _candidates(a, b, cut, "definition-C", data, c_blocks)
+    return _formula_index(parts, threshold, p, strict=True)[0]
 
 
 def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
@@ -361,8 +318,8 @@ def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
                         threshold: Optional[float] = None, p: int = 2) -> int:
     """ind(1 + B1*(A1 - B1)) on H1."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    data = _split_data(a, b, split, cut)
-    return _checked_index(_candidates(a, b, cut, "corner", data), threshold, p)
+    parts = _candidates(a, b, cut, "corner", split_blocks(a, b, split, cut))
+    return _formula_index(parts, threshold, p, strict=True)[0]
 
 
 def rel_index_global(a: TruncOp, b: TruncOp,
@@ -370,7 +327,8 @@ def rel_index_global(a: TruncOp, b: TruncOp,
                      threshold: Optional[float] = None, p: int = 2) -> int:
     """ind(1 + B*(A - B)) on the whole truncated space; no split needed."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    return _checked_index(_candidates(a, b, cut, "global"), threshold, p)
+    parts = _candidates(a, b, cut, "global")
+    return _formula_index(parts, threshold, p, strict=True)[0]
 
 
 # -- the index-theorem pipeline ---------------------------------------------------
@@ -431,7 +389,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
                        d1, d2, split, cut, eps)
         residuals[f"measured_eps_N{n}"] = blocks.max_measured
 
-        data = _split_data(d1, d2, split, cut)
+        data = split_blocks(d1, d2, split, cut)
         candidates = {f: _candidates(d1, d2, cut, f, data) for f in _FORMULAS}
         band = cut.band_mask(n, d1.dim)
         _, f_global, _ = candidates["global"][0]
@@ -443,18 +401,14 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         residuals[f"global_unitarity_defect_N{n}"] = defect
         gap = math.inf
         for formula, parts in candidates.items():
-            svd_total, fed_total = 0, 0
-            for sign, blocks, weights in parts:
-                ev = stage(f"fredholm_index[{formula}]", engine_values, blocks,
-                           threshold=threshold, p=p, domain_weights=weights,
-                           codomain_weights=weights)
-                svd_total += sign * ev.svd
-                fed_total += sign * ev.fedosov
-                gap = min(gap, ev.count_gap)
-                key = f"fedosov_residue_{formula}_N{n}"
-                residuals[key] = max(residuals.get(key, 0.0), ev.residue)
-            values[formula]["svd"][n] = svd_total
-            values[formula]["fedosov"][n] = fed_total
+            svd, fedosov, evs = stage(f"fredholm_index[{formula}]",
+                                      _formula_index, parts, threshold, p,
+                                      strict=False)
+            values[formula]["svd"][n] = svd
+            values[formula]["fedosov"][n] = fedosov
+            gap = min([gap] + [ev.count_gap for ev in evs])
+            residuals[f"fedosov_residue_{formula}_N{n}"] = max(
+                ev.residue for ev in evs)
         if math.isfinite(gap):
             residuals[f"count_gap_N{n}"] = gap
 

@@ -8,13 +8,16 @@ from balk1.numkern import (eig_unitary, nearest_projection, opnorm,
                            random_unitary, stack_opnorm)
 
 
-def test_opnorm_examples():
+def test_opnorm_examples(monkeypatch):
     assert opnorm(np.eye(3)) == pytest.approx(1.0)
     assert opnorm(np.zeros((4, 4))) == 0.0
     assert opnorm(np.diag([2.0, 0.5])) == pytest.approx(2.0)
     assert opnorm(np.zeros((0, 5))) == 0.0
     with pytest.raises(ShapeError):
         opnorm(np.zeros((2, 2, 2)))
+    # an all-zero matrix is not decomposed
+    monkeypatch.setattr(np.linalg, "norm", None)
+    assert opnorm(np.zeros((64, 48), dtype=complex)) == 0.0
 
 
 def test_random_unitary_deterministic_and_unitary():

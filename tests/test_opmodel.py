@@ -12,10 +12,10 @@ from balk1.numkern import opnorm
 from balk1.opmodel import (ModeSplit, SmoothStep, TailCutoff, TruncOp,
                            bandwidth_estimate, block_slices, clip_to_contraction,
                            kbalance_report, quantize, quantize_symbol,
-                           same_partition, splitting_projection,
+                           same_partition, split_blocks, splitting_projection,
                            symbol_roundtrip_error, tail_seminorm,
                            verify_block_estimates, verify_split_blocks)
-from balk1.relindex import engine_values
+from balk1.relindex import engine_values, validate_choice
 
 
 def scalar_loop(fn, grid):
@@ -343,6 +343,17 @@ def dense_split_blocks(am, bm, projector, mask):
     return diff_blocks, defect_blocks
 
 
+def dense_corner_estimates(x11, y11, projector, mask):
+    """The four corner expressions of (x11, y11) = (P X P, P Y P), dense,
+    in the band norm: |x*x - y*y|, |xx* - yy*|, |(y - x)(P - x*x)| and
+    |(y - x)*(P - xx*)|."""
+    xh, yh = x11.conj().T, y11.conj().T
+    exprs = (xh @ x11 - yh @ y11, x11 @ xh - y11 @ yh,
+             (y11 - x11) @ (projector - xh @ x11),
+             (yh - xh) @ (projector - x11 @ xh))
+    return [opnorm(e[np.ix_(mask, mask)]) for e in exprs]
+
+
 def dense_engines(f, weights, threshold=1e-3, p=2):
     """Counting index, trace total and singular values of one square matrix."""
     u, s, vh = np.linalg.svd(f)
@@ -388,6 +399,31 @@ def test_block_path_matches_dense_reference(two_way_winding, coupled):
     diff_blocks, defect_blocks = dense_split_blocks(am, bm, split.projector, mask)
     assert report.diff_blocks == pytest.approx(diff_blocks, abs=1e-12)
     assert report.defect_blocks == pytest.approx(defect_blocks, abs=1e-12)
+
+    # the corner estimates and the comparison conditions under C = A|H1 and
+    # C = B|H1, from P A P and P B P
+    projector = split.projector
+    corners = {"A": projector @ am @ projector, "B": projector @ bm @ projector}
+    full = {"A": am, "B": bm}
+    estimates = verify_block_estimates(d1, d2, split, cut, eps=0.1).estimates
+    expected = dense_corner_estimates(corners["A"], corners["B"], projector, mask)
+    assert [estimates[k] for k in ("A11*A11-B11*B11", "A11A11*-B11B11*",
+                                   "(B11-A11)(1-A11*A11)",
+                                   "(B11-A11)*(1-A11A11*)")] == pytest.approx(
+        expected, abs=1e-12)
+    data = split_blocks(d1, d2, split, cut)
+    complement = np.eye(len(am)) - projector
+    for c, c_blocks in (("A", [blk.av for blk in data]),
+                        ("B", [blk.bv for blk in data])):
+        values = validate_choice(c_blocks, data, eps=np.inf)
+        for x in ("A", "B"):
+            assert values[f"C2-{x}2"] == pytest.approx(
+                opnorm(complement @ (full[c] - full[x]) @ projector), abs=1e-12)
+            keys = (f"C1*C1-{x}1*{x}1", f"C1C1*-{x}1{x}1*",
+                    f"(C1-{x}1)(1-{x}1*{x}1)", f"(C1-{x}1)*(1-{x}1{x}1*)")
+            assert [values[k] for k in keys] == pytest.approx(
+                dense_corner_estimates(corners[x], corners[c], projector, mask),
+                abs=1e-12), (c, x)
 
     kb = kbalance_report(d1, d2, cut)
     dense = dense_relations(am, bm)

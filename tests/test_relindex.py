@@ -10,9 +10,11 @@ from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          subbundle_projection_loop, turn)
 from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
-                           quantize, splitting_projection)
+                           quantize, split_blocks, splitting_projection,
+                           verify_block_estimates, verify_split_blocks)
 from balk1.relindex import (CChoice, engine_values, rel_index, rel_index_corner,
-                            rel_index_global, verify_index_theorem)
+                            rel_index_global, validate_choice,
+                            verify_index_theorem)
 
 
 def hardy_shift(n):
@@ -137,6 +139,26 @@ def test_restricted_choices_pass_validation(flagship):
     _, d1, d2, split, cut, _ = flagship
     assert rel_index(d1, d2, split, CChoice("A-restricted"), cut, eps=0.1) == -1
     assert rel_index(d1, d2, split, CChoice("B-restricted"), cut, eps=0.1) == -1
+
+
+def test_comparison_check_reads_the_split_estimates(flagship):
+    """With C = B|H1 the comparison conditions against A are the corner
+    estimates of the split and its (2,1) difference block."""
+    _, d1, d2, split, cut, _ = flagship
+    data = split_blocks(d1, d2, split, cut)
+    values = validate_choice([blk.bv for blk in data], data, eps=0.1)
+    estimates = verify_block_estimates(d1, d2, split, cut, eps=0.1).estimates
+    assert min(estimates.values()) > 0
+    pairs = {"C1*C1-A1*A1": "A11*A11-B11*B11",
+             "C1C1*-A1A1*": "A11A11*-B11B11*",
+             "(C1-A1)(1-A1*A1)": "(B11-A11)(1-A11*A11)",
+             "(C1-A1)*(1-A1A1*)": "(B11-A11)*(1-A11A11*)"}
+    for choice_key, estimate_key in pairs.items():
+        assert values[choice_key] == pytest.approx(estimates[estimate_key],
+                                                   abs=1e-12)
+    diff_blocks = verify_split_blocks(d1, d2, split, cut, eps=0.1).diff_blocks
+    assert values["C2-A2"] == pytest.approx(diff_blocks["21"], abs=1e-12)
+    assert values["C2-B2"] == 0.0
 
 
 def test_custom_choice_validation_rejects_junk(flagship):
