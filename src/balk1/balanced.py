@@ -8,10 +8,16 @@ kills the domain defects 1-a*a, 1-b*b on the right and the range defects
 1-aa*, 1-bb* on the left, and adjointly for a* - b*.
 
 The module also provides the canonical unitary c = 1 + b*(a - b) attached to
-a balanced pair, the doubled homotopy paths used to show that swaps,
+a balanced pair, an evaluator of the exact *-polynomials of ``starpoly`` at
+a pair of matrices, the doubled homotopy paths used to show that swaps,
 adjoints and canonical embeddings do not change the class of a pair, the
 finite-dimensional defect/difference split, and the construction that turns
 a unitary u into a balanced pair (f(u)g(u), g(u)) with g vanishing at 1.
+
+The swap, adjoint and canonical paths are written once, as the 2x2 matrices
+over *-polynomials that the identity suite certifies
+(``starpoly.suites.path_pair``); ``homotopy_eval`` evaluates them at
+s = sin t, c = cos t for a whole array of parameters at once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Literal, Optional, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ShapeError
 from .numkern import (Array, as_matrix, eig_unitary, nearest_projection, opnorm,
@@ -146,19 +153,9 @@ def random_balanced_pair(dim: int, seed: int,
         blocks_a.append(shared)
         blocks_b.append(shared)
     q = random_unitary(dim, seed * 7 + 3)
-    a = q @ _block_diag(*blocks_a) @ q.conj().T
-    b = q @ _block_diag(*blocks_b) @ q.conj().T
+    a = q @ sla.block_diag(*blocks_a) @ q.conj().T
+    b = q @ sla.block_diag(*blocks_b) @ q.conj().T
     return BalancedPair(a, b, tol=1e-10)
-
-
-def _block_diag(*blocks: Array) -> Array:
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        out[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
 
 
 # -- the canonical unitary -----------------------------------------------------
@@ -170,29 +167,42 @@ def make_c(pair: BalancedPair) -> Array:
     return np.eye(pair.dim) + b.conj().T @ (a - b)
 
 
-def verify_c_properties(pair: BalancedPair) -> Dict[str, float]:
-    """Residuals of the canonical-unitary identities.
+# -- evaluating *-polynomials ----------------------------------------------------
 
-    Keys: unitarity of c and of the flipped 1 + (a-b)b*, the carrying
-    identity bc = a, the commutator [b*b, c], and the two annihilations
-    (1-b*b)(c-1) and (c-1)(1-b*b).
-    """
-    a, b = pair.a, pair.b
-    eye = np.eye(pair.dim)
-    c = make_c(pair)
-    c_flip = eye + (a - b) @ b.conj().T
-    btb = b.conj().T @ b
-    qb = eye - btb
-    return {
-        "c*c-1": opnorm(c.conj().T @ c - eye),
-        "cc*-1": opnorm(c @ c.conj().T - eye),
-        "flip*flip-1": opnorm(c_flip.conj().T @ c_flip - eye),
-        "flipflip*-1": opnorm(c_flip @ c_flip.conj().T - eye),
-        "bc-a": opnorm(b @ c - a),
-        "[b*b,c]": opnorm(btb @ c - c @ btb),
-        "(1-b*b)(c-1)": opnorm(qb @ (c - eye)),
-        "(c-1)(1-b*b)": opnorm((c - eye) @ qb),
-    }
+
+def _evaluator(a: Array, b: Array):
+    """``evaluate`` at the letters (a, b), forming each word product once."""
+    # keyed by the letter codes of a word: a, a*, b, b* are 0, 1, 2, 3
+    letters = {(0,): a, (1,): _adj(a), (2,): b, (3,): _adj(b)}
+    words = {(): np.eye(a.shape[-1]), **letters}
+
+    def product(word):
+        if word not in words:
+            words[word] = product(word[:-1]) @ letters[word[-1:]]
+        return words[word]
+
+    def value(poly, s, c) -> Array:
+        s, c = np.asarray(s, dtype=float), np.asarray(c, dtype=float)
+        shape = np.broadcast_shapes(s.shape + (1, 1), c.shape + (1, 1), a.shape)
+        out = np.zeros(shape, dtype=np.complex128)
+        for m, q in poly.items():
+            scale = complex(float(q.re), float(q.im)) if q.im else float(q.re)
+            for _ in range(m.s_exp):
+                scale = scale * s
+            for _ in range(m.c_exp):
+                scale = scale * c
+            out += np.asarray(scale)[..., None, None] * product(m.word)
+        return out
+
+    return value
+
+
+def evaluate(poly, a: Array, b: Array, s=0.0, c=1.0) -> Array:
+    """The matrix of a *-polynomial at the letters a, b and the central
+    symbols s, c: the sum of q s^e c^f W over its terms, W the word in a,
+    a*, b, b*.  s and c broadcast against each other and against stacks of
+    a, b; for n x n letters the shape is broadcast(s, c) + (n, n)."""
+    return _evaluator(np.asarray(a), np.asarray(b))(poly, s, c)
 
 
 # -- homotopy paths -------------------------------------------------------------
@@ -220,7 +230,6 @@ class HomotopyPath:
 
     kind: PathKind
     base: BalancedPair
-    samples: int = 101
 
     def __post_init__(self):
         if self.kind not in PATH_KINDS:
@@ -228,36 +237,27 @@ class HomotopyPath:
                              f"expected one of {PATH_KINDS}")
 
 
-def rotation_block(t: float, dim: int) -> Array:
-    """The 2x2 rotation [[cos, -sin], [sin, cos]] acting blockwise on C^dim."""
-    c, s = np.cos(t), np.sin(t)
-    eye = np.eye(dim)
-    return np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+def homotopy_eval(path: HomotopyPath, t) -> Tuple[Array, Array]:
+    """The pair at a parameter t in [0, pi/2], or the stacks of pairs, of
+    shape t.shape + (2n, 2n), at an array of parameters.
 
-
-def homotopy_eval(path: HomotopyPath, t: float) -> Tuple[Array, Array]:
-    """The pair of matrices at parameter t in [0, pi/2]."""
-    if not -1e-12 <= t <= np.pi / 2 + 1e-12:
-        raise ValueError(f"parameter {t} outside [0, pi/2]")
+    The swap, adjoint and canonical pairs are the certified 2x2 matrices of
+    ``starpoly.suites.path_pair`` evaluated at s = sin t, c = cos t.
+    """
+    t = np.asarray(t, dtype=float)
+    outside = t[(t < -1e-12) | (t > np.pi / 2 + 1e-12)]
+    if outside.size:
+        raise ValueError(f"parameter {outside[0]} outside [0, pi/2]")
     a, b = path.base.a, path.base.b
-    dim = path.base.dim
-    eye = np.eye(dim)
     if path.kind == "linear-trivial":
-        factor = t / (np.pi / 2)
+        factor = np.asarray(t / (np.pi / 2))[..., None, None]
         return factor * a, factor * a
-    u = rotation_block(t, dim)
-    if path.kind == "swap":
-        inner = _block_diag(a, b)
-        return inner, u.conj().T @ inner @ u
-    if path.kind == "adjoint":
-        def side(x: Array) -> Array:
-            return u.conj().T @ _block_diag(eye, x.conj().T) @ u @ _block_diag(x, eye)
-        return side(a), side(b)
-    # canonical
-    c = make_c(path.base)
-    left = _block_diag(c, b)
-    right = _block_diag(eye, b) @ u.conj().T @ _block_diag(eye, c) @ u
-    return left, right
+    # the symbolic engine is imported on first use: workloads that never
+    # evaluate a path do not pay for it
+    from .starpoly.suites import path_pair
+    value, s, c = _evaluator(a, b), np.sin(t), np.cos(t)
+    return tuple(np.block([[value(x, s, c) for x in row] for row in mat])
+                 for mat in path_pair(path.kind))
 
 
 @dataclass
@@ -276,8 +276,8 @@ def validate_path(path: HomotopyPath, grid: int = 101,
         raise ValueError("grid must be at least 2")
     tol = path.base.tol if tol is None else tol
     ts = np.linspace(0.0, np.pi / 2, grid)
-    left, right = zip(*(homotopy_eval(path, float(t)) for t in ts))
-    rel1 = relation_residuals(np.stack(left), np.stack(right))[:, :4].max(axis=1)
+    left, right = homotopy_eval(path, ts)
+    rel1 = relation_residuals(left, right)[:, :4].max(axis=1)
     k = int(np.argmax(rel1))
     worst = float(rel1[k])
     return PathReport(path.kind, grid, worst, float(ts[k]), worst <= tol)

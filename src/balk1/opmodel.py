@@ -32,7 +32,7 @@ as two-point convergence between a cutoff and its double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,9 @@ from .numkern import Array, opnorm
 from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
+BANDWIDTH_FLOOR = 1e-3  # bandwidth: lags above this share of the top norm
+SPLIT_FLATNESS = 0.1  # largest distance of a smoothed split symbol from {0, 1}
+SPLIT_THRESHOLD, SPLIT_GAP = 0.25, 0.05  # split rounding cut, its empty band
 
 Frames = Tuple[Array, Array]  # orthonormal bases of a range and its complement
 
@@ -191,12 +194,13 @@ def fourier_coefficients(loop: MatrixLoop, max_lag: int) -> Array:
     return coeffs[lags % grid]
 
 
-def bandwidth_estimate(loop: MatrixLoop, rel_threshold: float = 1e-3) -> int:
-    """Largest lag whose coefficient norm exceeds the relative threshold."""
+def bandwidth_estimate(loop: MatrixLoop) -> int:
+    """Largest lag whose coefficient norm exceeds ``BANDWIDTH_FLOOR`` times
+    the largest."""
     half = loop.grid // 2
     coeffs = fourier_coefficients(loop, max(half - 1, 0))
     norms = np.linalg.norm(coeffs.reshape(coeffs.shape[0], -1), axis=1)
-    floor = rel_threshold * norms.max()
+    floor = BANDWIDTH_FLOOR * norms.max()
     lags = np.arange(-(half - 1), half)
     active = lags[norms > floor]
     return int(np.abs(active).max()) if active.size else 0
@@ -449,9 +453,8 @@ class ModeSplit:
             ((sla.block_diag(*vs), sla.block_diag(*ws)),), self.label)
 
 
-def _split_symbol_from_step(sp: SymbolPair, step: SmoothStep,
-                            flatness: float = 0.1) -> Tuple[MatrixLoop, MatrixLoop]:
-    worst = 0.0
+def _split_symbol_from_step(sp: SymbolPair) -> Tuple[MatrixLoop, MatrixLoop]:
+    worst, step = 0.0, SmoothStep()
 
     def build(lp: LoopPair) -> MatrixLoop:
         nonlocal worst
@@ -468,7 +471,7 @@ def _split_symbol_from_step(sp: SymbolPair, step: SmoothStep,
         return MatrixLoop(out)
 
     loops = build(sp.plus), build(sp.minus)
-    if worst > flatness:
+    if worst > SPLIT_FLATNESS:
         raise SpectralGapError(
             "difference-support symbol is not projection-valued: its spectrum "
             f"reaches {worst:.3f} away from {{0, 1}}; supply an explicit "
@@ -477,43 +480,43 @@ def _split_symbol_from_step(sp: SymbolPair, step: SmoothStep,
 
 
 def splitting_projection(sp: SymbolPair, modes: int,
-                         step: SmoothStep = SmoothStep(),
-                         explicit_symbol: Optional[Tuple[MatrixLoop, MatrixLoop]] = None,
-                         threshold: float = 0.25, gap: float = 0.05) -> ModeSplit:
+                         explicit_symbol: Optional[Tuple[MatrixLoop, MatrixLoop]] = None
+                         ) -> ModeSplit:
     """Quantize a splitting symbol and round it inclusively to a projection.
 
     By default the symbol is the smoothed support of the pointwise difference,
-    step(dd* + d*d) with d = sigma1 - sigma2 per component.  Where that field
-    is not projection-valued (difference vanishing on part of the circle) the
-    construction reports a spectral-gap failure; callers may then supply an
-    explicit projection-valued splitting symbol such as
-    :func:`balk1.loops.subbundle_projection_loop`.
+    step(dd* + d*d) with d = sigma1 - sigma2 per component and the default
+    ``SmoothStep``.  Where that field is not projection-valued (difference
+    vanishing on part of the circle) the construction reports a spectral-gap
+    failure; callers may then supply an explicit projection-valued splitting
+    symbol such as :func:`balk1.loops.subbundle_projection_loop`.
 
     The compression of a projection symbol carries a handful of boundary
     states with eigenvalues strictly inside (0, 1), paired symmetrically by
     mode-edge tunneling; slicing them at 1/2 would spread half a state across
     the split.  The rounding is therefore inclusive: every eigenvector with
-    eigenvalue above the low threshold joins the range, so the complement
-    keeps only cleanly-absent states.  A populated band around the threshold
-    is reported as a spectral-gap failure.  The eigenvectors of each
-    half-line block are the frames of the split on that block.  The returned
-    split is guaranteed only to be a projection; its quality is established
-    by :func:`verify_split_blocks`.
+    eigenvalue above ``SPLIT_THRESHOLD`` joins the range, so the complement
+    keeps only cleanly-absent states.  A populated band of half-width
+    ``SPLIT_GAP`` around the threshold is reported as a spectral-gap
+    failure.  The eigenvectors of each half-line block are the frames of the
+    split on that block.  The returned split is guaranteed only to be a
+    projection; its quality is established by :func:`verify_split_blocks`.
     """
     symbol = explicit_symbol if explicit_symbol is not None \
-        else _split_symbol_from_step(sp, step)
+        else _split_symbol_from_step(sp)
     raw = quantize_symbol(symbol[0], symbol[1], modes, enforce_bandwidth=False)
     label = "explicit" if explicit_symbol is not None else "difference-support"
     frames, inside = [], []
     for block in raw.blocks:
         w, v = np.linalg.eigh((block + _h(block)) / 2)
-        inside.extend(w[np.abs(w - threshold) <= gap].tolist())
-        frames.append((v[:, w > threshold], v[:, w <= threshold]))
+        inside.extend(w[np.abs(w - SPLIT_THRESHOLD) <= SPLIT_GAP].tolist())
+        frames.append((v[:, w > SPLIT_THRESHOLD], v[:, w <= SPLIT_THRESHOLD]))
     if inside:
         bad = min(inside)
         raise SpectralGapError(
             f"eigenvalue {bad:.6f} inside the rounding band "
-            f"[{threshold - gap:.3f}, {threshold + gap:.3f}]", bad)
+            f"[{SPLIT_THRESHOLD - SPLIT_GAP:.3f}, "
+            f"{SPLIT_THRESHOLD + SPLIT_GAP:.3f}]", bad)
     return ModeSplit.from_frames(frames, label)
 
 
@@ -581,12 +584,14 @@ def corner_estimates(x: Array, y: Array, band_v: Array,
 
 @dataclass
 class SplitBlockReport:
-    """Block norms of the difference and tail norms of the defect blocks."""
+    """Block norms of the difference and tail norms of the defect blocks,
+    with the split records they were read from."""
 
     eps: float
     diff_blocks: Dict[str, float]        # plain norms, blocks != (1,1)
     defect_blocks: Dict[str, float]      # tail seminorms, blocks != (2,2)
     degenerate: bool
+    records: List[SplitBlock] = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -618,7 +623,8 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     """
     diff_blocks: Dict[str, float] = {}
     defect_blocks: Dict[str, float] = {}
-    for blk in split_blocks(a, b, split, cut):
+    records = split_blocks(a, b, split, cut)
+    for blk in records:
         am, bm, v, w = blk.a, blk.b, blk.v, blk.w
         dv, dw = blk.av - blk.bv, (am - bm) @ w
         _raise_to(diff_blocks, "12", opnorm(_h(v) @ dw))
@@ -641,7 +647,7 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
             _raise_to(defect_blocks, f"{name}:12", across)
             _raise_to(defect_blocks, f"{name}:21", across)
     degenerate = split.rank == 0 or all(w.shape[1] == 0 for _, w in split.blocks)
-    return SplitBlockReport(eps, diff_blocks, defect_blocks, degenerate)
+    return SplitBlockReport(eps, diff_blocks, defect_blocks, degenerate, records)
 
 
 @dataclass

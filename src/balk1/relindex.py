@@ -49,6 +49,8 @@ Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
 
 
 INCLUSIVE_THRESHOLD = 1e-3
+GAP_FACTOR = 10.0  # an explicit threshold needs no singular value in [t, 10 t)
+RESIDUE_CEILING = 0.2  # largest trace-formula distance from an integer
 
 
 def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
@@ -95,10 +97,9 @@ Blocks = Union[Array, Sequence[Array]]
 
 
 def engine_values(f: Blocks, threshold: Optional[float] = None,
-                  gap_factor: float = 10.0,
                   p: int = 2, domain_weights: Union[Weights, Sequence[Weights]] = None,
-                  codomain_weights: Union[Weights, Sequence[Weights]] = None,
-                  residue_ceiling: float = 0.2) -> EngineValues:
+                  codomain_weights: Union[Weights, Sequence[Weights]] = None
+                  ) -> EngineValues:
     """Both index engines from one singular value decomposition per block.
 
     F is one matrix, or a sequence of the diagonal blocks of a
@@ -110,7 +111,7 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
     The counting engine takes dim ker - dim coker over the singular
     directions below the threshold, counting only those with at least half
     their interior mass inside the window.  With an explicit threshold the
-    singular spectrum must avoid the band [threshold, gap_factor *
+    singular spectrum must avoid the band [threshold, GAP_FACTOR *
     threshold).  Without one, the count is taken inclusively at a fixed
     loose cut: every strongly contracted direction joins both counts, which
     is harmless for index differences as long as its left and right vectors
@@ -120,7 +121,7 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
 
     The trace engine evaluates tr_w (1-F*F)^p - tr_w (1-FF*)^p with the same
     interior masses and rounds it to the nearest integer; the distance is
-    the residue, which must stay below the ceiling.
+    the residue, which must stay below ``RESIDUE_CEILING``.
 
     A square Hermitian block has equal kernel and cokernel whatever the
     threshold, and its two defect operators coincide, so it adds exactly 0
@@ -142,11 +143,11 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
             continue
         u, s, vh = np.linalg.svd(block, full_matrices=True)
         if explicit:
-            in_gap = (s >= threshold) & (s < gap_factor * threshold)
+            in_gap = (s >= threshold) & (s < GAP_FACTOR * threshold)
             if np.any(in_gap):
                 raise SingularGapError(
                     f"singular value {float(s[in_gap][0]):.3e} inside the gap "
-                    f"[{threshold:.1e}, {gap_factor * threshold:.1e})",
+                    f"[{threshold:.1e}, {GAP_FACTOR * threshold:.1e})",
                     float(s[in_gap][0]))
         defect = 1.0 - s ** 2
         max_defect = float(np.max(np.abs(defect), initial=0.0))
@@ -170,10 +171,10 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
                        - defect_power(block.shape[0]) @ codomain_mass)
     nearest = int(np.rint(total))
     residue = abs(total - nearest)
-    if residue >= residue_ceiling:
+    if residue >= RESIDUE_CEILING:
         raise FedosovResidueError(
             f"trace formula output {total:.4f} has residue {residue:.3f} "
-            f">= {residue_ceiling}", residue)
+            f">= {RESIDUE_CEILING}", residue)
     return EngineValues(kernel - cokernel, nearest, residue, below, above)
 
 
@@ -278,7 +279,7 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
             (-1, tuple(ci.conj().T @ d.bv for ci, d in zip(c, data)), grams)]
 
 
-def _formula_index(parts: List[Candidate], threshold: Optional[float], p: int,
+def _formula_index(parts: List[Candidate],
                    strict: bool) -> Tuple[int, int, List[EngineValues]]:
     """Signed sums of both engines' indices over the candidates of one
     formula, with each candidate's values; when strict, both engines must
@@ -286,8 +287,8 @@ def _formula_index(parts: List[Candidate], threshold: Optional[float], p: int,
     svd = fedosov = 0
     values = []
     for sign, blocks, weights in parts:
-        ev = engine_values(blocks, threshold=threshold, p=p,
-                           domain_weights=weights, codomain_weights=weights)
+        ev = engine_values(blocks, domain_weights=weights,
+                           codomain_weights=weights)
         if strict and not ev.agree:
             raise EngineDisagreementError(
                 f"counting engine gave {ev.svd}, trace engine {ev.fedosov}")
@@ -299,8 +300,8 @@ def _formula_index(parts: List[Candidate], threshold: Optional[float], p: int,
 
 def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
               choice: Union[str, CChoice] = "A",
-              cut: Optional[TailCutoff] = None, eps: Optional[float] = None,
-              threshold: Optional[float] = None, p: int = 2) -> int:
+              cut: Optional[TailCutoff] = None, eps: Optional[float] = None
+              ) -> int:
     """ind(C* A|H1) - ind(C* B|H1); independent of the admissible choice C."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     data = split_blocks(a, b, split, cut)
@@ -310,25 +311,23 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
     if eps is not None:
         validate_choice(c_blocks, data, eps)
     parts = _candidates(a, b, cut, "definition-C", data, c_blocks)
-    return _formula_index(parts, threshold, p, strict=True)[0]
+    return _formula_index(parts, strict=True)[0]
 
 
 def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
-                        cut: Optional[TailCutoff] = None,
-                        threshold: Optional[float] = None, p: int = 2) -> int:
+                        cut: Optional[TailCutoff] = None) -> int:
     """ind(1 + B1*(A1 - B1)) on H1."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     parts = _candidates(a, b, cut, "corner", split_blocks(a, b, split, cut))
-    return _formula_index(parts, threshold, p, strict=True)[0]
+    return _formula_index(parts, strict=True)[0]
 
 
 def rel_index_global(a: TruncOp, b: TruncOp,
-                     cut: Optional[TailCutoff] = None,
-                     threshold: Optional[float] = None, p: int = 2) -> int:
+                     cut: Optional[TailCutoff] = None) -> int:
     """ind(1 + B*(A - B)) on the whole truncated space; no split needed."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     parts = _candidates(a, b, cut, "global")
-    return _formula_index(parts, threshold, p, strict=True)[0]
+    return _formula_index(parts, strict=True)[0]
 
 
 # -- the index-theorem pipeline ---------------------------------------------------
@@ -349,7 +348,6 @@ class IndexReport:
 def verify_index_theorem(sp: SymbolPair, modes: int,
                          split_symbol: Optional[Tuple[MatrixLoop, MatrixLoop]] = None,
                          eps: float = 0.1, kbalance_tol: float = 0.05,
-                         threshold: Optional[float] = None, p: int = 2,
                          splits: Optional[Dict[int, ModeSplit]] = None,
                          tail_cutoff: Optional[int] = None) -> IndexReport:
     """Quantize, verify the split, and compare every analytic index with the
@@ -389,8 +387,8 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
                        d1, d2, split, cut, eps)
         residuals[f"measured_eps_N{n}"] = blocks.max_measured
 
-        data = split_blocks(d1, d2, split, cut)
-        candidates = {f: _candidates(d1, d2, cut, f, data) for f in _FORMULAS}
+        candidates = {f: _candidates(d1, d2, cut, f, blocks.records)
+                      for f in _FORMULAS}
         band = cut.band_mask(n, d1.dim)
         _, f_global, _ = candidates["global"][0]
         defect = 0.0
@@ -402,8 +400,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         gap = math.inf
         for formula, parts in candidates.items():
             svd, fedosov, evs = stage(f"fredholm_index[{formula}]",
-                                      _formula_index, parts, threshold, p,
-                                      strict=False)
+                                      _formula_index, parts, strict=False)
             values[formula]["svd"][n] = svd
             values[formula]["fedosov"][n] = fedosov
             gap = min([gap] + [ev.count_gap for ev in evs])

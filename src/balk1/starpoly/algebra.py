@@ -216,9 +216,6 @@ class StarPoly:
     def charges(self) -> set:
         return {m.charge for m in self._terms}
 
-    def is_charge_homogeneous(self) -> bool:
-        return len(self.charges()) <= 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PolyLike") -> "StarPoly":

@@ -16,9 +16,12 @@ so the crossed products are not consequences and are deliberately omitted.
 The built-in suite certifies, as exact ideal memberships, the algebraic
 facts the rest of the package relies on numerically: rel1 implies rel2;
 the element c = 1 + b*(a-b) is unitary, carries b to a, commutes with b*b
-and differs from 1 only on the defect; and the doubled 2x2 identities
-behind the swap, adjoint and canonical-embedding homotopies, expanded over
-the central circle symbols.
+and differs from 1 only on the defect (``c_identities``); and the doubled
+2x2 identities behind the swap, adjoint and canonical-embedding homotopies,
+expanded over the central circle symbols.  The doubled pairs are written
+once, in ``path_pair``: the suite certifies them and
+``balk1.balanced.homotopy_eval`` evaluates the same matrices at
+s = sin t, c = cos t.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParseError
@@ -114,14 +118,6 @@ def m2_star(x: Mat2) -> Mat2:
     return tuple(tuple(x[j][i].star for j in range(2)) for i in range(2))
 
 
-M2_ONE: Mat2 = m2_diag(ONE, ONE)
-
-
-def rotation_mat2() -> Mat2:
-    """The rotation with central entries: ((c, -s), (s, c))."""
-    return m2(C, -S, S, C)
-
-
 def pair_relation_entries(left: Mat2, right: Mat2, prefix: str
                           ) -> List[Tuple[str, StarPoly]]:
     """The 16 entry identities stating that (left, right) satisfies rel1."""
@@ -144,33 +140,49 @@ def pair_relation_entries(left: Mat2, right: Mat2, prefix: str
     return out
 
 
-def _conjugated(inner: Mat2) -> Mat2:
-    u = rotation_mat2()
-    return m2_mul(m2_star(u), m2_mul(inner, u))
+PATH_KINDS = ("swap", "adjoint", "canonical")
 
 
-def swap_pair_mats() -> Tuple[Mat2, Mat2]:
-    """Doubled pair behind [(a,b)] + [(b,a)] = 0: (a⊕b, U* (a⊕b) U)."""
-    inner = m2_diag(A, B)
-    return inner, _conjugated(inner)
+@lru_cache(maxsize=None)
+def path_pair(kind: str) -> Tuple[Mat2, Mat2]:
+    """The doubled pair (left, right) of a homotopy kind, over the rotation
+    U = ((c, -s), (s, c)) in the central symbols; built once per process.
 
-
-def adjoint_pair_mats() -> Tuple[Mat2, Mat2]:
-    """Doubled pair behind [(a,b)] + [(a*,b*)] = 0.
-
-    Uses the order U*(1⊕x*)U · (x⊕1), whose endpoints are x⊕x* and x*x⊕1.
+    * swap, behind [(a,b)] + [(b,a)] = 0: (a⊕b, U*(a⊕b)U);
+    * adjoint, behind [(a,b)] + [(a*,b*)] = 0: U*(1⊕x*)U · (x⊕1) for
+      x = a, b, whose endpoints are x⊕x* and x*x⊕1;
+    * canonical, behind [(c,b)] with c = 1 + b*(a-b): (c⊕b, (1⊕b)U*(1⊕c)U).
     """
-    def side(x: StarPoly) -> Mat2:
-        return m2_mul(_conjugated(m2_diag(ONE, x.star)), m2_diag(x, ONE))
-    return side(A), side(B)
+    u = m2(C, -S, S, C)
+
+    def conjugated(inner: Mat2) -> Mat2:
+        return m2_mul(m2_star(u), m2_mul(inner, u))
+
+    if kind == "swap":
+        return m2_diag(A, B), conjugated(m2_diag(A, B))
+    if kind == "adjoint":
+        return tuple(m2_mul(conjugated(m2_diag(ONE, x.star)), m2_diag(x, ONE))
+                     for x in (A, B))
+    if kind == "canonical":
+        c = canonical_unitary_poly()
+        return m2_diag(c, B), m2_mul(m2_diag(ONE, B), conjugated(m2_diag(ONE, c)))
+    raise ValueError(f"unknown path kind {kind!r}; expected one of {PATH_KINDS}")
 
 
-def canonical_pair_mats() -> Tuple[Mat2, Mat2]:
-    """Doubled pair behind [(c,b)] with c = 1 + b*(a-b): (c⊕b, (1⊕b)U*(1⊕c)U)."""
+def c_identities() -> Dict[str, StarPoly]:
+    """The identities of c = 1 + b*(a-b) and of its flip 1 + (a-b)b*: both
+    unitary, bc = a, [b*b, c] = 0 and c - 1 killed by 1 - b*b on each side."""
     c = canonical_unitary_poly()
-    left = m2_diag(c, B)
-    right = m2_mul(m2_diag(ONE, B), _conjugated(m2_diag(ONE, c)))
-    return left, right
+    flip = ONE + (A - B) * B.star
+    qb = ONE - B.star * B
+    return {"unitary:c*c": c.star * c - 1,
+            "unitary:cc*": c * c.star - 1,
+            "unitary:flip*flip": flip.star * flip - 1,
+            "unitary:flipflip*": flip * flip.star - 1,
+            "carry:bc-a": B * c - A,
+            "commute:[b*b,c]": B.star * B * c - c * (B.star * B),
+            "annihilate:(1-b*b)(c-1)": qb * (c - 1),
+            "annihilate:(c-1)(1-b*b)": (c - 1) * qb}
 
 
 # -- suite entries ------------------------------------------------------------
@@ -254,35 +266,17 @@ def verify_identity_suite(entries: Sequence[SuiteEntry]) -> SuiteReport:
 def default_suite() -> List[SuiteEntry]:
     """The built-in identity suite."""
     rel1 = rel1_ideal()
-    rel2 = rel2_ideal()
-    c = canonical_unitary_poly()
-    c_flip = ONE + (A - B) * B.star
-    entries: List[SuiteEntry] = []
-
-    for label, g in REL2_PRODUCTS.items():
-        entries.append(SuiteEntry(f"rel1-implies-rel2:{label}", g, rel1))
-
+    entries = [SuiteEntry(f"rel1-implies-rel2:{label}", g, rel1)
+               for label, g in REL2_PRODUCTS.items()]
     entries.append(SuiteEntry(
         "defect-product-collapse",
         (ONE - A.star * A) * (ONE - B.star * B) - (ONE - A.star * A) ** 2,
-        rel2))
-
-    entries.append(SuiteEntry("unitary:c*c", c.star * c - 1, rel1))
-    entries.append(SuiteEntry("unitary:cc*", c * c.star - 1, rel1))
-    entries.append(SuiteEntry("unitary:flip*flip", c_flip.star * c_flip - 1, rel1))
-    entries.append(SuiteEntry("unitary:flipflip*", c_flip * c_flip.star - 1, rel1))
-    entries.append(SuiteEntry("carry:bc-a", B * c - A, rel1))
-    entries.append(SuiteEntry("commute:[b*b,c]",
-                              B.star * B * c - c * (B.star * B), rel1))
-    entries.append(SuiteEntry("annihilate:(1-b*b)(c-1)",
-                              (ONE - B.star * B) * (c - 1), rel1))
-    entries.append(SuiteEntry("annihilate:(c-1)(1-b*b)",
-                              (c - 1) * (ONE - B.star * B), rel1))
-
-    for mats, prefix in ((swap_pair_mats(), "double-swap"),
-                         (adjoint_pair_mats(), "double-adjoint"),
-                         (canonical_pair_mats(), "double-canonical")):
-        for name, target in pair_relation_entries(*mats, prefix=prefix):
+        rel2_ideal()))
+    entries += [SuiteEntry(name, target, rel1)
+                for name, target in c_identities().items()]
+    for kind in PATH_KINDS:
+        for name, target in pair_relation_entries(*path_pair(kind),
+                                                  prefix=f"double-{kind}"):
             if target.is_zero:
                 entries.append(SuiteEntry(name, target,
                                           ideal_by_name("none"), bound=0))

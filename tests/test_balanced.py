@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, bump_from_one,
-                            check_balanced, finite_split, flat_circle_map,
-                            homotopy_eval, make_c, random_balanced_pair,
-                            unitalization_pair, validate_path, verify_c_properties)
+                            check_balanced, evaluate, finite_split,
+                            flat_circle_map, homotopy_eval, make_c,
+                            random_balanced_pair, unitalization_pair,
+                            validate_path)
 from balk1.errors import ShapeError
-from balk1.numkern import opnorm, random_unitary
+from balk1.loops import default_gamma, rotating_diagonal_pair, turn
+from balk1.numkern import opnorm, random_unitary, stack_opnorm
+from balk1.starpoly import default_suite, parse
 
 
 def diag_pair():
@@ -84,24 +87,51 @@ def test_make_c_diagonal_example():
     assert opnorm(pair.b @ c - pair.a) == 0.0
 
 
-def test_c_properties_unitary_case():
-    u = random_unitary(4, 21)
-    pair = BalancedPair(u, np.eye(4), tol=1e-12)
-    props = verify_c_properties(pair)
-    assert max(props.values()) <= 1e-12
+# -- the identity suite evaluated at matrices --------------------------------------
+
+THETAS = np.linspace(0.0, 2 * np.pi, 25)
 
 
-def test_c_properties_zero_pair():
+def suite_norms(suite, pair):
+    """The norm of every suite target at the pair, the largest over a grid of
+    theta for the central symbols (s, c) = (sin theta, cos theta)."""
+    return {e.name: float(stack_opnorm(evaluate(e.target, pair.a, pair.b,
+                                                np.sin(THETAS),
+                                                np.cos(THETAS))).max())
+            for e in suite}
+
+
+def test_suite_targets_vanish_at_balanced_pairs():
+    # every certified identity is a matrix identity on every balanced pair:
+    # the rel2 products, the canonical unitary's identities and the doubled
+    # path relations at every point of the circle
+    suite = default_suite()
+    assert len(suite) == 65
+    pairs = [random_balanced_pair(dim, seed) for dim in (1, 2, 4)
+             for seed in (5, 6)]
+    pairs += [random_balanced_pair(3, seed) for seed in (3, 4)]
+    pairs += [unitalization_pair(random_unitary(3, seed), 0.2) for seed in (1, 2)]
+    lp = rotating_diagonal_pair(turn(1), turn(-1), default_gamma, 256)
+    pairs += [lp.pair_at(113), lp.pair_at(40)]
+    pairs += [BalancedPair(random_unitary(4, 21), np.eye(4), tol=1e-12)]
+    for pair in pairs:
+        norms = suite_norms(suite, pair)
+        worst = max(norms, key=norms.get)
+        assert norms[worst] <= 1e-12, (worst, norms[worst])
     z = np.zeros((3, 3), dtype=complex)
-    props = verify_c_properties(BalancedPair(z, z, tol=1e-14))
-    assert max(props.values()) == 0.0
+    assert set(suite_norms(suite, BalancedPair(z, z, tol=1e-14)).values()) == {0.0}
 
 
-def test_c_properties_random_pairs():
-    for seed in (3, 4):
-        pair = random_balanced_pair(3, seed)
-        props = verify_c_properties(pair)
-        assert max(props.values()) <= 50 * pair.tol
+def test_evaluate_reads_words_centrals_and_coefficients():
+    a = np.array([[0.0, 1.0], [2.0, 3.0]])
+    b = np.array([[1.0, 0.0], [1j, 1.0]])
+    s, c = np.array([0.0, 0.6]), np.array([1.0, 0.8])
+    value = evaluate(parse("(1/2 + i)·s·c^2·a·b* - b + 3"), a, b, s, c)
+    expected = [(0.5 + 1j) * si * ci ** 2 * a @ b.conj().T - b + 3 * np.eye(2)
+                for si, ci in zip(s, c)]
+    assert value.shape == (2, 2, 2)
+    assert np.abs(value - np.array(expected)).max() <= 1e-15
+    assert np.array_equal(evaluate(parse("0"), a, b), np.zeros((2, 2)))
 
 
 def test_path_kinds_validate():
@@ -156,6 +186,53 @@ def test_canonical_endpoints():
     assert opnorm(right0 - embedded) <= 20 * pair.tol + 1e-12
     left, right1 = homotopy_eval(path, np.pi / 2)
     assert opnorm(right1 - left) < 1e-12
+
+
+def reference_path(kind, pair, t):
+    """The swap, adjoint and canonical paths written out in numpy:
+    (a⊕b, U_t*(a⊕b)U_t), U_t*(1⊕x*)U_t (x⊕1) for x = a, b, and
+    (c⊕b, (1⊕b)U_t*(1⊕c)U_t)."""
+    a, b, n = pair.a, pair.b, pair.dim
+    eye, zero = np.eye(n), np.zeros((n, n))
+    cos, sin = np.cos(t), np.sin(t)
+    u = np.block([[cos * eye, -sin * eye], [sin * eye, cos * eye]])
+
+    def diag(x, y):
+        return np.block([[x, zero], [zero, y]])
+
+    def conj(x):
+        return u.conj().T @ x @ u
+
+    if kind == "swap":
+        return diag(a, b), conj(diag(a, b))
+    if kind == "adjoint":
+        return tuple(conj(diag(eye, x.conj().T)) @ diag(x, eye) for x in (a, b))
+    c = make_c(pair)
+    return diag(c, b), diag(eye, b) @ conj(diag(eye, c))
+
+
+@pytest.mark.parametrize("kind", ["swap", "adjoint", "canonical"])
+def test_paths_match_the_numpy_formulas_mid_path(kind):
+    ts = np.array([np.pi / 7, np.pi / 4, 3 * np.pi / 8])
+    for pair in (random_balanced_pair(3, 17), random_balanced_pair(4, 3),
+                 unitalization_pair(random_unitary(2, 5), 0.2)):
+        path = HomotopyPath(kind, pair)
+        stacked = homotopy_eval(path, ts)
+        for k, t in enumerate(ts):
+            single = homotopy_eval(path, t)
+            for got, ref, stack in zip(single, reference_path(kind, pair, t),
+                                       stacked):
+                assert got.shape == (2 * pair.dim, 2 * pair.dim)
+                assert np.array_equal(got, stack[k])
+                assert opnorm(got - ref) <= 1e-13, (kind, t)
+
+
+def test_homotopy_eval_rejects_parameters_outside_the_interval():
+    path = HomotopyPath("swap", random_balanced_pair(2, 1))
+    with pytest.raises(ValueError):
+        homotopy_eval(path, np.array([0.0, 2.0]))
+    with pytest.raises(ValueError):
+        homotopy_eval(path, -0.1)
 
 
 def test_linear_trivial_path():

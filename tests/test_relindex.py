@@ -49,7 +49,7 @@ def test_self_adjoint_examples():
 def test_explicit_threshold_gap_error():
     f = np.diag([5e-6, 1.0]).astype(complex) + np.diag([1e-8], k=1)
     with pytest.raises(SingularGapError):
-        engine_values(f, threshold=1e-6, gap_factor=10.0)
+        engine_values(f, threshold=1e-6)
 
 
 def test_fedosov_residue_error():

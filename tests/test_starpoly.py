@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balk1.balanced import check_balanced, evaluate
 from balk1.errors import DegreeBoundError, ParseError
+from balk1.numkern import opnorm
 from balk1.starpoly import (GaussianRational, StarPoly, certificate_is_valid,
                             default_suite, format_poly, format_suite,
                             ideal_by_name, ideal_member, parse, parse_suite,
@@ -106,6 +109,11 @@ def test_membership_not_found_for_difference():
 def test_crossed_defect_products_are_not_members():
     crossed = (A - B) * (ONE - A * A.star)
     assert ideal_member(crossed, rel1_ideal(), 7) is None
+    # a witness for every degree bound: the exact pair a = [[0,0],[1,0]],
+    # b = -a is balanced, yet the crossed product is 2a there
+    a = np.array([[0, 0], [1, 0]], dtype=complex)
+    assert check_balanced(a, -a, tol=1e-14).balanced
+    assert opnorm(evaluate(crossed, a, -a)) == pytest.approx(2.0)
 
 
 def test_target_with_modulus_in_denominator_falls_back_to_exact(monkeypatch):
