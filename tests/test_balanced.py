@@ -109,17 +109,37 @@ def test_suite_targets_vanish_at_balanced_pairs():
     assert len(suite) == 65
     pairs = [random_balanced_pair(dim, seed) for dim in (1, 2, 4)
              for seed in (5, 6)]
-    pairs += [random_balanced_pair(3, seed) for seed in (3, 4)]
     pairs += [unitalization_pair(random_unitary(3, seed), 0.2) for seed in (1, 2)]
     lp = rotating_diagonal_pair(turn(1), turn(-1), default_gamma, 256)
     pairs += [lp.pair_at(113), lp.pair_at(40)]
-    pairs += [BalancedPair(random_unitary(4, 21), np.eye(4), tol=1e-12)]
     for pair in pairs:
-        norms = suite_norms(suite, pair)
-        worst = max(norms, key=norms.get)
-        assert norms[worst] <= 1e-12, (worst, norms[worst])
+        assert_suite_vanishes(suite, pair)
+
+
+def assert_suite_vanishes(suite, pair, tol=1e-12):
+    norms = suite_norms(suite, pair)
+    worst = max(norms, key=norms.get)
+    assert norms[worst] <= tol, (worst, norms[worst])
+
+
+# the canonical unitary c's eight identities (unitary:, carry:, commute:,
+# annihilate:) are suite targets; these pairs check them with the rest
+
+def test_c_properties_unitary_case():
+    pair = BalancedPair(random_unitary(4, 21), np.eye(4), tol=1e-12)
+    assert_suite_vanishes(default_suite(), pair)
+
+
+def test_c_properties_zero_pair():
     z = np.zeros((3, 3), dtype=complex)
-    assert set(suite_norms(suite, BalancedPair(z, z, tol=1e-14)).values()) == {0.0}
+    norms = suite_norms(default_suite(), BalancedPair(z, z, tol=1e-14))
+    assert set(norms.values()) == {0.0}
+
+
+def test_c_properties_random_pairs():
+    suite = default_suite()
+    for seed in (3, 4):
+        assert_suite_vanishes(suite, random_balanced_pair(3, seed))
 
 
 def test_evaluate_reads_words_centrals_and_coefficients():
