@@ -5,7 +5,8 @@ relations hold: a*a = b*b, aa* = bb*, a(1-a*a) = b(1-b*b) and
 (1-aa*)a = (1-bb*)b.  The derived annihilation residuals are reported in the
 orientation that actually follows from the relations: the difference a - b
 kills the domain defects 1-a*a, 1-b*b on the right and the range defects
-1-aa*, 1-bb* on the left, and adjointly for a* - b*.
+1-aa*, 1-bb* on the left, and adjointly for a* - b*; every residual is a row
+of ``relations.RELATIONS``.
 
 The module also provides the canonical unitary c = 1 + b*(a - b) attached to
 a balanced pair, an evaluator of the exact *-polynomials of ``starpoly`` at
@@ -23,7 +24,7 @@ s = sin t, c = cos t for a whole array of parameters at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Literal, Optional, Tuple
+from typing import Dict, Iterator, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,45 +32,52 @@ import scipy.linalg as sla
 from .errors import ShapeError
 from .numkern import (Array, as_matrix, eig_unitary, nearest_projection, opnorm,
                       random_unitary, stack_opnorm)
-from .relations import REL1_NAMES, REL2_NAMES, RELATIONS
+from .relations import REL1, REL1_NAMES, REL2_NAMES, RELATIONS
 
 
 def _adj(x: Array) -> Array:
     return x.conj().swapaxes(-1, -2)
 
 
-def relation_residuals(a: Array, b: Array,
-                       mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Operator norms of the twelve residuals of ``RELATIONS`` for every pair
-    in (..., n, n) stacks; the result has shape (..., 12).
+def relation_matrices(a: Array, b: Array, rows: Sequence[tuple],
+                      mask: Optional[np.ndarray]) -> Iterator[Array]:
+    """The residual matrix of each given row of ``RELATIONS`` for every pair
+    in (..., n, n) stacks, one row at a time.
 
     With a boolean mask over the n coordinates every residual is compressed
     to the masked rows and columns, and only the masked columns of the
-    defects are formed (a product compresses as X[mask, :] Y[:, mask]); an
-    empty mask gives zeros.
+    defects are formed (a product compresses as X[mask, :] Y[:, mask]).
     """
     sel = slice(None) if mask is None else np.flatnonzero(mask)
     eye = np.eye(a.shape[-1])[:, sel]
-    rows = {"a": a[..., sel, :], "b": b[..., sel, :]}
-    cols = {"a": a[..., sel], "b": b[..., sel]}
-    rows["d"], cols["d"] = rows["a"] - rows["b"], cols["a"] - cols["b"]
-    rows["d*"], cols["d*"] = _adj(cols["d"]), _adj(rows["d"])
-    cols.update(qa=eye - _adj(a) @ cols["a"], qb=eye - _adj(b) @ cols["b"],
-                pa=eye - a @ _adj(rows["a"]), pb=eye - b @ _adj(rows["b"]))
+    by_row = {"a": a[..., sel, :], "b": b[..., sel, :]}
+    by_col = {"a": a[..., sel], "b": b[..., sel]}
+    by_row["d"], by_col["d"] = by_row["a"] - by_row["b"], by_col["a"] - by_col["b"]
+    by_row["d*"], by_col["d*"] = _adj(by_col["d"]), _adj(by_row["d"])
+    by_col.update(qa=eye - _adj(a) @ by_col["a"], qb=eye - _adj(b) @ by_col["b"],
+                  pa=eye - a @ _adj(by_row["a"]), pb=eye - b @ _adj(by_row["b"]))
 
     def product(left: str, right: str) -> Array:
         if left == "1":
-            return cols[right][..., sel, :]
-        if left in rows:
-            return rows[left] @ cols[right]
+            return by_col[right][..., sel, :]
+        if left in by_row:
+            return by_row[left] @ by_col[right]
         # a defect is self-adjoint: its masked rows are the adjoint of its
         # masked columns, and without a mask it is whole
-        return (cols[left] if mask is None else _adj(cols[left])) @ cols[right]
+        return (by_col[left] if mask is None else _adj(by_col[left])) @ by_col[right]
 
-    norms = [stack_opnorm(product(*first) if second is None
-                          else product(*first) - product(*second))
-             for _, first, second in RELATIONS]
-    return np.stack(norms, axis=-1)
+    for _, first, second in rows:
+        yield (product(*first) if second is None
+               else product(*first) - product(*second))
+
+
+def relation_residuals(a: Array, b: Array, rows: Sequence[tuple],
+                       mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Operator norms of ``relation_matrices`` for the given rows (``RELATIONS``,
+    or the defining four as ``REL1``), of shape (..., len(rows)); an empty
+    mask gives zeros."""
+    return np.stack([stack_opnorm(r) for r in relation_matrices(a, b, rows, mask)],
+                    axis=-1)
 
 
 @dataclass
@@ -98,7 +106,7 @@ def check_balanced(a: Array, b: Array, tol: float = 1e-10) -> BalanceReport:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"need equal square shapes, got {a.shape} and {b.shape}")
-    values = relation_residuals(a, b).tolist()
+    values = relation_residuals(a, b, RELATIONS).tolist()
     rel1 = dict(zip(REL1_NAMES, values[:4]))
     rel2 = dict(zip(REL2_NAMES, values[4:]))
     norm_a, norm_b = opnorm(a), opnorm(b)
@@ -121,15 +129,6 @@ class BalancedPair:
 
     def report(self) -> BalanceReport:
         return check_balanced(self.a, self.b, self.tol)
-
-    def validate(self) -> "BalancedPair":
-        rep = self.report()
-        if not rep.balanced:
-            raise ValueError(
-                f"pair is not balanced within {self.tol:.1e}: "
-                f"max relation residual {rep.max_rel1:.3e}, "
-                f"norms ({rep.norm_a:.6f}, {rep.norm_b:.6f})")
-        return self
 
 
 def random_balanced_pair(dim: int, seed: int,
@@ -161,10 +160,15 @@ def random_balanced_pair(dim: int, seed: int,
 # -- the canonical unitary -----------------------------------------------------
 
 
+def canonical_unitary(a: Array, b: Array) -> Array:
+    """c = 1 + b*(a - b) for every pair in (..., n, n) stacks; unitary for
+    balanced pairs, and bc = a."""
+    return np.eye(a.shape[-1]) + _adj(b) @ (a - b)
+
+
 def make_c(pair: BalancedPair) -> Array:
-    """c = 1 + b*(a - b); unitary for balanced pairs and satisfies bc = a."""
-    a, b = pair.a, pair.b
-    return np.eye(pair.dim) + b.conj().T @ (a - b)
+    """The canonical unitary of a pair."""
+    return canonical_unitary(pair.a, pair.b)
 
 
 # -- evaluating *-polynomials ----------------------------------------------------
@@ -277,7 +281,7 @@ def validate_path(path: HomotopyPath, grid: int = 101,
     tol = path.base.tol if tol is None else tol
     ts = np.linspace(0.0, np.pi / 2, grid)
     left, right = homotopy_eval(path, ts)
-    rel1 = relation_residuals(left, right)[:, :4].max(axis=1)
+    rel1 = relation_residuals(left, right, REL1).max(axis=1)
     k = int(np.argmax(rel1))
     worst = float(rel1[k])
     return PathReport(path.kind, grid, worst, float(ts[k]), worst <= tol)

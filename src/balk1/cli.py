@@ -16,7 +16,6 @@ import numpy as np
 from . import balanced, loops, serialize
 from .errors import Balk1Error, DegreeBoundError, ParseError, PipelineStageError
 from .relindex import verify_index_theorem
-from .starpoly import suites
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -38,6 +37,9 @@ def main():
 @click.option("--out", type=click.Path(), help="Write the JSON report here.")
 def cmd_verify_identities(suite_path, out):
     """Certify an identity suite (the bundled default when no path given)."""
+    # the symbolic engine loads only for the command that uses it
+    from .starpoly import suites
+
     try:
         if suite_path is None:
             entries = suites.default_suite()

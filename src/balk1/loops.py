@@ -20,9 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .balanced import BalancedPair, relation_residuals
+from .balanced import BalancedPair, canonical_unitary, relation_residuals
 from .errors import ConstraintError, NotUnitaryError, ShapeError, WindingError
 from .numkern import Array, opnorm, stack_opnorm
+from .relations import REL1
 
 HALF_PI = np.pi / 2
 
@@ -110,7 +111,7 @@ class LoopPair:
 
     def max_pointwise_residual(self) -> float:
         a, b = self.sigma1.samples, self.sigma2.samples
-        worst = float(relation_residuals(a, b)[:, :4].max(initial=0.0))
+        worst = float(relation_residuals(a, b, REL1).max(initial=0.0))
         norms = float(np.max(stack_opnorm(np.stack((a, b))), initial=0.0))
         return max(worst, norms - 1.0, 0.0)
 
@@ -306,10 +307,7 @@ def winding(values: np.ndarray, min_modulus: float = 0.5) -> int:
 
 def canonical_unitary_loop(lp: LoopPair) -> MatrixLoop:
     """Pointwise c = 1 + sigma2*(sigma1 - sigma2)."""
-    eye = np.eye(lp.dim)
-    s1, s2 = lp.sigma1.samples, lp.sigma2.samples
-    c = eye[np.newaxis, :, :] + s2.conj().transpose(0, 2, 1) @ (s1 - s2)
-    return MatrixLoop(c)
+    return MatrixLoop(canonical_unitary(lp.sigma1.samples, lp.sigma2.samples))
 
 
 def det_loop(ml: MatrixLoop) -> np.ndarray:

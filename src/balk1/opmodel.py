@@ -19,8 +19,8 @@ block each.  ``TruncOp.matrix`` is a dense view for codecs and tests.
 Everything that reads a pair against a split (the split verification, the
 corner estimates, and in ``relindex`` the comparison check and the index
 candidates) reads one record per diagonal block, ``SplitBlock``, from one
-builder, ``split_blocks``.  The four corner expressions and their 2 eps and
-4 eps bounds are written once, in ``corner_estimates``.
+builder, ``split_blocks``.  The four corner expressions, rows of the relation
+table, are read with their 2 eps and 4 eps bounds in ``corner_estimates``.
 
 Compactness has no exact finite stand-in: "small modulo compacts" is
 measured by the tail seminorm, the operator norm of the compression to a
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .balanced import relation_residuals
+from .balanced import relation_matrices, relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
 from .loops import LoopPair, MatrixLoop, SymbolPair
 from .numkern import Array, opnorm
@@ -387,7 +387,7 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
             mask = cut.band_mask(a.modes, a.dim, m)
         if mask.any():
             populated.append(m)
-        values = np.max([relation_residuals(ab, bb, mask[s])
+        values = np.max([relation_residuals(ab, bb, RELATIONS, mask[s])
                          for ab, bb, s in zip(a.blocks, b.blocks, slices)], axis=0)
         for (name, _, _), value in zip(RELATIONS, values.tolist()):
             residuals.setdefault(name, {})[m] = value
@@ -567,19 +567,20 @@ def merge_split_blocks(records: Sequence[SplitBlock]) -> SplitBlock:
                         for p in parts))
 
 
+_CORNER_ROWS = tuple(RELATIONS[i] for i in (0, 1, 4, 6))
+
+
 def corner_estimates(x: Array, y: Array, band_v: Array,
                      eps: float) -> List[Tuple[float, float]]:
     """The four corner expressions of a pair (x, y) of operators on H1 as
     (tail seminorm, bound): |x*x - y*y| and |xx* - yy*| below 2 eps,
-    |(y - x)(1 - x*x)| and |(y - x)*(1 - xx*)| below 4 eps.
+    |(x - y)(1 - x*x)| and |(x* - y*)(1 - xx*)| below 4 eps.
 
     An expression X on H1 is the operator V X V* on the block; its tail
     seminorm is the norm of V[band] X V[band]*, with band_v = V[band].
     """
-    eye = np.eye(x.shape[1])
-    exprs = ((_h(x) @ x - _h(y) @ y, 2), (x @ _h(x) - y @ _h(y), 2),
-             ((y - x) @ (eye - _h(x) @ x), 4), (_h(y - x) @ (eye - x @ _h(x)), 4))
-    return [(opnorm(band_v @ e @ _h(band_v)), k * eps) for e, k in exprs]
+    return [(opnorm(band_v @ e @ _h(band_v)), k * eps) for e, k in
+            zip(relation_matrices(x, y, _CORNER_ROWS, None), (2, 2, 4, 4))]
 
 
 @dataclass

@@ -1,8 +1,22 @@
 """The balanced-pair relations as one table of named factor products.
 
-The numeric residual kernel (``balanced.relation_residuals``) and the exact
-relation ideals (``starpoly.suites``) both build their relations from this
-table, so the module imports nothing.
+This table is the only statement of the relations.  The numeric residual
+kernel (``balanced.relation_residuals``), the corner estimates of the split
+pipeline (``opmodel.corner_estimates``), the exact relation ideals and the
+doubled 2x2 suite entries (``starpoly.suites``) all evaluate its rows, so the
+module imports nothing.
+
+Some rows are twins:
+
+* row 3 is row 2, since a(1 - a*a) = a - aa*a = (1 - aa*)a;
+* rows 8-11 are the adjoints of rows 6, 7, 4 and 5.
+
+So ``rel1`` has three distinct generators, and the 65 entries of the
+built-in suite hold only 50 distinct targets: every ``double-*:defect-left:*``
+entry repeats a ``defect-right:*`` target, and ``double-swap``'s
+``staradj:21``, ``adjstar:21`` and ``defect-right:21`` repeat their ``:12``
+entries.  The suite keeps every entry under its name, because suite files
+and reports are keyed by them.
 """
 
 # The twelve relation residuals: the four defining relations, then the eight
@@ -23,5 +37,6 @@ RELATIONS = (
     ("(1-a*a)(a*-b*)", ("qa", "d*"), None),
     ("(1-b*b)(a*-b*)", ("qb", "d*"), None),
 )
-REL1_NAMES = tuple(name for name, _, _ in RELATIONS[:4])
+REL1 = RELATIONS[:4]  # the defining relations
+REL1_NAMES = tuple(name for name, _, _ in REL1)
 REL2_NAMES = tuple(name for name, _, _ in RELATIONS[4:])

@@ -35,6 +35,7 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .balanced import canonical_unitary
 from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
                      PipelineStageError, ShapeError, SingularGapError)
 from .loops import MatrixLoop, SymbolPair, topo_index
@@ -266,13 +267,12 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     if formula == "global":
         a, b = same_partition(a, b)
         interior = cut.interior_mask(a.modes, a.dim).astype(float)
-        return [(1, tuple(np.eye(len(am)) + bm.conj().T @ (am - bm)
+        return [(1, tuple(canonical_unitary(am, bm)
                           for am, bm in zip(a.blocks, b.blocks)),
                  tuple(interior[s] for s in block_slices(a.sizes)))]
     grams = tuple(d.h1_gram for d in data)
     if formula == "corner":
-        return [(1, tuple(np.eye(len(d.a1)) + d.b1.conj().T @ (d.a1 - d.b1)
-                          for d in data), grams)]
+        return [(1, tuple(canonical_unitary(d.a1, d.b1) for d in data), grams)]
     c = (comparison if formula == "definition-C"
          else _resolve_choice(data, formula[-1]))
     return [(1, tuple(ci.conj().T @ d.av for ci, d in zip(c, data)), grams),

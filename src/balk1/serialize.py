@@ -65,6 +65,10 @@ def symbol_pair_to_dict(sp: SymbolPair) -> dict:
 
 
 def symbol_pair_from_dict(data: dict) -> SymbolPair:
+    missing = [key for key in ("plus", "minus") if key not in data]
+    if missing:
+        raise ValueError(f"symbol-pair file lacks {missing}: it needs 'plus' and "
+                         "'minus' (a loop-pair file has 'sigma1' and 'sigma2')")
     return SymbolPair(loop_pair_from_dict(data["plus"]),
                       loop_pair_from_dict(data["minus"]))
 

@@ -39,9 +39,10 @@ Two structural reductions keep the search small without losing completeness:
   of one charge share one modular echelon, extended as far as the most
   demanding of them needs.
 
-Relation ideals are *-closed by default: the adjoint of every listed
-generator is adjoined to the working set, matching the semantics of
-relations that hold in a *-algebra together with their adjoints.
+Relation ideals are *-closed: the adjoint of every listed generator is
+adjoined to the working set, matching the semantics of relations that hold
+in a *-algebra together with their adjoints.  The central relation
+s^2 + c^2 = 1 needs no generator, since the algebra rewrites s^2 as 1 - c^2.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .algebra import (ONE_C, GaussianRational, Monomial, StarPoly, Word,
                       _format_monomial)
 from .parsing import parse
 
-DEFAULT_PRODUCT_CEILING = 400_000
+PRODUCT_CEILING = 400_000  # a search that would enumerate more products fails
+CHUNK = 256  # products eliminated between two attempts at the target
 
 # the modular search runs over F_P; P = 119·2^23 + 1 ≡ 1 (mod 4) and 3
 # generates its multiplicative group, so _I below squares to -1 mod P
@@ -71,20 +73,18 @@ class RelationIdeal:
 
     name: str
     generators: Tuple[StarPoly, ...]
-    central_relations: Tuple[StarPoly, ...] = ()
-    star_closed: bool = True
 
     def effective_generators(self) -> List[StarPoly]:
-        """Working generators: the stored list plus (optionally) adjoints."""
+        """Working generators: the distinct nonzero ones, then their new
+        adjoints."""
         gens: List[StarPoly] = []
         for g in self.generators:
             if not g.is_zero and g not in gens:
                 gens.append(g)
-        if self.star_closed:
-            for g in list(gens):
-                gs = g.star
-                if not gs.is_zero and gs not in gens:
-                    gens.append(gs)
+        for g in list(gens):
+            gs = g.star
+            if not gs.is_zero and gs not in gens:
+                gens.append(gs)
         return gens
 
 
@@ -271,12 +271,10 @@ class _Search:
 
     def __init__(self, products: Callable[[], Iterator[Product]],
                  exact_row: Callable[[Product], dict],
-                 mod_row: Optional[Callable[[Product], Dict[object, int]]],
-                 chunk: int):
+                 mod_row: Optional[Callable[[Product], Dict[object, int]]]):
         self._products = products
         self._exact_row = exact_row
         self._mod_row = mod_row
-        self._chunk = chunk
         self._pending = products()
         self._seen: List[Product] = []
         self._echelon = _ModEchelon()
@@ -303,7 +301,7 @@ class _Search:
 
     def _extend(self) -> bool:
         start = len(self._seen)
-        for item in itertools.islice(self._pending, self._chunk):
+        for item in itertools.islice(self._pending, CHUNK):
             self._seen.append(item)
             row = self._mod_row(item)
             if row:
@@ -328,20 +326,19 @@ class _Search:
             row = self._exact_row(item)
             if row:
                 echelon.insert(row, {len(used) - 1: ONE_C})
-            if len(used) % self._chunk == 0:
+            if len(used) % CHUNK == 0:
                 found = finish()
                 if found is not None:
                     return found
         return finish()
 
 
-def _capped(products: Iterable[Product], bound: int,
-            product_ceiling: int) -> Iterator[Product]:
+def _capped(products: Iterable[Product], bound: int) -> Iterator[Product]:
     for count, item in enumerate(products, 1):
-        if count > product_ceiling:
+        if count > PRODUCT_CEILING:
             raise DegreeBoundError(
                 f"degree bound {bound} would enumerate more than "
-                f"{product_ceiling} products")
+                f"{PRODUCT_CEILING} products")
         yield item
 
 
@@ -360,9 +357,8 @@ class _GenMeta:
         self.terms = list(self.poly.items())
 
 
-def ideal_member(target: StarPoly, ideal: RelationIdeal, degree_bound: int,
-                 product_ceiling: int = DEFAULT_PRODUCT_CEILING,
-                 chunk: int = 256) -> Optional[MembershipCertificate]:
+def ideal_member(target: StarPoly, ideal: RelationIdeal,
+                 degree_bound: int) -> Optional[MembershipCertificate]:
     """Search for a certificate of  target ∈ ideal  up to the degree bound.
 
     Returns the certificate on success and None when membership was not
@@ -371,10 +367,6 @@ def ideal_member(target: StarPoly, ideal: RelationIdeal, degree_bound: int,
     if degree_bound < target.degree:
         raise DegreeBoundError(
             f"degree bound {degree_bound} is below the target degree {target.degree}")
-    for rel in ideal.central_relations:
-        if rel != _builtin_central_relation():
-            raise NotImplementedError(
-                "only the built-in central relation s^2 + c^2 - 1 is supported")
 
     gens = [_GenMeta(i, g, g.degree, _charge_of_poly(g))
             for i, g in enumerate(ideal.effective_generators())]
@@ -392,8 +384,7 @@ def ideal_member(target: StarPoly, ideal: RelationIdeal, degree_bound: int,
     reducible = all(r is not None for terms in gen_mod.values() for _, r in terms)
 
     if not central_free:
-        return _solve_general(target, gens, ideal, degree_bound, reducible,
-                              product_ceiling, chunk)
+        return _solve_general(target, gens, ideal, degree_bound, reducible)
 
     exact_row = _word_rows({g.index: g.terms for g in gens})
     mod_row = _word_rows({i: [(m, r) for m, r in terms if r]
@@ -407,8 +398,8 @@ def ideal_member(target: StarPoly, ideal: RelationIdeal, degree_bound: int,
         if search is None:
             search = searches[want] = _Search(
                 lambda want=want: _capped(_iter_products(gens, degree_bound, want),
-                                          degree_bound, product_ceiling),
-                exact_row, mod_row, chunk)
+                                          degree_bound),
+                exact_row, mod_row)
         found = search.solve(word_row)
         if found is None:
             return None
@@ -422,12 +413,6 @@ def ideal_member(target: StarPoly, ideal: RelationIdeal, degree_bound: int,
         target=format_poly(target), ideal=ideal.name, degree_bound=degree_bound,
         generators=tuple(format_poly(g.poly) for g in gens),
         terms=tuple(all_terms))
-
-
-def _builtin_central_relation() -> StarPoly:
-    s = StarPoly.central("s")
-    c = StarPoly.central("c")
-    return s * s + c * c - 1
 
 
 def _charge_of_poly(p: StarPoly) -> Optional[int]:
@@ -486,8 +471,7 @@ def _iter_products(gens: Sequence[_GenMeta], bound: int, charge: Optional[int]):
 
 
 def _solve_general(target: StarPoly, gens: Sequence[_GenMeta], ideal: RelationIdeal,
-                   bound: int, reducible: bool, product_ceiling: int, chunk: int
-                   ) -> Optional[MembershipCertificate]:
+                   bound: int, reducible: bool) -> Optional[MembershipCertificate]:
     """Generators carrying central symbols: enumerate central multipliers
     explicitly (complete up to the stated central degree cap)."""
     central_cap = target.central_degree + max(g.poly.central_degree for g in gens) + 2
@@ -498,7 +482,7 @@ def _solve_general(target: StarPoly, gens: Sequence[_GenMeta], ideal: RelationId
     def products() -> Iterator[Product]:
         return _capped(((gen_idx, Monomial(u, e, f), v)
                         for gen_idx, u, v in _iter_products(gens, bound, None)
-                        for e, f in centrals), bound, product_ceiling)
+                        for e, f in centrals), bound)
 
     def exact_row(item: Product) -> dict:
         gen_idx, left, v = item
@@ -509,8 +493,7 @@ def _solve_general(target: StarPoly, gens: Sequence[_GenMeta], ideal: RelationId
     def mod_row(item: Product) -> Dict[object, int]:
         return _mod_row(exact_row(item))
 
-    found = _Search(products, exact_row, mod_row if reducible else None,
-                    chunk).solve(
+    found = _Search(products, exact_row, mod_row if reducible else None).solve(
         {mono_key(m): q for m, q in target.items()})
     if found is None:
         return None

@@ -1,13 +1,15 @@
 """Relation ideals, the built-in identity suite, and suite files.
 
-The two working ideals:
+The two working ideals are rows of the relation table
+``balk1.relations.RELATIONS``, evaluated at the letters a, b by one factor
+map (``_factors``):
 
-* ``rel1``: equal-defect relations for a pair of letters,
+* ``rel1``: the four defining rows, the equal-defect relations
   a*a = b*b, aa* = bb*, a(1-a*a) = b(1-b*b), (1-aa*)a = (1-bb*)b;
-* ``rel2``: the difference annihilates the domain-side defects and its
-  adjoint the range-side ones, together with the adjoint statements:
-  (a-b)d = 0 = d'(a-b) and (a*-b*)d' = 0 = d(a*-b*) for d among
-  1-a*a, 1-b*b and d' among 1-aa*, 1-bb*.
+* ``rel2``: the eight annihilation rows: the difference annihilates the
+  domain-side defects and its adjoint the range-side ones, together with
+  the adjoint statements: (a-b)d = 0 = d'(a-b) and (a*-b*)d' = 0 = d(a*-b*)
+  for d among 1-a*a, 1-b*b and d' among 1-aa*, 1-bb*.
 
 Only this orientation of the annihilation relations follows from rel1: the
 exact pair a = [[0,0],[1,0]], b = -a satisfies rel1 yet (a-b)(1-aa*) = 2a,
@@ -18,8 +20,9 @@ facts the rest of the package relies on numerically: rel1 implies rel2;
 the element c = 1 + b*(a-b) is unitary, carries b to a, commutes with b*b
 and differs from 1 only on the defect (``c_identities``); and the doubled
 2x2 identities behind the swap, adjoint and canonical-embedding homotopies,
-expanded over the central circle symbols.  The doubled pairs are written
-once, in ``path_pair``: the suite certifies them and
+expanded over the central circle symbols: the same factor map evaluates the
+four defining rows at 2x2 matrices of polynomials (``Mat2``).  The doubled
+pairs are written once, in ``path_pair``: the suite certifies them and
 ``balk1.balanced.homotopy_eval`` evaluates the same matrices at
 s = sin t, c = cos t.
 """
@@ -33,7 +36,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParseError
-from ..relations import RELATIONS
+from ..relations import REL1, REL2_NAMES, RELATIONS
 from .algebra import StarPoly, format_poly
 from .membership import (MembershipCertificate, RelationIdeal, ideal_member,
                          certificate_is_valid)
@@ -45,36 +48,60 @@ S = StarPoly.central("s")
 C = StarPoly.central("c")
 ONE = StarPoly.one()
 
-CENTRAL_RELATION = S * S + C * C - 1
 
-_DEFECTS = (ONE - A.star * A, ONE - A * A.star,
-            ONE - B.star * B, ONE - B * B.star)
+# -- the relation table over StarPoly and 2x2 matrices -------------------------
+
+
+class Mat2(tuple):
+    """A 2x2 matrix over StarPoly as its rows, with *, - and the adjoint."""
+
+    def __new__(cls, x11, x12, x21, x22) -> "Mat2":
+        return super().__new__(cls, ((x11, x12), (x21, x22)))
+
+    @staticmethod
+    def diag(x: StarPoly, y: StarPoly) -> "Mat2":
+        return Mat2(x, StarPoly.zero(), StarPoly.zero(), y)
+
+    def __mul__(self, other: "Mat2") -> "Mat2":
+        return Mat2(*(sum((self[i][k] * other[k][j] for k in range(2)),
+                          StarPoly.zero())
+                      for i in range(2) for j in range(2)))
+
+    def __sub__(self, other: "Mat2") -> "Mat2":
+        return Mat2(*(self[i][j] - other[i][j] for i in range(2) for j in range(2)))
+
+    @property
+    def star(self) -> "Mat2":
+        return Mat2(*(self[j][i].star for i in range(2) for j in range(2)))
+
+
+def _factors(x, y, one):
+    """The factors named in ``RELATIONS`` at the letters (x, y), over StarPoly
+    or over Mat2, with one the unit."""
+    return {"1": one, "a": x, "b": y, "d": x - y, "d*": x.star - y.star,
+            "qa": one - x.star * x, "qb": one - y.star * y,
+            "pa": one - x * x.star, "pb": one - y * y.star}
+
+
+def _residuals(rows, x, y, one) -> list:
+    """The residual of each given row of ``RELATIONS`` at the letters (x, y)."""
+    f = _factors(x, y, one)
+    out = []
+    for _, (left, right), second in rows:
+        value = f[left] * f[right]
+        out.append(value if second is None else value - f[second[0]] * f[second[1]])
+    return out
 
 
 def rel1_ideal() -> RelationIdeal:
-    return RelationIdeal(
-        name="rel1",
-        generators=(
-            A.star * A - B.star * B,
-            A * A.star - B * B.star,
-            A * (ONE - A.star * A) - B * (ONE - B.star * B),
-            (ONE - A * A.star) * A - (ONE - B * B.star) * B,
-        ),
-        central_relations=(CENTRAL_RELATION,),
-    )
+    return RelationIdeal("rel1", tuple(_residuals(REL1, A, B, ONE)))
 
 
-_FACTORS = {"a": A, "b": B, "d": A - B, "d*": A.star - B.star,
-            "qa": ONE - A.star * A, "qb": ONE - B.star * B,
-            "pa": ONE - A * A.star, "pb": ONE - B * B.star}
-
-REL2_PRODUCTS = {name: _FACTORS[left] * _FACTORS[right]
-                 for name, (left, right), _ in RELATIONS[4:]}
+REL2_PRODUCTS = dict(zip(REL2_NAMES, _residuals(RELATIONS[4:], A, B, ONE)))
 
 
 def rel2_ideal() -> RelationIdeal:
-    return RelationIdeal(name="rel2", generators=tuple(REL2_PRODUCTS.values()),
-                         central_relations=(CENTRAL_RELATION,))
+    return RelationIdeal("rel2", tuple(REL2_PRODUCTS.values()))
 
 
 def canonical_unitary_poly() -> StarPoly:
@@ -92,52 +119,17 @@ def ideal_by_name(name: str) -> RelationIdeal:
     raise ValueError(f"unknown ideal name {name!r}")
 
 
-# -- 2x2 matrices over StarPoly ----------------------------------------------
-
-Mat2 = Tuple[Tuple[StarPoly, StarPoly], Tuple[StarPoly, StarPoly]]
-
-
-def m2(a11, a12, a21, a22) -> Mat2:
-    return ((a11, a12), (a21, a22))
-
-
-def m2_diag(x: StarPoly, y: StarPoly) -> Mat2:
-    return m2(x, StarPoly.zero(), StarPoly.zero(), y)
-
-
-def m2_mul(x: Mat2, y: Mat2) -> Mat2:
-    return tuple(tuple(sum((x[i][k] * y[k][j] for k in range(2)), StarPoly.zero())
-                       for j in range(2)) for i in range(2))
-
-
-def m2_sub(x: Mat2, y: Mat2) -> Mat2:
-    return tuple(tuple(x[i][j] - y[i][j] for j in range(2)) for i in range(2))
-
-
-def m2_star(x: Mat2) -> Mat2:
-    return tuple(tuple(x[j][i].star for j in range(2)) for i in range(2))
+_DOUBLED_NAMES = ("staradj", "adjstar", "defect-right", "defect-left")
 
 
 def pair_relation_entries(left: Mat2, right: Mat2, prefix: str
                           ) -> List[Tuple[str, StarPoly]]:
     """The 16 entry identities stating that (left, right) satisfies rel1."""
-    ls, rs = m2_star(left), m2_star(right)
-    relations = {
-        "staradj": m2_sub(m2_mul(ls, left), m2_mul(rs, right)),
-        "adjstar": m2_sub(m2_mul(left, ls), m2_mul(right, rs)),
-        "defect-right": m2_sub(
-            m2_sub(left, m2_mul(left, m2_mul(ls, left))),
-            m2_sub(right, m2_mul(right, m2_mul(rs, right)))),
-        "defect-left": m2_sub(
-            m2_sub(left, m2_mul(m2_mul(left, ls), left)),
-            m2_sub(right, m2_mul(m2_mul(right, rs), right))),
-    }
-    out = []
-    for rel_name, mat in relations.items():
-        for i in range(2):
-            for j in range(2):
-                out.append((f"{prefix}:{rel_name}:{i + 1}{j + 1}", mat[i][j]))
-    return out
+    return [(f"{prefix}:{name}:{i + 1}{j + 1}", mat[i][j])
+            for name, mat in zip(_DOUBLED_NAMES,
+                                 _residuals(REL1, left, right,
+                                            Mat2.diag(ONE, ONE)))
+            for i in range(2) for j in range(2)]
 
 
 PATH_KINDS = ("swap", "adjoint", "canonical")
@@ -153,19 +145,19 @@ def path_pair(kind: str) -> Tuple[Mat2, Mat2]:
       x = a, b, whose endpoints are x⊕x* and x*x⊕1;
     * canonical, behind [(c,b)] with c = 1 + b*(a-b): (c⊕b, (1⊕b)U*(1⊕c)U).
     """
-    u = m2(C, -S, S, C)
+    u = Mat2(C, -S, S, C)
 
     def conjugated(inner: Mat2) -> Mat2:
-        return m2_mul(m2_star(u), m2_mul(inner, u))
+        return u.star * (inner * u)
 
     if kind == "swap":
-        return m2_diag(A, B), conjugated(m2_diag(A, B))
+        return Mat2.diag(A, B), conjugated(Mat2.diag(A, B))
     if kind == "adjoint":
-        return tuple(m2_mul(conjugated(m2_diag(ONE, x.star)), m2_diag(x, ONE))
+        return tuple(conjugated(Mat2.diag(ONE, x.star)) * Mat2.diag(x, ONE)
                      for x in (A, B))
     if kind == "canonical":
         c = canonical_unitary_poly()
-        return m2_diag(c, B), m2_mul(m2_diag(ONE, B), conjugated(m2_diag(ONE, c)))
+        return Mat2.diag(c, B), Mat2.diag(ONE, B) * conjugated(Mat2.diag(ONE, c))
     raise ValueError(f"unknown path kind {kind!r}; expected one of {PATH_KINDS}")
 
 
@@ -324,8 +316,7 @@ def parse_suite(text: str) -> List[SuiteEntry]:
         if ideal_text.startswith("custom:"):
             gens = tuple(parse(g) for g in ideal_text[len("custom:"):].split(";")
                          if g.strip())
-            ideal = RelationIdeal(name="custom", generators=gens,
-                                  central_relations=(CENTRAL_RELATION,))
+            ideal = RelationIdeal(name="custom", generators=gens)
         else:
             ideal = ideal_by_name(ideal_text)
         bound = int(fields["bound"]) if "bound" in fields else None

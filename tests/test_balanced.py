@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, bump_from_one,
-                            check_balanced, evaluate, finite_split,
-                            flat_circle_map, homotopy_eval, make_c,
-                            random_balanced_pair, unitalization_pair,
+                            canonical_unitary, check_balanced, evaluate,
+                            finite_split, flat_circle_map, homotopy_eval,
+                            make_c, random_balanced_pair, relation_matrices,
+                            relation_residuals, unitalization_pair,
                             validate_path)
 from balk1.errors import ShapeError
 from balk1.loops import default_gamma, rotating_diagonal_pair, turn
 from balk1.numkern import opnorm, random_unitary, stack_opnorm
+from balk1.relations import REL1, RELATIONS
 from balk1.starpoly import default_suite, parse
 
 
@@ -54,6 +56,38 @@ def test_random_pairs_satisfy_derived_rel2_bound():
         rep = pair.report()
         assert rep.balanced
         assert max(rep.rel2.values()) <= 6 * max(rep.max_rel1, 1e-15)
+
+
+def _random_stack(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("mask", [None, np.array([True, False, True, True, False])])
+def test_defining_rows_are_the_first_four_columns(mask):
+    a, b = _random_stack((3, 2, 5, 5), 1), _random_stack((3, 2, 5, 5), 2)
+    rel1 = relation_residuals(a, b, REL1, mask)
+    full = relation_residuals(a, b, RELATIONS, mask)
+    assert rel1.shape == (3, 2, 4) and full.shape == (3, 2, 12)
+    assert np.array_equal(rel1, full[..., :4])
+
+
+def test_twin_rows_agree_off_balanced_pairs():
+    # a(1 - a*a) = (1 - aa*)a, so rows 2 and 3 agree on any matrices; rows
+    # 8-11 are the adjoints of rows 6, 7, 4 and 5
+    a, b = _random_stack((4, 3, 3), 3), _random_stack((4, 3, 3), 4)
+    row2, row3 = relation_matrices(a, b, RELATIONS[2:4], None)
+    assert np.abs(row2 - row3).max() <= 1e-12
+    norms = relation_residuals(a, b, RELATIONS)
+    np.testing.assert_allclose(norms[:, 8:], norms[:, [6, 7, 4, 5]], rtol=1e-12)
+
+
+def test_canonical_unitary_of_stacks_is_pointwise():
+    pairs = [random_balanced_pair(3, seed) for seed in range(4)]
+    stacked = canonical_unitary(np.stack([p.a for p in pairs]),
+                                np.stack([p.b for p in pairs]))
+    for c, pair in zip(stacked, pairs):
+        assert np.array_equal(c, make_c(pair))
 
 
 def test_crossed_defect_pair_is_balanced_but_two_sided_products_stay_large():

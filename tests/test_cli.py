@@ -1,12 +1,17 @@
 """CLI contract tests: exit codes, artifacts, bundled suite."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import balk1
 from balk1 import serialize
 from balk1.balanced import BalancedPair, random_balanced_pair
 from balk1.cli import main
@@ -170,3 +175,24 @@ def test_index_sweep_csv(runner, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0].startswith("p,q,analytic")
     assert len(rows) == 2
+
+
+def test_cli_import_leaves_the_symbolic_engine_unloaded():
+    code = ("import sys, balk1.cli; "
+            "print([m for m in sys.modules if m.startswith('balk1.starpoly')])")
+    src = str(Path(balk1.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
+
+
+def test_index_names_the_keys_a_loop_pair_file_lacks(runner, tmp_path):
+    lp = tmp_path / "lp.json"
+    made = runner.invoke(main, ["loop-pair", "--grid", "64", "--out", str(lp)])
+    assert made.exit_code == 0
+    result = runner.invoke(main, ["index", str(lp), "--modes", "8"])
+    assert result.exit_code == 2
+    assert "lacks ['plus', 'minus']" in result.output
+    assert "'sigma1' and 'sigma2'" in result.output

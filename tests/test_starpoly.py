@@ -16,7 +16,9 @@ from balk1.starpoly import (GaussianRational, StarPoly, certificate_is_valid,
                             rel1_ideal, rel2_ideal, replay_certificate,
                             verify_identity_suite)
 from balk1.starpoly import membership
-from balk1.starpoly.suites import A, B, ONE, REL2_PRODUCTS, canonical_unitary_poly
+from balk1.starpoly.suites import (A, B, ONE, REL2_PRODUCTS, Mat2,
+                                   canonical_unitary_poly, pair_relation_entries,
+                                   path_pair)
 
 
 def random_poly(rng, degree=3, terms=4, centrals=True):
@@ -83,6 +85,42 @@ def test_central_reduction():
 def test_rel_ideals_have_spec_sizes():
     assert len(rel1_ideal().generators) == 4
     assert len(rel2_ideal().generators) == 8
+
+
+# the defining relations as they were written by hand before the relation
+# table produced them, kept as a reference
+REFERENCE_REL1 = (
+    A.star * A - B.star * B,
+    A * A.star - B * B.star,
+    A * (ONE - A.star * A) - B * (ONE - B.star * B),
+    (ONE - A * A.star) * A - (ONE - B * B.star) * B,
+)
+
+
+def test_rel1_generators_are_the_defining_relations():
+    generators = rel1_ideal().generators
+    assert generators == REFERENCE_REL1
+    # a(1 - a*a) = (1 - aa*)a: the third and fourth generators coincide
+    assert len(set(generators)) == 3
+
+
+@pytest.mark.parametrize("kind", ["swap", "adjoint", "canonical"])
+def test_doubled_entries_are_the_defining_relations_of_the_pair(kind):
+    left, right = path_pair(kind)
+    one = Mat2.diag(ONE, ONE)
+    expected = {
+        "staradj": left.star * left - right.star * right,
+        "adjstar": left * left.star - right * right.star,
+        "defect-right": (left - left * (left.star * left))
+        - (right - right * (right.star * right)),
+        "defect-left": (one - left * left.star) * left
+        - (one - right * right.star) * right,
+    }
+    entries = pair_relation_entries(left, right, kind)
+    assert len(entries) == 16
+    for name, target in entries:
+        _, relation, ij = name.split(":")
+        assert target == expected[relation][int(ij[0]) - 1][int(ij[1]) - 1], name
 
 
 def test_certificate_canonical_unitary():
