@@ -190,7 +190,10 @@ def _evaluator(a: Array, b: Array):
         shape = np.broadcast_shapes(s.shape + (1, 1), c.shape + (1, 1), a.shape)
         out = np.zeros(shape, dtype=np.complex128)
         for m, q in poly.items():
-            scale = complex(float(q.re), float(q.im)) if q.im else float(q.re)
+            # complex(q) rounds each part once, as float(Fraction) does
+            scale = complex(q)
+            if not scale.imag:
+                scale = scale.real
             for _ in range(m.s_exp):
                 scale = scale * s
             for _ in range(m.c_exp):

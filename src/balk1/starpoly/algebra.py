@@ -5,13 +5,20 @@ the four letters a, a*, b, b* multiplied by central monomials s^e c^f in two
 commuting self-adjoint symbols.  The centrals obey the single relation
 s^2 + c^2 = 1; every stored monomial is kept in reduced form with s-exponent
 0 or 1 (s^2 is rewritten as 1 - c^2 on construction).
+
+A coefficient (``GaussianRational``) is one normalized integer triple
+(x, y, d) standing for (x + y·i)/d, with d > 0 and gcd(x, y, d) = 1, so equal
+coefficients have equal triples and the arithmetic runs on plain ints.  Its
+``re`` and ``im`` are read-only Fraction views, ``complex(q)`` rounds each
+part once, and a real coefficient hashes like its Fraction (like its int when
+d = 1), so that it stays interchangeable with them as a dict key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Dict, Iterator, NamedTuple, Tuple, Union
 
 LETTERS = ("a", "a*", "b", "b*")
@@ -23,70 +30,126 @@ Word = Tuple[int, ...]
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (x + y·i)/d with rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as one normalized integer triple: d > 0 and gcd(x, y, d) = 1, so
+    equal numbers have equal triples.  ``re`` and ``im`` are read-only
+    Fraction views; the arithmetic itself runs on the ints.
+    """
+
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self.x = re.numerator * (d // re.denominator)
+        self.y = im.numerator * (d // im.denominator)
+        self.d = d
 
     @staticmethod
     def coerce(value: "CoeffLike") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+        if isinstance(value, int):
+            return _triple(value, 0, 1)
+        if isinstance(value, Fraction):
+            return _triple(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
+
     def __add__(self, other: "CoeffLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _reduced(self.x + o.x, self.y + o.y, d1)
+        return _reduced(self.x * d2 + o.x * d1, self.y * d2 + o.y * d1, d1 * d2)
 
     def __sub__(self, other: "CoeffLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _reduced(self.x - o.x, self.y - o.y, d1)
+        return _reduced(self.x * d2 - o.x * d1, self.y * d2 - o.y * d1, d1 * d2)
 
     def __mul__(self, other: "CoeffLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if type(other) is int:
+            return _reduced(self.x * other, self.y * other, self.d)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        x1, y1, x2, y2 = self.x, self.y, o.x, o.y
+        return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * o.d)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __truediv__(self, other: "CoeffLike") -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        # (x1 + y1 i)/d1 · d2 (x2 - y2 i)/(x2^2 + y2^2)
+        x1, y1, x2, y2 = self.x, self.y, o.x, o.y
+        norm = x2 * x2 + y2 * y2
+        if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / den,
-                                (self.im * o.re - self.re * o.im) / den)
+        d2 = o.d
+        return _reduced((x1 * x2 + y1 * y2) * d2, (y1 * x2 - x1 * y2) * d2,
+                        self.d * norm)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self.x, -self.y, self.d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self.x, -self.y, self.d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.x or self.y)
+
+    def __complex__(self) -> complex:
+        return complex(self.x / self.d, self.y / self.d)
 
     def __eq__(self, other) -> bool:
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.x == other.x and self.y == other.y and self.d == other.d
+        if isinstance(other, int):
+            return self.y == 0 and self.d == 1 and self.x == other
+        if isinstance(other, Fraction):
+            return (self.y == 0 and self.x == other.numerator
+                    and self.d == other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real coefficient hashes as its Fraction (as its int when d = 1),
+        # so that hash agrees with == across the three types
+        if self.y == 0:
+            return hash(self.x) if self.d == 1 else hash(Fraction(self.x, self.d))
+        return hash((self.x, self.y, self.d))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return format_coefficient(self, bare=True)
+
+
+def _triple(x: int, y: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple already normalized."""
+    q = object.__new__(GaussianRational)
+    q.x, q.y, q.d = x, y, d
+    return q
+
+
+def _reduced(x: int, y: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple with d > 0, divided by gcd(x, y, d)."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    q = object.__new__(GaussianRational)
+    q.x, q.y, q.d = x, y, d
+    return q
 
 
 CoeffLike = Union[int, Fraction, GaussianRational]

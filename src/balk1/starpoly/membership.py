@@ -43,6 +43,14 @@ Relation ideals are *-closed: the adjoint of every listed generator is
 adjoined to the working set, matching the semantics of relations that hold
 in a *-algebra together with their adjoints.  The central relation
 s^2 + c^2 = 1 needs no generator, since the algebra rewrites s^2 as 1 - c^2.
+
+A row is a sparse dict from monomials to coefficients.  In the central-free
+word problems the key of a word w is an int: the base-4 digits of w (a, a*,
+b, b* are 0..3) after a leading 1.  These keys order exactly like the tuples
+(len(w), w), so pivots, supports and certificates are those of a tuple-keyed
+echelon.  The row of a product u·g·v is built by shifts from the key of u,
+the stored (length, digits) of each word of g and the digits of v.  A
+coefficient (x + y·i)/d maps to (x + y·_I)·d⁻¹ mod p.
 """
 
 from __future__ import annotations
@@ -121,13 +129,29 @@ class MembershipCertificate:
 
 
 def replay_certificate(cert: MembershipCertificate) -> StarPoly:
-    """Re-multiply a certificate from its stored text; independent of the solver."""
-    total = StarPoly.zero()
+    """Re-multiply a certificate from its stored text; independent of the
+    solver.  Each distinct text is parsed once and the terms are summed into
+    one dict."""
+    parsed: Dict[str, StarPoly] = {}
+
+    def poly(text: str) -> StarPoly:
+        got = parsed.get(text)
+        if got is None:
+            got = parsed[text] = parse(text)
+        return got
+
     gens = [parse(g) for g in cert.generators]
+    total: Dict[Monomial, GaussianRational] = {}
     for t in cert.terms:
-        piece = parse(t.coefficient) * parse(t.left) * gens[t.generator] * parse(t.right)
-        total = total + piece
-    return total
+        piece = poly(t.coefficient) * poly(t.left) * gens[t.generator] * poly(t.right)
+        for m, q in piece.items():
+            acc = total.get(m)
+            acc = q if acc is None else acc + q
+            if acc:
+                total[m] = acc
+            else:
+                del total[m]
+    return StarPoly(total, _normalized=True)
 
 
 def certificate_is_valid(cert: MembershipCertificate) -> bool:
@@ -157,8 +181,9 @@ def _words_by_charge(length: int) -> Dict[int, List[Word]]:
 
 # -- elimination over Q(i) and over F_P ---------------------------------------
 #
-# Rows are sparse dicts whose keys order themselves (tuples compared
-# natively); the leading term of a row is its largest key.
+# Rows are sparse dicts whose keys order themselves: ints (``_word_key``) for
+# word rows, tuples (``mono_key``) for rows with central symbols; the leading
+# term of a row is its largest key.
 
 
 class _Echelon:
@@ -233,13 +258,10 @@ def _axpy_mod(dst: dict, src: dict, factor: int) -> None:
 
 
 def _mod(q: GaussianRational) -> Optional[int]:
-    """The image of q in F_P (i maps to _I); None when P divides a denominator."""
-    den = q.re.denominator * q.im.denominator
-    if den % P == 0:
+    """The image (x + y·_I)·d⁻¹ of q = (x + y·i)/d in F_P; None when P | d."""
+    if q.d % P == 0:
         return None
-    num = (q.re.numerator * q.im.denominator
-           + q.im.numerator * q.re.denominator * _I)
-    return num * pow(den, -1, P) % P
+    return (q.x + q.y * _I) * pow(q.d, -1, P) % P
 
 
 def _mod_row(row: dict) -> Optional[Dict[object, int]]:
@@ -420,18 +442,31 @@ def _charge_of_poly(p: StarPoly) -> Optional[int]:
     return qs.pop() if len(qs) == 1 else None
 
 
-def _word_key(w: Word) -> Tuple[int, Word]:
-    return (len(w), w)
+def _word_key(w: Word) -> int:
+    """The word as base-4 digits after a leading 1.  Longer words get larger
+    keys and words of one length order lexicographically, exactly like the
+    tuples (len(w), w)."""
+    key = 1
+    for x in w:
+        key = (key << 2) | x
+    return key
 
 
 def _word_rows(gen_terms: Dict[int, List[Tuple[Monomial, object]]]
                ) -> Callable[[Product], dict]:
-    """Row builder for central-free generators, whose terms have distinct words."""
-    words = {i: [(m.word, q) for m, q in terms] for i, terms in gen_terms.items()}
+    """Row builder for central-free generators, whose terms have distinct words.
+
+    The key of u·w·v is that of u shifted past w and v, with the digits of w
+    and of v or'ed in; each generator word is stored as (2·len, digits)."""
+    words = {i: [(2 * len(m.word), _word_key(m.word) ^ (1 << 2 * len(m.word)), q)
+                 for m, q in terms]
+             for i, terms in gen_terms.items()}
 
     def row(item: Product) -> dict:
         gen_idx, u, v = item
-        return {_word_key(u + w + v): q for w, q in words[gen_idx]}
+        ku, shift = _word_key(u), 2 * len(v)
+        vd = _word_key(v) ^ (1 << shift)
+        return {(((ku << s) | wd) << shift) | vd: q for s, wd, q in words[gen_idx]}
     return row
 
 

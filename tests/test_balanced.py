@@ -1,5 +1,9 @@
 """Balanced-pair tests: relations, canonical unitary, homotopies, splits."""
 
+import hashlib
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from balk1.loops import default_gamma, rotating_diagonal_pair, turn
 from balk1.numkern import opnorm, random_unitary, stack_opnorm
 from balk1.relations import REL1, RELATIONS
 from balk1.starpoly import default_suite, parse
+from balk1.starpoly.suites import path_pair
 
 
 def diag_pair():
@@ -298,6 +303,43 @@ def test_linear_trivial_path():
     assert np.allclose(left1, pair.a) and np.allclose(right1, pair.a)
     report = validate_path(path, grid=11, tol=1e-12)
     assert report.ok
+
+
+# sha256 prefixes of the criterion-2 path checks: per kind, the packed
+# (max_residual, worst_t) of validate_path at 101 samples over the 21 pairs,
+# and the bytes of evaluate on every entry of the certified path matrices at
+# s = sin t, c = cos t over the same samples; recorded with coefficients read
+# as complex(float(q.re), float(q.im)), with numpy's bundled OpenBLAS on
+# x86-64 (a different BLAS may round the word products differently)
+_PATH_DIGESTS = {
+    "linear-trivial": ("52a3e0804d93dc52", None),
+    "swap": ("cb87368e7cae64e0", "4bc6aee05efeb5ff"),
+    "adjoint": ("087491e1d1f41479", "706cb237c6765c7b"),
+    "canonical": ("3853f22cf605f6eb", "1331a91b0ae934e2"),
+}
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS)
+def test_path_checks_are_bitwise_the_recorded_ones(kind):
+    pairs = [random_balanced_pair(1 + seed % 4, seed) for seed in range(20)]
+    pairs.append(rotating_diagonal_pair(turn(1), turn(0), default_gamma,
+                                        256).pair_at(113))
+    ts = np.linspace(0.0, np.pi / 2, 101)
+    reports = hashlib.sha256()
+    for pair in pairs:
+        rep = validate_path(HomotopyPath(kind, pair), grid=101, tol=1e-9)
+        reports.update(struct.pack("<dd", rep.max_residual, rep.worst_t))
+    want_reports, want_values = _PATH_DIGESTS[kind]
+    assert reports.hexdigest()[:16] == want_reports
+    if want_values is None:
+        return
+    values = hashlib.sha256()
+    for pair in pairs:
+        for row in itertools.chain(*path_pair(kind)):
+            for x in row:
+                values.update(evaluate(x, pair.a, pair.b, np.sin(ts),
+                                       np.cos(ts)).tobytes())
+    assert values.hexdigest()[:16] == want_values
 
 
 def test_direct_sum_of_balanced_pairs():

@@ -1,5 +1,6 @@
 """Symbolic engine tests: parsing, involution, certificates, suites."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -256,6 +257,12 @@ def test_replay_rejects_tampering():
                           degree_bound=cert.degree_bound,
                           generators=cert.generators, terms=cert.terms)
     assert not certificate_is_valid(tampered)
+    # one term's coefficient changed: its text parses to another polynomial
+    # while the other terms reuse the texts they share with it
+    first = cert.terms[0]
+    doubled = dataclasses.replace(first, coefficient=f"2·({first.coefficient})")
+    tampered = dataclasses.replace(cert, terms=(doubled,) + cert.terms[1:])
+    assert certificate_is_valid(cert) and not certificate_is_valid(tampered)
 
 
 def test_rel2_products_all_certify():
