@@ -11,7 +11,6 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import balanced, loops, serialize
 from .errors import Balk1Error, DegreeBoundError, ParseError, PipelineStageError
@@ -83,7 +82,7 @@ def cmd_check_pair(pair_path, tol, out):
 @main.command("homotopy")
 @click.argument("kind", type=click.Choice(balanced.PATH_KINDS))
 @click.argument("pair_path", type=click.Path())
-@click.option("--grid", type=int, default=101, show_default=True)
+@click.option("--grid", type=click.IntRange(min=2), default=101, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_homotopy(kind, pair_path, grid, tol, out):
@@ -107,24 +106,25 @@ def cmd_homotopy(kind, pair_path, grid, tol, out):
               help="Loop turns of the first unimodular entry.")
 @click.option("--q", "q", type=int, default=0, show_default=True,
               help="Loop turns of the second unimodular entry.")
-@click.option("--grid", type=int, default=256, show_default=True)
+@click.option("--grid", type=click.IntRange(min=1), default=256, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_loop_pair(p, q, grid, tol, out):
-    """Build the rotating-diagonal balanced loop pair and store it."""
+    """Store the rotating-diagonal loop pair as a symbol-pair file: the pair
+    on the + direction, the identity on the - direction, and its split."""
     try:
-        lp = loops.rotating_diagonal_pair(loops.turn(p), loops.turn(q),
-                                          loops.default_gamma, grid, tol)
+        sp = loops.standard_symbol_pair(p, q, grid, tol=tol)
     except Balk1Error as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(USAGE)
-    serialize.dump_json(serialize.loop_pair_to_dict(lp), out)
-    click.echo(f"wrote loop pair (p={p}, q={q}, grid={grid}) to {out}")
+    serialize.dump_json(serialize.symbol_pair_to_dict(
+        sp, loops.standard_split_symbol(grid)), out)
+    click.echo(f"wrote symbol pair (p={p}, q={q}, grid={grid}) to {out}")
     sys.exit(PASS)
 
 
 @main.command("make-pair")
-@click.option("--dim", type=int, default=3, show_default=True)
+@click.option("--dim", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--delta", type=float, default=None,
               help="Build the unitalization pair of a random unitary with "
@@ -146,10 +146,10 @@ def cmd_make_pair(dim, seed, delta, out):
     sys.exit(PASS)
 
 
-def _index_one(p, q, grid, modes, splits, split_sym, tail_cutoff):
+def _index_one(p, q, grid, modes, splits, tail_cutoff):
     sp = loops.standard_symbol_pair(p, q, grid)
-    report = verify_index_theorem(sp, modes, split_symbol=split_sym,
-                                  splits=splits, tail_cutoff=tail_cutoff)
+    report = verify_index_theorem(sp, modes, splits=splits,
+                                  tail_cutoff=tail_cutoff)
     residue = max((v for k, v in report.residuals.items() if "residue" in k),
                   default=0.0)
     return (p, q, report.analytic_svd, report.topological,
@@ -158,12 +158,12 @@ def _index_one(p, q, grid, modes, splits, split_sym, tail_cutoff):
 
 @main.command("index")
 @click.argument("symbolpair_path", required=False, type=click.Path())
-@click.option("--modes", type=int, default=128, show_default=True)
-@click.option("--grid", type=int, default=None,
+@click.option("--modes", type=click.IntRange(min=1), default=128, show_default=True)
+@click.option("--grid", type=click.IntRange(min=1), default=None,
               help="Loop grid for sweep instances (default 16*modes).")
 @click.option("--sweep", type=str, default=None, metavar="P0:P1,Q0:Q1",
               help="Run the loop-turn family over inclusive integer ranges.")
-@click.option("--tail-cutoff", type=int, default=None,
+@click.option("--tail-cutoff", type=click.IntRange(min=0), default=None,
               help="Tail cutoff M at the base mode count (default modes/2).")
 @click.option("--out", type=click.Path())
 def cmd_index(symbolpair_path, modes, grid, sweep, tail_cutoff, out):
@@ -183,9 +183,10 @@ def cmd_index(symbolpair_path, modes, grid, sweep, tail_cutoff, out):
                     f"p={row[0]:+d} q={row[1]:+d}: analytic={row[2]:+d} "
                     f"topological={row[3]:+d} pass={row[4]}")
             sys.exit(PASS if all(r[4] for r in rows) else FAIL)
-        sp = serialize.symbol_pair_from_dict(
+        sp, split = serialize.symbol_pair_from_dict(
             serialize.load_json(symbolpair_path))
-        report = verify_index_theorem(sp, modes, tail_cutoff=tail_cutoff)
+        report = verify_index_theorem(sp, modes, split_symbol=split,
+                                      tail_cutoff=tail_cutoff)
         _write_or_print(serialize.index_report_to_dict(report), out)
         sys.exit(PASS if report.verdict else FAIL)
     except PipelineStageError as exc:
@@ -208,13 +209,14 @@ def _run_sweep(sweep: str, modes: int, grid: int | None,
     except ValueError:
         raise ValueError(f"cannot parse sweep spec {sweep!r}; "
                          "expected P0:P1,Q0:Q1") from None
+    if p0 > p1 or q0 > q1:
+        raise ValueError(f"sweep spec {sweep!r} has an empty range; "
+                         "each range needs start <= end")
     grid = 16 * modes if grid is None else grid
-    split_sym = (loops.subbundle_projection_loop(grid),
-                 loops.MatrixLoop.constant(np.zeros((2, 2)), grid))
-    base = loops.standard_symbol_pair(0, 0, grid)
-    splits = {n: splitting_projection(base, n, explicit_symbol=split_sym)
-              for n in (modes, 2 * modes)}
-    return [_index_one(p, q, grid, modes, splits, split_sym, tail_cutoff)
+    base, split_sym = (loops.standard_symbol_pair(0, 0, grid),
+                       loops.standard_split_symbol(grid))
+    splits = {n: splitting_projection(base, n, split_sym) for n in (modes, 2 * modes)}
+    return [_index_one(p, q, grid, modes, splits, tail_cutoff)
             for p in range(p0, p1 + 1) for q in range(q0, q1 + 1)]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -86,6 +86,10 @@ class MatrixLoop:
     def check_continuity(self, budget: Optional[float] = None) -> bool:
         budget = self.continuity_budget() if budget is None else budget
         return self.max_step() <= budget
+
+
+# a splitting symbol: projection-valued loops on the + and - directions
+SplitSymbol = Tuple[MatrixLoop, MatrixLoop]
 
 
 @dataclass(frozen=True)
@@ -213,6 +217,14 @@ def standard_symbol_pair(p: int, q: int, grid: int,
     eye_loop = MatrixLoop.constant(np.eye(2), grid)
     minus = LoopPair(eye_loop, eye_loop, tol)
     return SymbolPair(plus, minus)
+
+
+def standard_split_symbol(grid: int) -> SplitSymbol:
+    """Splitting symbol of every ``standard_symbol_pair``: the rotating line
+    on the + direction, where the difference lives, and zero on the identity
+    - direction."""
+    return (subbundle_projection_loop(grid),
+            MatrixLoop.constant(np.zeros((2, 2)), grid))
 
 
 def vanishing_point_pair(grid: int,

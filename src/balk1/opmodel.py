@@ -16,6 +16,13 @@ the half-line structure, so every stage works block by block and takes the
 maximum of the block norms; operands on different partitions meet as one
 block each.  ``TruncOp.matrix`` is a dense view for codecs and tests.
 
+The split H = H1 + H2 is part of the input, as in the paper: the difference
+of a pair lives on H1 and its unitarity defects on H2.  The caller names it
+by a splitting symbol, one projection-valued loop per cosphere direction
+(``loops.standard_split_symbol`` for the rotating-diagonal family), and
+``splitting_projection`` quantizes and rounds that symbol; nothing here
+derives a split from the pair.
+
 Everything that reads a pair against a split (the split verification, the
 corner estimates, and in ``relindex`` the comparison check and the index
 candidates) reads one record per diagonal block, ``SplitBlock``, from one
@@ -40,13 +47,12 @@ import scipy.linalg as sla
 
 from .balanced import relation_matrices, relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
-from .loops import LoopPair, MatrixLoop, SymbolPair
+from .loops import MatrixLoop, SplitSymbol, SymbolPair
 from .numkern import Array, opnorm
 from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
 BANDWIDTH_FLOOR = 1e-3  # bandwidth: lags above this share of the top norm
-SPLIT_FLATNESS = 0.1  # largest distance of a smoothed split symbol from {0, 1}
 SPLIT_THRESHOLD, SPLIT_GAP = 0.25, 0.05  # split rounding cut, its empty band
 
 Frames = Tuple[Array, Array]  # orthonormal bases of a range and its complement
@@ -399,18 +405,6 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
 # -- splitting projection ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothStep:
-    """0 below eta^2, smooth rise, 1 beyond 4 eta^2."""
-
-    eta: float = 0.1
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self.eta ** 2, 4 * self.eta ** 2
-        y = np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
-        return y * y * (3 - 2 * y)
-
-
 class ModeSplit:
     """A projection on the truncated space, kept as orthonormal frames
     (V of the range, W of the kernel) on each of its diagonal blocks.
@@ -418,16 +412,14 @@ class ModeSplit:
     Built from a bare projector, it diagonalizes it as one block.
     """
 
-    def __init__(self, projector: Array, label: str = ""):
+    def __init__(self, projector: Array):
         p = np.asarray(projector, dtype=np.complex128)
         w, v = np.linalg.eigh((p + _h(p)) / 2)
-        self.label = label
         self.blocks: Tuple[Frames, ...] = ((v[:, w > 0.5], v[:, w <= 0.5]),)
 
     @classmethod
-    def from_frames(cls, blocks: Sequence[Frames], label: str = "") -> "ModeSplit":
+    def from_frames(cls, blocks: Sequence[Frames]) -> "ModeSplit":
         split = cls.__new__(cls)
-        split.label = label
         split.blocks = tuple(blocks)
         return split
 
@@ -449,47 +441,14 @@ class ModeSplit:
         if len(self.blocks) == 1:
             return self
         vs, ws = zip(*self.blocks)
-        return ModeSplit.from_frames(
-            ((sla.block_diag(*vs), sla.block_diag(*ws)),), self.label)
-
-
-def _split_symbol_from_step(sp: SymbolPair) -> Tuple[MatrixLoop, MatrixLoop]:
-    worst, step = 0.0, SmoothStep()
-
-    def build(lp: LoopPair) -> MatrixLoop:
-        nonlocal worst
-        s1, s2 = lp.sigma1.samples, lp.sigma2.samples
-        d = s1 - s2
-        dd = d @ d.conj().transpose(0, 2, 1) + d.conj().transpose(0, 2, 1) @ d
-        out = np.empty_like(s1)
-        for k in range(s1.shape[0]):
-            w, v = np.linalg.eigh((dd[k] + dd[k].conj().T) / 2)
-            values = step(w)
-            mid = np.minimum(values, 1 - values)
-            worst = max(worst, float(mid.max(initial=0.0)))
-            out[k] = (v * values[np.newaxis, :]) @ v.conj().T
-        return MatrixLoop(out)
-
-    loops = build(sp.plus), build(sp.minus)
-    if worst > SPLIT_FLATNESS:
-        raise SpectralGapError(
-            "difference-support symbol is not projection-valued: its spectrum "
-            f"reaches {worst:.3f} away from {{0, 1}}; supply an explicit "
-            "splitting symbol", 0.5)
-    return loops
+        return ModeSplit.from_frames(((sla.block_diag(*vs), sla.block_diag(*ws)),))
 
 
 def splitting_projection(sp: SymbolPair, modes: int,
-                         explicit_symbol: Optional[Tuple[MatrixLoop, MatrixLoop]] = None
-                         ) -> ModeSplit:
-    """Quantize a splitting symbol and round it inclusively to a projection.
-
-    By default the symbol is the smoothed support of the pointwise difference,
-    step(dd* + d*d) with d = sigma1 - sigma2 per component and the default
-    ``SmoothStep``.  Where that field is not projection-valued (difference
-    vanishing on part of the circle) the construction reports a spectral-gap
-    failure; callers may then supply an explicit projection-valued splitting
-    symbol such as :func:`balk1.loops.subbundle_projection_loop`.
+                         explicit_symbol: SplitSymbol) -> ModeSplit:
+    """Quantize the caller's splitting symbol, one projection-valued loop per
+    cosphere direction of the pair ``sp``, and round it inclusively to a
+    projection.  The symbol must act on the pair's dimension.
 
     The compression of a projection symbol carries a handful of boundary
     states with eigenvalues strictly inside (0, 1), paired symmetrically by
@@ -502,10 +461,11 @@ def splitting_projection(sp: SymbolPair, modes: int,
     split on that block.  The returned split is guaranteed only to be a
     projection; its quality is established by :func:`verify_split_blocks`.
     """
-    symbol = explicit_symbol if explicit_symbol is not None \
-        else _split_symbol_from_step(sp)
-    raw = quantize_symbol(symbol[0], symbol[1], modes, enforce_bandwidth=False)
-    label = "explicit" if explicit_symbol is not None else "difference-support"
+    dims = [loop.dim for loop in explicit_symbol]
+    if dims != [sp.dim, sp.dim]:
+        raise ShapeError(f"split symbol dimensions {dims} do not match the "
+                         f"symbol pair dimension {sp.dim}")
+    raw = quantize_symbol(*explicit_symbol, modes, enforce_bandwidth=False)
     frames, inside = [], []
     for block in raw.blocks:
         w, v = np.linalg.eigh((block + _h(block)) / 2)
@@ -517,7 +477,7 @@ def splitting_projection(sp: SymbolPair, modes: int,
             f"eigenvalue {bad:.6f} inside the rounding band "
             f"[{SPLIT_THRESHOLD - SPLIT_GAP:.3f}, "
             f"{SPLIT_THRESHOLD + SPLIT_GAP:.3f}]", bad)
-    return ModeSplit.from_frames(frames, label)
+    return ModeSplit.from_frames(frames)
 
 
 # -- split verification ------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 from .balanced import canonical_unitary
 from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
                      PipelineStageError, ShapeError, SingularGapError)
-from .loops import MatrixLoop, SymbolPair, topo_index
+from .loops import SplitSymbol, SymbolPair, topo_index
 from .numkern import Array, opnorm
 from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
                       clip_to_contraction, corner_estimates, diagonal_blocks,
@@ -346,17 +346,18 @@ class IndexReport:
 
 
 def verify_index_theorem(sp: SymbolPair, modes: int,
-                         split_symbol: Optional[Tuple[MatrixLoop, MatrixLoop]] = None,
+                         split_symbol: Optional[SplitSymbol] = None,
                          eps: float = 0.1, kbalance_tol: float = 0.05,
                          splits: Optional[Dict[int, ModeSplit]] = None,
                          tail_cutoff: Optional[int] = None) -> IndexReport:
     """Quantize, verify the split, and compare every analytic index with the
     winding index at the requested mode count and its double.
 
-    ``splits`` may carry precomputed splitting projections keyed by mode
-    count (they depend only on the splitting symbol, so sweeps over symbol
-    families can share them).  ``tail_cutoff`` overrides the default mode
-    cutoff N/2 at the base size and is doubled along with it.
+    The split at mode count N is ``splits[N]`` when given (splits depend
+    only on the splitting symbol, so sweeps over symbol families share
+    them), else the quantized ``split_symbol``; with neither the pipeline
+    fails at stage ``splitting_projection``.  ``tail_cutoff`` overrides the
+    default mode cutoff N/2 at the base size and is doubled along with it.
     """
 
     def stage(name, fn, *args, **kwargs):
@@ -380,9 +381,12 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         residuals[f"kbalance_worst_N{n}"] = kb.worst(cut.m)
         if splits is not None and n in splits:
             split = splits[n]
+        elif split_symbol is None:
+            raise PipelineStageError("splitting_projection", ValueError(
+                f"no split at N = {n}: pass splits[{n}] or split_symbol"))
         else:
             split = stage("splitting_projection", splitting_projection,
-                          sp, n, explicit_symbol=split_symbol)
+                          sp, n, split_symbol)
         blocks = stage("verify_split_blocks", verify_split_blocks,
                        d1, d2, split, cut, eps)
         residuals[f"measured_eps_N{n}"] = blocks.max_measured

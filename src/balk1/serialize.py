@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
+from typing import Tuple
+
 import numpy as np
 
 from .balanced import BalancedPair, BalanceReport
-from .loops import LoopPair, MatrixLoop, SymbolPair
+from .loops import LoopPair, MatrixLoop, SplitSymbol, SymbolPair
 from .opmodel import TruncOp
 from .relindex import IndexReport
 
@@ -60,17 +62,21 @@ def loop_pair_from_dict(data: dict) -> LoopPair:
                     float(data.get("tol", 1e-10)))
 
 
-def symbol_pair_to_dict(sp: SymbolPair) -> dict:
-    return {"plus": loop_pair_to_dict(sp.plus), "minus": loop_pair_to_dict(sp.minus)}
+def symbol_pair_to_dict(sp: SymbolPair, split: SplitSymbol) -> dict:
+    """A symbol pair with its splitting symbol, one loop per direction."""
+    return {"plus": loop_pair_to_dict(sp.plus), "minus": loop_pair_to_dict(sp.minus),
+            "split": {"plus": loop_to_dict(split[0]), "minus": loop_to_dict(split[1])}}
 
 
-def symbol_pair_from_dict(data: dict) -> SymbolPair:
-    missing = [key for key in ("plus", "minus") if key not in data]
+def symbol_pair_from_dict(data: dict) -> Tuple[SymbolPair, SplitSymbol]:
+    missing = [key for key in ("plus", "minus", "split") if key not in data]
     if missing:
-        raise ValueError(f"symbol-pair file lacks {missing}: it needs 'plus' and "
-                         "'minus' (a loop-pair file has 'sigma1' and 'sigma2')")
-    return SymbolPair(loop_pair_from_dict(data["plus"]),
-                      loop_pair_from_dict(data["minus"]))
+        raise ValueError(f"symbol-pair file lacks {missing}: it needs 'plus', "
+                         "'minus' and 'split' (balk1 loop-pair writes one)")
+    sp = SymbolPair(loop_pair_from_dict(data["plus"]),
+                    loop_pair_from_dict(data["minus"]))
+    split = data["split"]
+    return sp, (loop_from_dict(split["plus"]), loop_from_dict(split["minus"]))
 
 
 def trunc_op_to_dict(op: TruncOp) -> dict:

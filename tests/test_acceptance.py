@@ -15,8 +15,8 @@ import pytest
 from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, make_c,
                             random_balanced_pair, unitalization_pair,
                             validate_path)
-from balk1.loops import (MatrixLoop, default_gamma, rotating_diagonal_pair,
-                         standard_symbol_pair, subbundle_projection_loop, turn)
+from balk1.loops import (default_gamma, rotating_diagonal_pair,
+                         standard_split_symbol, standard_symbol_pair, turn)
 from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
                            quantize, splitting_projection,
@@ -49,8 +49,7 @@ class SweepData:
 
 @pytest.fixture(scope="module")
 def sweep() -> SweepData:
-    split_sym = (subbundle_projection_loop(SWEEP_GRID),
-                 MatrixLoop.constant(np.zeros((2, 2)), SWEEP_GRID))
+    split_sym = standard_split_symbol(SWEEP_GRID)
     base = standard_symbol_pair(0, 0, SWEEP_GRID)
     splits = {n: splitting_projection(base, n, explicit_symbol=split_sym)
               for n in (SWEEP_MODES, 2 * SWEEP_MODES)}
@@ -190,8 +189,7 @@ def test_criterion_7_split_decomposition():
     n = 256
     grid = 4096
     sp = standard_symbol_pair(1, 0, grid)
-    split_sym = (subbundle_projection_loop(grid),
-                 MatrixLoop.constant(np.zeros((2, 2)), grid))
+    split_sym = standard_split_symbol(grid)
     d1, d2 = quantize(sp, n)
     d1, d2 = clip_to_contraction(d1), clip_to_contraction(d2)
     split = splitting_projection(sp, n, explicit_symbol=split_sym)

@@ -15,7 +15,7 @@ import balk1
 from balk1 import serialize
 from balk1.balanced import BalancedPair, random_balanced_pair
 from balk1.cli import main
-from balk1.loops import standard_symbol_pair
+from balk1.loops import standard_split_symbol, standard_symbol_pair
 from balk1.starpoly import suites
 
 
@@ -72,9 +72,14 @@ def test_loop_pair_command(runner, tmp_path):
     result = runner.invoke(main, ["loop-pair", "--p", "1", "--q", "0",
                                   "--grid", "128", "--out", str(out)])
     assert result.exit_code == 0
-    lp = serialize.loop_pair_from_dict(serialize.load_json(str(out)))
+    sp, split = serialize.symbol_pair_from_dict(serialize.load_json(str(out)))
+    lp = sp.plus
     assert lp.grid == 128 and lp.dim == 2
     assert lp.max_pointwise_residual() <= 1e-10
+    assert np.array_equal(sp.minus.sigma1.samples,
+                          np.broadcast_to(np.eye(2), (128, 2, 2)))
+    for loop, expected in zip(split, standard_split_symbol(128)):
+        assert np.array_equal(loop.samples, expected.samples)
 
 
 def test_verify_identities_subset(runner, tmp_path):
@@ -124,10 +129,15 @@ def test_index_requires_input_or_sweep(runner):
     assert result.exit_code == 2
 
 
+def write_symbol_pair(path, sp):
+    serialize.dump_json(serialize.symbol_pair_to_dict(
+        sp, standard_split_symbol(sp.plus.grid)), str(path))
+
+
 def test_index_trivial_symbol_pair(runner, tmp_path):
     sp = standard_symbol_pair(0, 0, 512)
     path = tmp_path / "sp.json"
-    serialize.dump_json(serialize.symbol_pair_to_dict(sp), str(path))
+    write_symbol_pair(path, sp)
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["index", str(path), "--modes", "32",
                                   "--out", str(out)])
@@ -139,7 +149,7 @@ def test_index_trivial_symbol_pair(runner, tmp_path):
 def test_index_undersampled_loop_fails_at_quantize(runner, tmp_path):
     sp = standard_symbol_pair(0, 0, 64)
     path = tmp_path / "sp.json"
-    serialize.dump_json(serialize.symbol_pair_to_dict(sp), str(path))
+    write_symbol_pair(path, sp)
     result = runner.invoke(main, ["index", str(path), "--modes", "64"])
     assert result.exit_code == 1
     assert "quantize" in result.output
@@ -190,9 +200,54 @@ def test_cli_import_leaves_the_symbolic_engine_unloaded():
 
 def test_index_names_the_keys_a_loop_pair_file_lacks(runner, tmp_path):
     lp = tmp_path / "lp.json"
-    made = runner.invoke(main, ["loop-pair", "--grid", "64", "--out", str(lp)])
-    assert made.exit_code == 0
+    serialize.dump_json(serialize.loop_pair_to_dict(
+        standard_symbol_pair(1, 0, 64).plus), str(lp))
     result = runner.invoke(main, ["index", str(lp), "--modes", "8"])
     assert result.exit_code == 2
-    assert "lacks ['plus', 'minus']" in result.output
-    assert "'sigma1' and 'sigma2'" in result.output
+    assert "lacks ['plus', 'minus', 'split']" in result.output
+    # a symbol-pair file without its splitting symbol
+    made = runner.invoke(main, ["loop-pair", "--grid", "64", "--out", str(lp)])
+    assert made.exit_code == 0
+    data = json.loads(lp.read_text())
+    del data["split"]
+    lp.write_text(json.dumps(data))
+    result = runner.invoke(main, ["index", str(lp), "--modes", "8"])
+    assert result.exit_code == 2
+    assert "lacks ['split']" in result.output
+
+
+def test_loop_pair_file_round_trips_through_index(runner, tmp_path):
+    path, out = tmp_path / "sp.json", tmp_path / "report.json"
+    made = runner.invoke(main, ["loop-pair", "--p", "1", "--q", "0",
+                                "--grid", "1024", "--out", str(path)])
+    assert made.exit_code == 0, made.output
+    result = runner.invoke(main, ["index", str(path), "--modes", "64",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text())
+    values = [v for engines in payload["details"].values()
+              for series in engines.values() for v in series.values()]
+    assert payload["verdict"] and payload["topological"] == -1
+    assert len(values) == 16 and set(values) == {-1}
+
+
+@pytest.mark.parametrize("args", [
+    ["homotopy", "swap", "PAIR", "--grid", "1"],
+    ["index", "--sweep", "0:0,0:0", "--modes", "0"],
+    ["index", "--sweep", "0:0,0:0", "--modes", "-3"],
+    ["loop-pair", "--grid", "0", "--out", "OUT"],
+    ["index", "--sweep", "1:0,0:0"],
+    ["index", "--sweep", "1:1,0:0", "--modes", "64", "--tail-cutoff", "-1"],
+    ["make-pair", "--dim", "0", "--delta", "0.2", "--out", "OUT"],
+], ids=["homotopy-grid-1", "index-modes-0", "index-modes-negative",
+        "loop-pair-grid-0", "index-empty-sweep", "index-tail-cutoff-negative",
+        "make-pair-dim-0"])
+def test_cli_rejects_degenerate_sizes(runner, pair_file, tmp_path, args):
+    out = tmp_path / "x.json"
+    args = [pair_file if a == "PAIR" else str(out) if a == "OUT" else a
+            for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output.lower()
+    assert not out.exists()

@@ -6,10 +6,10 @@ import pytest
 from balk1.balanced import REL1_NAMES, REL2_NAMES
 from balk1.errors import ShapeError, SpectralGapError, UndersampledError
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
-                         rotating_diagonal_pair, standard_symbol_pair,
-                         subbundle_projection_loop, turn)
+                         rotating_diagonal_pair, standard_split_symbol,
+                         standard_symbol_pair, subbundle_projection_loop, turn)
 from balk1.numkern import opnorm
-from balk1.opmodel import (ModeSplit, SmoothStep, TailCutoff, TruncOp,
+from balk1.opmodel import (ModeSplit, TailCutoff, TruncOp,
                            bandwidth_estimate, block_slices, clip_to_contraction,
                            kbalance_report, quantize, quantize_symbol,
                            same_partition, split_blocks, splitting_projection,
@@ -222,7 +222,8 @@ def test_hardy_isometry_modulo_tail():
 
 def test_splitting_projection_trivial_difference():
     sp = standard_symbol_pair(1, 1, 1024)
-    split = splitting_projection(sp, 64)
+    zero = MatrixLoop.constant(np.zeros((2, 2)), 1024)
+    split = splitting_projection(sp, 64, (zero, zero))
     assert split.rank == 0
 
 
@@ -231,37 +232,33 @@ def test_splitting_projection_full_difference():
     lp = LoopPair(MatrixLoop.constant(-np.eye(1), grid),
                   MatrixLoop.constant(np.eye(1), grid))
     sp = SymbolPair(lp, LoopPair(identity_loop(1, grid), identity_loop(1, grid)))
-    split = splitting_projection(sp, 16)
+    split = splitting_projection(sp, 16, (identity_loop(1, grid),
+                                          MatrixLoop.constant(np.zeros((1, 1)), grid)))
     assert split.rank == 17  # every nonnegative mode
 
 
 def test_splitting_projection_gap_failure_and_override():
     sp = standard_symbol_pair(1, 0, 1024)
-    with pytest.raises(SpectralGapError):
-        splitting_projection(sp, 64)
-    explicit = (subbundle_projection_loop(1024),
-                MatrixLoop.constant(np.zeros((2, 2)), 1024))
-    split = splitting_projection(sp, 64, explicit_symbol=explicit)
+    quarter = MatrixLoop.constant(np.eye(2) / 4, 1024)
+    with pytest.raises(SpectralGapError):  # every eigenvalue at the cut
+        splitting_projection(sp, 64, (quarter, quarter))
+    split = splitting_projection(sp, 64, explicit_symbol=standard_split_symbol(1024))
     p = split.projector
     assert opnorm(p @ p - p) < 1e-10
     assert opnorm(p - p.conj().T) < 1e-10
 
 
-def test_smooth_step_profile():
-    step = SmoothStep(eta=0.1)
-    assert step(np.array([0.0]))[0] == 0.0
-    assert step(np.array([0.005]))[0] == 0.0
-    assert step(np.array([0.04]))[0] == 1.0
-    mid = step(np.array([0.02]))[0]
-    assert 0.0 < mid < 1.0
+def test_splitting_projection_rejects_a_split_of_another_dimension():
+    sp = standard_symbol_pair(1, 0, 1024)
+    one = identity_loop(1, 1024)
+    with pytest.raises(ShapeError):
+        splitting_projection(sp, 64, (one, one))
 
 
 def test_verify_split_blocks_equal_operators():
     sp = standard_symbol_pair(1, 0, 1024)
     d1, _ = quantize(sp, 64)
-    explicit = (subbundle_projection_loop(1024),
-                MatrixLoop.constant(np.zeros((2, 2)), 1024))
-    split = splitting_projection(sp, 64, explicit_symbol=explicit)
+    split = splitting_projection(sp, 64, explicit_symbol=standard_split_symbol(1024))
     report = verify_split_blocks(d1, d1, split, TailCutoff(32), eps=0.05)
     assert max(report.diff_blocks.values()) == 0.0
 
@@ -269,7 +266,7 @@ def test_verify_split_blocks_equal_operators():
 def test_verify_split_blocks_degenerate_identity_split():
     sp = standard_symbol_pair(1, 0, 1024)
     d1, d2 = quantize(sp, 64)
-    split = ModeSplit(np.eye(d1.size), "identity")
+    split = ModeSplit(np.eye(d1.size))
     report = verify_split_blocks(d1, d2, split, TailCutoff(32), eps=0.1)
     assert report.degenerate
     # the difference blocks vanish with H2 = 0, but the defects are then
@@ -281,9 +278,7 @@ def test_verify_split_blocks_degenerate_identity_split():
 def test_verify_block_estimates_equal_operators():
     sp = standard_symbol_pair(1, 0, 1024)
     d1, _ = quantize(sp, 64)
-    explicit = (subbundle_projection_loop(1024),
-                MatrixLoop.constant(np.zeros((2, 2)), 1024))
-    split = splitting_projection(sp, 64, explicit_symbol=explicit)
+    split = splitting_projection(sp, 64, explicit_symbol=standard_split_symbol(1024))
     report = verify_block_estimates(d1, d1, split, TailCutoff(32), eps=0.05)
     assert report.estimates["A11*A11-B11*B11"] == 0.0
     assert report.passed

@@ -6,8 +6,8 @@ import pytest
 from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
                           SingularGapError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
-                         rotating_diagonal_pair, standard_symbol_pair,
-                         subbundle_projection_loop, turn)
+                         rotating_diagonal_pair, standard_split_symbol,
+                         standard_symbol_pair, subbundle_projection_loop, turn)
 from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
                            quantize, split_blocks, splitting_projection,
@@ -107,8 +107,7 @@ def test_interior_weights_discard_edge_artifacts():
 def flagship():
     grid = 1024
     sp = standard_symbol_pair(1, 0, grid)
-    split_sym = (subbundle_projection_loop(grid),
-                 MatrixLoop.constant(np.zeros((2, 2)), grid))
+    split_sym = standard_split_symbol(grid)
     d1, d2 = quantize(sp, 64)
     d1, d2 = clip_to_contraction(d1), clip_to_contraction(d2)
     split = splitting_projection(sp, 64, explicit_symbol=split_sym)
@@ -171,12 +170,17 @@ def test_custom_choice_validation_rejects_junk(flagship):
         rel_index(d1, d2, split, CChoice("custom", junk), cut, eps=0.1)
 
 
-def test_verify_index_theorem_flagship():
+@pytest.mark.parametrize("gamma", [
+    default_gamma,
+    lambda t: 1.0 - np.sin(2.0 * t),  # vanishes at t = pi/4
+    lambda t: np.cos(2.0 * t) ** 2,   # vanishes at t = pi/4
+], ids=["default_gamma", "one_minus_sin_2t", "cos_squared_2t"])
+def test_verify_index_theorem_flagship(gamma):
+    """The index holds for non-elliptic symbols too: where gamma vanishes
+    the pair is not invertible."""
     grid = 1024
-    sp = standard_symbol_pair(1, 0, grid)
-    split_sym = (subbundle_projection_loop(grid),
-                 MatrixLoop.constant(np.zeros((2, 2)), grid))
-    report = verify_index_theorem(sp, 64, split_symbol=split_sym)
+    sp = standard_symbol_pair(1, 0, grid, gamma)
+    report = verify_index_theorem(sp, 64, split_symbol=standard_split_symbol(grid))
     assert report.verdict
     assert report.analytic_svd == report.analytic_fedosov == -1
     assert report.topological == -1
@@ -190,6 +194,7 @@ def test_verify_index_theorem_flagship():
         worst = kbalance_report(d1, d2, cut).worst(cut.m)
         assert report.residuals[f"kbalance_worst_N{n}"] == worst > 0
         assert report.residuals[f"count_gap_N{n}"] > 100
+        assert report.residuals[f"measured_eps_N{n}"] < 0.1
 
 
 def winding_direction(turns, grid):
@@ -222,9 +227,18 @@ def test_verify_index_theorem_winding_families(plus, minus, expected):
 def test_verify_index_theorem_equal_symbols():
     grid = 1024
     sp = standard_symbol_pair(1, 1, grid)
-    report = verify_index_theorem(sp, 64)
+    report = verify_index_theorem(sp, 64, split_symbol=standard_split_symbol(grid))
     assert report.verdict
     assert report.analytic_svd == report.topological == 0
+
+
+def test_verify_index_theorem_needs_a_split():
+    grid = 1024
+    sp = standard_symbol_pair(1, 1, grid)
+    with pytest.raises(PipelineStageError) as err:
+        verify_index_theorem(sp, 64)
+    assert err.value.stage == "splitting_projection"
+    assert "splits[64]" in str(err.value) and "split_symbol" in str(err.value)
 
 
 def test_pipeline_attributes_stage_failures():

@@ -5,7 +5,7 @@ import pytest
 
 from balk1 import serialize
 from balk1.balanced import random_balanced_pair
-from balk1.loops import standard_symbol_pair
+from balk1.loops import standard_split_symbol, standard_symbol_pair
 
 
 def test_pair_roundtrip():
@@ -17,10 +17,13 @@ def test_pair_roundtrip():
 
 
 def test_symbol_pair_roundtrip():
-    sp = standard_symbol_pair(1, 0, 64)
-    back = serialize.symbol_pair_from_dict(serialize.symbol_pair_to_dict(sp))
+    sp, split = standard_symbol_pair(1, 0, 64), standard_split_symbol(64)
+    back, back_split = serialize.symbol_pair_from_dict(
+        serialize.symbol_pair_to_dict(sp, split))
     assert np.array_equal(back.plus.sigma1.samples, sp.plus.sigma1.samples)
     assert back.minus.dim == 2
+    for loop, stored in zip(split, back_split):
+        assert np.array_equal(stored.samples, loop.samples)
 
 
 def test_loop_rejects_unknown_domain():
