@@ -70,7 +70,7 @@ class EngineDisagreementError(Balk1Error, ValueError):
 
 
 class CChoiceError(Balk1Error, ValueError):
-    """A comparison operator fails the required closeness conditions."""
+    """A comparison choice is unknown or fails the closeness conditions."""
 
 
 class PipelineStageError(Balk1Error, RuntimeError):

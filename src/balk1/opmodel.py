@@ -6,15 +6,13 @@ by the + symbol, the negative modes the compression of the - symbol.  Loops
 sampled on the glued interval [0, pi/2) are read in the circle coordinate
 tau = 4t, so one loop turn is one Fourier harmonic.
 
-Operators are kept as their diagonal blocks over a partition of the
-coordinates: the two half-lines n < 0 and n >= 0, each a finite Toeplitz
-section, as quantization builds them, or the whole space as one block.  A
-dense matrix passes a structure check: it becomes the two half-line blocks
-when its off-diagonal half-line blocks are exactly zero, and one block
-otherwise.  Clipping, spectral splitting and the defect products preserve
-the half-line structure, so every stage works block by block and takes the
-maximum of the block norms; operands on different partitions meet as one
-block each.  ``TruncOp.matrix`` is a dense view for codecs and tests.
+Operators are kept as their two half-line blocks n < 0 and n >= 0, each a
+finite Toeplitz section, as quantization builds them.  A dense matrix passes
+a structure check: its off-diagonal half-line blocks must be exactly zero.
+Clipping, spectral splitting and the defect products preserve the
+half-line structure, so every stage works block by block and takes the
+maximum of the block norms.  ``TruncOp.matrix`` is a dense view for codecs
+and tests.
 
 The split H = H1 + H2 is part of the input, as in the paper: the difference
 of a pair lives on H1 and its unitarity defects on H2.  The caller names it
@@ -25,7 +23,7 @@ derives a split from the pair.
 
 Everything that reads a pair against a split (the split verification, the
 corner estimates, and in ``relindex`` the comparison check and the index
-candidates) reads one record per diagonal block, ``SplitBlock``, from one
+candidates) reads one record per half-line block, ``SplitBlock``, from one
 builder, ``split_blocks``.  The four corner expressions, rows of the relation
 table, are read with their 2 eps and 4 eps bounds in ``corner_estimates``.
 
@@ -39,7 +37,7 @@ as two-point convergence between a cutoff and its double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,18 +71,6 @@ def block_slices(sizes: Sequence[int]) -> List[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def diagonal_blocks(matrix: Array, row_sizes: Sequence[int],
-                    col_sizes: Sequence[int]) -> Tuple[Array, ...]:
-    """The diagonal blocks of a matrix over row and column partitions when
-    every off-diagonal block is exactly zero, else the matrix as one block."""
-    rows, cols = block_slices(row_sizes), block_slices(col_sizes)
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            if i != j and np.any(matrix[r, c]):
-                return (matrix,)
-    return tuple(matrix[r, c].copy() for r, c in zip(rows, cols))
-
-
 def block_band_norm(blocks: Sequence[Array], mask: np.ndarray) -> float:
     """Band norm of a block-diagonal matrix: the largest block band norm."""
     slices = block_slices([blk.shape[0] for blk in blocks])
@@ -93,10 +79,10 @@ def block_band_norm(blocks: Sequence[Array], mask: np.ndarray) -> float:
 
 class TruncOp:
     """Operator on Fourier modes -N..N tensor C^dim, row (n+N)*dim + j, kept
-    as its diagonal blocks: the two half-lines, or the whole space.
+    as its two half-line blocks n < 0 and n >= 0.
 
-    The constructor takes a dense matrix and splits it into the half-line
-    blocks exactly when its off-diagonal half-line blocks are zero.
+    The constructor takes a dense matrix whose off-diagonal half-line blocks
+    are zero and keeps its two diagonal blocks.
     """
 
     def __init__(self, modes: int, dim: int, matrix: Array):
@@ -105,18 +91,19 @@ class TruncOp:
         if m.shape != (size, size):
             raise ShapeError(f"matrix shape {m.shape} does not match "
                              f"(modes={modes}, dim={dim})")
-        sizes = half_lines(modes, dim)
+        k, _ = half_lines(modes, dim)
+        if np.any(m[:k, k:]) or np.any(m[k:, :k]):
+            raise ShapeError("matrix couples the half-lines n < 0 and n >= 0: "
+                             "its off-diagonal half-line blocks are nonzero")
         self.modes, self.dim = modes, dim
-        self.blocks = diagonal_blocks(m, sizes, sizes)
+        self.blocks = (m[:k, :k].copy(), m[k:, k:].copy())
 
     @classmethod
     def from_blocks(cls, modes: int, dim: int,
                     blocks: Sequence[Array]) -> "TruncOp":
-        """An operator from its half-line blocks or its one whole block."""
+        """An operator from its half-line blocks n < 0 and n >= 0."""
         blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
-        sizes = tuple(b.shape[0] for b in blocks)
-        if (sizes not in (half_lines(modes, dim), (dim * (2 * modes + 1),))
-                or any(b.shape != (k, k) for b, k in zip(blocks, sizes))):
+        if [b.shape for b in blocks] != [(k, k) for k in half_lines(modes, dim)]:
             raise ShapeError(f"block shapes {[b.shape for b in blocks]} do not "
                              f"match (modes={modes}, dim={dim})")
         op = cls.__new__(cls)
@@ -135,20 +122,6 @@ class TruncOp:
     def matrix(self) -> Array:
         """Dense view; built on every access."""
         return sla.block_diag(*self.blocks)
-
-    def merged(self) -> "TruncOp":
-        """The same operator as one block."""
-        if len(self.blocks) == 1:
-            return self
-        return TruncOp.from_blocks(self.modes, self.dim, (self.matrix,))
-
-
-def same_partition(*parts):
-    """Operators and splits on one partition: unchanged when they share one,
-    otherwise each merged into one block."""
-    if len({part.sizes for part in parts}) == 1:
-        return parts
-    return tuple(part.merged() for part in parts)
 
 
 @dataclass(frozen=True)
@@ -380,7 +353,6 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
         raise ShapeError("operators must share modes and dimension")
     if cut.m >= a.modes:
         raise ValueError(f"cutoff {cut.m} must be below the mode count {a.modes}")
-    a, b = same_partition(a, b)
     slices = block_slices(a.sizes)
     cutoffs = (cut.m, min(2 * cut.m, a.modes))
     residuals: Dict[str, Dict[int, float]] = {}
@@ -407,21 +379,10 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
 
 class ModeSplit:
     """A projection on the truncated space, kept as orthonormal frames
-    (V of the range, W of the kernel) on each of its diagonal blocks.
+    (V of the range, W of the kernel) on each half-line block."""
 
-    Built from a bare projector, it diagonalizes it as one block.
-    """
-
-    def __init__(self, projector: Array):
-        p = np.asarray(projector, dtype=np.complex128)
-        w, v = np.linalg.eigh((p + _h(p)) / 2)
-        self.blocks: Tuple[Frames, ...] = ((v[:, w > 0.5], v[:, w <= 0.5]),)
-
-    @classmethod
-    def from_frames(cls, blocks: Sequence[Frames]) -> "ModeSplit":
-        split = cls.__new__(cls)
-        split.blocks = tuple(blocks)
-        return split
+    def __init__(self, blocks: Sequence[Frames]):
+        self.blocks: Tuple[Frames, ...] = tuple(blocks)
 
     @property
     def sizes(self) -> Tuple[int, ...]:
@@ -435,13 +396,6 @@ class ModeSplit:
     def projector(self) -> Array:
         """Dense view; built on every access."""
         return sla.block_diag(*(v @ _h(v) for v, _ in self.blocks))
-
-    def merged(self) -> "ModeSplit":
-        """The same split as one block."""
-        if len(self.blocks) == 1:
-            return self
-        vs, ws = zip(*self.blocks)
-        return ModeSplit.from_frames(((sla.block_diag(*vs), sla.block_diag(*ws)),))
 
 
 def splitting_projection(sp: SymbolPair, modes: int,
@@ -477,7 +431,7 @@ def splitting_projection(sp: SymbolPair, modes: int,
             f"eigenvalue {bad:.6f} inside the rounding band "
             f"[{SPLIT_THRESHOLD - SPLIT_GAP:.3f}, "
             f"{SPLIT_THRESHOLD + SPLIT_GAP:.3f}]", bad)
-    return ModeSplit.from_frames(frames)
+    return ModeSplit(frames)
 
 
 # -- split verification ------------------------------------------------------------
@@ -485,7 +439,7 @@ def splitting_projection(sp: SymbolPair, modes: int,
 
 @dataclass
 class SplitBlock:
-    """One diagonal block shared by a pair a, b and a split: the operator
+    """One half-line block shared by a pair a, b and a split: the operator
     blocks, the range and kernel frames V and W, AV and BV, the (1,1)
     corners A1 = V*AV and B1 = V*BV, the tail-band rows of the block and
     the interior Gram V* diag(interior) V."""
@@ -504,11 +458,13 @@ class SplitBlock:
 
 def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
                  cut: TailCutoff) -> List[SplitBlock]:
-    """The split records of every diagonal block shared by a, b and the
-    split; operands on different partitions meet as one block."""
+    """The split records of the two half-line blocks shared by a, b and the
+    split, which must be quantized at the same mode count."""
     if a.modes != b.modes or a.dim != b.dim:
         raise ShapeError("operators must share modes and dimension")
-    a, b, split = same_partition(a, b, split)
+    if split.sizes != a.sizes:
+        raise ShapeError(f"split block sizes {split.sizes} do not match the "
+                         f"operator block sizes {a.sizes}")
     band = cut.band_mask(a.modes, a.dim)
     interior = cut.interior_mask(a.modes, a.dim).astype(float)
     records = []
@@ -518,13 +474,6 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
         records.append(SplitBlock(am, bm, v, w, av, bv, vh @ av, vh @ bv,
                                   band[s], vh @ (interior[s][:, None] * v)))
     return records
-
-
-def merge_split_blocks(records: Sequence[SplitBlock]) -> SplitBlock:
-    """The records of several diagonal blocks as the record of one block."""
-    parts = [[getattr(r, f.name) for r in records] for f in fields(SplitBlock)]
-    return SplitBlock(*(np.concatenate(p) if p[0].ndim == 1 else sla.block_diag(*p)
-                        for p in parts))
 
 
 _CORNER_ROWS = tuple(RELATIONS[i] for i in (0, 1, 4, 6))
@@ -577,7 +526,7 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     operator norm; each unitarity defect must be small outside the (2,2)
     block in the tail seminorm (its compact part is discounted).
 
-    Every norm is the largest over the diagonal blocks.  A defect Q is
+    Every norm is the largest over the half-line blocks.  A defect Q is
     applied to the range frame only, as the thin product QV = V - a*(aV):
     its (1,1) block is V*QV, its (2,1) block W*QV, and since Q is
     self-adjoint the (1,2) block is the adjoint of the (2,1) block.
@@ -631,7 +580,7 @@ _BLOCK_ESTIMATES = ("A11*A11-B11*B11", "A11A11*-B11B11*",
 def verify_block_estimates(a: TruncOp, b: TruncOp, split: ModeSplit,
                            cut: TailCutoff, eps: float) -> BlockEstimateReport:
     """Tail-seminorm estimates on the (1,1) corner: the corner expressions
-    of (A11, B11) = (V*AV, V*BV) on each diagonal block (see
+    of (A11, B11) = (V*AV, V*BV) on each half-line block (see
     ``corner_estimates``), each the largest over the blocks."""
     estimates: Dict[str, float] = {}
     bounds: Dict[str, float] = {}

@@ -14,36 +14,35 @@ both weighting every singular vector by its interior mass:
 
 The relative index of a pair (A, B) against a splitting projection follows
 the three equivalent recipes: the defining difference
-ind(C* A|H1) - ind(C* B|H1) for a comparison operator C, the corner formula
-ind(1 + B1*(A1 - B1)) on H1, and the global formula ind(1 + B*(A - B)) on
-the whole truncated space; one builder forms the candidate operators of
-every recipe, block by block over the half-lines of the operator model (the
-index of a block-diagonal candidate is the sum of its block indices), from
-the split records of ``opmodel.split_blocks``.  A comparison operator is
-admissible when it meets the corner estimates of the split decomposition,
-so ``validate_choice`` reads the same ``opmodel.corner_estimates`` table.
-``verify_index_theorem`` runs the full pipeline
-at a mode count and its double and checks every formula and engine against
-the winding-number index of the symbols.
+ind(C* A|H1) - ind(C* B|H1) for the comparison operator C = A|H1 or
+C = B|H1, the corner formula ind(1 + B1*(A1 - B1)) on H1, and the global
+formula ind(1 + B*(A - B)) on the whole truncated space; one builder forms
+the candidate operators of every recipe, block by block over the half-lines
+of the operator model (the index of a block-diagonal candidate is the sum
+of its block indices), from the split records of ``opmodel.split_blocks``.
+A comparison operator is admissible when it meets the corner estimates of
+the split decomposition, so ``validate_choice`` reads the same
+``opmodel.corner_estimates`` table.  ``verify_index_theorem`` runs the full
+pipeline at a mode count and its double and checks every formula and
+engine against the winding-number index of the symbols.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .balanced import canonical_unitary
 from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
-                     PipelineStageError, ShapeError, SingularGapError)
+                     PipelineStageError, SingularGapError)
 from .loops import SplitSymbol, SymbolPair, topo_index
 from .numkern import Array, opnorm
 from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
-                      clip_to_contraction, corner_estimates, diagonal_blocks,
-                      kbalance_report, merge_split_blocks, quantize,
-                      same_partition, split_blocks, splitting_projection,
+                      clip_to_contraction, corner_estimates, kbalance_report,
+                      quantize, split_blocks, splitting_projection,
                       verify_split_blocks)
 
 Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
@@ -181,47 +180,22 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
 
 # -- relative index ------------------------------------------------------------
 
-ChoiceTag = Literal["A-restricted", "B-restricted", "custom"]
 
-
-@dataclass(frozen=True)
-class CChoice:
-    """Comparison operator C: H1 -> H as a full-height matrix block.
-
-    The columns of a custom operator follow the range frames of the split,
-    block by block."""
-
-    tag: ChoiceTag
-    operator: Optional[Array] = None  # (size, rank), required for custom
-
-
-def _resolve_choice(data: List[SplitBlock],
-                    choice: Union[str, CChoice]) -> Tuple[Array, ...]:
-    """The comparison operator's blocks; a custom operator that couples the
-    blocks of the split comes back as one block."""
-    tag = choice.tag if isinstance(choice, CChoice) else choice
-    if tag in ("A", "A-restricted"):
+def _resolve_choice(data: List[SplitBlock], choice: str) -> Tuple[Array, ...]:
+    """The half-line blocks of the comparison operator C = A|H1 ("A") or
+    C = B|H1 ("B")."""
+    if choice == "A":
         return tuple(d.av for d in data)
-    if tag in ("B", "B-restricted"):
+    if choice == "B":
         return tuple(d.bv for d in data)
-    if not isinstance(choice, CChoice):
-        raise CChoiceError(f"unknown comparison choice {choice!r}")
-    if choice.operator is None:
-        raise CChoiceError("custom comparison operator requires a matrix")
-    rows = [d.v.shape[0] for d in data]
-    cols = [d.v.shape[1] for d in data]
-    if choice.operator.shape != (sum(rows), sum(cols)):
-        raise ShapeError(
-            f"comparison operator shape {choice.operator.shape} "
-            f"does not match {(sum(rows), sum(cols))}")
-    return diagonal_blocks(np.asarray(choice.operator, dtype=np.complex128),
-                           rows, cols)
+    raise CChoiceError(f"unknown comparison choice {choice!r}: "
+                       "expected 'A' or 'B'")
 
 
 def validate_choice(c_blocks: Sequence[Array], data: List[SplitBlock],
                     eps: float) -> Dict[str, float]:
     """Residuals of the three closeness conditions against both restrictions,
-    each the largest over the diagonal blocks.
+    each the largest over the half-line blocks.
 
     The first condition compares the lower blocks in plain norm; the other
     two are the corner expressions of (X1, C1) for X = A, B, in the tail
@@ -249,23 +223,21 @@ def validate_choice(c_blocks: Sequence[Array], data: List[SplitBlock],
 
 _FORMULAS = ("definition-A", "definition-B", "corner", "global")
 
-# sign, the diagonal blocks of a Fredholm candidate, and their weights
+# sign, the half-line blocks of a Fredholm candidate, and their weights
 Candidate = Tuple[int, Tuple[Array, ...], Tuple[Weights, ...]]
 
 
 def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
-                data: Optional[List[SplitBlock]] = None,
-                comparison: Optional[Sequence[Array]] = None) -> List[Candidate]:
-    """The signed Fredholm candidates of one relative-index formula, block
-    by block, with the interior weights their engines count against.
+                data: Optional[List[SplitBlock]] = None) -> List[Candidate]:
+    """The signed Fredholm candidates of one relative-index formula, one
+    block per half-line, with the interior weights their engines count
+    against.
 
     The formula's index is the signed sum of its candidates' indices.
     ``definition-A`` and ``definition-B`` compare through C = A|H1 and
-    C = B|H1, ``definition-C`` through the given comparison blocks; every
-    formula but ``global`` reads the split data.
+    C = B|H1; every formula but ``global`` reads the split data.
     """
     if formula == "global":
-        a, b = same_partition(a, b)
         interior = cut.interior_mask(a.modes, a.dim).astype(float)
         return [(1, tuple(canonical_unitary(am, bm)
                           for am, bm in zip(a.blocks, b.blocks)),
@@ -273,8 +245,7 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     grams = tuple(d.h1_gram for d in data)
     if formula == "corner":
         return [(1, tuple(canonical_unitary(d.a1, d.b1) for d in data), grams)]
-    c = (comparison if formula == "definition-C"
-         else _resolve_choice(data, formula[-1]))
+    c = _resolve_choice(data, formula.removeprefix("definition-"))
     return [(1, tuple(ci.conj().T @ d.av for ci, d in zip(c, data)), grams),
             (-1, tuple(ci.conj().T @ d.bv for ci, d in zip(c, data)), grams)]
 
@@ -298,19 +269,16 @@ def _formula_index(parts: List[Candidate],
     return svd, fedosov, values
 
 
-def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit,
-              choice: Union[str, CChoice] = "A",
+def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit, choice: str = "A",
               cut: Optional[TailCutoff] = None, eps: Optional[float] = None
               ) -> int:
-    """ind(C* A|H1) - ind(C* B|H1); independent of the admissible choice C."""
+    """ind(C* A|H1) - ind(C* B|H1) for C = A|H1 ("A") or C = B|H1 ("B");
+    with ``eps`` the choice must first pass ``validate_choice``."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     data = split_blocks(a, b, split, cut)
-    c_blocks = _resolve_choice(data, choice)
-    if len(c_blocks) != len(data):
-        data = [merge_split_blocks(data)]
     if eps is not None:
-        validate_choice(c_blocks, data, eps)
-    parts = _candidates(a, b, cut, "definition-C", data, c_blocks)
+        validate_choice(_resolve_choice(data, choice), data, eps)
+    parts = _candidates(a, b, cut, f"definition-{choice}", data)
     return _formula_index(parts, strict=True)[0]
 
 
@@ -396,7 +364,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         band = cut.band_mask(n, d1.dim)
         _, f_global, _ = candidates["global"][0]
         defect = 0.0
-        for f, s in zip(f_global, block_slices([f.shape[0] for f in f_global])):
+        for f, s in zip(f_global, block_slices(d1.sizes)):
             cols = f[:, band[s]]  # 1 - F*F on the band is 1 - cols* cols
             defect = max(defect, opnorm(np.eye(cols.shape[1])
                                         - cols.conj().T @ cols))

@@ -12,7 +12,7 @@ from balk1.numkern import opnorm
 from balk1.opmodel import (ModeSplit, TailCutoff, TruncOp,
                            bandwidth_estimate, block_slices, clip_to_contraction,
                            kbalance_report, quantize, quantize_symbol,
-                           same_partition, split_blocks, splitting_projection,
+                           split_blocks, splitting_projection,
                            symbol_roundtrip_error, tail_seminorm,
                            verify_block_estimates, verify_split_blocks)
 from balk1.relindex import engine_values, validate_choice
@@ -97,6 +97,7 @@ def test_clip_scalar_two():
 def test_clip_random_overshoot():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m[:3, 3:] = m[3:, :3] = 0  # no coupling between the half-lines
     m *= 1.3 / opnorm(m)
     clipped = clip_to_contraction(TruncOp(1, 3, m))
     top = opnorm(clipped.matrix)
@@ -266,7 +267,7 @@ def test_verify_split_blocks_equal_operators():
 def test_verify_split_blocks_degenerate_identity_split():
     sp = standard_symbol_pair(1, 0, 1024)
     d1, d2 = quantize(sp, 64)
-    split = ModeSplit(np.eye(d1.size))
+    split = ModeSplit([(np.eye(k), np.eye(k)[:, :0]) for k in d1.sizes])
     report = verify_split_blocks(d1, d2, split, TailCutoff(32), eps=0.1)
     assert report.degenerate
     # the difference blocks vanish with H2 = 0, but the defects are then
@@ -303,14 +304,13 @@ def test_trunc_op_structure_check():
     assert len(d1.blocks) == 2
     dense = d1.matrix
     k = 2 * 64  # coordinates on the negative half-line
-    assert len(TruncOp(64, 2, dense).blocks) == 2
+    op = TruncOp(64, 2, dense)
+    assert op.sizes == d1.sizes and np.array_equal(op.matrix, dense)
     for corner in (np.s_[:k, k:], np.s_[k:, :k]):
         coupled = dense.copy()
         coupled[corner][0, -1] = 1e-300
-        op = TruncOp(64, 2, coupled)
-        assert len(op.blocks) == 1
-        assert np.array_equal(op.matrix, coupled)
-    assert len(ModeSplit(np.eye(d1.size)).blocks) == 1
+        with pytest.raises(ShapeError):
+            TruncOp(64, 2, coupled)
 
 
 # -- the block path against dense formulas ----------------------------------------
@@ -373,20 +373,8 @@ def two_way_winding():
     return d1, d2, split, TailCutoff(modes // 2)
 
 
-@pytest.mark.parametrize("coupled", [False, True])
-def test_block_path_matches_dense_reference(two_way_winding, coupled):
+def test_block_path_matches_dense_reference(two_way_winding):
     d1, d2, split, cut = two_way_winding
-    assert len(d1.blocks) == len(d2.blocks) == len(split.blocks) == 2
-    if coupled:
-        # small nonzero off-diagonal blocks: a is one block, and so is a split
-        # built from its bare projector; b stays on the half-lines
-        rng = np.random.default_rng(3)
-        dense = d1.matrix
-        k = d1.blocks[0].shape[0]
-        dense[:k, k:] += 1e-3 * rng.standard_normal((k, dense.shape[0] - k))
-        d1 = TruncOp(d1.modes, d1.dim, dense)
-        split = ModeSplit(split.projector)
-        assert len(d1.blocks) == len(split.blocks) == 1
     am, bm = d1.matrix, d2.matrix
     mask = cut.band_mask(d1.modes, d1.dim)
 
@@ -433,9 +421,9 @@ def test_block_path_matches_dense_reference(two_way_winding, coupled):
 
     # the global candidate 1 + B*(A - B), block by block and dense
     interior = cut.interior_mask(d1.modes, d1.dim).astype(float)
-    a, b = same_partition(d1, d2)
-    blocks = [np.eye(len(x)) + y.conj().T @ (x - y) for x, y in zip(a.blocks, b.blocks)]
-    weights = [interior[s] for s in block_slices(a.sizes)]
+    blocks = [np.eye(len(x)) + y.conj().T @ (x - y)
+              for x, y in zip(d1.blocks, d2.blocks)]
+    weights = [interior[s] for s in block_slices(d1.sizes)]
     values = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
     count, total, s = dense_engines(np.eye(len(am)) + bm.conj().T @ (am - bm),
                                     interior)

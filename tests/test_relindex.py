@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
-                          SingularGapError)
+                          ShapeError, SingularGapError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
                          standard_symbol_pair, subbundle_projection_loop, turn)
@@ -12,7 +12,7 @@ from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
                            quantize, split_blocks, splitting_projection,
                            verify_block_estimates, verify_split_blocks)
-from balk1.relindex import (CChoice, engine_values, rel_index, rel_index_corner,
+from balk1.relindex import (engine_values, rel_index, rel_index_corner,
                             rel_index_global, validate_choice,
                             verify_index_theorem)
 
@@ -136,8 +136,11 @@ def test_rel_index_antisymmetric(flagship):
 
 def test_restricted_choices_pass_validation(flagship):
     _, d1, d2, split, cut, _ = flagship
-    assert rel_index(d1, d2, split, CChoice("A-restricted"), cut, eps=0.1) == -1
-    assert rel_index(d1, d2, split, CChoice("B-restricted"), cut, eps=0.1) == -1
+    assert rel_index(d1, d2, split, "A", cut, eps=0.1) == -1
+    assert rel_index(d1, d2, split, "B", cut, eps=0.1) == -1
+    for other in ("A-restricted", "C", None):
+        with pytest.raises(CChoiceError):
+            rel_index(d1, d2, split, other, cut)
 
 
 def test_comparison_check_reads_the_split_estimates(flagship):
@@ -163,11 +166,11 @@ def test_comparison_check_reads_the_split_estimates(flagship):
 def test_custom_choice_validation_rejects_junk(flagship):
     _, d1, d2, split, cut, _ = flagship
     rng = np.random.default_rng(0)
-    rank = split.rank
-    junk = rng.standard_normal((d1.size, rank)) + \
-        1j * rng.standard_normal((d1.size, rank))
+    data = split_blocks(d1, d2, split, cut)
+    junk = [rng.standard_normal(blk.v.shape) + 1j * rng.standard_normal(blk.v.shape)
+            for blk in data]
     with pytest.raises(CChoiceError):
-        rel_index(d1, d2, split, CChoice("custom", junk), cut, eps=0.1)
+        validate_choice(junk, data, eps=0.1)
 
 
 @pytest.mark.parametrize("gamma", [
@@ -239,6 +242,20 @@ def test_verify_index_theorem_needs_a_split():
         verify_index_theorem(sp, 64)
     assert err.value.stage == "splitting_projection"
     assert "splits[64]" in str(err.value) and "split_symbol" in str(err.value)
+
+
+def test_split_at_another_mode_count_fails_at_its_stage():
+    grid = 1024
+    sp = standard_symbol_pair(1, 0, grid)
+    split_sym = standard_split_symbol(grid)
+    coarse = splitting_projection(sp, 32, explicit_symbol=split_sym)
+    splits = {64: coarse,
+              128: splitting_projection(sp, 128, explicit_symbol=split_sym)}
+    with pytest.raises(PipelineStageError) as err:
+        verify_index_theorem(sp, 64, splits=splits)
+    assert err.value.stage == "verify_split_blocks"
+    assert isinstance(err.value.cause, ShapeError)
+    assert str(coarse.sizes) in str(err.value) and "(128, 130)" in str(err.value)
 
 
 def test_pipeline_attributes_stage_failures():

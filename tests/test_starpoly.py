@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from balk1.balanced import check_balanced, evaluate
 from balk1.errors import DegreeBoundError, ParseError
-from balk1.numkern import opnorm
+from balk1.numkern import opnorm, random_unitary
 from balk1.starpoly import (GaussianRational, StarPoly, certificate_is_valid,
                             default_suite, format_poly, format_suite,
                             ideal_by_name, ideal_member, parse, parse_suite,
@@ -143,6 +143,10 @@ def test_membership_not_found_for_difference():
     # balanced pairs with a != b exist, so a - b is not in the ideal; the
     # bounded search must come back empty-handed
     assert ideal_member(A - B, rel1_ideal(), 8) is None
+    # the witness for every degree bound: (u, 1), u unitary, is balanced
+    u, one = random_unitary(3, 1), np.eye(3)
+    assert check_balanced(u, one).balanced
+    assert opnorm(evaluate(A - B, u, one)) > 1
 
 
 def test_crossed_defect_products_are_not_members():
@@ -192,6 +196,14 @@ def test_modular_hit_without_exact_solution_is_rejected(monkeypatch):
     monkeypatch.setattr(membership._Search, "_exact_solve", counted)
     assert ideal_member(target, rel1_ideal(), 5) is None
     assert len(calls) == 2
+    # the witness: at the balanced pair (u, 1) the member b·c - a vanishes,
+    # so the target is P (u - 1) there
+    u, one = random_unitary(3, 1), np.eye(3)
+    assert check_balanced(u, one).balanced
+    member = evaluate(B * canonical_unitary_poly() - A, u, one)
+    assert opnorm(member) < 1e-12 and opnorm(u - one) > 1
+    assert opnorm(evaluate(target, u, one) - membership.P * (u - one)) \
+        < 1e-12 * membership.P
 
 
 def test_central_generator_member_and_non_member():
@@ -201,6 +213,12 @@ def test_central_generator_member_and_non_member():
     assert report.ok and report.results[0].n_terms > 0
     # at s = 0 the ideal kills only b, so a - b survives
     assert ideal_member(A - B, entry.ideal, 3) is None
+    # the witness: at s = 0, c = 1, a = 1, b = 0 every generator vanishes
+    # and a - b does not
+    a, b = np.eye(1), np.zeros((1, 1))
+    for g in entry.ideal.effective_generators():
+        assert not evaluate(g, a, b, s=0.0, c=1.0).any()
+    assert opnorm(evaluate(A - B, a, b, s=0.0, c=1.0)) == 1.0
 
 
 _REL1_GENERATORS = rel1_ideal().effective_generators()
