@@ -1,13 +1,17 @@
-"""Line counts of the Python files under a directory (default ``src``).
+"""Line and settable-value counts of the Python files under a directory
+(default ``src``).
 
 Prints the physical line count (what ``find DIR -name '*.py' | xargs cat |
 wc -l`` gives) and the code-only count: lines that hold a token other than a
 comment, a docstring or blank space.  A docstring is any statement that is
-a bare string literal.
+a bare string literal.  It also prints the number of settable values, read
+off the syntax tree: parameters with a default, fields with a default in
+classes decorated as dataclasses, and ``click.option`` calls.
 
     python scripts/count_lines.py [DIR]
 """
 
+import ast
 import sys
 import tokenize
 from pathlib import Path
@@ -32,12 +36,48 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
+def _callee(node: ast.expr) -> str:
+    """Source text of a decorator or call target: ``dataclass`` for both
+    ``@dataclass`` and ``@dataclass(frozen=True)``."""
+    return ast.unparse(node.func if isinstance(node, ast.Call) else node)
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    """Whether a dataclass field's right-hand side gives it a default:
+    any value but ``field(...)`` without ``default`` or ``default_factory``."""
+    if value is None:
+        return False
+    if (isinstance(value, ast.Call)
+            and _callee(value) in ("field", "dataclasses.field")):
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return True
+
+
+def settable_values(path: Path) -> int:
+    """Number of values of one file that a caller can set."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_bytes())):
+        if isinstance(node, ast.arguments):
+            count += len(node.defaults)
+            count += sum(d is not None for d in node.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                _callee(d) in ("dataclass", "dataclasses.dataclass")
+                for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and _has_default(s.value)
+                         for s in node.body)
+        elif isinstance(node, ast.Call) and _callee(node) == "click.option":
+            count += 1
+    return count
+
+
 def main() -> None:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
     files = sorted(root.rglob("*.py"))
     physical = sum(len(f.read_bytes().splitlines()) for f in files)
     print(f"{root}/ lines: {physical}")
     print(f"{root}/ code-only lines: {sum(code_lines(f) for f in files)}")
+    print(f"{root}/ settable values: {sum(settable_values(f) for f in files)}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ of ``relations.RELATIONS``.
 The module also provides the canonical unitary c = 1 + b*(a - b) attached to
 a balanced pair, an evaluator of the exact *-polynomials of ``starpoly`` at
 a pair of matrices, the doubled homotopy paths used to show that swaps,
-adjoints and canonical embeddings do not change the class of a pair, the
-finite-dimensional defect/difference split, and the construction that turns
-a unitary u into a balanced pair (f(u)g(u), g(u)) with g vanishing at 1.
+adjoints and canonical embeddings do not change the class of a pair, and
+the construction that turns a unitary u into a balanced pair
+(f(u)g(u), g(u)) with g vanishing at 1.
 
 The swap, adjoint and canonical paths are written once, as the 2x2 matrices
 over *-polynomials that the identity suite certifies
@@ -30,8 +30,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ShapeError
-from .numkern import (Array, as_matrix, eig_unitary, nearest_projection, opnorm,
-                      random_unitary, stack_opnorm)
+from .numkern import (Array, as_matrix, eig_unitary, opnorm, random_unitary,
+                      stack_opnorm)
 from .relations import REL1, REL1_NAMES, REL2_NAMES, RELATIONS
 
 
@@ -131,15 +131,13 @@ class BalancedPair:
         return check_balanced(self.a, self.b, self.tol)
 
 
-def random_balanced_pair(dim: int, seed: int,
-                         unitary_dim: Optional[int] = None) -> BalancedPair:
+def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
     """An exactly balanced pair: unitarily mixed unitary block plus a shared
     strict-contraction block (every finite balanced pair splits this way up
-    to the crossed-defect degeneracies)."""
+    to the crossed-defect degeneracies).  The seed also draws the size of the
+    unitary block, anywhere from 0 to dim."""
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(0, dim + 1)) if unitary_dim is None else unitary_dim
-    if not 0 <= k <= dim:
-        raise ValueError(f"unitary_dim must lie in [0, {dim}]")
+    k = int(rng.integers(0, dim + 1))
     blocks_a, blocks_b = [], []
     if k:
         blocks_a.append(random_unitary(k, seed * 7 + 1))
@@ -288,46 +286,6 @@ def validate_path(path: HomotopyPath, grid: int = 101,
     k = int(np.argmax(rel1))
     worst = float(rel1[k])
     return PathReport(path.kind, grid, worst, float(ts[k]), worst <= tol)
-
-
-# -- finite split ----------------------------------------------------------------
-
-
-@dataclass
-class FiniteSplit:
-    """Projection onto the defect support with the block residuals."""
-
-    p1: Array
-    residual_defect_offblock: float
-    residual_diff_onblock: float
-
-
-def finite_split(pair: BalancedPair, threshold: float = 1e-8) -> FiniteSplit:
-    """Split C^n into defect support and its complement.
-
-    P1 projects onto the eigenvalues of (1-a*a) + (1-aa*) above the
-    threshold.  For pairs whose difference is supported away from both kinds
-    of defect (all pairs produced by :func:`random_balanced_pair`), the two
-    residuals vanish up to roundoff; crossed-defect pairs such as
-    ([[0,0],[1,0]], -[[0,0],[1,0]]) genuinely fail the second residual, and
-    the report is the honest answer.
-    """
-    a, b = pair.a, pair.b
-    eye = np.eye(pair.dim)
-    qa = eye - a.conj().T @ a
-    pa = eye - a @ a.conj().T
-    w, v = np.linalg.eigh((qa + pa + (qa + pa).conj().T) / 2)
-    keep = v[:, w > threshold]
-    support = keep @ keep.conj().T
-    p1 = nearest_projection(support, tol=1e-8)
-    comp = eye - p1
-    defect_off = max(
-        opnorm(comp @ qa @ comp) + opnorm(p1 @ qa @ comp) + opnorm(comp @ qa @ p1),
-        opnorm(comp @ pa @ comp) + opnorm(p1 @ pa @ comp) + opnorm(comp @ pa @ p1),
-    )
-    diff = a - b
-    diff_on = opnorm(p1 @ diff) + opnorm(diff @ p1)
-    return FiniteSplit(p1, defect_off, diff_on)
 
 
 # -- unitalization construction ---------------------------------------------------

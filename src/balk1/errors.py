@@ -13,10 +13,6 @@ class NotUnitaryError(Balk1Error, ValueError):
     """A matrix required to be unitary is not, within tolerance."""
 
 
-class NotSelfAdjointError(Balk1Error, ValueError):
-    """A matrix required to be self-adjoint is not, within tolerance."""
-
-
 class SpectralGapError(Balk1Error, ValueError):
     """An eigenvalue sits inside a forbidden spectral band."""
 

@@ -14,7 +14,6 @@ compression of multiplication by one forward loop turn has index -1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -22,10 +21,12 @@ import numpy as np
 
 from .balanced import BalancedPair, canonical_unitary, relation_residuals
 from .errors import ConstraintError, NotUnitaryError, ShapeError, WindingError
-from .numkern import Array, opnorm, stack_opnorm
+from .numkern import Array, stack_opnorm
 from .relations import REL1
 
 HALF_PI = np.pi / 2
+RAMP_HALF_WIDTH = 0.1  # of the split line's turn at the glued endpoint
+MIN_MODULUS = 0.5  # a loop whose winding is read stays this far from zero
 
 
 @dataclass(frozen=True)
@@ -71,21 +72,6 @@ class MatrixLoop:
 
     def adjoint(self) -> "MatrixLoop":
         return MatrixLoop(self.samples.conj().transpose(0, 2, 1))
-
-    def max_step(self) -> float:
-        stepped = np.roll(self.samples, -1, axis=0) - self.samples
-        return max(opnorm(stepped[k]) for k in range(self.grid))
-
-    def continuity_budget(self) -> float:
-        """Default step budget: ten deviations of the glued-loop step size
-        at the finite-difference slope observed on the grid."""
-        dt = 2 * np.pi / self.grid
-        slope = self.max_step() / (HALF_PI / self.grid)
-        return 10.0 * dt * slope
-
-    def check_continuity(self, budget: Optional[float] = None) -> bool:
-        budget = self.continuity_budget() if budget is None else budget
-        return self.max_step() <= budget
 
 
 # a splitting symbol: projection-valued loops on the + and - directions
@@ -259,16 +245,15 @@ def vanishing_point_pair(grid: int,
     return LoopPair(s1, s2, tol).validate()
 
 
-def subbundle_projection_loop(grid: int, window: float = 0.1) -> MatrixLoop:
+def subbundle_projection_loop(grid: int) -> MatrixLoop:
     """Projection-valued loop onto the rotating line span(cos t, -sin t).
 
     The raw line field jumps by a quarter turn across the glued endpoint, so
-    within a window of half-width ``window`` around it the angle is carried
-    by a C^1 ramp completing the extra half turn, which makes the loop a
-    genuinely continuous projection field on the circle.
+    within ``RAMP_HALF_WIDTH`` of it the angle is carried by a C^1 ramp
+    completing the extra half turn, which makes the loop a genuinely
+    continuous projection field on the circle.
     """
-    if not 0 < window < HALF_PI / 4:
-        raise ValueError("window must lie in (0, pi/8)")
+    window = RAMP_HALF_WIDTH
     lo = HALF_PI - window
 
     def angle(t: float) -> float:
@@ -294,18 +279,18 @@ def subbundle_projection_loop(grid: int, window: float = 0.1) -> MatrixLoop:
 # -- winding and the topological index ----------------------------------------------
 
 
-def winding(values: np.ndarray, min_modulus: float = 0.5) -> int:
+def winding(values: np.ndarray) -> int:
     """Winding number of a sampled scalar loop by phase-increment summation.
 
-    Requires every sample to stay at least min_modulus away from zero and
+    Requires every sample to stay at least ``MIN_MODULUS`` away from zero and
     successive phase jumps strictly below pi; the accumulated phase must land
     within 0.1 turns of an integer.
     """
     values = np.asarray(values, dtype=np.complex128).ravel()
     moduli = np.abs(values)
-    if moduli.min() < min_modulus:
+    if moduli.min() < MIN_MODULUS:
         raise WindingError(
-            f"loop modulus {moduli.min():.3e} below the floor {min_modulus:.3e}")
+            f"loop modulus {moduli.min():.3e} below the floor {MIN_MODULUS:.3e}")
     jumps = np.angle(np.roll(values, -1) / values)
     if np.abs(jumps).max() >= np.pi * (1 - 1e-9):
         raise WindingError("phase jump of at least pi: grid too coarse")
@@ -322,10 +307,6 @@ def canonical_unitary_loop(lp: LoopPair) -> MatrixLoop:
     return MatrixLoop(canonical_unitary(lp.sigma1.samples, lp.sigma2.samples))
 
 
-def det_loop(ml: MatrixLoop) -> np.ndarray:
-    return np.linalg.det(ml.samples)
-
-
 def _certified_unitary_dets(lp: LoopPair) -> np.ndarray:
     c = canonical_unitary_loop(lp)
     eye = np.eye(lp.dim)[np.newaxis]
@@ -335,7 +316,7 @@ def _certified_unitary_dets(lp: LoopPair) -> np.ndarray:
     if defect > allowed:
         raise NotUnitaryError(
             f"canonical loop unitarity defect {defect:.3e} exceeds {allowed:.1e}")
-    return det_loop(c)
+    return np.linalg.det(c.samples)
 
 
 def topo_index(sp: SymbolPair) -> int:
@@ -343,13 +324,3 @@ def topo_index(sp: SymbolPair) -> int:
     det_plus = _certified_unitary_dets(sp.plus)
     det_minus = _certified_unitary_dets(sp.minus)
     return winding(det_minus) - winding(det_plus)
-
-
-def export_det_csv(lp: LoopPair, path: str) -> None:
-    """Write t, |det c|, arg det c rows for plotting."""
-    dets = det_loop(canonical_unitary_loop(lp))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "abs_det_c", "arg_det_c"])
-        for t, z in zip(lp.sigma1.ts, dets):
-            writer.writerow([f"{t:.10f}", f"{abs(z):.12f}", f"{np.angle(z):.12f}"])

@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
 Explicitly-toleranced helpers over LAPACK via numpy/scipy: operator norms of
-single matrices and of (..., m, n) stacks, Haar-random unitaries, the
-spectral decomposition of unitaries through the complex Schur form, and
-spectral rounding of near-projections.  Matrices are complex128 arrays.
+single matrices and of (..., m, n) stacks, Haar-random unitaries and the
+spectral decomposition of unitaries through the complex Schur form.
+Matrices are complex128 arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NotSelfAdjointError, NotUnitaryError, ShapeError, SpectralGapError
+from .errors import NotUnitaryError, ShapeError
 
 Array = np.ndarray
 
@@ -70,30 +70,3 @@ def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
     eigs = np.diag(t).copy()
     eigs /= np.abs(eigs)
     return eigs, q
-
-
-def nearest_projection(x: Array, tol: float = 1e-8, gap: float = 0.1) -> Array:
-    """Round a self-adjoint matrix to the spectral projection above 1/2.
-
-    Requires an empty spectral band [1/2 - gap, 1/2 + gap]; the offending
-    eigenvalue is reported when the band is populated.
-    """
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ShapeError("projection rounding needs a square matrix")
-    if x.size == 0:
-        return x.copy()
-    defect = opnorm(x - x.conj().T)
-    if defect > tol:
-        raise NotSelfAdjointError(
-            f"input is not self-adjoint: defect {defect:.3e} > {tol:.1e}")
-    w, v = np.linalg.eigh((x + x.conj().T) / 2)
-    inside = np.abs(w - 0.5) <= gap
-    if np.any(inside):
-        bad = float(w[inside][0])
-        raise SpectralGapError(
-            f"eigenvalue {bad:.6f} inside the forbidden band "
-            f"[{0.5 - gap:.3f}, {0.5 + gap:.3f}]", bad)
-    keep = v[:, w > 0.5]
-    p = keep @ keep.conj().T
-    return (p + p.conj().T) / 2

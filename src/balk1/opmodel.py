@@ -7,12 +7,10 @@ sampled on the glued interval [0, pi/2) are read in the circle coordinate
 tau = 4t, so one loop turn is one Fourier harmonic.
 
 Operators are kept as their two half-line blocks n < 0 and n >= 0, each a
-finite Toeplitz section, as quantization builds them.  A dense matrix passes
-a structure check: its off-diagonal half-line blocks must be exactly zero.
-Clipping, spectral splitting and the defect products preserve the
-half-line structure, so every stage works block by block and takes the
-maximum of the block norms.  ``TruncOp.matrix`` is a dense view for codecs
-and tests.
+finite Toeplitz section, as quantization builds them.  Clipping, spectral
+splitting and the defect products preserve the half-line structure, so
+every stage works block by block and takes the maximum of the block norms.
+``TruncOp.matrix`` is a dense view for tests.
 
 The split H = H1 + H2 is part of the input, as in the paper: the difference
 of a pair lives on H1 and its unitarity defects on H2.  The caller names it
@@ -79,36 +77,14 @@ def block_band_norm(blocks: Sequence[Array], mask: np.ndarray) -> float:
 
 class TruncOp:
     """Operator on Fourier modes -N..N tensor C^dim, row (n+N)*dim + j, kept
-    as its two half-line blocks n < 0 and n >= 0.
+    as its two half-line blocks n < 0 and n >= 0."""
 
-    The constructor takes a dense matrix whose off-diagonal half-line blocks
-    are zero and keeps its two diagonal blocks.
-    """
-
-    def __init__(self, modes: int, dim: int, matrix: Array):
-        size = dim * (2 * modes + 1)
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.shape != (size, size):
-            raise ShapeError(f"matrix shape {m.shape} does not match "
-                             f"(modes={modes}, dim={dim})")
-        k, _ = half_lines(modes, dim)
-        if np.any(m[:k, k:]) or np.any(m[k:, :k]):
-            raise ShapeError("matrix couples the half-lines n < 0 and n >= 0: "
-                             "its off-diagonal half-line blocks are nonzero")
-        self.modes, self.dim = modes, dim
-        self.blocks = (m[:k, :k].copy(), m[k:, k:].copy())
-
-    @classmethod
-    def from_blocks(cls, modes: int, dim: int,
-                    blocks: Sequence[Array]) -> "TruncOp":
-        """An operator from its half-line blocks n < 0 and n >= 0."""
+    def __init__(self, modes: int, dim: int, blocks: Sequence[Array]):
         blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
         if [b.shape for b in blocks] != [(k, k) for k in half_lines(modes, dim)]:
             raise ShapeError(f"block shapes {[b.shape for b in blocks]} do not "
                              f"match (modes={modes}, dim={dim})")
-        op = cls.__new__(cls)
-        op.modes, op.dim, op.blocks = modes, dim, blocks
-        return op
+        self.modes, self.dim, self.blocks = modes, dim, blocks
 
     @property
     def size(self) -> int:
@@ -122,6 +98,14 @@ class TruncOp:
     def matrix(self) -> Array:
         """Dense view; built on every access."""
         return sla.block_diag(*self.blocks)
+
+
+def check_same_shape(a: TruncOp, b: TruncOp) -> None:
+    """Raise ``ShapeError`` unless a and b share modes and dimension."""
+    if a.modes != b.modes or a.dim != b.dim:
+        raise ShapeError(f"operators must share modes and dimension, got "
+                         f"(modes={a.modes}, dim={a.dim}) and "
+                         f"(modes={b.modes}, dim={b.dim})")
 
 
 @dataclass(frozen=True)
@@ -149,10 +133,6 @@ class TailCutoff:
 def band_norm(matrix: Array, mask: np.ndarray) -> float:
     """Operator norm of the compression to the masked rows and columns."""
     return opnorm(matrix[np.ix_(mask, mask)])
-
-
-def tail_seminorm(op: TruncOp, cut: TailCutoff, m: Optional[int] = None) -> float:
-    return block_band_norm(op.blocks, cut.band_mask(op.modes, op.dim, m))
 
 
 # -- quantization -------------------------------------------------------------
@@ -216,7 +196,7 @@ def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int,
     neg = np.arange(-modes, 0)
     cp = fourier_coefficients(plus, max_lag)
     cm = fourier_coefficients(minus, max_lag)
-    return TruncOp.from_blocks(modes, plus.dim, (
+    return TruncOp(modes, plus.dim, (
         _toeplitz_block(cm, neg, neg, max_lag),
         _toeplitz_block(cp, pos, pos, max_lag)))
 
@@ -228,54 +208,21 @@ def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
     return d1, d2
 
 
-def symbol_roundtrip_error(op: TruncOp, plus: MatrixLoop, minus: MatrixLoop) -> float:
-    """Read the principal symbol back off the inner mode window |n| <= N/2
-    and compare with the inputs in the pointwise operator norm."""
-    matrix = op.matrix
-    worst = 0.0
-    for loop, lo in ((plus, op.modes), (minus, 0)):
-        half = op.modes // 2
-        if lo == op.modes:
-            window = np.arange(op.modes // 4, op.modes // 4 + half)  # inside n >= 0
-        else:
-            window = np.arange(-op.modes + op.modes // 4,
-                               -op.modes + op.modes // 4 + half)     # inside n < 0
-        d = op.dim
-        recovered = np.zeros((2 * half + 1, d, d), dtype=np.complex128)
-        for lag in range(-half, half + 1):
-            blocks = []
-            for n in window:
-                m = n - lag
-                if abs(m) > op.modes or m not in window:
-                    continue
-                r = (n + op.modes) * d
-                c = (m + op.modes) * d
-                blocks.append(matrix[r:r + d, c:c + d])
-            if blocks:
-                recovered[lag + half] = np.mean(blocks, axis=0)
-        taus = 4.0 * loop.ts
-        lags = np.arange(-half, half + 1)
-        phases = np.exp(1j * np.outer(taus, lags))  # (grid, lags)
-        rebuilt = np.tensordot(phases, recovered, axes=(1, 0))
-        worst = max(worst, max(opnorm(rebuilt[k] - loop.samples[k])
-                               for k in range(loop.grid)))
-    return worst
-
-
 # -- contraction clipping ------------------------------------------------------
 
 
-def _top_singular_estimate(matrix: Array, iters: int = 80, seed: int = 0) -> float:
-    """Power iteration on M*M; converges to the top singular value from below.
+def _top_singular_estimate(matrix: Array) -> float:
+    """80 steps of power iteration on M*M from a fixed random start;
+    converges to the top singular value from below.
 
     M*x is formed as conj(conj(x) M), so no adjoint of M is ever copied.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = matrix.shape[1]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(80):
         w = np.conj(np.conj(matrix @ v) @ matrix)
         lam = np.linalg.norm(w)
         if lam == 0.0:
@@ -304,7 +251,7 @@ def clip_to_contraction(op: TruncOp) -> TruncOp:
     blocks = tuple(_clipped(b) for b in op.blocks)
     if all(new is old for new, old in zip(blocks, op.blocks)):
         return op
-    return TruncOp.from_blocks(op.modes, op.dim, blocks)
+    return TruncOp(op.modes, op.dim, blocks)
 
 
 # -- balanced modulo tails -------------------------------------------------------
@@ -349,8 +296,7 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
     products, which keeps the report usable inside the index pipeline at
     its largest truncations.
     """
-    if a.modes != b.modes or a.dim != b.dim:
-        raise ShapeError("operators must share modes and dimension")
+    check_same_shape(a, b)
     if cut.m >= a.modes:
         raise ValueError(f"cutoff {cut.m} must be below the mode count {a.modes}")
     slices = block_slices(a.sizes)
@@ -460,8 +406,7 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
                  cut: TailCutoff) -> List[SplitBlock]:
     """The split records of the two half-line blocks shared by a, b and the
     split, which must be quantized at the same mode count."""
-    if a.modes != b.modes or a.dim != b.dim:
-        raise ShapeError("operators must share modes and dimension")
+    check_same_shape(a, b)
     if split.sizes != a.sizes:
         raise ShapeError(f"split block sizes {split.sizes} do not match the "
                          f"operator block sizes {a.sizes}")

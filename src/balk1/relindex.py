@@ -41,9 +41,9 @@ from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
 from .loops import SplitSymbol, SymbolPair, topo_index
 from .numkern import Array, opnorm
 from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
-                      clip_to_contraction, corner_estimates, kbalance_report,
-                      quantize, split_blocks, splitting_projection,
-                      verify_split_blocks)
+                      check_same_shape, clip_to_contraction, corner_estimates,
+                      kbalance_report, quantize, split_blocks,
+                      splitting_projection, verify_split_blocks)
 
 Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
 
@@ -238,6 +238,7 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     C = B|H1; every formula but ``global`` reads the split data.
     """
     if formula == "global":
+        check_same_shape(a, b)
         interior = cut.interior_mask(a.modes, a.dim).astype(float)
         return [(1, tuple(canonical_unitary(am, bm)
                           for am, bm in zip(a.blocks, b.blocks)),
@@ -279,14 +280,6 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit, choice: str = "A",
     if eps is not None:
         validate_choice(_resolve_choice(data, choice), data, eps)
     parts = _candidates(a, b, cut, f"definition-{choice}", data)
-    return _formula_index(parts, strict=True)[0]
-
-
-def rel_index_corner(a: TruncOp, b: TruncOp, split: ModeSplit,
-                        cut: Optional[TailCutoff] = None) -> int:
-    """ind(1 + B1*(A1 - B1)) on H1."""
-    cut = TailCutoff(a.modes // 2) if cut is None else cut
-    parts = _candidates(a, b, cut, "corner", split_blocks(a, b, split, cut))
     return _formula_index(parts, strict=True)[0]
 
 

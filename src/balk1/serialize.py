@@ -1,4 +1,4 @@
-"""JSON and CSV codecs for pairs, loops, operators and reports.
+"""JSON and CSV codecs for pairs, loops and reports.
 
 Complex scalars are stored as [re, im] pairs; loops record their glued
 parameter domain explicitly.  Everything is plain text so fixtures diff
@@ -16,7 +16,6 @@ import numpy as np
 
 from .balanced import BalancedPair, BalanceReport
 from .loops import LoopPair, MatrixLoop, SplitSymbol, SymbolPair
-from .opmodel import TruncOp
 from .relindex import IndexReport
 
 PARAM_DOMAIN = "glued-0-pi/2"
@@ -77,15 +76,6 @@ def symbol_pair_from_dict(data: dict) -> Tuple[SymbolPair, SplitSymbol]:
                     loop_pair_from_dict(data["minus"]))
     split = data["split"]
     return sp, (loop_from_dict(split["plus"]), loop_from_dict(split["minus"]))
-
-
-def trunc_op_to_dict(op: TruncOp) -> dict:
-    return {"modes": op.modes, "dim": op.dim, "matrix": _encode_matrix(op.matrix)}
-
-
-def trunc_op_from_dict(data: dict) -> TruncOp:
-    return TruncOp(int(data["modes"]), int(data["dim"]),
-                   _decode_matrix(data["matrix"]))
 
 
 def balance_report_to_dict(rep: BalanceReport) -> dict:

@@ -215,14 +215,14 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def to_json(self, include_certificates: bool = True) -> str:
+    def to_json(self) -> str:
         payload = []
         for r in self.results:
             row = {"name": r.name, "certified": r.ok, "found": r.found,
                    "bound": r.bound, "replay_ok": r.replay_ok,
                    "grading_ok": r.grading_ok, "terms": r.n_terms,
                    "seconds": round(r.seconds, 4)}
-            if include_certificates and r.certificate is not None:
+            if r.certificate is not None:
                 row["certificate"] = {
                     "target": r.certificate.target,
                     "ideal": r.certificate.ideal,

@@ -2,14 +2,16 @@
 
 import hashlib
 import itertools
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, bump_from_one,
                             canonical_unitary, check_balanced, evaluate,
-                            finite_split, flat_circle_map, homotopy_eval,
+                            flat_circle_map, homotopy_eval,
                             make_c, random_balanced_pair, relation_matrices,
                             relation_residuals, unitalization_pair,
                             validate_path)
@@ -17,7 +19,8 @@ from balk1.errors import ShapeError
 from balk1.loops import default_gamma, rotating_diagonal_pair, turn
 from balk1.numkern import opnorm, random_unitary, stack_opnorm
 from balk1.relations import REL1, RELATIONS
-from balk1.starpoly import default_suite, parse
+from balk1.starpoly import (CertTerm, MembershipCertificate, default_suite, parse,
+                            replay_certificate)
 from balk1.starpoly.suites import path_pair
 
 
@@ -153,6 +156,31 @@ def test_suite_targets_vanish_at_balanced_pairs():
     pairs += [lp.pair_at(113), lp.pair_at(40)]
     for pair in pairs:
         assert_suite_vanishes(suite, pair)
+
+
+PINNED = Path(__file__).parent / "data" / "default_suite_certificates.json"
+
+
+def test_pinned_certificates_evaluate_to_their_targets():
+    # the certificate sum of q·u·g·v equals its target as a matrix at pairs
+    # that are not balanced, where neither side vanishes: a numeric check
+    # that does not rest on the exact replay's own comparison
+    rng = np.random.default_rng(11)
+    pairs = [tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                   for _ in "ab") for _ in range(2)]
+    assert not any(check_balanced(a, b).balanced for a, b in pairs)
+    rows = json.loads(PINNED.read_text(encoding="utf-8"))
+    assert len(rows) == 65
+    for row in rows:
+        c = row["certificate"]
+        cert = MembershipCertificate(c["target"], c["ideal"], c["degree_bound"],
+                                     tuple(c["generators"]),
+                                     tuple(CertTerm(*t) for t in c["terms"]))
+        for a, b in pairs:
+            got, want = (evaluate(poly, a, b, np.sin(THETAS), np.cos(THETAS))
+                         for poly in (replay_certificate(cert), parse(c["target"])))
+            error = stack_opnorm(got - want).max() / stack_opnorm(want).max()
+            assert error <= 1e-9, (row["name"], error)
 
 
 def assert_suite_vanishes(suite, pair, tol=1e-12):
@@ -383,28 +411,6 @@ def test_relation_converse_square_root_sensitivity():
         assert rel2_tol <= 1e-13
         assert rep.max_rel1 <= 10 * np.sqrt(rel2_tol)
         assert rep.max_rel1 <= 1e-6
-
-
-def test_finite_split_unitary_pair():
-    u = random_unitary(3, 47)
-    split = finite_split(BalancedPair(u, np.eye(3), tol=1e-12))
-    assert opnorm(split.p1) == 0.0
-    assert split.residual_diff_onblock == 0.0
-
-
-def test_finite_split_diagonal_pair():
-    split = finite_split(diag_pair())
-    assert np.allclose(split.p1, np.diag([0.0, 1.0]))
-    assert split.residual_defect_offblock < 1e-12
-    assert split.residual_diff_onblock < 1e-12
-
-
-def test_finite_split_zero_pair():
-    z = np.zeros((2, 2), dtype=complex)
-    split = finite_split(BalancedPair(z, z, tol=1e-14))
-    assert np.allclose(split.p1, np.eye(2))
-    assert split.residual_defect_offblock < 1e-12
-    assert split.residual_diff_onblock == 0.0
 
 
 def test_flat_circle_map_properties():

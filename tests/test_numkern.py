@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from balk1.errors import NotSelfAdjointError, NotUnitaryError, ShapeError, SpectralGapError
-from balk1.numkern import (eig_unitary, nearest_projection, opnorm,
-                           random_unitary, stack_opnorm)
+from balk1.errors import NotUnitaryError, ShapeError
+from balk1.numkern import eig_unitary, opnorm, random_unitary, stack_opnorm
 
 
 def test_opnorm_examples(monkeypatch):
@@ -69,35 +68,3 @@ def test_func_calc_rejects_non_unitary():
         eig_unitary(np.diag([2.0, 1.0]).astype(complex))
     with pytest.raises(ShapeError):
         eig_unitary(np.ones((2, 3)))
-
-
-def test_nearest_projection_rounding():
-    p = nearest_projection(np.diag([0.99, 0.01]))
-    assert np.allclose(p, np.diag([1.0, 0.0]))
-    assert p.shape == (2, 2)
-
-
-def test_nearest_projection_fixed_point():
-    q = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    assert opnorm(nearest_projection(q) - q) < 1e-12
-
-
-def test_nearest_projection_gap_error():
-    with pytest.raises(SpectralGapError) as err:
-        nearest_projection(np.diag([0.55, 0.45]))
-    assert 0.4 <= err.value.eigenvalue <= 0.6
-
-
-def test_nearest_projection_requires_self_adjoint():
-    with pytest.raises(NotSelfAdjointError):
-        nearest_projection(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_nearest_projection_properties_random():
-    rng = np.random.default_rng(5)
-    for seed in range(4):
-        u = random_unitary(5, seed)
-        raw = u @ np.diag(rng.choice([0.02, 0.97], size=5)) @ u.conj().T
-        p = nearest_projection(raw)
-        assert opnorm(p @ p - p) <= 1e-10
-        assert opnorm(p - p.conj().T) <= 1e-10

@@ -12,9 +12,8 @@ from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
                            quantize, split_blocks, splitting_projection,
                            verify_block_estimates, verify_split_blocks)
-from balk1.relindex import (engine_values, rel_index, rel_index_corner,
-                            rel_index_global, validate_choice,
-                            verify_index_theorem)
+from balk1.relindex import (engine_values, rel_index, rel_index_global,
+                            validate_choice, verify_index_theorem)
 
 
 def hardy_shift(n):
@@ -118,7 +117,6 @@ def test_rel_index_formulas_agree(flagship):
     _, d1, d2, split, cut, _ = flagship
     assert rel_index(d1, d2, split, "A", cut) == -1
     assert rel_index(d1, d2, split, "B", cut) == -1
-    assert rel_index_corner(d1, d2, split, cut) == -1
     assert rel_index_global(d1, d2, cut) == -1
 
 
@@ -132,6 +130,13 @@ def test_rel_index_antisymmetric(flagship):
     _, d1, d2, split, cut, _ = flagship
     assert rel_index(d2, d1, split, "A", cut) == 1
     assert rel_index_global(d2, d1, cut) == 1
+
+
+def test_rel_index_global_rejects_operators_of_two_sizes(flagship):
+    sp, d1, _, _, cut, _ = flagship
+    _, wide = quantize(sp, 128)
+    with pytest.raises(ShapeError, match="share modes and dimension"):
+        rel_index_global(d1, wide, cut)
 
 
 def test_restricted_choices_pass_validation(flagship):

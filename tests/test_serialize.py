@@ -32,15 +32,3 @@ def test_loop_rejects_unknown_domain():
     data["param"] = "0-2pi"
     with pytest.raises(ValueError):
         serialize.loop_from_dict(data)
-
-
-def test_trunc_op_roundtrip():
-    from balk1.loops import MatrixLoop
-    from balk1.opmodel import quantize_symbol
-    plus = MatrixLoop.from_function(
-        lambda t: np.array([[np.exp(4j * t)]]), 256, dim=1)
-    minus = MatrixLoop.constant(np.eye(1), 256)
-    op = quantize_symbol(plus, minus, 8)
-    back = serialize.trunc_op_from_dict(serialize.trunc_op_to_dict(op))
-    assert np.allclose(back.matrix, op.matrix)
-    assert back.modes == 8 and back.dim == 1
