@@ -32,7 +32,7 @@ import scipy.linalg as sla
 from .errors import ShapeError
 from .numkern import (Array, as_matrix, eig_unitary, opnorm, random_unitary,
                       stack_opnorm)
-from .relations import REL1, REL1_NAMES, REL2_NAMES, RELATIONS
+from .relations import REL1, REL1_NAMES, REL2_NAMES, RELATIONS, TWINS
 
 
 def _adj(x: Array) -> Array:
@@ -75,9 +75,23 @@ def relation_residuals(a: Array, b: Array, rows: Sequence[tuple],
                        mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Operator norms of ``relation_matrices`` for the given rows (``RELATIONS``,
     or the defining four as ``REL1``), of shape (..., len(rows)); an empty
-    mask gives zeros."""
-    return np.stack([stack_opnorm(r) for r in relation_matrices(a, b, rows, mask)],
-                    axis=-1)
+    mask gives zeros.
+
+    A row whose twin (``relations.TWINS``) is also given is not evaluated: it
+    takes its twin's norm.  Where a - b is exactly zero every residual is,
+    and nothing is evaluated.
+    """
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (len(rows),))
+    if np.array_equal(a, b):
+        return out
+    names = [name for name, _, _ in rows]
+    own = [i for i, name in enumerate(names) if TWINS.get(name) not in names]
+    for i, matrix in zip(own, relation_matrices(a, b, [rows[i] for i in own], mask)):
+        out[..., i] = stack_opnorm(matrix)
+    for i, name in enumerate(names):
+        if i not in own:
+            out[..., i] = out[..., names.index(TWINS[name])]
+    return out
 
 
 @dataclass
@@ -160,8 +174,14 @@ def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
 
 def canonical_unitary(a: Array, b: Array) -> Array:
     """c = 1 + b*(a - b) for every pair in (..., n, n) stacks; unitary for
-    balanced pairs, and bc = a."""
-    return np.eye(a.shape[-1]) + _adj(b) @ (a - b)
+    balanced pairs, and bc = a.  Where a - b is exactly zero, c is the
+    identity and no product is formed."""
+    diff = a - b
+    eye = np.eye(a.shape[-1])
+    if not diff.any():
+        return np.broadcast_to(eye.astype(np.result_type(eye, diff)),
+                               diff.shape).copy()
+    return eye + _adj(b) @ diff
 
 
 def make_c(pair: BalancedPair) -> Array:

@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
 Explicitly-toleranced helpers over LAPACK via numpy/scipy: operator norms of
-single matrices and of (..., m, n) stacks, Haar-random unitaries and the
+single matrices and of (..., m, n) stacks (one kernel, from the top
+eigenvalue of a scaled Gram matrix), Haar-random unitaries and the
 spectral decomposition of unitaries through the complex Schur form.
 Matrices are complex128 arrays.
 """
@@ -26,21 +27,35 @@ def as_matrix(x) -> Array:
 
 
 def opnorm(x: Array) -> float:
-    """Largest singular value; 0 for empty and all-zero matrices, which are
-    not decomposed."""
+    """Largest singular value through ``stack_opnorm``; 0 for empty and
+    all-zero matrices, which are not decomposed."""
     x = as_matrix(x)
     if not x.any():
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(stack_opnorm(x))
 
 
 def stack_opnorm(x: Array) -> np.ndarray:
     """Largest singular value of every matrix in a (..., m, n) stack, with
-    the stack's leading shape; 0 for empty matrices."""
+    the stack's leading shape; 0 for empty and all-zero matrices.
+
+    Each matrix X is scaled to Y = X/s by its largest entry modulus s, so
+    the Gram matrix cannot overflow or underflow, and the norm is
+    s sqrt(lambda_max(Y*Y)), with the Gram formed on the smaller side and
+    its top eigenvalue read by ``eigvalsh``.  The relative error is a few
+    units of roundoff times the smaller dimension, against the values-only
+    SVD; only the top singular value is accurate this way, so a caller
+    that needs singular vectors or small singular values decomposes.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-2] == 0 or x.shape[-1] == 0:
+    m, n = x.shape[-2:]
+    if m == 0 or n == 0:
         return np.zeros(x.shape[:-2])
-    return np.linalg.svd(x, compute_uv=False)[..., 0]
+    scale = np.abs(x).max(axis=(-2, -1))
+    y = x / np.where(scale > 0, scale, 1.0)[..., None, None]
+    yh = y.conj().swapaxes(-1, -2)
+    top = np.linalg.eigvalsh(yh @ y if m >= n else y @ yh)[..., -1]
+    return scale * np.sqrt(np.maximum(top, 0.0))
 
 
 def random_unitary(dim: int, seed: int) -> Array:

@@ -110,18 +110,17 @@ def check_same_shape(a: TruncOp, b: TruncOp) -> None:
 
 @dataclass(frozen=True)
 class TailCutoff:
-    """Cutoff M < N: the tail band is M < |n| <= N - collar."""
+    """Cutoff M < N: the tail band is M < |n| <= N - collar, with the collar
+    N // ``DEFAULT_COLLAR_FRACTION``."""
 
     m: int
-    collar: Optional[int] = None
 
     def band_mask(self, op_modes: int, op_dim: int,
                   m: Optional[int] = None) -> np.ndarray:
         m = self.m if m is None else m
         if m >= op_modes:
             raise ValueError(f"cutoff {m} must be below the mode count {op_modes}")
-        collar = (op_modes // DEFAULT_COLLAR_FRACTION if self.collar is None
-                  else self.collar)
+        collar = op_modes // DEFAULT_COLLAR_FRACTION
         modes = np.repeat(np.arange(-op_modes, op_modes + 1), op_dim)
         return (np.abs(modes) > m) & (np.abs(modes) <= op_modes - collar)
 
@@ -415,8 +414,13 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     records = []
     for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
                                  block_slices(a.sizes)):
-        av, bv, vh = am @ v, bm @ v, _h(v)
-        records.append(SplitBlock(am, bm, v, w, av, bv, vh @ av, vh @ bv,
+        vh = _h(v)
+        av = am @ v
+        # where a - b is exactly zero, B's products are A's
+        bv = av if np.array_equal(am, bm) else bm @ v
+        a1 = vh @ av
+        b1 = a1 if bv is av else vh @ bv
+        records.append(SplitBlock(am, bm, v, w, av, bv, a1, b1,
                                   band[s], vh @ (interior[s][:, None] * v)))
     return records
 
@@ -463,6 +467,31 @@ def _raise_to(values: Dict[str, float], key: str, value: float) -> None:
     values[key] = max(values.get(key, 0.0), value)
 
 
+def _defect_blocks(x: Array, xv: Array, v: Array, band: np.ndarray,
+                   name: str) -> Dict[str, Tuple[float, float]]:
+    """Tail seminorms of the (1,1) and (2,1) blocks of the defects 1 - x*x
+    and 1 - xx* on one half-line block, keyed by their names for x = name,
+    from xv = xV and complete frames.
+
+    For Q = 1 - x*x the (1,1) block is the Gram V*QV = 1 - (xV)*(xV), and
+    the band rows of QV are V[band] - x[:, band]*(xV); for Q = 1 - xx* the
+    same holds with x*V and x[band, :] (x*V).  Since WW* = 1 - VV*, the band
+    rows of the embedded (2,1) block W (W*QV) V* are
+    ((QV)[band] - V[band] V*QV) V[band]*, so no n x n defect and no W*(QV)
+    product is formed.
+    """
+    band_v = v[band]
+    xhv = _h(x) @ v
+    out = {}
+    for key, thin, qv_band in (
+            (f"1-{name}*{name}", xv, band_v - _h(x[:, band]) @ xv),
+            (f"1-{name}{name}*", xhv, band_v - x[band] @ xhv)):
+        gram = np.eye(v.shape[1]) - _h(thin) @ thin
+        out[key] = (opnorm(band_v @ gram @ _h(band_v)),
+                     opnorm((qv_band - band_v @ gram) @ _h(band_v)))
+    return out
+
+
 def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
                         cut: TailCutoff, eps: float) -> SplitBlockReport:
     """Check the decomposition conclusions at tolerance eps.
@@ -471,33 +500,35 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     operator norm; each unitarity defect must be small outside the (2,2)
     block in the tail seminorm (its compact part is discounted).
 
-    Every norm is the largest over the half-line blocks.  A defect Q is
-    applied to the range frame only, as the thin product QV = V - a*(aV):
-    its (1,1) block is V*QV, its (2,1) block W*QV, and since Q is
-    self-adjoint the (1,2) block is the adjoint of the (2,1) block.
+    Every norm is the largest over the half-line blocks.  The split's frames
+    must be complete, VV* + WW* = 1 on each block, as the eigenvector frames
+    of ``splitting_projection`` are: a defect Q is then read from thin
+    products with the range frame only (see ``_defect_blocks``), and since
+    Q is self-adjoint its (1,2) block is the adjoint of its (2,1) block.
+    Where a - b is exactly zero on a block, its difference blocks there are
+    0 and not formed, and b's defects are a's.
     """
     diff_blocks: Dict[str, float] = {}
     defect_blocks: Dict[str, float] = {}
     records = split_blocks(a, b, split, cut)
     for blk in records:
         am, bm, v, w = blk.a, blk.b, blk.v, blk.w
-        dv, dw = blk.av - blk.bv, (am - bm) @ w
-        _raise_to(diff_blocks, "12", opnorm(_h(v) @ dw))
-        _raise_to(diff_blocks, "21", opnorm(_h(w) @ dv))
-        _raise_to(diff_blocks, "22", opnorm(_h(w) @ dw))
-
-        defect_v = {
-            "1-a*a": v - _h(am) @ blk.av,
-            "1-aa*": v - am @ (_h(am) @ v),
-            "1-b*b": v - _h(bm) @ blk.bv,
-            "1-bb*": v - bm @ (_h(bm) @ v),
-        }
-        band_v, band_w = v[blk.band], w[blk.band]
-        for name, qv in defect_v.items():
-            # band compressions of the embedded blocks V (V*QV) V* and
-            # W (W*QV) V*
-            within = opnorm(band_v @ (_h(v) @ qv) @ _h(band_v))
-            across = opnorm(band_w @ (_h(w) @ qv) @ _h(band_v))
+        same = np.array_equal(am, bm)
+        if same:
+            diffs = dict.fromkeys(("12", "21", "22"), 0.0)
+        else:
+            dv, dw = blk.av - blk.bv, (am - bm) @ w
+            diffs = {"12": opnorm(_h(v) @ dw), "21": opnorm(_h(w) @ dv),
+                     "22": opnorm(_h(w) @ dw)}
+        for key, value in diffs.items():
+            _raise_to(diff_blocks, key, value)
+        defects = _defect_blocks(am, blk.av, v, blk.band, "a")
+        if same:
+            defects.update({name.replace("a", "b"): value
+                            for name, value in defects.items()})
+        else:
+            defects.update(_defect_blocks(bm, blk.bv, v, blk.band, "b"))
+        for name, (within, across) in defects.items():
             _raise_to(defect_blocks, f"{name}:11", within)
             _raise_to(defect_blocks, f"{name}:12", across)
             _raise_to(defect_blocks, f"{name}:21", across)

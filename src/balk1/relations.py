@@ -6,14 +6,17 @@ pipeline (``opmodel.corner_estimates``), the exact relation ideals and the
 doubled 2x2 suite entries (``starpoly.suites``) all evaluate its rows, so the
 module imports nothing.
 
-Some rows are twins:
+Some rows are twins, listed in ``TWINS``:
 
 * row 3 is row 2, since a(1 - a*a) = a - aa*a = (1 - aa*)a;
 * rows 8-11 are the adjoints of rows 6, 7, 4 and 5.
 
-So ``rel1`` has three distinct generators, and the 65 entries of the
-built-in suite hold only 50 distinct targets: every ``double-*:defect-left:*``
-entry repeats a ``defect-right:*`` target, and ``double-swap``'s
+A twin has its sibling's operator norm on every compression to a set of
+coordinates (the compression of X* is the adjoint of that of X), so the
+numeric kernel evaluates each pair once.  ``rel1`` has three distinct
+generators, and the 65 entries of the built-in suite hold only 50 distinct
+targets: every ``double-*:defect-left:*`` entry repeats a
+``defect-right:*`` target, and ``double-swap``'s
 ``staradj:21``, ``adjstar:21`` and ``defect-right:21`` repeat their ``:12``
 entries.  The suite keeps every entry under its name, because suite files
 and reports are keyed by them.
@@ -40,3 +43,8 @@ RELATIONS = (
 REL1 = RELATIONS[:4]  # the defining relations
 REL1_NAMES = tuple(name for name, _, _ in REL1)
 REL2_NAMES = tuple(name for name, _, _ in RELATIONS[4:])
+
+# Each twin row's name, mapped to the name of the earlier row whose residual
+# equals it (row 3) or its adjoint (rows 8-11) on any matrices.
+TWINS = {RELATIONS[twin][0]: RELATIONS[row][0]
+         for twin, row in ((3, 2), (8, 6), (9, 7), (10, 4), (11, 5))}

@@ -318,8 +318,13 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
     only on the splitting symbol, so sweeps over symbol families share
     them), else the quantized ``split_symbol``; with neither the pipeline
     fails at stage ``splitting_projection``.  ``tail_cutoff`` overrides the
-    default mode cutoff N/2 at the base size and is doubled along with it.
+    default mode cutoff N/2 at the base size and is doubled along with it;
+    it must be below ``modes``, else ``ValueError`` is raised before any
+    stage runs.
     """
+    if tail_cutoff is not None and tail_cutoff >= modes:
+        raise ValueError(f"tail cutoff {tail_cutoff} must be below the mode "
+                         f"count {modes}")
 
     def stage(name, fn, *args, **kwargs):
         try:

@@ -18,7 +18,7 @@ from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, bump_from_on
 from balk1.errors import ShapeError
 from balk1.loops import default_gamma, rotating_diagonal_pair, turn
 from balk1.numkern import opnorm, random_unitary, stack_opnorm
-from balk1.relations import REL1, RELATIONS
+from balk1.relations import REL1, RELATIONS, TWINS
 from balk1.starpoly import (CertTerm, MembershipCertificate, default_suite, parse,
                             replay_certificate)
 from balk1.starpoly.suites import path_pair
@@ -84,10 +84,32 @@ def test_twin_rows_agree_off_balanced_pairs():
     # a(1 - a*a) = (1 - aa*)a, so rows 2 and 3 agree on any matrices; rows
     # 8-11 are the adjoints of rows 6, 7, 4 and 5
     a, b = _random_stack((4, 3, 3), 3), _random_stack((4, 3, 3), 4)
-    row2, row3 = relation_matrices(a, b, RELATIONS[2:4], None)
-    assert np.abs(row2 - row3).max() <= 1e-12
-    norms = relation_residuals(a, b, RELATIONS)
-    np.testing.assert_allclose(norms[:, 8:], norms[:, [6, 7, 4, 5]], rtol=1e-12)
+    rows = list(relation_matrices(a, b, RELATIONS, None))
+    assert np.abs(rows[2] - rows[3]).max() <= 1e-12
+    for twin, row in zip((8, 9, 10, 11), (6, 7, 4, 5)):
+        adjoint = rows[row].conj().swapaxes(-1, -2)
+        assert np.abs(rows[twin] - adjoint).max() <= 1e-12, twin
+    assert TWINS == {RELATIONS[t][0]: RELATIONS[r][0]
+                     for t, r in ((3, 2), (8, 6), (9, 7), (10, 4), (11, 5))}
+
+
+@pytest.mark.parametrize("mask", [None, np.array([True, False, True, True, False])])
+def test_residuals_are_the_norms_of_the_relation_matrices(mask):
+    a, b = _random_stack((3, 5, 5), 5), _random_stack((3, 5, 5), 6)
+    norms = relation_residuals(a, b, RELATIONS, mask)
+    for k, matrix in enumerate(relation_matrices(a, b, RELATIONS, mask)):
+        expected = np.linalg.svd(matrix, compute_uv=False)[..., 0]
+        np.testing.assert_allclose(norms[:, k], expected, rtol=1e-13, atol=0)
+
+
+def test_equal_operators_give_exact_zero_residuals():
+    a = _random_stack((2, 4, 4), 7)
+    mask = np.array([True, True, False, True])
+    for m in (None, mask):
+        assert np.array_equal(relation_residuals(a, a.copy(), RELATIONS, m),
+                              np.zeros((2, 12)))
+    c = canonical_unitary(a, a.copy())
+    assert np.array_equal(c, np.eye(4) + a.conj().swapaxes(-1, -2) @ (a - a))
 
 
 def test_canonical_unitary_of_stacks_is_pointwise():
@@ -341,9 +363,9 @@ def test_linear_trivial_path():
 # x86-64 (a different BLAS may round the word products differently)
 _PATH_DIGESTS = {
     "linear-trivial": ("52a3e0804d93dc52", None),
-    "swap": ("cb87368e7cae64e0", "4bc6aee05efeb5ff"),
-    "adjoint": ("087491e1d1f41479", "706cb237c6765c7b"),
-    "canonical": ("3853f22cf605f6eb", "1331a91b0ae934e2"),
+    "swap": ("63884152bd78169b", "4bc6aee05efeb5ff"),
+    "adjoint": ("8f1e7928e2d4bbe2", "706cb237c6765c7b"),
+    "canonical": ("924bc29b71ba1626", "1331a91b0ae934e2"),
 }
 
 

@@ -251,3 +251,18 @@ def test_cli_rejects_degenerate_sizes(runner, pair_file, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output.lower()
     assert not out.exists()
+
+
+def test_index_rejects_a_tail_cutoff_at_the_mode_count(runner, monkeypatch):
+    # the cutoff is checked before any stage runs, so nothing is quantized
+    from balk1 import opmodel
+
+    def no_quantize(*args, **kwargs):
+        raise AssertionError("quantized before rejecting the cutoff")
+
+    monkeypatch.setattr(opmodel, "quantize", no_quantize)
+    monkeypatch.setattr("balk1.relindex.quantize", no_quantize)
+    result = runner.invoke(main, ["index", "--sweep", "0:0,1:1", "--modes", "16",
+                                  "--grid", "256", "--tail-cutoff", "16"])
+    assert result.exit_code == 2, result.output
+    assert "tail cutoff 16 must be below the mode count 16" in result.output

@@ -39,6 +39,33 @@ def test_opnorm_matches_max_singular_value():
     assert np.array_equal(stack_opnorm(np.zeros((3, 0, 4))), np.zeros(3))
 
 
+def _stacks(rng):
+    """Square, tall, wide, 1x1, rank-one and zero stacks."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rank_one = cplx(3, 6, 1) @ cplx(3, 1, 4)
+    zero_mixed = cplx(3, 5, 5)
+    zero_mixed[1] = 0.0
+    return [cplx(4, 6, 6), cplx(2, 3, 9, 4), cplx(3, 4, 9), cplx(5, 1, 1),
+            rank_one, zero_mixed, np.zeros((2, 3, 3), dtype=complex)]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150, 1e160])
+def test_stack_opnorm_matches_svd_at_extreme_scales(scale):
+    # entries scaled to 1e-200 would underflow in an unscaled Gram matrix,
+    # and to 1e160 would overflow
+    for x in _stacks(np.random.default_rng(3)):
+        x = scale * x
+        expected = np.linalg.svd(x, compute_uv=False)[..., 0]
+        got = stack_opnorm(x)
+        assert got.shape == x.shape[:-2]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+        for m, e in zip(x.reshape((-1,) + x.shape[-2:]), expected.ravel()):
+            assert opnorm(m) == pytest.approx(e, rel=1e-13, abs=0)
+    for shape in ((3, 0, 4), (2, 4, 0), (0, 3, 3)):
+        assert np.array_equal(stack_opnorm(np.zeros(shape)), np.zeros(shape[:-2]))
+
+
 def test_func_calc_identity_function():
     # the identity function through the spectral decomposition rebuilds u
     u = random_unitary(5, 11)

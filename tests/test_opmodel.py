@@ -134,7 +134,7 @@ def test_kbalance_matches_naive_small_case():
     lp = LoopPair(plus1, plus2)
     sp = SymbolPair(lp, LoopPair(identity_loop(1, 256), identity_loop(1, 256)))
     d1, d2 = quantize(sp, 16)
-    cut = TailCutoff(4, collar=2)
+    cut = TailCutoff(4)
     report = kbalance_report(d1, d2, cut)
     dense = dense_relations(d1.matrix, d2.matrix)
     names = REL1_NAMES + REL2_NAMES
@@ -349,6 +349,41 @@ def two_way_winding():
     split = splitting_projection(sp, modes, explicit_symbol=(split_loop, split_loop))
     d1, d2 = (clip_to_contraction(d) for d in quantize(sp, modes))
     return d1, d2, split, TailCutoff(modes // 2)
+
+
+@pytest.fixture(scope="module")
+def standard_pairs():
+    """standard_symbol_pair(1, 0), whose a - b vanishes on the - block, and
+    (1, 1), whose a - b vanishes on both blocks."""
+    grid, modes = 1024, 64
+    split = splitting_projection(standard_symbol_pair(0, 0, grid), modes,
+                                 standard_split_symbol(grid))
+    out = {}
+    for pq in ((1, 0), (1, 1)):
+        d1, d2 = (clip_to_contraction(d)
+                  for d in quantize(standard_symbol_pair(*pq, grid), modes))
+        out[pq] = (d1, d2, split, TailCutoff(modes // 2))
+    return out
+
+
+@pytest.mark.parametrize("case", [(1, 0), (1, 1)],
+                         ids=["standard-1-0", "standard-1-1"])
+def test_split_blocks_with_zero_differences_match_dense_reference(case, standard_pairs):
+    # test_block_path_matches_dense_reference covers a pair with no zero
+    # difference block
+    d1, d2, split, cut = standard_pairs[case]
+    zero_blocks = [np.array_equal(x, y) for x, y in zip(d1.blocks, d2.blocks)]
+    assert zero_blocks == {(1, 0): [True, False], (1, 1): [True, True]}[case]
+    mask = cut.band_mask(d1.modes, d1.dim)
+    report = verify_split_blocks(d1, d2, split, cut, eps=0.1)
+    diff_blocks, defect_blocks = dense_split_blocks(d1.matrix, d2.matrix,
+                                                    split.projector, mask)
+    assert list(report.diff_blocks) == list(diff_blocks)
+    assert list(report.defect_blocks) == list(defect_blocks)
+    assert report.diff_blocks == pytest.approx(diff_blocks, abs=1e-12)
+    assert report.defect_blocks == pytest.approx(defect_blocks, abs=1e-12)
+    if all(zero_blocks):
+        assert set(report.diff_blocks.values()) == {0.0}
 
 
 def test_block_path_matches_dense_reference(two_way_winding):
