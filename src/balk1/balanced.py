@@ -82,7 +82,7 @@ def relation_residuals(a: Array, b: Array, rows: Sequence[tuple],
     and nothing is evaluated.
     """
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (len(rows),))
-    if np.array_equal(a, b):
+    if a is b or np.array_equal(a, b):
         return out
     names = [name for name, _, _ in rows]
     own = [i for i, name in enumerate(names) if TWINS.get(name) not in names]
@@ -176,11 +176,11 @@ def canonical_unitary(a: Array, b: Array) -> Array:
     """c = 1 + b*(a - b) for every pair in (..., n, n) stacks; unitary for
     balanced pairs, and bc = a.  Where a - b is exactly zero, c is the
     identity and no product is formed."""
-    diff = a - b
+    diff = None if a is b else a - b
     eye = np.eye(a.shape[-1])
-    if not diff.any():
-        return np.broadcast_to(eye.astype(np.result_type(eye, diff)),
-                               diff.shape).copy()
+    if diff is None or not diff.any():
+        return np.broadcast_to(eye.astype(np.result_type(eye, a, b)),
+                               np.broadcast_shapes(a.shape, b.shape)).copy()
     return eye + _adj(b) @ diff
 
 

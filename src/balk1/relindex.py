@@ -20,11 +20,16 @@ formula ind(1 + B*(A - B)) on the whole truncated space; one builder forms
 the candidate operators of every recipe, block by block over the half-lines
 of the operator model (the index of a block-diagonal candidate is the sum
 of its block indices), from the split records of ``opmodel.split_blocks``.
-A comparison operator is admissible when it meets the corner estimates of
-the split decomposition, so ``validate_choice`` reads the same
-``opmodel.corner_estimates`` table.  ``verify_index_theorem`` runs the full
-pipeline at a mode count and its double and checks every formula and
-engine against the winding-number index of the symbols.
+For C = A|H1 or C = B|H1 the term C*C is Hermitian, so its index is 0, and
+the two terms left, (AV)*(BV) and (BV)*(AV), are adjoints of each other:
+since ind X* = -ind X from the same singular values, the pipeline reads
+definition-B off definition-A's decomposition, and only ``rel_index`` with
+choice "B" forms (BV)*(AV).  A comparison operator is admissible when it
+meets the corner estimates of the split decomposition, so
+``validate_choice`` reads the same ``opmodel.corner_estimates`` table.
+``verify_index_theorem`` runs the full pipeline at a mode count and its
+double and checks every formula and engine against the winding-number
+index of the symbols.
 """
 
 from __future__ import annotations
@@ -235,7 +240,9 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
 
     The formula's index is the signed sum of its candidates' indices.
     ``definition-A`` and ``definition-B`` compare through C = A|H1 and
-    C = B|H1; every formula but ``global`` reads the split data.
+    C = B|H1.  Their C*C term is Hermitian, so its index is 0 and it is not
+    formed: definition-A is -ind((AV)*(BV)) and definition-B is
+    ind((BV)*(AV)).  Every formula but ``global`` reads the split data.
     """
     if formula == "global":
         check_same_shape(a, b)
@@ -246,9 +253,9 @@ def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     grams = tuple(d.h1_gram for d in data)
     if formula == "corner":
         return [(1, tuple(canonical_unitary(d.a1, d.b1) for d in data), grams)]
-    c = _resolve_choice(data, formula.removeprefix("definition-"))
-    return [(1, tuple(ci.conj().T @ d.av for ci, d in zip(c, data)), grams),
-            (-1, tuple(ci.conj().T @ d.bv for ci, d in zip(c, data)), grams)]
+    if formula == "definition-A":
+        return [(-1, tuple(d.av.conj().T @ d.bv for d in data), grams)]
+    return [(1, tuple(d.bv.conj().T @ d.av for d in data), grams)]
 
 
 def _formula_index(parts: List[Candidate],
@@ -277,8 +284,9 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit, choice: str = "A",
     with ``eps`` the choice must first pass ``validate_choice``."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
     data = split_blocks(a, b, split, cut)
+    c_blocks = _resolve_choice(data, choice)
     if eps is not None:
-        validate_choice(_resolve_choice(data, choice), data, eps)
+        validate_choice(c_blocks, data, eps)
     parts = _candidates(a, b, cut, f"definition-{choice}", data)
     return _formula_index(parts, strict=True)[0]
 
@@ -339,8 +347,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
 
     for n in (modes, 2 * modes):
         d1, d2 = stage("quantize", quantize, sp, n)
-        d1 = stage("clip_to_contraction", clip_to_contraction, d1)
-        d2 = stage("clip_to_contraction", clip_to_contraction, d2)
+        d1, d2 = stage("clip_to_contraction", clip_to_contraction, d1, d2)
         cut = TailCutoff(n // 2 if tail_cutoff is None
                          else (n // modes) * tail_cutoff)
         kb = stage("kbalance", kbalance_report, d1, d2, cut, kbalance_tol)
@@ -358,7 +365,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
         residuals[f"measured_eps_N{n}"] = blocks.max_measured
 
         candidates = {f: _candidates(d1, d2, cut, f, blocks.records)
-                      for f in _FORMULAS}
+                      for f in _FORMULAS if f != "definition-B"}
         band = cut.band_mask(n, d1.dim)
         _, f_global, _ = candidates["global"][0]
         defect = 0.0
@@ -368,9 +375,15 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
                                         - cols.conj().T @ cols))
         residuals[f"global_unitarity_defect_N{n}"] = defect
         gap = math.inf
-        for formula, parts in candidates.items():
-            svd, fedosov, evs = stage(f"fredholm_index[{formula}]",
-                                      _formula_index, parts, strict=False)
+        for formula in _FORMULAS:
+            # definition-B's candidate (BV)*(AV) is the adjoint of
+            # definition-A's (AV)*(BV) and enters with the opposite sign:
+            # ind(X*) = -ind(X) from the same singular values, so both
+            # engines, the residue and the count gap are definition-A's
+            if formula != "definition-B":
+                svd, fedosov, evs = stage(f"fredholm_index[{formula}]",
+                                          _formula_index, candidates[formula],
+                                          strict=False)
             values[formula]["svd"][n] = svd
             values[formula]["fedosov"][n] = fedosov
             gap = min([gap] + [ev.count_gap for ev in evs])

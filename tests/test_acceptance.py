@@ -5,8 +5,10 @@ Each test prints one pass/fail line.  The heavy loop-turn sweep (mode counts
 criteria assert against its results.
 """
 
+import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
@@ -27,6 +29,7 @@ from balk1.starpoly import default_suite, verify_identity_suite
 
 SWEEP_MODES = 128
 SWEEP_GRID = 2048
+DATA = Path(__file__).parent / "data"
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -61,13 +64,13 @@ def sweep() -> SweepData:
             sp = standard_symbol_pair(p, q, SWEEP_GRID)
             rep = verify_index_theorem(sp, SWEEP_MODES, splits=splits)
             reports[(p, q)] = rep
-            # the defining formula with the two restricted choices is already
-            # inside the report; antisymmetry needs one swapped evaluation
-            choices[(p, q)] = (rep.details["definition-A"]["svd"][SWEEP_MODES],
-                               rep.details["definition-B"]["svd"][SWEEP_MODES])
-            d1, d2 = quantize(sp, SWEEP_MODES)
-            d1, d2 = clip_to_contraction(d1), clip_to_contraction(d2)
+            # the report reads definition-B off definition-A's decomposition,
+            # so choice independence needs its own evaluation with C = B|H1,
+            # and antisymmetry one swapped evaluation
+            d1, d2 = clip_to_contraction(*quantize(sp, SWEEP_MODES))
             forward = rep.details["definition-A"]["svd"][SWEEP_MODES]
+            choices[(p, q)] = (forward, rel_index(d1, d2, splits[SWEEP_MODES],
+                                                  "B", cut))
             backward = rel_index(d2, d1, splits[SWEEP_MODES], "A", cut)
             anti[(p, q)] = (forward, backward)
     return SweepData(reports, anti, choices, time.perf_counter() - started)
@@ -182,6 +185,33 @@ def test_criterion_6_choice_independence_and_antisymmetry(sweep):
            "A-restricted = B-restricted and ind(A,B) = -ind(B,A) on all 25")
 
 
+# -- the sweep against its pinned values ------------------------------------------------
+
+
+def test_sweep_matches_pinned_values(sweep):
+    """The sweep's indices and verdicts, and its measured eps and k-balance
+    residuals, against ``tests/data/index_sweep.json`` (written by
+    ``scripts/index_sweep.py``): integers and verdicts exactly, residuals to
+    1e-9."""
+    pinned = json.loads((DATA / "index_sweep.json").read_text())
+    mismatches = sorted(set(pinned) ^ {f"{p},{q}" for p, q in sweep.reports})
+    for (p, q), rep in sweep.reports.items():
+        record = pinned.get(f"{p},{q}", {})
+        details = {f: {e: {int(n): v for n, v in by_n.items()}
+                       for e, by_n in engines.items()}
+                   for f, engines in record.get("details", {}).items()}
+        if (rep.details, rep.topological, rep.verdict) != (
+                details, record.get("topological"), record.get("verdict")):
+            mismatches.append(f"{p},{q}")
+        for name in ("measured_eps", "kbalance_worst"):
+            for n in (SWEEP_MODES, 2 * SWEEP_MODES):
+                key = f"{name}_N{n}"
+                if not abs(rep.residuals[key] - record.get(key, np.inf)) <= 1e-9:
+                    mismatches.append(f"{p},{q}:{key}")
+    report("sweep matches its pinned indices, verdicts and residuals",
+           not mismatches, f"{len(pinned)} pairs, mismatches {mismatches[:5]}")
+
+
 # -- criterion 7: split decomposition and corner estimates ----------------------------
 
 
@@ -190,8 +220,7 @@ def test_criterion_7_split_decomposition():
     grid = 4096
     sp = standard_symbol_pair(1, 0, grid)
     split_sym = standard_split_symbol(grid)
-    d1, d2 = quantize(sp, n)
-    d1, d2 = clip_to_contraction(d1), clip_to_contraction(d2)
+    d1, d2 = clip_to_contraction(*quantize(sp, n))
     split = splitting_projection(sp, n, explicit_symbol=split_sym)
     cut = TailCutoff(n // 2)
     blocks = verify_split_blocks(d1, d2, split, cut, eps=0.1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from balk1 import opmodel
 from balk1.balanced import REL1_NAMES, REL2_NAMES
 from balk1.errors import ShapeError, SpectralGapError, UndersampledError
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
@@ -76,13 +77,14 @@ def test_bandwidth_estimate():
 
 def test_clip_leaves_contractions():
     sp = standard_symbol_pair(1, 0, 1024)
-    d1, _ = quantize(sp, 64)
-    assert clip_to_contraction(d1) is d1
+    d1, d2 = quantize(sp, 64)
+    clipped = clip_to_contraction(d1, d2)
+    assert clipped[0] is d1 and clipped[1] is d2
 
 
 def test_clip_scalar_two():
     op = TruncOp(0, 1, (np.zeros((0, 0)), [[2.0 + 0j]]))
-    clipped = clip_to_contraction(op)
+    (clipped,) = clip_to_contraction(op)
     assert np.allclose(clipped.matrix, [[1.0]])
 
 
@@ -91,10 +93,46 @@ def test_clip_random_overshoot():
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     m[:3, 3:] = m[3:, :3] = 0  # no coupling between the half-lines
     m *= 1.3 / opnorm(m)
-    clipped = clip_to_contraction(TruncOp(1, 3, (m[:3, :3], m[3:, 3:])))
+    (clipped,) = clip_to_contraction(TruncOp(1, 3, (m[:3, :3], m[3:, 3:])))
     top = opnorm(clipped.matrix)
     assert abs(top - 1.0) < 1e-10
     assert opnorm(clipped.matrix - m) <= 0.3 + 1e-9
+
+
+@pytest.mark.parametrize("pq, shared", [((1, 0), [True, False]),
+                                        ((2, 2), [True, True])],
+                         ids=["standard-1-0", "standard-2-2"])
+def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
+    """A loop of the second member equal to the first member's is quantized
+    and screened once: the - block of every standard pair, and both blocks
+    when p = q.  Each shared block is bitwise the quantization of its loop
+    alone."""
+    sp = standard_symbol_pair(*pq, 2048)
+    d1, d2 = quantize(sp, 128)
+    assert [x is y for x, y in zip(d1.blocks, d2.blocks)] == shared
+    for k, lp in enumerate((sp.minus, sp.plus)):
+        alone = quantize_symbol(lp.sigma2, lp.sigma2, 128).blocks[k]
+        assert d2.blocks[k].tobytes() == alone.tobytes()
+    screened = []
+    estimate = opmodel._top_singular_estimate
+    monkeypatch.setattr(opmodel, "_top_singular_estimate",
+                        lambda m: screened.append(m) or estimate(m))
+    c1, c2 = clip_to_contraction(d1, d2)
+    assert len(screened) == 4 - sum(shared)
+    assert c1 is d1 and c2 is d2
+
+
+def test_clip_shares_a_clipped_block_without_writing_into_it():
+    rng = np.random.default_rng(3)
+    big = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    big *= 1.5 / opnorm(big)
+    kept = big.copy()
+    ops = [TruncOp(1, 3, (big, np.eye(6) * s)) for s in (1.0, 0.5)]
+    c1, c2 = clip_to_contraction(*ops)
+    assert c1.blocks[0] is c2.blocks[0]
+    assert opnorm(c1.blocks[0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(big, kept)
+    assert c1.blocks[1] is ops[0].blocks[1] and c2.blocks[1] is ops[1].blocks[1]
 
 
 def test_tail_seminorm_band():
@@ -347,7 +385,7 @@ def two_way_winding():
     sp = SymbolPair(plus, minus)
     split_loop = subbundle_projection_loop(grid)
     split = splitting_projection(sp, modes, explicit_symbol=(split_loop, split_loop))
-    d1, d2 = (clip_to_contraction(d) for d in quantize(sp, modes))
+    d1, d2 = clip_to_contraction(*quantize(sp, modes))
     return d1, d2, split, TailCutoff(modes // 2)
 
 
@@ -360,8 +398,8 @@ def standard_pairs():
                                  standard_split_symbol(grid))
     out = {}
     for pq in ((1, 0), (1, 1)):
-        d1, d2 = (clip_to_contraction(d)
-                  for d in quantize(standard_symbol_pair(*pq, grid), modes))
+        d1, d2 = clip_to_contraction(
+            *quantize(standard_symbol_pair(*pq, grid), modes))
         out[pq] = (d1, d2, split, TailCutoff(modes // 2))
     return out
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
                           ShapeError, SingularGapError)
@@ -79,6 +80,28 @@ def test_count_gap_reports_the_cut_margin():
     assert engine_values(np.eye(2)).count_gap == np.inf
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(8, 40), st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
+def test_adjoint_negates_the_index(n, shift, seed):
+    """ind X* = -ind X from the same singular values: both engines flip
+    sign, and the residue and the count gap stay, up to LAPACK rounding.
+    X is a square truncated shift by ``shift`` modes plus a non-Hermitian
+    perturbation of size 1e-6, in a random orthonormal basis, weighted by
+    the Gram matrix of the lower half of the modes in that basis."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    basis = random_unitary(n, seed)
+    x = basis @ (np.eye(n, k=-shift) + 1e-6 * noise) @ basis.conj().T
+    gram = (basis * (np.arange(n) < n // 2)) @ basis.conj().T
+    forward = engine_values(x, domain_weights=gram, codomain_weights=gram)
+    adjoint = engine_values(x.conj().T, domain_weights=gram,
+                            codomain_weights=gram)
+    assert forward.svd == forward.fedosov == -shift
+    assert (adjoint.svd, adjoint.fedosov) == (shift, shift)
+    assert adjoint.residue == pytest.approx(forward.residue, rel=0, abs=1e-12)
+    assert adjoint.count_gap == pytest.approx(forward.count_gap, rel=1e-7)
+
+
 def test_hermitian_shortcut():
     values = engine_values(np.diag([1e-7, 0.5, 1.0]).astype(complex))
     assert values.svd == values.fedosov == 0
@@ -107,8 +130,7 @@ def flagship():
     grid = 1024
     sp = standard_symbol_pair(1, 0, grid)
     split_sym = standard_split_symbol(grid)
-    d1, d2 = quantize(sp, 64)
-    d1, d2 = clip_to_contraction(d1), clip_to_contraction(d2)
+    d1, d2 = clip_to_contraction(*quantize(sp, 64))
     split = splitting_projection(sp, 64, explicit_symbol=split_sym)
     return sp, d1, d2, split, TailCutoff(32), split_sym
 
@@ -197,7 +219,7 @@ def test_verify_index_theorem_flagship(gamma):
             assert set(series.values()) == {-1}, (formula, engine)
     # the k-balance diagnostic is read at the populated cutoff N/2
     for n in (64, 128):
-        d1, d2 = (clip_to_contraction(d) for d in quantize(sp, n))
+        d1, d2 = clip_to_contraction(*quantize(sp, n))
         cut = TailCutoff(n // 2)
         worst = kbalance_report(d1, d2, cut).worst(cut.m)
         assert report.residuals[f"kbalance_worst_N{n}"] == worst > 0
