@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Literal, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ShapeError
 from .numkern import (Array, as_matrix, eig_unitary, opnorm, random_unitary,
@@ -150,6 +149,8 @@ def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
     strict-contraction block (every finite balanced pair splits this way up
     to the crossed-defect degeneracies).  The seed also draws the size of the
     unitary block, anywhere from 0 to dim."""
+    import scipy.linalg as sla
+
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, dim + 1))
     blocks_a, blocks_b = [], []

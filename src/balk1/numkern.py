@@ -1,10 +1,11 @@
 """Dense complex matrix kernel.
 
-Explicitly-toleranced helpers over LAPACK via numpy/scipy: operator norms of
+Explicitly-toleranced helpers over LAPACK via numpy: operator norms of
 single matrices and of (..., m, n) stacks (one kernel, from the top
 eigenvalue of a scaled Gram matrix), Haar-random unitaries and the
 spectral decomposition of unitaries through the complex Schur form.
-Matrices are complex128 arrays.
+Matrices are complex128 arrays.  Only the Schur form needs scipy, which
+``eig_unitary`` imports on first use, so the index path never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotUnitaryError, ShapeError
 
@@ -75,6 +75,8 @@ def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
     normal input the Schur factor is diagonal up to roundoff, so discarding
     its strict upper triangle is exact to the stated tolerance.
     """
+    import scipy.linalg as sla
+
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ShapeError("unitary input must be square")

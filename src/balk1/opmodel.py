@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .balanced import relation_matrices, relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
@@ -97,6 +96,8 @@ class TruncOp:
     @property
     def matrix(self) -> Array:
         """Dense view; built on every access."""
+        import scipy.linalg as sla
+
         return sla.block_diag(*self.blocks)
 
 
@@ -368,7 +369,17 @@ class ModeSplit:
     @property
     def projector(self) -> Array:
         """Dense view; built on every access."""
+        import scipy.linalg as sla
+
         return sla.block_diag(*(v @ _h(v) for v, _ in self.blocks))
+
+
+def _is_diagonal(square: Array) -> bool:
+    """Whether every off-diagonal entry of a C-contiguous square matrix is
+    0, read through a view: after the first entry, the flat array falls
+    into rows of n + 1 that each end on the next diagonal entry."""
+    n = square.shape[0]
+    return not square.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()
 
 
 def splitting_projection(sp: SymbolPair, modes: int,
@@ -385,7 +396,10 @@ def splitting_projection(sp: SymbolPair, modes: int,
     keeps only cleanly-absent states.  A populated band of half-width
     ``SPLIT_GAP`` around the threshold is reported as a spectral-gap
     failure.  The eigenvectors of each half-line block are the frames of the
-    split on that block.  The returned split is guaranteed only to be a
+    split on that block; a block whose Hermitian part is exactly diagonal
+    (the zero - direction of ``standard_split_symbol``, constant symbols) is
+    read off its diagonal, with unit-vector frames in ascending order, and
+    not decomposed.  The returned split is guaranteed only to be a
     projection; its quality is established by :func:`verify_split_blocks`.
     """
     dims = [loop.dim for loop in explicit_symbol]
@@ -395,7 +409,13 @@ def splitting_projection(sp: SymbolPair, modes: int,
     raw = quantize_symbol(*explicit_symbol, modes, enforce_bandwidth=False)
     frames, inside = [], []
     for block in raw.blocks:
-        w, v = np.linalg.eigh((block + _h(block)) / 2)
+        herm = (block + _h(block)) / 2
+        if _is_diagonal(herm):
+            d = herm.diagonal().real
+            order = np.argsort(d, kind="stable")
+            w, v = d[order], np.eye(len(d), dtype=np.complex128)[:, order]
+        else:
+            w, v = np.linalg.eigh(herm)
         inside.extend(w[np.abs(w - SPLIT_THRESHOLD) <= SPLIT_GAP].tolist())
         frames.append((v[:, w > SPLIT_THRESHOLD], v[:, w <= SPLIT_THRESHOLD]))
     if inside:

@@ -187,15 +187,32 @@ def test_index_sweep_csv(runner, tmp_path):
     assert len(rows) == 2
 
 
-def test_cli_import_leaves_the_symbolic_engine_unloaded():
-    code = ("import sys, balk1.cli; "
-            "print([m for m in sys.modules if m.startswith('balk1.starpoly')])")
+def run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
     src = str(Path(balk1.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True, env=env)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_the_symbolic_engine_unloaded():
+    code = ("import sys, balk1.cli; "
+            "print([m for m in sys.modules if m.startswith('balk1.starpoly')])")
+    assert run_fresh(code) == "[]"
+
+
+def test_index_path_leaves_scipy_unloaded():
+    loaded = "[m for m in sys.modules if m.startswith('scipy')]"
+    code = ("import sys, balk1.cli\n"
+            f"print({loaded})\n"
+            "from balk1.loops import standard_split_symbol, standard_symbol_pair\n"
+            "from balk1.relindex import verify_index_theorem\n"
+            "rep = verify_index_theorem(standard_symbol_pair(1, 0, 1024), 64, "
+            "split_symbol=standard_split_symbol(1024))\n"
+            f"print({loaded}, rep.verdict)")
+    assert run_fresh(code).splitlines() == ["[]", "[] True"]
 
 
 def test_index_names_the_keys_a_loop_pair_file_lacks(runner, tmp_path):

@@ -280,6 +280,47 @@ def test_splitting_projection_gap_failure_and_override():
     assert opnorm(p - p.conj().T) < 1e-10
 
 
+@pytest.mark.parametrize("modes", [128, 256])
+def test_splitting_projection_frames_are_those_of_eigh(modes):
+    split_sym = standard_split_symbol(2048)
+    split = splitting_projection(standard_symbol_pair(1, 0, 2048), modes, split_sym)
+    raw = quantize_symbol(*split_sym, modes, enforce_bandwidth=False)
+    assert not raw.blocks[0].any()  # the zero - block takes the diagonal path
+    for block, (v, w) in zip(raw.blocks, split.blocks):
+        vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
+        assert np.array_equal(v, vecs[:, vals > opmodel.SPLIT_THRESHOLD])
+        assert np.array_equal(w, vecs[:, vals <= opmodel.SPLIT_THRESHOLD])
+    assert np.array_equal(split.blocks[0][1], np.eye(2 * modes))
+
+
+def test_splitting_projection_reads_a_diagonal_block_off_its_diagonal():
+    grid = 512
+    diag = np.diag([0.9, 0.0, 0.6, -0.1])
+    loop = MatrixLoop.constant(diag, grid)
+    sp = SymbolPair(LoopPair(loop, loop), LoopPair(loop, loop))
+    split = splitting_projection(sp, 3, (loop, loop))
+    raw = quantize_symbol(loop, loop, 3, enforce_bandwidth=False)
+    for block, (v, w) in zip(raw.blocks, split.blocks):
+        vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
+        assert np.abs(np.sort(np.diag(block).real) - vals).max() <= 1e-15
+        ref = vecs[:, vals > opmodel.SPLIT_THRESHOLD]
+        assert opnorm(v @ v.conj().T - ref @ ref.conj().T) <= 1e-15
+        assert v.shape[1] + w.shape[1] == block.shape[0]
+    assert split.rank == 2 * 7
+
+
+def test_splitting_projection_one_by_one_blocks():
+    grid = 256
+    one = identity_loop(1, grid)
+    zero = MatrixLoop.constant(np.zeros((1, 1)), grid)
+    sp = SymbolPair(LoopPair(one, one), LoopPair(one, one))
+    split = splitting_projection(sp, 0, (one, zero))
+    assert split.sizes == (0, 1) and split.rank == 1
+    split = splitting_projection(sp, 1, (one, zero))
+    assert split.sizes == (1, 2) and split.rank == 2
+    assert np.array_equal(split.blocks[0][1], np.eye(1))
+
+
 def test_splitting_projection_rejects_a_split_of_another_dimension():
     sp = standard_symbol_pair(1, 0, 1024)
     one = identity_loop(1, 1024)
