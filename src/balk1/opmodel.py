@@ -248,7 +248,11 @@ def _top_singular_estimate(matrix: Array) -> float:
 
 
 def _clipped(block: Array) -> Array:
-    if _top_singular_estimate(block) <= 1.0 + 1e-9:
+    if _is_diagonal(block):
+        top = np.abs(block.diagonal()).max(initial=0.0)
+    else:
+        top = _top_singular_estimate(block)
+    if top <= 1.0 + 1e-9:
         return block
     u, s, vh = np.linalg.svd(block)
     if s.size == 0 or s[0] <= 1.0 + 1e-12:
@@ -261,12 +265,15 @@ def clip_to_contraction(*ops: TruncOp) -> Tuple[TruncOp, ...]:
     whose blocks all stay put is returned itself.
 
     Compressions of contraction-valued multiplication operators are exact
-    contractions, so each block is screened by a power-iteration estimate of
-    its norm: at or below 1 + 1e-9 it is returned untouched, above it is
-    decomposed and clipped exactly.  The screen is not a certificate: the
-    estimate converges from below (about 2e-5 below the true norm 1 on the
-    index sweep's + blocks at N = 128 and 256), so a block whose norm
-    exceeds 1 by less than the shortfall passes unclipped.  A block object
+    contractions, so each block is screened by an estimate of its norm: at
+    or below 1 + 1e-9 it is returned untouched, above it is decomposed and
+    clipped exactly.  An exactly diagonal block (the identity - block of
+    every ``standard_symbol_pair``) is screened by its largest diagonal
+    modulus, which is its norm; any other block by a power-iteration
+    estimate.  That estimate is not a certificate: it converges from below
+    (about 2e-5 below the true norm 1 on the index sweep's + blocks at
+    N = 128 and 256), so a block whose norm exceeds 1 by less than the
+    shortfall passes unclipped.  A block object
     shared by several operators (see ``quantize``) is screened once, and
     the clipped operators share the result.
     """

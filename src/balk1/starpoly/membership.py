@@ -12,10 +12,12 @@ the search runs in two stages:
 
 * **modular search**: the products are eliminated, a chunk at a time, in an
   incremental row echelon over the prime field F_p, p = 998244353.  Since
-  p ≡ 1 (mod 4), the imaginary unit maps to a square root of -1 mod p.  Every
-  pivot row carries the combination of products it was built from, so once
-  the target reduces to zero mod p, the products its combination uses (the
-  support) are known;
+  p ≡ 1 (mod 4), the imaginary unit maps to a square root of -1 mod p.  Each
+  pivot records the product it came from and the eliminations that reduced
+  that product's row into it; no pivot carries a combination of products.
+  Once the target reduces to zero mod p, the factors applied to the target
+  are unwound through those records, newest pivot first, into the products
+  the combination uses (the support);
 * **exact recovery**: the target is solved again over the Gaussian
   rationals, on the rows of the support only.  Those rows are independent
   mod p, hence over Q(i), so the multipliers are unique.
@@ -55,6 +57,7 @@ coefficient (x + y·i)/d maps to (x + y·_I)·d⁻¹ mod p.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -197,7 +200,7 @@ class _Echelon:
             lead = max(row)
             hit = self.pivots.get(lead)
             if hit is None:
-                self.pivots[lead] = self._pivot(lead, row, combo)
+                self.pivots[lead] = (row, combo)
                 return
             self._eliminate(lead, row, combo, hit)
 
@@ -210,9 +213,6 @@ class _Echelon:
             if hit is None:
                 return row, combo
             self._eliminate(hit, row, combo, pivots[hit])
-
-    def _pivot(self, lead, row: dict, combo: dict) -> Tuple[dict, dict]:
-        return row, combo
 
     def _eliminate(self, lead, row: dict, combo: dict,
                    pivot: Tuple[dict, dict]) -> None:
@@ -232,20 +232,81 @@ def _axpy(dst: dict, src: dict, factor: GaussianRational) -> None:
             dst.pop(key, None)
 
 
-class _ModEchelon(_Echelon):
-    """The same echelon over F_P; every pivot row has leading coefficient 1."""
+class _ModEchelon:
+    """Incremental row echelon over F_P that keeps no combinations.
 
-    def _pivot(self, lead, row: dict, combo: dict) -> Tuple[dict, dict]:
-        inv = pow(row[lead], -1, P)
-        return ({key: val * inv % P for key, val in row.items()},
-                {key: val * inv % P for key, val in combo.items()})
+    A pivot is stored under its leading key as (row, inverse, order,
+    product, steps): its row as reduced at insertion, not normalised; the
+    inverse of the row's leading coefficient; its creation order; the index
+    of the product it came from; and the (pivot lead, factor) eliminations
+    that reduced that product's row into it, None when there were none.  A
+    row is reduced by adding factor × pivot row, factor = -row[lead] ×
+    inverse, which cancels its entry at the pivot's lead.
+    """
 
-    def _eliminate(self, lead, row: dict, combo: dict,
-                   pivot: Tuple[dict, dict]) -> None:
-        prow, pcombo = pivot
-        factor = P - row[lead]
-        _axpy_mod(row, prow, factor)
-        _axpy_mod(combo, pcombo, factor)
+    def __init__(self):
+        self.pivots: Dict[object, tuple] = {}
+
+    def insert(self, row: Dict[object, int], product: int) -> None:
+        """Reduce the row of a product in place and keep it as a pivot, or
+        drop it when it reduces to zero."""
+        pivots = self.pivots
+        steps = None
+        while row:
+            lead = max(row)
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = (row, pow(row[lead], -1, P), len(pivots),
+                                product, steps)
+                return
+            factor = (P - row[lead]) * hit[1] % P
+            _axpy_mod(row, hit[0], factor)
+            if steps is None:
+                steps = []
+            steps.append((lead, factor))
+
+    def reduce(self, row: Dict[object, int], factors: Dict[object, int]) -> None:
+        """Eliminate every pivot lead from the row in place, adding the
+        factor applied to each pivot into ``factors`` (by pivot lead)."""
+        pivots = self.pivots
+        while True:
+            lead = max((m for m in row if m in pivots), default=None)
+            if lead is None:
+                return
+            prow, inv = pivots[lead][:2]
+            factor = (P - row[lead]) * inv % P
+            _axpy_mod(row, prow, factor)
+            factors[lead] = (factors.get(lead, 0) + factor) % P
+
+    def support(self, factors: Dict[object, int]) -> List[int]:
+        """The products, as sorted indices, of the combination  sum over
+        pivots of factor × pivot row.
+
+        A pivot row is its product's row plus the factor-weighted rows of
+        the pivots in its steps, all created before it.  Walking the reached
+        pivots in reverse creation order therefore finds each pivot's
+        coefficient complete when it is taken: the pivot adds it to its own
+        product and passes coefficient × factor on to its steps.
+        """
+        pivots = self.pivots
+        coeff = dict(factors)
+        heap = [(-pivots[lead][2], lead) for lead in coeff]
+        heapq.heapify(heap)
+        products = []
+        while heap:
+            lead = heapq.heappop(heap)[1]
+            c = coeff[lead]
+            if not c:
+                continue
+            _, _, _, product, steps = pivots[lead]
+            products.append(product)
+            for step, factor in steps or ():
+                if step in coeff:
+                    coeff[step] = (coeff[step] + c * factor) % P
+                else:
+                    coeff[step] = c * factor % P
+                    heapq.heappush(heap, (-pivots[step][2], step))
+        return sorted(products)
 
 
 def _axpy_mod(dst: dict, src: dict, factor: int) -> None:
@@ -313,21 +374,27 @@ class _Search:
 
     def support(self, target_mod: Dict[object, int]) -> Optional[List[Product]]:
         """The products of a combination equal to the target mod P, in
-        enumeration order; None when no product up to the bound gives one."""
+        enumeration order; None when no product up to the bound gives one.
+
+        The reduced target and its factors carry over from one chunk to the
+        next: the fully reduced residue, and the factors that reach it, do
+        not depend on the order of the eliminations."""
+        residue: Dict[object, int] = dict(target_mod)
+        factors: Dict[object, int] = {}
         while True:
-            residue, combo = self._echelon.reduce_fully(target_mod)
+            self._echelon.reduce(residue, factors)
             if not residue:
-                return [self._seen[j] for j in sorted(combo)]
+                return [self._seen[j] for j in self._echelon.support(factors)]
             if not self._extend():
                 return None
 
     def _extend(self) -> bool:
         start = len(self._seen)
         for item in itertools.islice(self._pending, CHUNK):
-            self._seen.append(item)
             row = self._mod_row(item)
             if row:
-                self._echelon.insert(row, {len(self._seen) - 1: 1})
+                self._echelon.insert(row, len(self._seen))
+            self._seen.append(item)
         return len(self._seen) > start
 
     def _exact_solve(self, target: dict, products: Iterable[Product]

@@ -114,12 +114,48 @@ def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
         alone = quantize_symbol(lp.sigma2, lp.sigma2, 128).blocks[k]
         assert d2.blocks[k].tobytes() == alone.tobytes()
     screened = []
-    estimate = opmodel._top_singular_estimate
-    monkeypatch.setattr(opmodel, "_top_singular_estimate",
-                        lambda m: screened.append(m) or estimate(m))
+    clipped = opmodel._clipped
+    monkeypatch.setattr(opmodel, "_clipped",
+                        lambda m: screened.append(m) or clipped(m))
     c1, c2 = clip_to_contraction(d1, d2)
     assert len(screened) == 4 - sum(shared)
     assert c1 is d1 and c2 is d2
+
+
+def _no_power_screen(matrix):
+    raise AssertionError("a diagonal block went to the power screen")
+
+
+def test_clip_reads_the_identity_block_off_its_diagonal(monkeypatch):
+    """The identity - block of a standard pair is screened exactly, by its
+    largest diagonal modulus, and comes back as the same object."""
+    d1, d2 = quantize(standard_symbol_pair(1, 0, 1024), 64)
+    minus = d1.blocks[0]
+    assert np.array_equal(minus, np.eye(minus.shape[0]))
+    monkeypatch.setattr(opmodel, "_top_singular_estimate", _no_power_screen)
+    assert opmodel._clipped(minus) is minus
+
+
+def test_clip_diagonal_overshoot(monkeypatch):
+    monkeypatch.setattr(opmodel, "_top_singular_estimate", _no_power_screen)
+    block = np.diag([0.5, -1.5j, 1.0]).astype(np.complex128)
+    kept = block.copy()
+    out = opmodel._clipped(block)
+    assert opnorm(out) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(out, np.diag([0.5, -1j, 1.0]))
+    assert np.array_equal(block, kept)
+
+
+@pytest.mark.parametrize("block", [np.zeros((0, 0), np.complex128),
+                                   np.array([[0.25j]]), np.array([[3.0 + 4j]])],
+                         ids=["0x0", "1x1-inside", "1x1-outside"])
+def test_clip_empty_and_scalar_diagonal_blocks(block, monkeypatch):
+    monkeypatch.setattr(opmodel, "_top_singular_estimate", _no_power_screen)
+    out = opmodel._clipped(block)
+    if block.size == 0 or abs(block[0, 0]) <= 1:
+        assert out is block
+    else:
+        assert np.allclose(out, [[0.6 + 0.8j]])
 
 
 def test_clip_shares_a_clipped_block_without_writing_into_it():

@@ -250,6 +250,123 @@ def test_random_rel1_members_certify(terms):
     assert cert.max_term_degree() <= bound
 
 
+class _CombinationModEchelon:
+    """Reference: the modular echelon that carries combinations.  Every
+    pivot row is scaled to a leading 1 and carries the combination of
+    products it was built from, so reducing the target yields its support
+    directly."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row, combo):
+        while row:
+            lead = max(row)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                inv = pow(row[lead], -1, membership.P)
+                self.pivots[lead] = (
+                    {k: v * inv % membership.P for k, v in row.items()},
+                    {k: v * inv % membership.P for k, v in combo.items()})
+                return
+            self._eliminate(lead, row, combo, hit)
+
+    def support(self, target):
+        row, combo = dict(target), {}
+        while True:
+            hit = max((m for m in row if m in self.pivots), default=None)
+            if hit is None:
+                return None if row else sorted(combo)
+            self._eliminate(hit, row, combo, self.pivots[hit])
+
+    @staticmethod
+    def _eliminate(lead, row, combo, pivot):
+        factor = membership.P - row[lead]
+        membership._axpy_mod(row, pivot[0], factor)
+        membership._axpy_mod(combo, pivot[1], factor)
+
+
+def _combination(rows, coeffs):
+    out = {}
+    for row, c in zip(rows, coeffs):
+        membership._axpy_mod(out, row, c)
+    return out
+
+
+@st.composite
+def _mod_rows_and_targets(draw):
+    """Sparse int-keyed rows mod P over a few keys, so that rows collide.
+    Some rows are combinations of earlier ones (they reduce to zero), some
+    are an earlier row plus a term below its lead (reduced by that row's
+    pivot before they become pivots themselves).  Targets are combinations
+    of a subset of the rows, so that pivots outside their support are
+    reached, or random rows."""
+    keys = st.integers(0, 11)
+    values = st.one_of(st.integers(1, 3), st.just(membership.P - 1),
+                       st.integers(1, membership.P - 1))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from("rrcs"), min_size=1, max_size=24)):
+        if kind == "r" or not rows:
+            rows.append(draw(st.dictionaries(keys, values, min_size=1,
+                                             max_size=4)))
+        elif kind == "c":
+            picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            rows.append(_combination(picked, draw(st.lists(
+                values, min_size=len(picked), max_size=len(picked)))))
+        else:
+            earlier = dict(draw(st.sampled_from(rows)))
+            below = draw(st.integers(0, max(earlier)))
+            membership._axpy_mod(earlier, {below: 1}, draw(values))
+            rows.append(earlier)
+    targets = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+            targets.append(_combination(picked, draw(st.lists(
+                values, min_size=len(picked), max_size=len(picked)))))
+        else:
+            targets.append(draw(st.dictionaries(keys, values, max_size=4)))
+    return rows, targets, draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_mod_rows_and_targets())
+def test_mod_support_matches_the_combination_echelon(case):
+    """After every chunk of rows, the support unwound from the factors of a
+    carried-over reduction equals that of a reduction from scratch in the
+    combination-carrying echelon, or both are None."""
+    rows, targets, chunk = case
+    reference, echelon = _CombinationModEchelon(), membership._ModEchelon()
+    carried = [(dict(t), {}) for t in targets]
+    for start in range(0, len(rows), chunk):
+        for j in range(start, min(start + chunk, len(rows))):
+            if rows[j]:
+                reference.insert(dict(rows[j]), {j: 1})
+                echelon.insert(dict(rows[j]), j)
+        for target, (residue, factors) in zip(targets, carried):
+            echelon.reduce(residue, factors)
+            got = None if residue else echelon.support(factors)
+            assert got == reference.support(target)
+
+
+def test_mod_support_follows_the_elimination_steps():
+    """Product 1's row is reduced by pivot 3 (product 0) into pivot 2, so
+    product 0 is reached only through pivot 2's steps.  In the second
+    target the coefficient pivot 2 passes on cancels pivot 3's own."""
+    P = membership.P
+    rows = [{3: 1, 1: 1}, {3: 1, 2: 1}]
+    echelon, reference = membership._ModEchelon(), _CombinationModEchelon()
+    for j, row in enumerate(rows):
+        echelon.insert(dict(row), j)
+        reference.insert(dict(row), {j: 1})
+    assert echelon.pivots[2][4] == [(3, P - 1)]
+    for target, support in (({2: 1, 1: P - 1}, [0, 1]), ({3: 1, 2: 1}, [1])):
+        residue, factors = dict(target), {}
+        echelon.reduce(residue, factors)
+        assert not residue
+        assert echelon.support(factors) == support == reference.support(target)
+
+
 def test_bound_below_target_degree_rejected():
     target = A * A * A
     with pytest.raises(DegreeBoundError):
