@@ -29,8 +29,8 @@ from typing import Dict, Iterator, Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ShapeError
-from .numkern import (Array, as_matrix, eig_unitary, opnorm, random_unitary,
-                      stack_opnorm)
+from .numkern import (Array, adjoint_matmul, as_matrix, eig_unitary, opnorm,
+                      random_unitary, stack_opnorm)
 from .relations import REL1, REL1_NAMES, REL2_NAMES, RELATIONS, TWINS
 
 
@@ -53,7 +53,8 @@ def relation_matrices(a: Array, b: Array, rows: Sequence[tuple],
     by_col = {"a": a[..., sel], "b": b[..., sel]}
     by_row["d"], by_col["d"] = by_row["a"] - by_row["b"], by_col["a"] - by_col["b"]
     by_row["d*"], by_col["d*"] = _adj(by_col["d"]), _adj(by_row["d"])
-    by_col.update(qa=eye - _adj(a) @ by_col["a"], qb=eye - _adj(b) @ by_col["b"],
+    by_col.update(qa=eye - adjoint_matmul(a, by_col["a"]),
+                  qb=eye - adjoint_matmul(b, by_col["b"]),
                   pa=eye - a @ _adj(by_row["a"]), pb=eye - b @ _adj(by_row["b"]))
 
     def product(left: str, right: str) -> Array:
@@ -74,13 +75,15 @@ def relation_residuals(a: Array, b: Array, rows: Sequence[tuple],
                        mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Operator norms of ``relation_matrices`` for the given rows (``RELATIONS``,
     or the defining four as ``REL1``), of shape (..., len(rows)); an empty
-    mask gives zeros.
+    mask gives zeros, with nothing evaluated.
 
     A row whose twin (``relations.TWINS``) is also given is not evaluated: it
     takes its twin's norm.  Where a - b is exactly zero every residual is,
     and nothing is evaluated.
     """
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (len(rows),))
+    if mask is not None and not mask.any():
+        return out
     if a is b or np.array_equal(a, b):
         return out
     names = [name for name, _, _ in rows]
@@ -178,11 +181,18 @@ def canonical_unitary(a: Array, b: Array) -> Array:
     balanced pairs, and bc = a.  Where a - b is exactly zero, c is the
     identity and no product is formed."""
     diff = None if a is b else a - b
-    eye = np.eye(a.shape[-1])
     if diff is None or not diff.any():
+        eye = np.eye(a.shape[-1])
         return np.broadcast_to(eye.astype(np.result_type(eye, a, b)),
                                np.broadcast_shapes(a.shape, b.shape)).copy()
-    return eye + _adj(b) @ diff
+    # b*(a - b) is the conjugate of b^T conj(a - b); the difference is
+    # conjugated in place, so no copy of b* is formed, and 1 is added on
+    # the diagonal in place
+    c = np.swapaxes(b, -1, -2) @ np.conjugate(diff, out=diff)
+    np.conjugate(c, out=c)
+    diagonal = np.arange(c.shape[-1])
+    c[..., diagonal, diagonal] += 1
+    return c
 
 
 def make_c(pair: BalancedPair) -> Array:

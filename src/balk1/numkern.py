@@ -35,6 +35,14 @@ def opnorm(x: Array) -> float:
     return float(stack_opnorm(x))
 
 
+def adjoint_matmul(x: Array, y: Array) -> Array:
+    """x* y for (..., n, m) stacks x and (..., n, k) stacks y, formed as the
+    conjugate of x^T conj(y), so no copy of x* is made."""
+    out = x.swapaxes(-1, -2) @ y.conj()
+    np.conjugate(out, out=out)
+    return out
+
+
 def stack_opnorm(x: Array) -> np.ndarray:
     """Largest singular value of every matrix in a (..., m, n) stack, with
     the stack's leading shape; 0 for empty and all-zero matrices.

@@ -43,7 +43,7 @@ import numpy as np
 from .balanced import relation_matrices, relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
 from .loops import MatrixLoop, SplitSymbol, SymbolPair
-from .numkern import Array, opnorm
+from .numkern import Array, adjoint_matmul, opnorm
 from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
@@ -165,13 +165,20 @@ def bandwidth_estimate(loop: MatrixLoop) -> int:
     return int(np.abs(active).max()) if active.size else 0
 
 
-def _toeplitz_block(coeffs: Array, row_modes: np.ndarray,
-                    col_modes: np.ndarray, max_lag: int) -> Array:
-    lag_index = row_modes[:, None] - col_modes[None, :] + max_lag
+def _toeplitz_block(coeffs: Array, count: int, max_lag: int) -> Array:
+    """The count x count Toeplitz section (sigma_hat(r - c)) of coefficients
+    at lags -max_lag..max_lag, as a (count d) x (count d) matrix.
+
+    Row r holds the lags r - c, c = 0..count-1: the window of the reversed
+    coefficients that starts at max_lag - r.  The windows are views, so the
+    block is the only array allocated."""
     d = coeffs.shape[1]
-    block = coeffs[lag_index]          # (rows, cols, d, d)
-    block = block.transpose(0, 2, 1, 3)
-    return block.reshape(len(row_modes) * d, len(col_modes) * d)
+    windows = np.lib.stride_tricks.sliding_window_view(coeffs[::-1], count,
+                                                       axis=0)
+    rows = windows[max_lag - count + 1:max_lag + 1][::-1]  # (r, i, j, c)
+    block = np.empty((count, d, count, d), dtype=coeffs.dtype)
+    block[...] = rows.transpose(0, 1, 3, 2)
+    return block.reshape(count * d, count * d)
 
 
 def _check_bandwidth(name: str, loop: MatrixLoop, modes: int) -> None:
@@ -186,9 +193,8 @@ def _half_line_block(loop: MatrixLoop, modes: int, k: int) -> Array:
     """Toeplitz section of multiplication by the loop on half-line block k:
     n < 0 for k = 0, n >= 0 for k = 1."""
     max_lag = 2 * modes
-    rows = (np.arange(-modes, 0), np.arange(0, modes + 1))[k]
-    return _toeplitz_block(fourier_coefficients(loop, max_lag), rows, rows,
-                           max_lag)
+    return _toeplitz_block(fourier_coefficients(loop, max_lag),
+                           half_lines(modes, 1)[k], max_lag)
 
 
 def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int,
@@ -227,32 +233,35 @@ def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
 # -- contraction clipping ------------------------------------------------------
 
 
-def _top_singular_estimate(matrix: Array) -> float:
-    """80 steps of power iteration on M*M from a fixed random start;
-    converges to the top singular value from below.
+CONTRACTION_SLACK = 1e-9  # a block is kept when its norm is at most 1 + this
 
-    M*x is formed as conj(conj(x) M), so no adjoint of M is ever copied.
-    """
-    rng = np.random.default_rng(0)
-    n = matrix.shape[1]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(80):
-        w = np.conj(np.conj(matrix @ v) @ matrix)
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return float(np.sqrt(lam))
+
+def _certified_contraction(block: Array) -> bool:
+    """Whether (1 + ``CONTRACTION_SLACK``)^2 - M*M has a Cholesky factor,
+    which certifies |M| <= 1 + ``CONTRACTION_SLACK``.
+
+    The Gram is formed as M^T conj(M), the conjugate of M*M with the same
+    eigenvalues, and negated and shifted in place, so the test holds one
+    n x n array beside the factorization's.  Forming it rounds each entry
+    by about n 2.2e-16 (1e-13 at n = 514), far below the 2e-9 headroom."""
+    gram = block.T @ block.conj()
+    np.negative(gram, out=gram)
+    diagonal = np.arange(gram.shape[0])
+    gram[diagonal, diagonal] += (1.0 + CONTRACTION_SLACK) ** 2
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _clipped(block: Array) -> Array:
     if _is_diagonal(block):
         top = np.abs(block.diagonal()).max(initial=0.0)
+        kept = top <= 1.0 + CONTRACTION_SLACK
     else:
-        top = _top_singular_estimate(block)
-    if top <= 1.0 + 1e-9:
+        kept = _certified_contraction(block)
+    if kept:
         return block
     u, s, vh = np.linalg.svd(block)
     if s.size == 0 or s[0] <= 1.0 + 1e-12:
@@ -265,17 +274,14 @@ def clip_to_contraction(*ops: TruncOp) -> Tuple[TruncOp, ...]:
     whose blocks all stay put is returned itself.
 
     Compressions of contraction-valued multiplication operators are exact
-    contractions, so each block is screened by an estimate of its norm: at
-    or below 1 + 1e-9 it is returned untouched, above it is decomposed and
-    clipped exactly.  An exactly diagonal block (the identity - block of
-    every ``standard_symbol_pair``) is screened by its largest diagonal
-    modulus, which is its norm; any other block by a power-iteration
-    estimate.  That estimate is not a certificate: it converges from below
-    (about 2e-5 below the true norm 1 on the index sweep's + blocks at
-    N = 128 and 256), so a block whose norm exceeds 1 by less than the
-    shortfall passes unclipped.  A block object
-    shared by several operators (see ``quantize``) is screened once, and
-    the clipped operators share the result.
+    contractions, so a block whose norm is certified at most 1 + 1e-9 is
+    returned untouched, and any other block is decomposed and clipped
+    exactly.  An exactly diagonal block (the identity - block of every
+    ``standard_symbol_pair``) is certified by its largest diagonal modulus,
+    which is its norm; any other block by a Cholesky factorization
+    (``_certified_contraction``).  A block object shared by several
+    operators (see ``quantize``) is screened once, and the clipped
+    operators share the result.
     """
     clipped: Dict[int, Array] = {}  # by the id of the input block
     out = []
@@ -536,7 +542,7 @@ def _defect_blocks(x: Array, xv: Array, v: Array, band: np.ndarray,
     product is formed.
     """
     band_v = v[band]
-    xhv = _h(x) @ v
+    xhv = adjoint_matmul(x, v)
     out = {}
     for key, thin, qv_band in (
             (f"1-{name}*{name}", xv, band_v - _h(x[:, band]) @ xv),
@@ -545,6 +551,14 @@ def _defect_blocks(x: Array, xv: Array, v: Array, band: np.ndarray,
         out[key] = (opnorm(band_v @ gram @ _h(band_v)),
                      opnorm((qv_band - band_v @ gram) @ _h(band_v)))
     return out
+
+
+def _difference_blocks(blk: SplitBlock) -> Dict[str, float]:
+    """Plain norms of the (1,2), (2,1) and (2,2) blocks of a - b on one
+    half-line block, from (a - b)V = AV - BV and (a - b)W."""
+    dv, dw = blk.av - blk.bv, (blk.a - blk.b) @ blk.w
+    return {"12": opnorm(_h(blk.v) @ dw), "21": opnorm(_h(blk.w) @ dv),
+            "22": opnorm(_h(blk.w) @ dw)}
 
 
 def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
@@ -567,22 +581,19 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     defect_blocks: Dict[str, float] = {}
     records = split_blocks(a, b, split, cut)
     for blk in records:
-        am, bm, v, w = blk.a, blk.b, blk.v, blk.w
         same = blk.bv is blk.av  # split_blocks found a - b exactly zero
         if same:
             diffs = dict.fromkeys(("12", "21", "22"), 0.0)
         else:
-            dv, dw = blk.av - blk.bv, (am - bm) @ w
-            diffs = {"12": opnorm(_h(v) @ dw), "21": opnorm(_h(w) @ dv),
-                     "22": opnorm(_h(w) @ dw)}
+            diffs = _difference_blocks(blk)
         for key, value in diffs.items():
             _raise_to(diff_blocks, key, value)
-        defects = _defect_blocks(am, blk.av, v, blk.band, "a")
+        defects = _defect_blocks(blk.a, blk.av, blk.v, blk.band, "a")
         if same:
             defects.update({name.replace("a", "b"): value
                             for name, value in defects.items()})
         else:
-            defects.update(_defect_blocks(bm, blk.bv, v, blk.band, "b"))
+            defects.update(_defect_blocks(blk.b, blk.bv, blk.v, blk.band, "b"))
         for name, (within, across) in defects.items():
             _raise_to(defect_blocks, f"{name}:11", within)
             _raise_to(defect_blocks, f"{name}:12", across)

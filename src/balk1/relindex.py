@@ -35,7 +35,7 @@ index of the symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,12 +60,19 @@ RESIDUE_CEILING = 0.2  # largest trace-formula distance from an integer
 
 def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
     """Weighted squared norm of every column: the share of each singular
-    vector carried by the interior window."""
+    vector carried by the interior window.
+
+    Re x*Wx is summed as the real and imaginary parts of x times those of
+    Wx, so no conjugate copy of the vectors is formed; ``engine_values``
+    passes the rows of vh as the columns of its transpose view."""
     if weights is None:
         return np.ones(vectors.shape[1])
     if weights.ndim == 1:
-        return weights @ (np.abs(vectors) ** 2)
-    return np.real(np.einsum("ij,ij->j", vectors.conj(), weights @ vectors))
+        squares = np.abs(vectors)
+        return weights @ np.square(squares, out=squares)
+    image = weights @ vectors
+    return (np.einsum("ij,ij->j", vectors.real, image.real)
+            + np.einsum("ij,ij->j", vectors.imag, image.imag))
 
 
 @dataclass
@@ -92,9 +99,14 @@ class EngineValues:
 
 
 def _is_hermitian(f: Array) -> bool:
+    """Whether f - f* is within 1e-10 (1 + |f|) in Frobenius norm.  One row
+    is compared with its column first, so a block that is far from
+    Hermitian is rejected without forming f - f*."""
     if f.shape[0] != f.shape[1]:
         return False
     scale = 1.0 + float(np.linalg.norm(f))
+    if f.size and np.linalg.norm(f[0] - f[:, 0].conj()) > 1e-10 * scale:
+        return False
     return float(np.linalg.norm(f - f.conj().T)) <= 1e-10 * scale
 
 
@@ -160,7 +172,9 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
             raise ValueError(
                 f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too "
                 "far from an isometry for the trace formula")
-        domain_mass = _interior_masses(vh.conj().T, dom_w)
+        # the domain singular vectors are the conjugated rows of vh: the
+        # masses of those rows under the transposed weight are theirs
+        domain_mass = _interior_masses(vh.T, None if dom_w is None else dom_w.T)
         codomain_mass = _interior_masses(u, cod_w)
         rank = int(np.sum(s >= threshold))
         kernel += int(np.sum(domain_mass[rank:] >= 0.5))
@@ -232,49 +246,45 @@ _FORMULAS = ("definition-A", "definition-B", "corner", "global")
 Candidate = Tuple[int, Tuple[Array, ...], Tuple[Weights, ...]]
 
 
-def _candidates(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
-                data: Optional[List[SplitBlock]] = None) -> List[Candidate]:
-    """The signed Fredholm candidates of one relative-index formula, one
-    block per half-line, with the interior weights their engines count
+def _candidate(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
+               data: Optional[List[SplitBlock]] = None) -> Candidate:
+    """The signed Fredholm candidate of one relative-index formula, one
+    block per half-line, with the interior weights its engines count
     against.
 
-    The formula's index is the signed sum of its candidates' indices.
+    The formula's index is the sign times the candidate's index.
     ``definition-A`` and ``definition-B`` compare through C = A|H1 and
     C = B|H1.  Their C*C term is Hermitian, so its index is 0 and it is not
     formed: definition-A is -ind((AV)*(BV)) and definition-B is
     ind((BV)*(AV)).  Every formula but ``global`` reads the split data.
+    The global candidate leaves out every half-line where a and b hold one
+    block object (see ``opmodel.quantize``): there 1 + b*(a - b) is exactly
+    the identity, which adds 0 to both engines.
     """
     if formula == "global":
         check_same_shape(a, b)
         interior = cut.interior_mask(a.modes, a.dim).astype(float)
-        return [(1, tuple(canonical_unitary(am, bm)
-                          for am, bm in zip(a.blocks, b.blocks)),
-                 tuple(interior[s] for s in block_slices(a.sizes)))]
+        kept = [(am, bm, s) for am, bm, s in
+                zip(a.blocks, b.blocks, block_slices(a.sizes)) if am is not bm]
+        return (1, tuple(canonical_unitary(am, bm) for am, bm, _ in kept),
+                tuple(interior[s] for _, _, s in kept))
     grams = tuple(d.h1_gram for d in data)
     if formula == "corner":
-        return [(1, tuple(canonical_unitary(d.a1, d.b1) for d in data), grams)]
+        return 1, tuple(canonical_unitary(d.a1, d.b1) for d in data), grams
     if formula == "definition-A":
-        return [(-1, tuple(d.av.conj().T @ d.bv for d in data), grams)]
-    return [(1, tuple(d.bv.conj().T @ d.av for d in data), grams)]
+        return -1, tuple(d.av.conj().T @ d.bv for d in data), grams
+    return 1, tuple(d.bv.conj().T @ d.av for d in data), grams
 
 
-def _formula_index(parts: List[Candidate],
-                   strict: bool) -> Tuple[int, int, List[EngineValues]]:
-    """Signed sums of both engines' indices over the candidates of one
-    formula, with each candidate's values; when strict, both engines must
-    agree on every candidate."""
-    svd = fedosov = 0
-    values = []
-    for sign, blocks, weights in parts:
-        ev = engine_values(blocks, domain_weights=weights,
-                           codomain_weights=weights)
-        if strict and not ev.agree:
-            raise EngineDisagreementError(
-                f"counting engine gave {ev.svd}, trace engine {ev.fedosov}")
-        svd += sign * ev.svd
-        fedosov += sign * ev.fedosov
-        values.append(ev)
-    return svd, fedosov, values
+def _formula_index(candidate: Candidate, strict: bool) -> EngineValues:
+    """Both engines' values of one formula's candidate, the indices signed
+    by the formula; when strict, both engines must agree."""
+    sign, blocks, weights = candidate
+    ev = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
+    if strict and not ev.agree:
+        raise EngineDisagreementError(
+            f"counting engine gave {ev.svd}, trace engine {ev.fedosov}")
+    return replace(ev, svd=sign * ev.svd, fedosov=sign * ev.fedosov)
 
 
 def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit, choice: str = "A",
@@ -287,16 +297,15 @@ def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit, choice: str = "A",
     c_blocks = _resolve_choice(data, choice)
     if eps is not None:
         validate_choice(c_blocks, data, eps)
-    parts = _candidates(a, b, cut, f"definition-{choice}", data)
-    return _formula_index(parts, strict=True)[0]
+    candidate = _candidate(a, b, cut, f"definition-{choice}", data)
+    return _formula_index(candidate, strict=True).svd
 
 
 def rel_index_global(a: TruncOp, b: TruncOp,
                      cut: Optional[TailCutoff] = None) -> int:
     """ind(1 + B*(A - B)) on the whole truncated space; no split needed."""
     cut = TailCutoff(a.modes // 2) if cut is None else cut
-    parts = _candidates(a, b, cut, "global")
-    return _formula_index(parts, strict=True)[0]
+    return _formula_index(_candidate(a, b, cut, "global"), strict=True).svd
 
 
 # -- the index-theorem pipeline ---------------------------------------------------
@@ -314,6 +323,72 @@ class IndexReport:
     details: Dict[str, Dict[str, Dict[int, int]]] = field(default_factory=dict)
 
 
+def _stage(name: str, fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
+def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
+                split_symbol: Optional[SplitSymbol],
+                splits: Optional[Dict[int, ModeSplit]], eps: float,
+                kbalance_tol: float, residuals: Dict[str, float]
+                ) -> Dict[str, EngineValues]:
+    """The pipeline at one mode count: its residuals go into ``residuals``
+    in report order, and every formula's signed engine values are returned.
+
+    Everything dense is a local of this call, and one Fredholm candidate is
+    alive at a time: corner and definition-A read the split records, so
+    they run first; then the records and both operators are dropped, and
+    only the global candidate is alive at its decomposition.
+    """
+    d1, d2 = _stage("quantize", quantize, sp, n)
+    d1, d2 = _stage("clip_to_contraction", clip_to_contraction, d1, d2)
+    kb = _stage("kbalance", kbalance_report, d1, d2, cut, kbalance_tol)
+    if splits is not None and n in splits:
+        split = splits[n]
+    elif split_symbol is None:
+        raise PipelineStageError("splitting_projection", ValueError(
+            f"no split at N = {n}: pass splits[{n}] or split_symbol"))
+    else:
+        split = _stage("splitting_projection", splitting_projection,
+                       sp, n, split_symbol)
+    blocks = _stage("verify_split_blocks", verify_split_blocks,
+                    d1, d2, split, cut, eps)
+    evs = {f: _stage(f"fredholm_index[{f}]", _formula_index,
+                     _candidate(d1, d2, cut, f, blocks.records), strict=False)
+           for f in ("definition-A", "corner")}
+    measured = blocks.max_measured
+    del blocks
+    global_ = _candidate(d1, d2, cut, "global")
+    band = cut.band_mask(n, d1.dim)
+    bands = [band[s] for s, am, bm in
+             zip(block_slices(d1.sizes), d1.blocks, d2.blocks) if am is not bm]
+    del d1, d2
+    _, f_global, _ = global_
+    defect = 0.0
+    for f, in_band in zip(f_global, bands):
+        cols = f[:, in_band]  # 1 - F*F on the band is 1 - cols* cols
+        defect = max(defect, opnorm(np.eye(cols.shape[1])
+                                    - cols.conj().T @ cols))
+    evs["global"] = _stage("fredholm_index[global]", _formula_index, global_,
+                           strict=False)
+    # definition-B's candidate (BV)*(AV) is the adjoint of definition-A's
+    # (AV)*(BV) and enters with the opposite sign: ind(X*) = -ind(X) from
+    # the same singular values, so its signed values are definition-A's
+    evs["definition-B"] = evs["definition-A"]
+    residuals[f"kbalance_worst_N{n}"] = kb.worst(cut.m)
+    residuals[f"measured_eps_N{n}"] = measured
+    residuals[f"global_unitarity_defect_N{n}"] = defect
+    for formula in _FORMULAS:
+        residuals[f"fedosov_residue_{formula}_N{n}"] = evs[formula].residue
+    gap = min(ev.count_gap for ev in evs.values())
+    if math.isfinite(gap):
+        residuals[f"count_gap_N{n}"] = gap
+    return evs
+
+
 def verify_index_theorem(sp: SymbolPair, modes: int,
                          split_symbol: Optional[SplitSymbol] = None,
                          eps: float = 0.1, kbalance_tol: float = 0.05,
@@ -328,69 +403,24 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
     fails at stage ``splitting_projection``.  ``tail_cutoff`` overrides the
     default mode cutoff N/2 at the base size and is doubled along with it;
     it must be below ``modes``, else ``ValueError`` is raised before any
-    stage runs.
+    stage runs.  Each mode count runs in its own call (``_mode_count``), so
+    nothing dense from the first is alive during the second.
     """
     if tail_cutoff is not None and tail_cutoff >= modes:
         raise ValueError(f"tail cutoff {tail_cutoff} must be below the mode "
                          f"count {modes}")
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            raise PipelineStageError(name, exc) from exc
-
-    topological = stage("topo_index", topo_index, sp)
+    topological = _stage("topo_index", topo_index, sp)
     values: Dict[str, Dict[str, Dict[int, int]]] = \
         {f: {"svd": {}, "fedosov": {}} for f in _FORMULAS}
     residuals: Dict[str, float] = {}
-
     for n in (modes, 2 * modes):
-        d1, d2 = stage("quantize", quantize, sp, n)
-        d1, d2 = stage("clip_to_contraction", clip_to_contraction, d1, d2)
         cut = TailCutoff(n // 2 if tail_cutoff is None
                          else (n // modes) * tail_cutoff)
-        kb = stage("kbalance", kbalance_report, d1, d2, cut, kbalance_tol)
-        residuals[f"kbalance_worst_N{n}"] = kb.worst(cut.m)
-        if splits is not None and n in splits:
-            split = splits[n]
-        elif split_symbol is None:
-            raise PipelineStageError("splitting_projection", ValueError(
-                f"no split at N = {n}: pass splits[{n}] or split_symbol"))
-        else:
-            split = stage("splitting_projection", splitting_projection,
-                          sp, n, split_symbol)
-        blocks = stage("verify_split_blocks", verify_split_blocks,
-                       d1, d2, split, cut, eps)
-        residuals[f"measured_eps_N{n}"] = blocks.max_measured
-
-        candidates = {f: _candidates(d1, d2, cut, f, blocks.records)
-                      for f in _FORMULAS if f != "definition-B"}
-        band = cut.band_mask(n, d1.dim)
-        _, f_global, _ = candidates["global"][0]
-        defect = 0.0
-        for f, s in zip(f_global, block_slices(d1.sizes)):
-            cols = f[:, band[s]]  # 1 - F*F on the band is 1 - cols* cols
-            defect = max(defect, opnorm(np.eye(cols.shape[1])
-                                        - cols.conj().T @ cols))
-        residuals[f"global_unitarity_defect_N{n}"] = defect
-        gap = math.inf
+        evs = _mode_count(sp, n, cut, split_symbol, splits, eps, kbalance_tol,
+                          residuals)
         for formula in _FORMULAS:
-            # definition-B's candidate (BV)*(AV) is the adjoint of
-            # definition-A's (AV)*(BV) and enters with the opposite sign:
-            # ind(X*) = -ind(X) from the same singular values, so both
-            # engines, the residue and the count gap are definition-A's
-            if formula != "definition-B":
-                svd, fedosov, evs = stage(f"fredholm_index[{formula}]",
-                                          _formula_index, candidates[formula],
-                                          strict=False)
-            values[formula]["svd"][n] = svd
-            values[formula]["fedosov"][n] = fedosov
-            gap = min([gap] + [ev.count_gap for ev in evs])
-            residuals[f"fedosov_residue_{formula}_N{n}"] = max(
-                ev.residue for ev in evs)
-        if math.isfinite(gap):
-            residuals[f"count_gap_N{n}"] = gap
+            values[formula]["svd"][n] = evs[formula].svd
+            values[formula]["fedosov"][n] = evs[formula].fedosov
 
     deltas = {}
     for formula in _FORMULAS:
@@ -409,4 +439,3 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
                and all(d == 0 for d in deltas.values()))
     return IndexReport(analytic_svd, analytic_fedosov, topological,
                        residuals, verdict, values)
-

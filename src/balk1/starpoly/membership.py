@@ -164,21 +164,19 @@ def certificate_is_valid(cert: MembershipCertificate) -> bool:
 # -- word enumeration ---------------------------------------------------------
 
 
-def _words_of_length(length: int) -> List[Word]:
-    return [tuple(w) for w in itertools.product(range(4), repeat=length)]
+_KEY_CACHE: Dict[int, Dict[int, List[int]]] = {}
 
 
-_WORD_CACHE: Dict[int, Dict[int, List[Word]]] = {}
-
-
-def _words_by_charge(length: int) -> Dict[int, List[Word]]:
-    got = _WORD_CACHE.get(length)
+def _keys_by_charge(length: int) -> Dict[int, List[int]]:
+    """The ``_word_key`` of every word of one length, by charge, each list in
+    lexicographic order of the words."""
+    got = _KEY_CACHE.get(length)
     if got is None:
         got = {}
-        for w in _words_of_length(length):
-            q = sum(_CHARGE_OF[x] for x in w)
-            got.setdefault(q, []).append(w)
-        _WORD_CACHE[length] = got
+        words = itertools.product(range(4), repeat=length)
+        for key, w in enumerate(words, 1 << 2 * length):
+            got.setdefault(sum(_CHARGE_OF[x] for x in w), []).append(key)
+        _KEY_CACHE[length] = got
     return got
 
 
@@ -339,7 +337,9 @@ def _mod_row(row: dict) -> Optional[Dict[object, int]]:
 # -- the search ---------------------------------------------------------------
 
 
-Product = tuple  # (generator index, left multiplier, right word)
+# (generator index, left multiplier, right word); the word-row search gives
+# both multiplier words by their ``_word_key``
+Product = tuple
 Solution = List[Tuple[GaussianRational, Product]]
 
 
@@ -492,12 +492,12 @@ def ideal_member(target: StarPoly, ideal: RelationIdeal,
         found = search.solve(word_row)
         if found is None:
             return None
-        for coeff, (gen_idx, left_word, right_word) in found:
+        for coeff, (gen_idx, ku, kv) in found:
             all_terms.append(CertTerm(
                 coefficient=format_coefficient(coeff),
-                left=_format_monomial(Monomial(left_word, s_exp, c_exp)) or "1",
+                left=_format_monomial(Monomial(_key_word(ku), s_exp, c_exp)) or "1",
                 generator=gen_idx,
-                right=_format_monomial(Monomial(right_word)) or "1"))
+                right=_format_monomial(Monomial(_key_word(kv))) or "1"))
     return MembershipCertificate(
         target=format_poly(target), ideal=ideal.name, degree_bound=degree_bound,
         generators=tuple(format_poly(g.poly) for g in gens),
@@ -519,20 +519,26 @@ def _word_key(w: Word) -> int:
     return key
 
 
+def _key_word(key: int) -> Word:
+    """The word whose ``_word_key`` is key."""
+    return tuple((key >> s) & 3 for s in range(key.bit_length() - 3, -1, -2))
+
+
 def _word_rows(gen_terms: Dict[int, List[Tuple[Monomial, object]]]
                ) -> Callable[[Product], dict]:
     """Row builder for central-free generators, whose terms have distinct words.
 
     The key of u·w·v is that of u shifted past w and v, with the digits of w
-    and of v or'ed in; each generator word is stored as (2·len, digits)."""
+    and of v or'ed in; each generator word is stored as (2·len, digits), and
+    the product carries the keys of u and v (see ``_iter_products``)."""
     words = {i: [(2 * len(m.word), _word_key(m.word) ^ (1 << 2 * len(m.word)), q)
                  for m, q in terms]
              for i, terms in gen_terms.items()}
 
     def row(item: Product) -> dict:
-        gen_idx, u, v = item
-        ku, shift = _word_key(u), 2 * len(v)
-        vd = _word_key(v) ^ (1 << shift)
+        gen_idx, ku, kv = item
+        shift = kv.bit_length() - 1
+        vd = kv ^ (1 << shift)
         return {(((ku << s) | wd) << shift) | vd: q for s, wd, q in words[gen_idx]}
     return row
 
@@ -547,7 +553,8 @@ def _split_components(target: StarPoly) -> Dict[Tuple[int, int, int], dict]:
 
 
 def _iter_products(gens: Sequence[_GenMeta], bound: int, charge: Optional[int]):
-    """Yield (gen_index, left_word, right_word) by increasing multiplier length."""
+    """Yield (gen_index, left_key, right_key) by increasing multiplier
+    length, the multiplier words given by their ``_word_key``."""
     max_total = max((bound - g.degree for g in gens), default=-1)
     for total in range(max_total + 1):
         for g in gens:
@@ -556,20 +563,21 @@ def _iter_products(gens: Sequence[_GenMeta], bound: int, charge: Optional[int]):
             for left_len in range(total + 1):
                 right_len = total - left_len
                 if charge is None:
-                    for u in _words_of_length(left_len):
-                        for v in _words_of_length(right_len):
-                            yield (g.index, u, v)
+                    # in lexicographic order the keys of one length count up
+                    for ku in range(1 << 2 * left_len, 2 << 2 * left_len):
+                        for kv in range(1 << 2 * right_len, 2 << 2 * right_len):
+                            yield (g.index, ku, kv)
                 else:
                     need = charge - (g.charge or 0)
-                    left_buckets = _words_by_charge(left_len)
-                    right_buckets = _words_by_charge(right_len)
+                    left_buckets = _keys_by_charge(left_len)
+                    right_buckets = _keys_by_charge(right_len)
                     for qu in sorted(left_buckets):
-                        vs = right_buckets.get(need - qu)
-                        if not vs:
+                        kvs = right_buckets.get(need - qu)
+                        if not kvs:
                             continue
-                        for u in left_buckets[qu]:
-                            for v in vs:
-                                yield (g.index, u, v)
+                        for ku in left_buckets[qu]:
+                            for kv in kvs:
+                                yield (g.index, ku, kv)
 
 
 def _solve_general(target: StarPoly, gens: Sequence[_GenMeta], ideal: RelationIdeal,
@@ -582,9 +590,10 @@ def _solve_general(target: StarPoly, gens: Sequence[_GenMeta], ideal: RelationId
     gen_by_index = {g.index: g for g in gens}
 
     def products() -> Iterator[Product]:
+        words = ((gen_idx, _key_word(ku), _key_word(kv))
+                 for gen_idx, ku, kv in _iter_products(gens, bound, None))
         return _capped(((gen_idx, Monomial(u, e, f), v)
-                        for gen_idx, u, v in _iter_products(gens, bound, None)
-                        for e, f in centrals), bound)
+                        for gen_idx, u, v in words for e, f in centrals), bound)
 
     def exact_row(item: Product) -> dict:
         gen_idx, left, v = item

@@ -146,6 +146,16 @@ def test_word_keys_order_like_length_then_word():
             == sorted(_WORDS, key=lambda w: (len(w), w)))
 
 
+def test_word_keys_decode_and_count_up_by_charge():
+    for n in range(6):
+        words = [w for w in _WORDS if len(w) == n]
+        assert [membership._key_word(membership._word_key(w))
+                for w in words] == words
+        for q, keys in membership._keys_by_charge(n).items():
+            assert keys == [membership._word_key(w) for w in words
+                            if sum(1 if x in (0, 2) else -1 for x in w) == q]
+
+
 def test_shifted_product_key_is_the_key_of_the_product_word():
     index = {w: k for k, w in enumerate(_WORDS)}
     one = GaussianRational(1)
@@ -155,7 +165,8 @@ def test_shifted_product_key_is_the_key_of_the_product_word():
         for i in range(len(word) + 1):
             for j in range(i, len(word) + 1):
                 u, w, v = word[:i], word[i:j], word[j:]
-                assert row((index[w], u, v)) == \
+                keys = membership._word_key(u), membership._word_key(v)
+                assert row((index[w],) + keys) == \
                     {membership._word_key(word): one}, (u, w, v)
 
 

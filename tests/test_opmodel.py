@@ -9,7 +9,7 @@ from balk1.errors import ShapeError, SpectralGapError, UndersampledError
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
                          standard_symbol_pair, subbundle_projection_loop, turn)
-from balk1.numkern import opnorm
+from balk1.numkern import opnorm, random_unitary
 from balk1.opmodel import (ModeSplit, TailCutoff, TruncOp, bandwidth_estimate,
                            block_band_norm, block_slices, clip_to_contraction,
                            kbalance_report, quantize, quantize_symbol,
@@ -122,8 +122,8 @@ def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
     assert c1 is d1 and c2 is d2
 
 
-def _no_power_screen(matrix):
-    raise AssertionError("a diagonal block went to the power screen")
+def _no_certificate(matrix):
+    raise AssertionError("a diagonal block went to the contraction certificate")
 
 
 def test_clip_reads_the_identity_block_off_its_diagonal(monkeypatch):
@@ -132,12 +132,12 @@ def test_clip_reads_the_identity_block_off_its_diagonal(monkeypatch):
     d1, d2 = quantize(standard_symbol_pair(1, 0, 1024), 64)
     minus = d1.blocks[0]
     assert np.array_equal(minus, np.eye(minus.shape[0]))
-    monkeypatch.setattr(opmodel, "_top_singular_estimate", _no_power_screen)
+    monkeypatch.setattr(opmodel, "_certified_contraction", _no_certificate)
     assert opmodel._clipped(minus) is minus
 
 
 def test_clip_diagonal_overshoot(monkeypatch):
-    monkeypatch.setattr(opmodel, "_top_singular_estimate", _no_power_screen)
+    monkeypatch.setattr(opmodel, "_certified_contraction", _no_certificate)
     block = np.diag([0.5, -1.5j, 1.0]).astype(np.complex128)
     kept = block.copy()
     out = opmodel._clipped(block)
@@ -150,12 +150,24 @@ def test_clip_diagonal_overshoot(monkeypatch):
                                    np.array([[0.25j]]), np.array([[3.0 + 4j]])],
                          ids=["0x0", "1x1-inside", "1x1-outside"])
 def test_clip_empty_and_scalar_diagonal_blocks(block, monkeypatch):
-    monkeypatch.setattr(opmodel, "_top_singular_estimate", _no_power_screen)
+    monkeypatch.setattr(opmodel, "_certified_contraction", _no_certificate)
     out = opmodel._clipped(block)
     if block.size == 0 or abs(block[0, 0]) <= 1:
         assert out is block
     else:
         assert np.allclose(out, [[0.6 + 0.8j]])
+
+
+def test_clip_certificate_catches_a_norm_just_above_one():
+    """A dense block of norm 1 + 1e-7 fails the Cholesky certificate and is
+    clipped; a dense unitary passes it and comes back as the same object."""
+    u = random_unitary(514, 0)
+    assert opmodel._clipped(u) is u
+    block = (u * np.r_[1 + 1e-7, np.ones(513)]) @ u.conj().T
+    assert opnorm(block) > 1 + 5e-8
+    assert not opmodel._certified_contraction(block)
+    out = opmodel._clipped(block)
+    assert opnorm(out) <= 1 + 1e-12
 
 
 def test_clip_shares_a_clipped_block_without_writing_into_it():

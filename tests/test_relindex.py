@@ -1,18 +1,22 @@
 """Index engine oracles and the relative-index formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balk1 import relindex
 from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
                           ShapeError, SingularGapError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
                          standard_symbol_pair, subbundle_projection_loop, turn)
 from balk1.numkern import random_unitary
-from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
-                           quantize, split_blocks, splitting_projection,
-                           verify_block_estimates, verify_split_blocks)
+from balk1.opmodel import (TailCutoff, TruncOp, clip_to_contraction,
+                           kbalance_report, quantize, split_blocks,
+                           splitting_projection, verify_block_estimates,
+                           verify_split_blocks)
 from balk1.relindex import (engine_values, rel_index, rel_index_global,
                             validate_choice, verify_index_theorem)
 
@@ -260,6 +264,63 @@ def test_verify_index_theorem_equal_symbols():
     report = verify_index_theorem(sp, 64, split_symbol=standard_split_symbol(grid))
     assert report.verdict
     assert report.analytic_svd == report.topological == 0
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (1, 1)], ids=["p-ne-q", "p-eq-q"])
+def test_global_candidate_leaves_out_shared_blocks(pq, monkeypatch):
+    """A half-line where both operators hold one block object adds the
+    identity to the global candidate, so it is left out; with every block
+    copied apart, the 16 integers and the global unitarity defects are the
+    same."""
+    grid, modes = 1024, 64
+    sp = standard_symbol_pair(*pq, grid)
+    split_sym = standard_split_symbol(grid)
+
+    def unshared(sp, n):
+        a, b = quantize(sp, n)
+        return a, TruncOp(n, b.dim, tuple(blk.copy() for blk in b.blocks))
+
+    cut = TailCutoff(modes // 2)
+    kept = 1 if pq[0] != pq[1] else 0
+    _, blocks, weights = relindex._candidate(*quantize(sp, modes), cut, "global")
+    assert len(blocks) == len(weights) == kept
+    _, blocks, _ = relindex._candidate(*unshared(sp, modes), cut, "global")
+    assert len(blocks) == 2
+    report = verify_index_theorem(sp, modes, split_symbol=split_sym)
+    monkeypatch.setattr(relindex, "quantize", unshared)
+    full = verify_index_theorem(sp, modes, split_symbol=split_sym)
+    assert report.verdict and full.details == report.details
+    for n in (modes, 2 * modes):
+        key = f"global_unitarity_defect_N{n}"
+        assert full.residuals[key] == report.residuals[key]
+
+
+def test_index_item_keeps_few_blocks_alive():
+    """One mode count and one Fredholm candidate are alive at a time: the
+    traced peak of an item with shared splits is measured in 2N + half-line
+    blocks (258 x 258 complex at N = 64).  It reads 6.8 blocks, reached in
+    the split check at 2N; keeping both mode counts, every candidate and the
+    identity candidate of the shared - block alive read 11.0."""
+    grid, modes = 1024, 64
+    sp = standard_symbol_pair(1, 0, grid)
+    split_sym = standard_split_symbol(grid)
+    splits = {n: splitting_projection(sp, n, explicit_symbol=split_sym)
+              for n in (modes, 2 * modes)}
+    verify_index_theorem(sp, modes, splits=splits)  # first-call allocations
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        report = verify_index_theorem(sp, modes, splits=splits)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    block = 16 * (2 * (2 * modes + 1)) ** 2
+    assert report.verdict
+    assert peak <= 8.5 * block, peak / block
 
 
 def test_verify_index_theorem_needs_a_split():
