@@ -93,8 +93,11 @@ def _residuals(rows, x, y, one) -> list:
     return out
 
 
+_REL1_GENERATORS = tuple(_residuals(REL1, A, B, ONE))
+
+
 def rel1_ideal() -> RelationIdeal:
-    return RelationIdeal("rel1", tuple(_residuals(REL1, A, B, ONE)))
+    return RelationIdeal("rel1", _REL1_GENERATORS)
 
 
 REL2_PRODUCTS = dict(zip(REL2_NAMES, _residuals(RELATIONS[4:], A, B, ONE)))

@@ -110,6 +110,18 @@ def test_verify_identities_bound_below_target_degree(runner, tmp_path):
     assert "error: degree bound 1 is below the target degree 2" in result.output
 
 
+@pytest.mark.parametrize("target", ["a² - b", "٣·a - b", "1.5·a"])
+def test_verify_identities_rejects_numbers_that_are_not_ascii_digits(
+        runner, tmp_path, target):
+    suite_path = tmp_path / "suite.txt"
+    suite_path.write_text(f"name: digits\nideal: rel1\ntarget: {target}\n",
+                          encoding="utf-8")
+    result = runner.invoke(main, ["verify-identities", str(suite_path)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: " in result.output and "(at position " in result.output
+
+
 def test_verify_identities_missing_file(runner):
     result = runner.invoke(main, ["verify-identities", "/nonexistent.txt"])
     assert result.exit_code == 2

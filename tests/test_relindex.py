@@ -106,6 +106,39 @@ def test_adjoint_negates_the_index(n, shift, seed):
     assert adjoint.count_gap == pytest.approx(forward.count_gap, rel=1e-7)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(8, 32), st.integers(0, 3), st.integers(-3, 3),
+       st.sampled_from([1e-6, 1e-3, 1e-2]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_trace_total_by_products_matches_the_svd_engine(n, extra, shift, noise,
+                                                        gram, seed):
+    """The trace engine's total, formed without a decomposition, is the one
+    ``engine_values`` reads off its SVD: with D = 1 - F*F and E = 1 - FF*,
+    sum_i w_i |D_i|^2 - sum_i w_i |E_i|^2 for mode weights, and
+    Re tr(W D^2) - Re tr(W E^2) for Gram weights.  F is an (n + extra) x n
+    truncated shift by ``shift`` modes plus a perturbation of size noise,
+    weighted on the lower half of the modes; with Gram weights F and the
+    windows are turned by random unitaries on either side."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f = np.eye(m, n, k=-shift) + noise * (rng.standard_normal((m, n))
+                                          + 1j * rng.standard_normal((m, n)))
+    w_dom = (np.arange(n) < n // 2).astype(float)
+    w_cod = (np.arange(m) < n // 2).astype(float)
+    d = np.eye(n) - f.conj().T @ f
+    e = np.eye(m) - f @ f.conj().T
+    if gram:
+        u, v = random_unitary(m, seed), random_unitary(n, seed + 1)
+        f, d, e = u @ f @ v.conj().T, v @ d @ v.conj().T, u @ e @ u.conj().T
+        w_dom, w_cod = (v * w_dom) @ v.conj().T, (u * w_cod) @ u.conj().T
+        total = np.trace(w_dom @ d @ d).real - np.trace(w_cod @ e @ e).real
+    else:
+        total = (w_dom @ np.sum(np.abs(d) ** 2, axis=1)
+                 - w_cod @ np.sum(np.abs(e) ** 2, axis=1))
+    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
+
+
 def test_hermitian_shortcut():
     values = engine_values(np.diag([1e-7, 0.5, 1.0]).astype(complex))
     assert values.svd == values.fedosov == 0

@@ -1,8 +1,11 @@
 """Symbolic engine tests: parsing, involution, certificates, suites."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from balk1.starpoly import membership
 from balk1.starpoly.suites import (A, B, ONE, REL2_PRODUCTS, Mat2,
                                    canonical_unitary_poly, pair_relation_entries,
                                    path_pair)
+
+PINNED_CERTIFICATES = Path(__file__).parent / "data" / "default_suite_certificates.json"
 
 
 def random_poly(rng, degree=3, terms=4, centrals=True):
@@ -50,14 +55,252 @@ def test_parse_ascii_and_rationals():
     assert parse("a^3") == A * A * A
 
 
+# one text per error kind: (text, position, same message from the
+# recursive parser the one-pass reader replaced)
+_PARSE_ERRORS = [
+    ("a + x", 4, True),      # unknown symbol
+    ("a + $", 4, True),      # unexpected character
+    ("a^b", 2, True),        # expected NUM after '^'
+    ("1/a", 2, True),        # expected NUM after '/'
+    ("a + (b", 6, True),     # expected RP, at the end of the input
+    ("2/0 a", 2, True),      # zero denominator
+    ("a + ·b", 4, True),     # expected a value
+    ("a - ", 4, True),       # expected a value, at the end of the input
+    ("a )", 2, True),        # unexpected trailing token
+    ("a²", 1, False),        # a non-ASCII digit is no number
+    ("2·٣", 2, False),
+    ("b + 1.5·a", 5, False),  # decimal point
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse("a + x")
-    assert err.value.position == 4
-    with pytest.raises(ParseError):
-        parse("a + (b")
-    with pytest.raises(ParseError):
-        parse("a )")
+    for text, position, as_reference in _PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position, text
+        if as_reference:
+            with pytest.raises(ParseError) as ref:
+                reference_parse(text)
+            assert str(ref.value) == str(err.value)
+
+
+def test_decimal_point_names_the_fraction_and_other_dots_multiply():
+    with pytest.raises(ParseError, match="3/2"):
+        parse("1.5·a")
+    assert parse("a.b") == parse("a·b") == A * B
+    assert parse("2. 5") == parse("2 .5") == StarPoly.scalar(10)
+    assert parse("2.a") == 2 * A
+
+
+# -- the one-pass parser against the recursive one it replaced ---------------
+
+
+@dataclasses.dataclass
+class _RefToken:
+    kind: str  # NUM SYM PLUS MINUS DOT STAR CARET SLASH LP RP END
+    text: str
+    pos: int
+
+
+def _reference_tokenize(text):
+    tokens = []
+    k = 0
+    while k < len(text):
+        ch = text[k]
+        if ch.isspace():
+            k += 1
+            continue
+        if ch.isdigit():
+            j = k
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(_RefToken("NUM", text[k:j], k))
+            k = j
+            continue
+        if ch in "absci":
+            tokens.append(_RefToken("SYM", ch, k))
+        elif ch.isalpha():
+            raise ParseError(f"unknown symbol {ch!r}", k)
+        else:
+            kind = {"+": "PLUS", "-": "MINUS", "−": "MINUS", "–": "MINUS",
+                    "·": "DOT", "⋅": "DOT", ".": "DOT", "*": "STAR", "^": "CARET",
+                    "/": "SLASH", "(": "LP", ")": "RP"}.get(ch)
+            if kind is None:
+                raise ParseError(f"unexpected character {ch!r}", k)
+            tokens.append(_RefToken(kind, ch, k))
+        k += 1
+    tokens.append(_RefToken("END", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that multiplied and added StarPolys one
+    factor and one term at a time."""
+
+    def __init__(self, text):
+        self.tokens = _reference_tokenize(text)
+        self.k = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def advance(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind}, found {tok.text or 'end of input'!r}",
+                             tok.pos)
+        return self.advance()
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "END":
+            raise ParseError(f"unexpected trailing {tok.text!r}", tok.pos)
+        return value
+
+    def expr(self):
+        sign = 1
+        if self.peek().kind in ("PLUS", "MINUS"):
+            sign = -1 if self.advance().kind == "MINUS" else 1
+        value = self.term() * sign
+        while self.peek().kind in ("PLUS", "MINUS"):
+            op = self.advance().kind
+            rhs = self.term()
+            value = value + rhs if op == "PLUS" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "DOT":
+                self.advance()
+                value = value * self.factor()
+            elif tok.kind in ("NUM", "SYM", "LP"):
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self):
+        value = self.atom()
+        while True:
+            tok = self.peek()
+            if tok.kind == "STAR":
+                self.advance()
+                value = value.star
+            elif tok.kind == "CARET":
+                self.advance()
+                value = value ** int(self.expect("NUM").text)
+            else:
+                return value
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "NUM":
+            self.advance()
+            num = int(tok.text)
+            if self.peek().kind == "SLASH":
+                self.advance()
+                den_tok = self.expect("NUM")
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.pos)
+                return StarPoly.scalar(Fraction(num, den))
+            return StarPoly.scalar(num)
+        if tok.kind == "SYM":
+            self.advance()
+            if tok.text in ("a", "b"):
+                return StarPoly.letter(tok.text)
+            if tok.text in ("s", "c"):
+                return StarPoly.central(tok.text)
+            return StarPoly.imaginary_unit()
+        if tok.kind == "LP":
+            self.advance()
+            value = self.expr()
+            self.expect("RP")
+            return value
+        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
+                         tok.pos)
+
+
+def reference_parse(text):
+    return _ReferenceParser(text).parse()
+
+
+def _joined(first, rest):
+    """first, then each (separator, piece) of rest; an empty separator
+    between two digits becomes a space, so that no number grows."""
+    out = first
+    for sep, piece in rest:
+        if not sep and out[-1].isdigit() and piece[0].isdigit():
+            sep = " "
+        out += sep + piece
+    return out
+
+
+_ATOMS = ["0", "1", "2", "7", "12", "1/2", "3/4", "0/5", "12/9",
+          "a", "b", "s", "c", "i"]
+_POSTFIXES = ["", "", "*", "**", "^0", "^1", "^2", "^3", "*^2", "^2*", "^3^2"]
+_GROUP_POSTFIXES = ["", "*", "^0", "^2", "*^2"]
+# a '.' is always followed by a space, so it never stands between two digits
+_SEPARATORS = ["·", "⋅", ". ", " ", "", " · "]
+_SIGNS = ["+", "-", "−", "–", " + ", " - ", " − "]
+_LEADS = ["", "-", "+", "−", " "]
+
+
+@st.composite
+def _expression_texts(draw, depth=2):
+    """Texts over the whole grammar: numbers and fractions, the five
+    symbols, parenthesised sums nested up to depth, postfix '*' and '^n'
+    (s^k included), juxtaposition, and every minus and dot form."""
+    def pick(options):
+        return options[draw(st.integers(0, len(options) - 1))]
+
+    def factor(depth):
+        if depth and draw(st.integers(0, 3)) == 0:
+            return f"({expr(depth - 1)}){pick(_GROUP_POSTFIXES)}"
+        return pick(_ATOMS) + pick(_POSTFIXES)
+
+    def term(depth):
+        return _joined(factor(depth), [(pick(_SEPARATORS), factor(depth))
+                                       for _ in range(draw(st.integers(0, 2)))])
+
+    def expr(depth):
+        return pick(_LEADS) + _joined(term(depth), [
+            (pick(_SIGNS), term(depth)) for _ in range(draw(st.integers(0, 3)))])
+
+    return expr(depth)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_expression_texts())
+def test_parse_matches_the_reference_parser_term_for_term(text):
+    assert list(parse(text).items()) == list(reference_parse(text).items())
+
+
+def _pinned_certificate_texts():
+    texts = []
+    for row in json.loads(PINNED_CERTIFICATES.read_text(encoding="utf-8")):
+        cert = row["certificate"]
+        texts += [cert["target"], *cert["generators"]]
+        for coefficient, left, _, right in cert["terms"]:
+            texts += [coefficient, left, right]
+    return texts
+
+
+def test_parse_matches_the_reference_parser_on_the_suite_and_certificates():
+    suite = resources.files("balk1").joinpath("data/default_suite.txt").read_text()
+    targets = [line[len("target:"):] for line in suite.splitlines()
+               if line.startswith("target:")]
+    texts = targets + _pinned_certificate_texts()
+    assert len(targets) == 65 and len(texts) > 3000
+    for text in texts:
+        assert list(parse(text).items()) == list(reference_parse(text).items()), text
 
 
 def test_print_parse_roundtrip():
