@@ -44,11 +44,11 @@ _KIND = {**dict.fromkeys("0123456789", "NUM"), **dict.fromkeys("absci", "SYM"),
          "+": "PLUS", "*": "STAR", "^": "CARET", "/": "SLASH", "(": "LP", ")": "RP"}
 _FACTOR_START = ("NUM", "SYM", "LP")
 
-Terms = Dict[Monomial, GaussianRational]
+_Terms = Dict[Monomial, GaussianRational]
 
 
 def _monomial(num: int, den: int, ipow: int, word: List[int], s_exp: int,
-              c_exp: int) -> Terms:
+              c_exp: int) -> _Terms:
     """(num/den)·i^ipow · word · s^s_exp c^c_exp, with its centrals reduced."""
     if not num:
         return {}
@@ -169,10 +169,10 @@ class _Reader:
             return _monomial(num, den, ipow, word, s_exp, c_exp).items(), k
         return product.items(), k
 
-    def expr(self, k: int) -> Tuple[Terms, int]:
+    def expr(self, k: int) -> Tuple[_Terms, int]:
         """The sum at token k, added term by term into one dict, and the
         index after it."""
-        total: Terms = {}
+        total: _Terms = {}
         sign = 1
         if self.kinds[k] in ("PLUS", "MINUS"):
             sign = -1 if self.kinds[k] == "MINUS" else 1
