@@ -15,8 +15,8 @@ anywhere else it is a multiplication dot.  The printer in
 
 The text is read in one pass.  A term without parentheses is read straight
 into one coefficient, one word and one pair of central exponents, which are
-reduced once; only a parenthesised group is multiplied as a polynomial.  The
-terms are added in place into one dict.
+reduced once; only from a parenthesised group on are a term's factors
+multiplied as polynomials.  The terms are added in place into one dict.
 
 Order guarantee: the stored terms come in text order, each where it first
 appears; a term that cancels is dropped (and goes to the end if a later term
