@@ -395,6 +395,14 @@ def _is_diagonal(square: Array) -> bool:
     return not square.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()
 
 
+def _unit_frame(size: int, rows: np.ndarray) -> Array:
+    """The unit vectors e_r of C^size for r in ``rows``, as the columns of a
+    Fortran-ordered frame (the layout a column selection has)."""
+    frame = np.zeros((size, len(rows)), dtype=np.complex128, order="F")
+    frame[rows, np.arange(len(rows))] = 1.0
+    return frame
+
+
 def splitting_projection(sp: SymbolPair, modes: int,
                          explicit_symbol: SplitSymbol) -> ModeSplit:
     """Quantize the caller's splitting symbol, one projection-valued loop per
@@ -419,18 +427,25 @@ def splitting_projection(sp: SymbolPair, modes: int,
     if dims != [sp.dim, sp.dim]:
         raise ShapeError(f"split symbol dimensions {dims} do not match the "
                          f"symbol pair dimension {sp.dim}")
-    raw = quantize_symbol(*explicit_symbol, modes, enforce_bandwidth=False)
+    plus, minus = explicit_symbol
     frames, inside = [], []
-    for block in raw.blocks:
-        herm = (block + _h(block)) / 2
+    for k, loop in ((0, minus), (1, plus)):
+        # one raw block at a time, dropped once its Hermitian part is formed
+        block = _half_line_block(loop, modes, k)
+        herm = np.conjugate(block.T, order="C")
+        herm += block
+        herm *= 0.5
+        del block
         if _is_diagonal(herm):
             d = herm.diagonal().real
             order = np.argsort(d, kind="stable")
-            w, v = d[order], np.eye(len(d), dtype=np.complex128)[:, order]
+            w = d[order]
+            frames.append((_unit_frame(len(d), order[w > SPLIT_THRESHOLD]),
+                           _unit_frame(len(d), order[w <= SPLIT_THRESHOLD])))
         else:
             w, v = np.linalg.eigh(herm)
+            frames.append((v[:, w > SPLIT_THRESHOLD], v[:, w <= SPLIT_THRESHOLD]))
         inside.extend(w[np.abs(w - SPLIT_THRESHOLD) <= SPLIT_GAP].tolist())
-        frames.append((v[:, w > SPLIT_THRESHOLD], v[:, w <= SPLIT_THRESHOLD]))
     if inside:
         bad = min(inside)
         raise SpectralGapError(

@@ -1,16 +1,20 @@
 """Fredholm index engines and the relative index of operator pairs.
 
-``engine_values`` reads the index of a near-isometric Fredholm candidate off
-one singular value decomposition per diagonal block in two independent ways,
-both weighting every singular vector by its interior mass:
+``engine_values`` reads the index of a near-isometric Fredholm candidate F
+in two ways that share no decomposition, both weighted by the interior
+window:
 
 * the counting engine compares the numbers of near-null directions of F and
   of F*; on a square truncation the raw counts always agree, so callers pass
   interior weights and only directions carried by the interior modes count
-  (truncation-edge artifacts localize at the cut and are discarded);
+  (truncation-edge artifacts localize at the cut and are discarded).  It
+  finds them by thin SVDs of F and F* on the ranges of the defects
+  1 - F*F and 1 - FF*, which a fixed-seed randomized sketch captures to a
+  certified residual ``SKETCH_TOLERANCE`` (one full SVD of a block too
+  small for the sketch);
 * the trace engine evaluates tr (1-F*F)^p - tr (1-FF*)^p over the same
-  interior window and rounds to the nearest integer, reporting the distance
-  as a residue.
+  interior window straight from the two defect products, and rounds to the
+  nearest integer, reporting the distance as a residue.
 
 The relative index of a pair (A, B) against a splitting projection follows
 the three equivalent recipes: the defining difference
@@ -23,7 +27,7 @@ of its block indices), from the split records of ``opmodel.split_blocks``.
 For C = A|H1 or C = B|H1 the term C*C is Hermitian, so its index is 0, and
 the two terms left, (AV)*(BV) and (BV)*(AV), are adjoints of each other:
 since ind X* = -ind X from the same singular values, the pipeline reads
-definition-B off definition-A's decomposition, and only ``rel_index`` with
+definition-B off definition-A's engine values, and only ``rel_index`` with
 choice "B" forms (BV)*(AV).  A comparison operator is admissible when it
 meets the corner estimates of the split decomposition, so
 ``validate_choice`` reads the same ``opmodel.corner_estimates`` table.
@@ -56,15 +60,17 @@ Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
 INCLUSIVE_THRESHOLD = 1e-3
 GAP_FACTOR = 10.0  # an explicit threshold needs no singular value in [t, 10 t)
 RESIDUE_CEILING = 0.2  # largest trace-formula distance from an integer
+SKETCH_WIDTH = 64  # first width of the defect range finder
+SKETCH_TOLERANCE = 1e-10  # delta: the Frobenius norm a defect range may leave out
+SKETCH_SEED = 2011  # the range finder's test matrices are the same in every run
 
 
 def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
-    """Weighted squared norm of every column: the share of each singular
-    vector carried by the interior window.
+    """Weighted squared norm Re x*Wx of every column x: the share of each
+    singular vector carried by the interior window.
 
     Re x*Wx is summed as the real and imaginary parts of x times those of
-    Wx, so no conjugate copy of the vectors is formed; ``engine_values``
-    passes the rows of vh as the columns of its transpose view."""
+    Wx, so no conjugate copy of the vectors is formed."""
     if weights is None:
         return np.ones(vectors.shape[1])
     if weights.ndim == 1:
@@ -73,6 +79,89 @@ def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
     image = weights @ vectors
     return (np.einsum("ij,ij->j", vectors.real, image.real)
             + np.einsum("ij,ij->j", vectors.imag, image.imag))
+
+
+def _defect(f: Array, adjoint: Array, domain: bool) -> Array:
+    """1 - F*F (on the domain) or 1 - FF* (on the codomain), formed in the
+    product's own storage."""
+    defect = adjoint @ f if domain else f @ adjoint
+    np.negative(defect, out=defect)
+    defect.reshape(-1)[::defect.shape[0] + 1] += 1.0
+    return defect
+
+
+def _weighted_trace(x: Array, weights: Weights, p: int) -> float:
+    """Re tr(W X^p) of a Hermitian X, without decomposing it: with
+    L = X^(p//2) and R = X^(p - p//2), tr(WLR) = sum_ij (WL)_ij conj(R_ij).
+    W is None (the identity), mode weights or a Gram matrix."""
+    low = np.linalg.matrix_power(x, p // 2)
+    high = np.linalg.matrix_power(x, p - p // 2)
+    if weights is None:
+        return float(np.vdot(high, low).real)
+    if weights.ndim == 1:
+        return float(weights @ (np.einsum("ij,ij->i", low.real, high.real)
+                                + np.einsum("ij,ij->i", low.imag, high.imag)))
+    return float(np.vdot(high, weights @ low).real)
+
+
+def _left_out(x: Array, q: Array) -> float:
+    """|(1 - QQ*) X|_F, formed a block of columns at a time."""
+    qh, width = q.conj().T, q.shape[1]
+    square = 0.0
+    for start in range(0, x.shape[1], width):
+        cols = x[:, start:start + width]
+        rest = cols - q @ (qh @ cols)
+        square += float(np.vdot(rest, rest).real)
+    return math.sqrt(square)
+
+
+def _defect_range(defect: Array) -> Optional[Array]:
+    """An orthonormal basis Q of the numerical range of a Hermitian defect
+    X, with |(1 - QQ*) X|_F <= ``SKETCH_TOLERANCE``: the range of X times a
+    fixed-seed complex Gaussian test matrix (Halko, Martinsson & Tropp,
+    SIAM Review 53, 2011), starting at ``SKETCH_WIDTH`` columns and doubled
+    until the residual passes.  None once 4 * width exceeds the size."""
+    n = defect.shape[0]
+    rng = np.random.default_rng(SKETCH_SEED)
+    width = SKETCH_WIDTH
+    while 4 * width <= n:
+        test = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        q = np.linalg.qr(defect @ test)[0]
+        if _left_out(defect, q) <= SKETCH_TOLERANCE:
+            return q
+        width *= 2
+    return None
+
+
+def _counting_svd(x: Array, full: bool) -> Tuple[Array, np.ndarray, Array]:
+    """The counting engine's decompositions; the trace engine takes none."""
+    return np.linalg.svd(x, full_matrices=full)
+
+
+def _near_null(f: Array, adjoint: Array, ranges: Optional[Tuple[Array, Array]],
+               threshold: float
+               ) -> Tuple[np.ndarray, np.ndarray, Array, Array, float]:
+    """The counting engine's view of one block: the singular values of F read
+    on the domain and on the codomain side, the near-null domain and
+    codomain singular vectors (singular value below the threshold) as
+    columns, and the value ``above`` takes when no singular value at or
+    above the threshold is read.
+
+    With the defect ranges (Q_R, Q_L), the values and vectors come from
+    thin SVDs of F Q_R and F* Q_L; every singular value left out has
+    |1 - s^2| <= 2 ``SKETCH_TOLERANCE`` (see ``engine_values``), so 1 bounds
+    ``above``.  Without them one full SVD of F gives both sides."""
+    if ranges is not None:
+        q_dom, q_cod = ranges
+        _, s, zh = _counting_svd(f @ q_dom, False)
+        _, s_cod, yh = _counting_svd(adjoint @ q_cod, False)
+        rank = int(np.sum(s >= threshold))
+        rank_cod = int(np.sum(s_cod >= threshold))
+        return (s, s_cod, q_dom @ zh[rank:].conj().T,
+                q_cod @ yh[rank_cod:].conj().T, 1.0)
+    u, s, vh = _counting_svd(f, True)
+    rank = int(np.sum(s >= threshold))
+    return s, s, vh[rank:].conj().T, u[:, rank:], math.inf
 
 
 @dataclass
@@ -117,13 +206,19 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
                   p: int = 2, domain_weights: Union[Weights, Sequence[Weights]] = None,
                   codomain_weights: Union[Weights, Sequence[Weights]] = None
                   ) -> EngineValues:
-    """Both index engines from one singular value decomposition per block.
+    """Both index engines, reading no decomposition in common.
 
     F is one matrix, or a sequence of the diagonal blocks of a
     block-diagonal operator with the weights then given per block (or
     None).  The index of a block-diagonal operator is the sum of the block
     indices, so counts and trace totals are summed over the blocks before
-    the trace total is rounded.
+    the trace total is rounded.  Each block's defects D = 1 - F*F and
+    E = 1 - FF* are formed by two products.
+
+    The trace engine evaluates Re tr(W_dom D^p) - Re tr(W_cod E^p) straight
+    off D and E, W being the interior weights, and rounds it to the nearest
+    integer; the distance is the residue, which must stay below
+    ``RESIDUE_CEILING``.
 
     The counting engine takes dim ker - dim coker over the singular
     directions below the threshold, counting only those with at least half
@@ -134,11 +229,35 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
     is harmless for index differences as long as its left and right vectors
     classify alike; the pipeline cross-checks every such count against the
     trace engine, the other index formulas and the doubled truncation, so a
-    misclassification cannot pass silently.
+    misclassification cannot pass silently.  The counting engine reads the
+    near-null directions off the ranges of D and E, not off a full SVD:
 
-    The trace engine evaluates tr_w (1-F*F)^p - tr_w (1-FF*)^p with the same
-    interior masses and rounds it to the nearest integer; the distance is
-    the residue, which must stay below ``RESIDUE_CEILING``.
+    * Q_R and Q_L are orthonormal ranges of D and E found by a fixed-seed
+      sketch (``_defect_range``): width ``SKETCH_WIDTH``, doubled until
+      |(1 - QQ*)X|_F <= delta = ``SKETCH_TOLERANCE``.  The near-isometric
+      candidates of the pipeline are unitary plus low rank (30-52 values
+      of |1 - s^2| above 1e-12 at sizes 258 and 514), so width 64 passes.
+    * Thin SVDs of F Q_R and F* Q_L give the singular values and the
+      near-null domain and codomain vectors.
+    * Once 4 * width exceeds the smaller side of F, or when the gap band
+      reaches past sqrt(1 - 2 delta), one full SVD of F gives both.
+
+    Why nothing the engine reads is lost: write P = QQ* for the domain side
+    (the codomain side is the same with E).  D - PDP = (1 - P)D + PD(1 - P)
+    has norm at most 2 delta, so by Weyl's inequality the eigenvalues
+    1 - s^2 of D are within 2 delta of those of PDP, which are 0 on the
+    range of 1 - P and 1 - rho^2 for the singular values rho of FQ.  So
+    every singular value left out has |1 - s^2| <= 2 delta: it lies above
+    the gap band and the counting cut (the sketch is used only when
+    (GAP_FACTOR * threshold)^2 < 1 - 2 delta), is not near-null, and moves
+    ``above`` by at most about delta.  A near-null direction x has
+    Dx = (1 - s^2)x with 1 - s^2 >= 1 - threshold^2, so
+    |(1 - P)x| <= delta / (1 - threshold^2): every near-null vector lies
+    within about delta of the captured range, its Ritz vector within about
+    delta of it, and its mass within about delta of its own.  By Cauchy
+    interlacing each near-null Ritz value is at least the true value and at
+    most about delta above it.  The check is a posteriori: a sketch that
+    misses part of a range fails its residual and is widened.
 
     A square Hermitian block has equal kernel and cokernel whatever the
     threshold, and its two defect operators coincide, so it adds exactly 0
@@ -152,42 +271,42 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
         parts = [(f, domain_weights, codomain_weights)]
     explicit = threshold is not None
     threshold = threshold if explicit else INCLUSIVE_THRESHOLD
+    sketch = (GAP_FACTOR * threshold) ** 2 < 1.0 - 2.0 * SKETCH_TOLERANCE
     kernel = cokernel = 0
     total, below, above = 0.0, 0.0, math.inf
     for block, dom_w, cod_w in parts:
         block = np.asarray(block, dtype=np.complex128)
         if _is_hermitian(block):
             continue
-        u, s, vh = np.linalg.svd(block, full_matrices=True)
+        adjoint = block.conj().T
+        ranges = []
+        use_sketch = sketch and 4 * SKETCH_WIDTH <= min(block.shape)
+        for domain, weights, sign in ((True, dom_w, 1.0), (False, cod_w, -1.0)):
+            defect = _defect(block, adjoint, domain)
+            total += sign * _weighted_trace(defect, weights, p)
+            if use_sketch:
+                ranges.append(_defect_range(defect))
+                use_sketch = ranges[-1] is not None
+            del defect  # freed before the next product is formed
+        s, s_cod, kernel_vectors, cokernel_vectors, ceiling = _near_null(
+            block, adjoint, tuple(ranges) if use_sketch else None, threshold)
         if explicit:
-            in_gap = (s >= threshold) & (s < GAP_FACTOR * threshold)
-            if np.any(in_gap):
-                raise SingularGapError(
-                    f"singular value {float(s[in_gap][0]):.3e} inside the gap "
-                    f"[{threshold:.1e}, {GAP_FACTOR * threshold:.1e})",
-                    float(s[in_gap][0]))
-        defect = 1.0 - s ** 2
-        max_defect = float(np.max(np.abs(defect), initial=0.0))
+            for values in (s, s_cod):
+                in_gap = (values >= threshold) & (values < GAP_FACTOR * threshold)
+                if np.any(in_gap):
+                    raise SingularGapError(
+                        f"singular value {float(values[in_gap][0]):.3e} inside "
+                        f"the gap [{threshold:.1e}, {GAP_FACTOR * threshold:.1e})",
+                        float(values[in_gap][0]))
+        max_defect = float(np.max(np.abs(1.0 - s ** 2), initial=0.0))
         if max_defect > 1.2:
             raise ValueError(
                 f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too "
                 "far from an isometry for the trace formula")
-        # the domain singular vectors are the conjugated rows of vh: the
-        # masses of those rows under the transposed weight are theirs
-        domain_mass = _interior_masses(vh.T, None if dom_w is None else dom_w.T)
-        codomain_mass = _interior_masses(u, cod_w)
-        rank = int(np.sum(s >= threshold))
-        kernel += int(np.sum(domain_mass[rank:] >= 0.5))
-        cokernel += int(np.sum(codomain_mass[rank:] >= 0.5))
-        below = max(below, float(s[rank:].max(initial=0.0)))
-        above = min(above, float(s[:rank].min(initial=math.inf)))
-
-        # directions beyond the singular values are null: their defect is 1
-        def defect_power(count: int) -> np.ndarray:
-            return np.concatenate([defect, np.ones(count - len(s))]) ** p
-
-        total += float(defect_power(block.shape[1]) @ domain_mass
-                       - defect_power(block.shape[0]) @ codomain_mass)
+        kernel += int(np.sum(_interior_masses(kernel_vectors, dom_w) >= 0.5))
+        cokernel += int(np.sum(_interior_masses(cokernel_vectors, cod_w) >= 0.5))
+        below = max(below, float(s[s < threshold].max(initial=0.0)))
+        above = min(above, float(s[s >= threshold].min(initial=ceiling)))
     nearest = int(np.rint(total))
     residue = abs(total - nearest)
     if residue >= RESIDUE_CEILING:
@@ -341,7 +460,7 @@ def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
     Everything dense is a local of this call, and one Fredholm candidate is
     alive at a time: corner and definition-A read the split records, so
     they run first; then the records and both operators are dropped, and
-    only the global candidate is alive at its decomposition.
+    only the global candidate is alive when its engines run.
     """
     d1, d2 = _stage("quantize", quantize, sp, n)
     d1, d2 = _stage("clip_to_contraction", clip_to_contraction, d1, d2)

@@ -18,6 +18,19 @@ into one coefficient, one word and one pair of central exponents, which are
 reduced once; only from a parenthesised group on are a term's factors
 multiplied as polynomials.  The terms are added in place into one dict.
 
+Size ceiling: a power or product can expand a short text into a huge
+polynomial, so before expanding one the reader bounds what it would give:
+the terms (before like terms are collected), the letters of the longest
+word and the bits of a number.  Past ``EXPANSION_CEILING`` the text is
+rejected with a ``ParseError`` at the factor, which is not expanded.  The
+bounds are:
+
+* |P|^n terms for P^n, times n//2 + 1 when P holds an s (the s-exponents
+  of P^n sum to at most n, and s^2k expands into k + 1 terms);
+* |P||Q| terms for PQ, twice that when both hold an s (s^2 = 1 - c^2);
+* k + 1 terms for a plain term with s^2k;
+* n times the letters or bits for a letter or number x^n.
+
 Order guarantee: the stored terms come in text order, each where it first
 appears; a term that cancels is dropped (and goes to the end if a later term
 brings it back).  A product with a parenthesised group keeps the order of the
@@ -29,6 +42,7 @@ its terms.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
@@ -43,6 +57,7 @@ _KIND = {**dict.fromkeys("0123456789", "NUM"), **dict.fromkeys("absci", "SYM"),
          **dict.fromkeys("-−–", "MINUS"), **dict.fromkeys("·⋅.", "DOT"),
          "+": "PLUS", "*": "STAR", "^": "CARET", "/": "SLASH", "(": "LP", ")": "RP"}
 _FACTOR_START = ("NUM", "SYM", "LP")
+EXPANSION_CEILING = 100_000  # most terms, word letters or number bits of a piece
 
 _Terms = Dict[Monomial, GaussianRational]
 
@@ -57,6 +72,10 @@ def _monomial(num: int, den: int, ipow: int, word: List[int], s_exp: int,
     word = tuple(word)
     return {Monomial(word, s, c): q * sign if sign != 1 else q
             for s, c, sign in _reduce_central(s_exp, c_exp)}
+
+
+def _has_s(poly: StarPoly) -> bool:
+    return any(m.s_exp for m, _ in poly.items())
 
 
 class _Reader:
@@ -92,6 +111,23 @@ class _Reader:
                              self.position(k))
         return self.texts[k]
 
+    def too_large(self, what: str, k: int) -> ParseError:
+        """The error for a piece at token k that would expand past
+        ``EXPANSION_CEILING`` terms, word letters or number bits."""
+        return ParseError(f"expression expands to more than "
+                          f"{EXPANSION_CEILING} {what}", self.position(k))
+
+    def multiply(self, x: StarPoly, y: StarPoly, k: int) -> StarPoly:
+        """x * y, once its size is checked against the ceiling."""
+        terms = len(x) * len(y)
+        if _has_s(x) and _has_s(y):
+            terms *= 2
+        if terms > EXPANSION_CEILING:
+            raise self.too_large("terms", k)
+        if x.degree + y.degree > EXPANSION_CEILING:
+            raise self.too_large("letters in a word", k)
+        return x * y
+
     def group(self, k: int) -> Tuple[StarPoly, int]:
         """The parenthesised factor whose '(' is token k, with its postfix
         '*' and '^n' applied in turn, and the index after it."""
@@ -103,7 +139,14 @@ class _Reader:
             if self.kinds[k] == "STAR":
                 factor, k = factor.star, k + 1
             else:
-                factor, k = factor ** int(self.expect("NUM", k + 1)), k + 2
+                n = int(self.expect("NUM", k + 1))
+                growth = min(n * math.log(max(len(factor), 1)), 50.0)
+                central = n // 2 + 1 if _has_s(factor) else 1
+                if math.exp(growth) * central > EXPANSION_CEILING:
+                    raise self.too_large("terms", k)
+                if n * factor.degree > EXPANSION_CEILING:
+                    raise self.too_large("letters in a word", k)
+                factor, k = factor ** n, k + 2
         return factor, k
 
     def term(self, k: int, sign: int) -> Tuple[Iterable, int]:
@@ -115,7 +158,7 @@ class _Reader:
         product = None  # the polynomial product, from a '(' on
         while True:
             kind, text = kinds[k], texts[k]
-            group = None
+            start, group = k, None
             if kind == "LP":
                 group, k = self.group(k)
             else:
@@ -142,14 +185,21 @@ class _Reader:
                     else:
                         break
                 if kind == "NUM":
+                    if power > 1 and power * max(n.bit_length(),
+                                                 d.bit_length()) > EXPANSION_CEILING:
+                        raise self.too_large("bits in a number", start)
                     num, den = num * n ** power, den * d ** power
                 elif text == "s":
                     s_exp += power
+                    if power > 1 and s_exp // 2 + 1 > EXPANSION_CEILING:
+                        raise self.too_large("terms", start)
                 elif text == "c":
                     c_exp += power
                 elif text == "i":
                     ipow += -power if starred else power
                 else:
+                    if power > 1 and len(word) + power > EXPANSION_CEILING:
+                        raise self.too_large("letters in a word", start)
                     word += [_LETTER_CODE[text] ^ starred] * power
             if group is not None or product is not None:
                 # from the first '(' on, the factors are multiplied as
@@ -157,9 +207,10 @@ class _Reader:
                 head = StarPoly(_monomial(num, den, ipow, word, s_exp, c_exp),
                                 _normalized=True)
                 num, den, ipow, word, s_exp, c_exp = 1, 1, 0, [], 0, 0
-                product = head if product is None else product * head
+                product = (head if product is None
+                           else self.multiply(product, head, start))
                 if group is not None:
-                    product = product * group
+                    product = self.multiply(product, group, start)
             kind = kinds[k]
             if kind == "DOT":
                 k += 1

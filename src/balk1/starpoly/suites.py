@@ -300,6 +300,15 @@ def format_suite(entries: Sequence[SuiteEntry]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def _field(stanza: str, read, text: str):
+    """``read(text)``, with its ``ValueError`` raised as a ``ParseError``
+    that names the stanza."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ParseError(f"stanza {stanza!r}: {exc}", 0) from None
+
+
 def parse_suite(text: str) -> List[SuiteEntry]:
     entries: List[SuiteEntry] = []
     for block in [b for b in text.split("\n\n") if b.strip()]:
@@ -315,14 +324,14 @@ def parse_suite(text: str) -> List[SuiteEntry]:
         missing = {"name", "ideal", "target"} - set(fields)
         if missing:
             raise ParseError(f"suite stanza missing {sorted(missing)}", 0)
-        ideal_text = fields["ideal"]
+        name, ideal_text = fields["name"], fields["ideal"]
         if ideal_text.startswith("custom:"):
             gens = tuple(parse(g) for g in ideal_text[len("custom:"):].split(";")
                          if g.strip())
             ideal = RelationIdeal(name="custom", generators=gens)
         else:
-            ideal = ideal_by_name(ideal_text)
-        bound = int(fields["bound"]) if "bound" in fields else None
-        entries.append(SuiteEntry(fields["name"], parse(fields["target"]),
+            ideal = _field(name, ideal_by_name, ideal_text)
+        bound = _field(name, int, fields["bound"]) if "bound" in fields else None
+        entries.append(SuiteEntry(name, parse(fields["target"]),
                                   ideal, bound))
     return entries

@@ -152,8 +152,9 @@ def test_criterion_4_engine_oracles(sweep):
         for f in rep.details for n in (SWEEP_MODES, 2 * SWEEP_MODES))
     report("criterion 4: index engine oracles and agreement",
            shift_ok and unitary_ok and agree,
-           "shift = -1 at N in {64,128}, unitary = 0, engines agree on all "
-           "pipeline candidates")
+           "shift = -1 at N in {64,128}, unitary = 0; the counting and trace "
+           "engines share no decomposition and agree on all pipeline "
+           "candidates")
 
 
 # -- criterion 5: index theorem sweep -------------------------------------------------

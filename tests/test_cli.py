@@ -122,6 +122,23 @@ def test_verify_identities_rejects_numbers_that_are_not_ascii_digits(
     assert "error: " in result.output and "(at position " in result.output
 
 
+@pytest.mark.parametrize("field, message", [
+    ("bound: 4.5", "stanza 'half': invalid literal for int()"),
+    ("ideal: rel3", "stanza 'half': unknown ideal name 'rel3'"),
+])
+def test_verify_identities_rejects_a_bad_bound_or_ideal(runner, tmp_path,
+                                                        field, message):
+    fields = {"ideal": "ideal: rel1", "bound": "bound: 4"}
+    fields[field.split(":")[0]] = field
+    suite_path = tmp_path / "suite.txt"
+    suite_path.write_text(f"name: half\n{fields['ideal']}\n{fields['bound']}\n"
+                          "target: a*·a - b*·b\n")
+    result = runner.invoke(main, ["verify-identities", str(suite_path)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"error: {message}" in result.output
+
+
 def test_verify_identities_missing_file(runner):
     result = runner.invoke(main, ["verify-identities", "/nonexistent.txt"])
     assert result.exit_code == 2

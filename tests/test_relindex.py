@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balk1 import relindex
-from balk1.errors import (CChoiceError, FedosovResidueError, PipelineStageError,
-                          ShapeError, SingularGapError)
+from balk1.errors import (CChoiceError, EngineDisagreementError,
+                          FedosovResidueError, PipelineStageError, ShapeError,
+                          SingularGapError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
                          standard_symbol_pair, subbundle_projection_loop, turn)
@@ -112,10 +113,10 @@ def test_adjoint_negates_the_index(n, shift, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_trace_total_by_products_matches_the_svd_engine(n, extra, shift, noise,
                                                         gram, seed):
-    """The trace engine's total, formed without a decomposition, is the one
-    ``engine_values`` reads off its SVD: with D = 1 - F*F and E = 1 - FF*,
-    sum_i w_i |D_i|^2 - sum_i w_i |E_i|^2 for mode weights, and
-    Re tr(W D^2) - Re tr(W E^2) for Gram weights.  F is an (n + extra) x n
+    """The trace engine's total is the product formula, formed here on its
+    own: with D = 1 - F*F and E = 1 - FF*, sum_i w_i |D_i|^2 -
+    sum_i w_i |E_i|^2 for mode weights, and Re tr(W D^2) - Re tr(W E^2)
+    (two dense products) for Gram weights.  F is an (n + extra) x n
     truncated shift by ``shift`` modes plus a perturbation of size noise,
     weighted on the lower half of the modes; with Gram weights F and the
     windows are turned by random unitaries on either side."""
@@ -137,6 +138,97 @@ def test_trace_total_by_products_matches_the_svd_engine(n, extra, shift, noise,
                  - w_cod @ np.sum(np.abs(e) ** 2, axis=1))
     ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
     assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
+
+
+def low_rank_defect_block(n, m, values, seed):
+    """An m x n shift e_j -> e_(j+1), m <= n, whose columns are scaled by the
+    values, at random positions taken in turn inside and outside the
+    lower-half window, and turned by unitaries that are block diagonal at
+    the window edge h = n // 2, so every singular vector lies on one side
+    of it.  Its codomain defect has rank len(values) + 1 (e_0 is not hit),
+    and its domain defect n - m more (the columns from m - 1 on are zero).
+    With the lower-half window the index is -1: e_0 lies inside the window,
+    the zero columns outside, and every scaled column inside the window
+    adds one to both counts."""
+    h = n // 2
+    rng = np.random.default_rng(seed)
+    shift = np.eye(m, n, k=-1, dtype=complex)
+    inside, outside = rng.permutation(h - 1), rng.permutation(np.arange(h, m - 1))
+    columns = np.ravel(np.column_stack([inside[:len(outside)], outside]))
+    shift[:, columns[:len(values)]] *= values
+    turn_dom = np.zeros((n, n), complex)
+    turn_cod = np.zeros((m, m), complex)
+    for turn, size in ((turn_dom, n), (turn_cod, m)):
+        turn[:h, :h] = random_unitary(h, seed + 1)
+        turn[h:, h:] = random_unitary(size - h, seed + 2)
+    return (turn_cod @ shift @ turn_dom.conj().T,
+            (np.arange(n) < h).astype(float), (np.arange(m) < h).astype(float))
+
+
+def reference_engine(f, w_dom, w_cod):
+    """The counting engine's values from one full SVD of f, and the trace
+    total from the products: sum_i w_i |D_i|^2 - sum_i w_i |E_i|^2."""
+    u, s, vh = np.linalg.svd(f)
+    rank = int(np.sum(s >= relindex.INCLUSIVE_THRESHOLD))
+    kernel = np.sum(w_dom @ np.abs(vh[rank:].T) ** 2 >= 0.5)
+    cokernel = np.sum(w_cod @ np.abs(u[:, rank:]) ** 2 >= 0.5)
+    d = np.eye(f.shape[1]) - f.conj().T @ f
+    e = np.eye(f.shape[0]) - f @ f.conj().T
+    total = (w_dom @ np.sum(np.abs(d) ** 2, axis=1)
+             - w_cod @ np.sum(np.abs(e) ** 2, axis=1))
+    return (int(kernel - cokernel), float(s[rank:].max(initial=0.0)),
+            float(s[:rank].min()), total)
+
+
+@pytest.mark.parametrize("n, m, middle, width", [
+    (300, 300, 12, 64),    # defect rank 16: the first sketch passes
+    (520, 520, 100, 128),  # defect rank 104: the sketch is widened once
+    (300, 297, 12, 64),    # non-square: the domain defect has 3 more
+])
+def test_sketch_path_matches_a_full_svd(n, m, middle, width, monkeypatch):
+    """At n >= 256 the counting engine reads the block off the sketched
+    defect ranges; its index, ``below`` and ``above`` match one full SVD
+    to rel 1e-9, and the trace total matches the product formula."""
+    values = [1e-4, 2e-4, 3e-4, *np.linspace(0.2, 0.9, middle)]
+    f, w_dom, w_cod = low_rank_defect_block(n, m, values, seed=n + m)
+    widths = []
+
+    def recorded(defect):
+        q = real_range(defect)
+        widths.append(None if q is None else q.shape[1])
+        return q
+
+    real_range = relindex._defect_range
+    monkeypatch.setattr(relindex, "_defect_range", recorded)
+    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    index, below, above, total = reference_engine(f, w_dom, w_cod)
+    assert widths == [width, width]
+    assert ev.svd == ev.fedosov == index == -1
+    assert ev.below == pytest.approx(below, rel=1e-9) and below == pytest.approx(3e-4)
+    assert ev.above == pytest.approx(above, rel=1e-9) and above == pytest.approx(0.2)
+    assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
+
+
+def test_engines_share_no_decomposition(flagship, monkeypatch):
+    """Exchanging the most contracted right singular vector with the first
+    in the counting engine's SVD changes its count but not the trace
+    engine's total, so ``rel_index`` reports the disagreement.  On the
+    sketch path the first vector (singular value 1.2) lies inside the
+    window and the last (the zero column) outside, so the count moves by
+    one."""
+    _, d1, d2, split, cut, _ = flagship
+    real_svd = relindex._counting_svd
+
+    def permuted(x, full):
+        u, s, vh = real_svd(x, full)
+        return u, s, vh[np.r_[len(vh) - 1, 1:len(vh) - 1, 0]]
+
+    monkeypatch.setattr(relindex, "_counting_svd", permuted)
+    with pytest.raises(EngineDisagreementError):
+        rel_index(d1, d2, split, "A", cut)
+    f, w_dom, w_cod = low_rank_defect_block(300, 300, [1.2, 1e-4], seed=3)
+    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    assert (ev.svd, ev.fedosov) == (0, -1)
 
 
 def test_hermitian_shortcut():

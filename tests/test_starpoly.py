@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -90,6 +91,34 @@ def test_decimal_point_names_the_fraction_and_other_dots_multiply():
     assert parse("a.b") == parse("a·b") == A * B
     assert parse("2. 5") == parse("2 .5") == StarPoly.scalar(10)
     assert parse("2.a") == 2 * A
+
+
+@pytest.mark.parametrize("text, position, what", [
+    ("(a + b)^40", 7, "terms"),             # 2^40 words
+    ("a^100000000", 0, "letters in a word"),
+    ("b·a^60000·a^60000", 10, "letters in a word"),
+    ("s^1000000", 0, "terms"),              # s^2k = (1 - c^2)^k
+    ("3^100000000", 0, "bits in a number"),
+    ("(a + b)^9·(a - b)^9", 10, "terms"),   # 512 x 512 products
+])
+def test_expansion_past_the_ceiling_is_rejected_before_it_is_made(
+        text, position, what):
+    """A power or product whose expansion would pass ``EXPANSION_CEILING``
+    is rejected at its factor, and nothing large is allocated on the way."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ParseError, match=f"more than 100000 {what}") as err:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert err.value.position == position
+    assert peak < 1_000_000, peak
 
 
 # -- the one-pass parser against the recursive one it replaced ---------------
