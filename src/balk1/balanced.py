@@ -29,8 +29,8 @@ from typing import Dict, Iterator, Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ShapeError
-from .numkern import (Array, adjoint_matmul, as_matrix, eig_unitary, opnorm,
-                      random_unitary, stack_opnorm)
+from .numkern import (Array, adjoint_matmul, as_matrix, block_diag, eig_unitary,
+                      opnorm, random_unitary, stack_opnorm)
 from .relations import REL1, REL1_NAMES, REL2_NAMES, RELATIONS, TWINS
 
 
@@ -152,8 +152,6 @@ def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
     strict-contraction block (every finite balanced pair splits this way up
     to the crossed-defect degeneracies).  The seed also draws the size of the
     unitary block, anywhere from 0 to dim."""
-    import scipy.linalg as sla
-
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, dim + 1))
     blocks_a, blocks_b = [], []
@@ -168,8 +166,8 @@ def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
         blocks_a.append(shared)
         blocks_b.append(shared)
     q = random_unitary(dim, seed * 7 + 3)
-    a = q @ sla.block_diag(*blocks_a) @ q.conj().T
-    b = q @ sla.block_diag(*blocks_b) @ q.conj().T
+    a = q @ block_diag(*blocks_a) @ q.conj().T
+    b = q @ block_diag(*blocks_b) @ q.conj().T
     return BalancedPair(a, b, tol=1e-10)
 
 

@@ -2,10 +2,10 @@
 
 Explicitly-toleranced helpers over LAPACK via numpy: operator norms of
 single matrices and of (..., m, n) stacks (one kernel, from the top
-eigenvalue of a scaled Gram matrix), Haar-random unitaries and the
-spectral decomposition of unitaries through the complex Schur form.
-Matrices are complex128 arrays.  Only the Schur form needs scipy, which
-``eig_unitary`` imports on first use, so the index path never loads it.
+eigenvalue of a scaled Gram matrix), block-diagonal assembly, Haar-random
+unitaries and the spectral decomposition of unitaries through a Cayley
+transform to a Hermitian matrix.  Matrices are complex128 arrays; numpy is
+the only dependency.
 """
 
 from __future__ import annotations
@@ -66,6 +66,19 @@ def stack_opnorm(x: Array) -> np.ndarray:
     return scale * np.sqrt(np.maximum(top, 0.0))
 
 
+def block_diag(*blocks: Array) -> Array:
+    """The block-diagonal matrix of 2-d blocks, of their common result
+    dtype, zero off the blocks (``scipy.linalg.block_diag``'s output)."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def random_unitary(dim: int, seed: int) -> Array:
     """Haar-distributed unitary, deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -77,21 +90,34 @@ def random_unitary(dim: int, seed: int) -> Array:
 
 
 def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
-    """Spectral decomposition of a unitary via the complex Schur form.
+    """Spectral decomposition of a unitary: unit-modulus eigenvalues and a
+    unitary eigenvector matrix q, with u = q diag(eigs) q*.
 
-    Returns unit-modulus eigenvalues and a unitary eigenvector matrix; for a
-    normal input the Schur factor is diagonal up to roundoff, so discarding
-    its strict upper triangle is exact to the stated tolerance.
+    u is turned by the phase that puts the midpoint of the widest gap of
+    its spectrum at -1, where the Cayley transform is singular; the gap is
+    at least 2 pi / n wide, so h = i(1 - v)(1 + v)^-1 of the turned v has
+    norm at most cot(pi / 2n).  h is Hermitian and has u's eigenvectors,
+    so ``eigh`` of its Hermitian part gives an orthonormal q, and each
+    eigenvalue is the Rayleigh quotient q_j* u q_j over its modulus.  A
+    cluster of eigenvalues mixes its eigenvectors by roundoff over the
+    cluster's width, so q diag(eigs) q* stays within roundoff of u.
     """
-    import scipy.linalg as sla
-
     u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
+    n = u.shape[0]
+    if n != u.shape[1]:
         raise ShapeError("unitary input must be square")
-    defect = opnorm(u.conj().T @ u - np.eye(u.shape[0]))
+    defect = opnorm(u.conj().T @ u - np.eye(n))
     if defect > tol:
         raise NotUnitaryError(f"input is not unitary: defect {defect:.3e} > {tol:.1e}")
-    t, q = sla.schur(u, output="complex")
-    eigs = np.diag(t).copy()
+    if n == 0:
+        return np.zeros(0, dtype=np.complex128), u
+    angles = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(angles, append=angles[:1] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    v = u * np.exp(1j * (np.pi - angles[widest] - 0.5 * gaps[widest]))
+    eye = np.eye(n)
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    q = np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+    eigs = np.einsum("ij,ij->j", q.conj(), u @ q)
     eigs /= np.abs(eigs)
     return eigs, q

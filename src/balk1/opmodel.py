@@ -10,7 +10,8 @@ Operators are kept as their two half-line blocks n < 0 and n >= 0, each a
 finite Toeplitz section, as quantization builds them.  Clipping, spectral
 splitting and the defect products preserve the half-line structure, so
 every stage works block by block and takes the maximum of the block norms.
-``TruncOp.matrix`` is a dense view for tests.
+``TruncOp.matrix`` and ``ModeSplit.projector`` are dense views for tests,
+assembled by ``numkern.block_diag``.
 
 The split H = H1 + H2 is part of the input, as in the paper: the difference
 of a pair lives on H1 and its unitarity defects on H2.  The caller names it
@@ -43,7 +44,7 @@ import numpy as np
 from .balanced import relation_matrices, relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
 from .loops import MatrixLoop, SplitSymbol, SymbolPair
-from .numkern import Array, adjoint_matmul, opnorm
+from .numkern import Array, adjoint_matmul, block_diag, opnorm
 from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
@@ -95,10 +96,8 @@ class TruncOp:
 
     @property
     def matrix(self) -> Array:
-        """Dense view; built on every access."""
-        import scipy.linalg as sla
-
-        return sla.block_diag(*self.blocks)
+        """Dense block-diagonal view; built on every access."""
+        return block_diag(*self.blocks)
 
 
 def check_same_shape(a: TruncOp, b: TruncOp) -> None:
@@ -381,10 +380,8 @@ class ModeSplit:
 
     @property
     def projector(self) -> Array:
-        """Dense view; built on every access."""
-        import scipy.linalg as sla
-
-        return sla.block_diag(*(v @ _h(v) for v, _ in self.blocks))
+        """Dense block-diagonal view; built on every access."""
+        return block_diag(*(v @ _h(v) for v, _ in self.blocks))
 
 
 def _is_diagonal(square: Array) -> bool:

@@ -65,20 +65,15 @@ SKETCH_TOLERANCE = 1e-10  # delta: the Frobenius norm a defect range may leave o
 SKETCH_SEED = 2011  # the range finder's test matrices are the same in every run
 
 
-def _interior_masses(vectors: Array, weights: Weights) -> np.ndarray:
-    """Weighted squared norm Re x*Wx of every column x: the share of each
-    singular vector carried by the interior window.
-
-    Re x*Wx is summed as the real and imaginary parts of x times those of
-    Wx, so no conjugate copy of the vectors is formed."""
+def _interior_count(vectors: Array, weights: Weights) -> int:
+    """The number of eigenvalues >= 1/2 of X*WX, the interior weight
+    compressed to the span of the orthonormal columns X: how many
+    directions of that span the interior window carries at least half of.
+    It depends on the span only, not on the basis an SVD returns for it."""
     if weights is None:
-        return np.ones(vectors.shape[1])
-    if weights.ndim == 1:
-        squares = np.abs(vectors)
-        return weights @ np.square(squares, out=squares)
-    image = weights @ vectors
-    return (np.einsum("ij,ij->j", vectors.real, image.real)
-            + np.einsum("ij,ij->j", vectors.imag, image.imag))
+        return vectors.shape[1]
+    image = weights[:, None] * vectors if weights.ndim == 1 else weights @ vectors
+    return int(np.sum(np.linalg.eigvalsh(vectors.conj().T @ image) >= 0.5))
 
 
 def _defect(f: Array, adjoint: Array, domain: bool) -> Array:
@@ -221,9 +216,11 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
     ``RESIDUE_CEILING``.
 
     The counting engine takes dim ker - dim coker over the singular
-    directions below the threshold, counting only those with at least half
-    their interior mass inside the window.  With an explicit threshold the
-    singular spectrum must avoid the band [threshold, GAP_FACTOR *
+    directions below the threshold, counting on each side the eigenvalues
+    >= 1/2 of the interior weight compressed to their span
+    (``_interior_count``), so a degenerate near-null space that straddles
+    the window counts alike in every basis.  With an explicit threshold
+    the singular spectrum must avoid the band [threshold, GAP_FACTOR *
     threshold).  Without one, the count is taken inclusively at a fixed
     loose cut: every strongly contracted direction joins both counts, which
     is harmless for index differences as long as its left and right vectors
@@ -254,10 +251,10 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
     Dx = (1 - s^2)x with 1 - s^2 >= 1 - threshold^2, so
     |(1 - P)x| <= delta / (1 - threshold^2): every near-null vector lies
     within about delta of the captured range, its Ritz vector within about
-    delta of it, and its mass within about delta of its own.  By Cauchy
-    interlacing each near-null Ritz value is at least the true value and at
-    most about delta above it.  The check is a posteriori: a sketch that
-    misses part of a range fails its residual and is widened.
+    delta of it, and the compressed weight within about delta of its own.
+    By Cauchy interlacing each near-null Ritz value is at least the true
+    value and at most about delta above it.  The check is a posteriori: a
+    sketch that misses part of a range fails its residual and is widened.
 
     A square Hermitian block has equal kernel and cokernel whatever the
     threshold, and its two defect operators coincide, so it adds exactly 0
@@ -303,8 +300,8 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
             raise ValueError(
                 f"defect norm {max_defect:.3f} exceeds 1.2: candidate is too "
                 "far from an isometry for the trace formula")
-        kernel += int(np.sum(_interior_masses(kernel_vectors, dom_w) >= 0.5))
-        cokernel += int(np.sum(_interior_masses(cokernel_vectors, cod_w) >= 0.5))
+        kernel += _interior_count(kernel_vectors, dom_w)
+        cokernel += _interior_count(cokernel_vectors, cod_w)
         below = max(below, float(s[s < threshold].max(initial=0.0)))
         above = min(above, float(s[s >= threshold].min(initial=ceiling)))
     nearest = int(np.rint(total))

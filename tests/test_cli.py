@@ -232,16 +232,39 @@ def test_cli_import_leaves_the_symbolic_engine_unloaded():
     assert run_fresh(code) == "[]"
 
 
-def test_index_path_leaves_scipy_unloaded():
-    loaded = "[m for m in sys.modules if m.startswith('scipy')]"
-    code = ("import sys, balk1.cli\n"
-            f"print({loaded})\n"
-            "from balk1.loops import standard_split_symbol, standard_symbol_pair\n"
-            "from balk1.relindex import verify_index_theorem\n"
-            "rep = verify_index_theorem(standard_symbol_pair(1, 0, 1024), 64, "
-            "split_symbol=standard_split_symbol(1024))\n"
-            f"print({loaded}, rep.verdict)")
-    assert run_fresh(code).splitlines() == ["[]", "[] True"]
+def test_no_command_or_pair_builder_loads_scipy(tmp_path):
+    """scipy is not a dependency: importing the CLI, every pair-making,
+    checking and index command, the pair builders, all four homotopy paths
+    and the dense test views leave it unloaded."""
+    pair, loop = tmp_path / "pair.json", tmp_path / "loop.json"
+    code = f"""
+import sys
+from click.testing import CliRunner
+import balk1.cli
+def scipy():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(scipy())
+runs = [["make-pair", "--dim", "3", "--out", {str(pair)!r}],
+        ["check-pair", {str(pair)!r}],
+        ["make-pair", "--dim", "3", "--delta", "0.2", "--out", {str(pair)!r}],
+        ["check-pair", {str(pair)!r}],
+        ["loop-pair", "--p", "1", "--q", "0", "--grid", "1024", "--out", {str(loop)!r}],
+        ["index", {str(loop)!r}, "--modes", "64"]]
+codes = [CliRunner().invoke(balk1.cli.main, args).exit_code for args in runs]
+print(codes, scipy())
+from balk1 import balanced, loops, opmodel
+from balk1.numkern import random_unitary
+pairs = [balanced.random_balanced_pair(4, 1),
+         balanced.unitalization_pair(random_unitary(4, 2), 0.2)]
+ok = [balanced.validate_path(balanced.HomotopyPath(kind, p), grid=5).ok
+      for kind in balanced.PATH_KINDS for p in pairs]
+sp = loops.standard_symbol_pair(1, 0, 1024)
+a, b = opmodel.quantize(sp, 64)
+split = opmodel.splitting_projection(sp, 64, loops.standard_split_symbol(1024))
+print(all(ok), a.matrix.shape, split.projector.shape, scipy())
+"""
+    assert run_fresh(code).splitlines() == [
+        "[]", "[0, 0, 0, 0, 0, 0] []", "True (258, 258) (258, 258) []"]
 
 
 def test_index_names_the_keys_a_loop_pair_file_lacks(runner, tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from balk1.errors import NotUnitaryError, ShapeError
-from balk1.numkern import eig_unitary, opnorm, random_unitary, stack_opnorm
+from balk1.numkern import (block_diag, eig_unitary, opnorm, random_unitary,
+                           stack_opnorm)
 
 
 def test_opnorm_examples(monkeypatch):
@@ -78,6 +79,61 @@ def test_func_calc_identity_function():
 def test_func_calc_square_on_diag():
     eigs, q = eig_unitary(np.diag([1.0, -1.0]).astype(complex))
     assert np.allclose((q * eigs ** 2) @ q.conj().T, np.eye(2))
+
+
+def _conjugated(angles, seed):
+    """A Haar unitary conjugate of diag(exp(i angles))."""
+    w = random_unitary(len(angles), seed)
+    return (w * np.exp(1j * np.asarray(angles))) @ w.conj().T
+
+
+EIG_CASES = {
+    "1x1": np.array([[np.exp(0.3j)]]),
+    "identity": np.eye(4, dtype=complex),
+    "minus identity": -np.eye(3, dtype=complex),
+    "diag(1, -1)": np.diag([1.0, -1.0]).astype(complex),
+    "degenerate": _conjugated([0.4, 0.4, -2.0, -2.0, 3.0, 3.0], 5),
+    "1e-9 cluster": _conjugated([0.4, 0.4 + 1e-9, 0.4 + 2e-9, -2.0, 1.0, 2.0], 6),
+    "1e-12 about -1": _conjugated([np.pi - 1e-12, -np.pi + 1e-12, 0.1, 1.0], 7),
+}
+
+
+def assert_decomposes(u):
+    """q is unitary, q diag(eigs) q* rebuilds u and |eigs| = 1."""
+    n = u.shape[0]
+    eigs, q = eig_unitary(u)
+    assert eigs.shape == (n,) and q.shape == (n, n)
+    assert opnorm(q.conj().T @ q - np.eye(n)) < 1e-12
+    assert opnorm((q * eigs) @ q.conj().T - u) < 1e-10
+    assert np.max(np.abs(np.abs(eigs) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("name", EIG_CASES)
+def test_eig_unitary_decomposes_special_spectra(name):
+    """The 1 x 1 case, +-I, diag(1, -1) (where the Cayley transform of the
+    unturned input is singular), a doubly degenerate spectrum, a cluster
+    1e-9 wide and eigenvalues 1e-12 either side of -1."""
+    assert_decomposes(EIG_CASES[name])
+
+
+def test_eig_unitary_decomposes_haar_unitaries():
+    for n in range(1, 65):
+        assert_decomposes(random_unitary(n, n))
+    eigs, q = eig_unitary(np.zeros((0, 0)))
+    assert eigs.shape == (0,) and q.shape == (0, 0)
+
+
+def test_block_diag_places_the_blocks():
+    rng = np.random.default_rng(1)
+    real = rng.standard_normal((2, 3))
+    cplx = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    out = block_diag(real, np.zeros((0, 2)), cplx)
+    assert out.dtype == np.complex128 and out.shape == (5, 6)
+    assert np.array_equal(out[:2, :3], real) and np.array_equal(out[2:, 5:], cplx)
+    out[:2, :3] = 0.0
+    out[2:, 5:] = 0.0
+    assert not out.any()
+    assert block_diag(np.eye(2, dtype=np.float32)).dtype == np.float32
 
 
 def test_func_calc_flattened_circle_map():

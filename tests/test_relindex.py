@@ -13,7 +13,7 @@ from balk1.errors import (CChoiceError, EngineDisagreementError,
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
                          standard_symbol_pair, subbundle_projection_loop, turn)
-from balk1.numkern import random_unitary
+from balk1.numkern import block_diag, random_unitary
 from balk1.opmodel import (TailCutoff, TruncOp, clip_to_contraction,
                            kbalance_report, quantize, split_blocks,
                            splitting_projection, verify_block_estimates,
@@ -207,6 +207,24 @@ def test_sketch_path_matches_a_full_svd(n, m, middle, width, monkeypatch):
     assert ev.below == pytest.approx(below, rel=1e-9) and below == pytest.approx(3e-4)
     assert ev.above == pytest.approx(above, rel=1e-9) and above == pytest.approx(0.2)
     assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_count_does_not_depend_on_the_null_basis(seed):
+    """The 303 x 300 shift e_j -> e_(j+1), turned by unitaries that are
+    block diagonal at the window edge 150, has a three-dimensional
+    cokernel: one direction inside the lower-half window and two outside.
+    The SVD returns some basis of that null space, whose vectors each carry
+    less than half their mass inside the window on seeds 0, 3 and 4; the
+    weight compressed to the null space still has one eigenvalue 1, so the
+    count is -1 on every seed, as the trace engine's."""
+    turn_cod = block_diag(random_unitary(150, seed), random_unitary(153, seed + 100))
+    turn_dom = block_diag(random_unitary(150, seed + 200),
+                          random_unitary(150, seed + 300))
+    f = turn_cod @ np.eye(303, 300, k=-1) @ turn_dom
+    ev = engine_values(f, domain_weights=(np.arange(300) < 150).astype(float),
+                       codomain_weights=(np.arange(303) < 150).astype(float))
+    assert (ev.svd, ev.fedosov) == (-1, -1)
 
 
 def test_engines_share_no_decomposition(flagship, monkeypatch):
