@@ -199,7 +199,7 @@ def cmd_index(symbolpair_path, modes, grid, sweep, tail_cutoff, out):
 
 
 def _run_sweep(sweep: str, modes: int, grid: int | None,
-               tail_cutoff: int | None = None):
+               tail_cutoff: int | None):
     from .opmodel import splitting_projection
 
     try:

@@ -61,14 +61,6 @@ class FedosovResidueError(Balk1Error, ValueError):
         self.residue = residue
 
 
-class EngineDisagreementError(Balk1Error, ValueError):
-    """The two Fredholm index engines returned different integers."""
-
-
-class CChoiceError(Balk1Error, ValueError):
-    """A comparison choice is unknown or fails the closeness conditions."""
-
-
 class PipelineStageError(Balk1Error, RuntimeError):
     """A verification pipeline stage failed; carries the stage name."""
 

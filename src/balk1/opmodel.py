@@ -21,10 +21,10 @@ by a splitting symbol, one projection-valued loop per cosphere direction
 derives a split from the pair.
 
 Everything that reads a pair against a split (the split verification, the
-corner estimates, and in ``relindex`` the comparison check and the index
-candidates) reads one record per half-line block, ``SplitBlock``, from one
-builder, ``split_blocks``.  The four corner expressions, rows of the relation
-table, are read with their 2 eps and 4 eps bounds in ``corner_estimates``.
+corner estimates, and in ``relindex`` the index candidates) reads one record
+per half-line block, ``SplitBlock``, from one builder, ``split_blocks``.  The
+six corner expressions, rows of the relation table, are read with their
+2 eps and 4 eps bounds in ``verify_block_estimates``.
 
 Compactness has no exact finite stand-in: "small modulo compacts" is
 measured by the tail seminorm, the operator norm of the compression to a
@@ -50,6 +50,7 @@ from .relations import RELATIONS
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
 BANDWIDTH_FLOOR = 1e-3  # bandwidth: lags above this share of the top norm
 SPLIT_THRESHOLD, SPLIT_GAP = 0.25, 0.05  # split rounding cut, its empty band
+KBALANCE_TOL = 0.05  # largest tail residual of a pair balanced modulo tails
 
 Frames = Tuple[Array, Array]  # orthonormal bases of a range and its complement
 
@@ -196,19 +197,18 @@ def _half_line_block(loop: MatrixLoop, modes: int, k: int) -> Array:
                            half_lines(modes, 1)[k], max_lag)
 
 
-def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int,
-                    enforce_bandwidth: bool = True) -> TruncOp:
+def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int) -> TruncOp:
     """Compression of multiplication operators to the two mode half-lines.
 
     The bandwidth gate rejects loops whose spectral content the mode window
-    cannot resolve; auxiliary symbols (splitting projections) may skip it
-    since their quality is certified downstream rather than assumed.
+    cannot resolve.  ``splitting_projection`` reads the raw half-line blocks
+    of its symbol and skips the gate: the quality of a split is certified
+    downstream (``verify_split_blocks``) rather than assumed.
     """
     if plus.dim != minus.dim:
         raise ShapeError("both symbol components must share the dimension")
-    if enforce_bandwidth:
-        for name, loop in (("plus", plus), ("minus", minus)):
-            _check_bandwidth(name, loop, modes)
+    for name, loop in (("plus", plus), ("minus", minus)):
+        _check_bandwidth(name, loop, modes)
     return TruncOp(modes, plus.dim, (_half_line_block(minus, modes, 0),
                                      _half_line_block(plus, modes, 1)))
 
@@ -308,25 +308,24 @@ class KBalanceReport:
     cutoffs: Tuple[int, int]
     residuals: Dict[str, Dict[int, float]]
     contraction: Dict[str, Dict[int, float]]
-    tol: float
     populated: Tuple[int, ...]
 
     @property
     def verdict(self) -> bool:
-        """Read at the largest populated cutoff; fails when none is."""
+        """Read at the largest populated cutoff against ``KBALANCE_TOL``;
+        fails when none is populated."""
         if not self.populated:
             return False
         top = max(self.populated)
-        return (all(v[top] <= self.tol for v in self.residuals.values())
-                and all(v[top] <= 1 + self.tol
+        return (all(v[top] <= KBALANCE_TOL for v in self.residuals.values())
+                and all(v[top] <= 1 + KBALANCE_TOL
                         for v in self.contraction.values()))
 
     def worst(self, cutoff: int) -> float:
         return max(v[cutoff] for v in self.residuals.values())
 
 
-def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
-                    tol: float = 0.05) -> KBalanceReport:
+def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
     """The twelve balanced-pair residuals in the tail seminorm at cutoffs
     {M, 2M} (a cutoff at or beyond the band end yields an empty band).
 
@@ -357,7 +356,7 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff,
             residuals.setdefault(name, {})[m] = value
         contraction.setdefault("|a|", {})[m] = block_band_norm(a.blocks, mask)
         contraction.setdefault("|b|", {})[m] = block_band_norm(b.blocks, mask)
-    return KBalanceReport(cutoffs, residuals, contraction, tol, tuple(populated))
+    return KBalanceReport(cutoffs, residuals, contraction, tuple(populated))
 
 
 # -- splitting projection ---------------------------------------------------------
@@ -498,22 +497,6 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     return records
 
 
-_CORNER_ROWS = tuple(RELATIONS[i] for i in (0, 1, 4, 6))
-
-
-def corner_estimates(x: Array, y: Array, band_v: Array,
-                     eps: float) -> List[Tuple[float, float]]:
-    """The four corner expressions of a pair (x, y) of operators on H1 as
-    (tail seminorm, bound): |x*x - y*y| and |xx* - yy*| below 2 eps,
-    |(x - y)(1 - x*x)| and |(x* - y*)(1 - xx*)| below 4 eps.
-
-    An expression X on H1 is the operator V X V* on the block; its tail
-    seminorm is the norm of V[band] X V[band]*, with band_v = V[band].
-    """
-    return [(opnorm(band_v @ e @ _h(band_v)), k * eps) for e, k in
-            zip(relation_matrices(x, y, _CORNER_ROWS, None), (2, 2, 4, 4))]
-
-
 @dataclass
 class SplitBlockReport:
     """Block norms of the difference and tail norms of the defect blocks,
@@ -627,20 +610,30 @@ class BlockEstimateReport:
         return all(self.estimates[k] < self.bounds[k] for k in self.estimates)
 
 
-_BLOCK_ESTIMATES = ("A11*A11-B11*B11", "A11A11*-B11B11*",
-                    "(B11-A11)(1-A11*A11)", "(B11-A11)*(1-A11A11*)")
+# the corner rows of the relation table with their bounds in multiples of eps
+_CORNER_ROWS = tuple(RELATIONS[i] for i in (0, 1, 4, 5, 6, 7))
+_CORNER_BOUNDS = (2, 2, 4, 4, 4, 4)
 
 
 def verify_block_estimates(a: TruncOp, b: TruncOp, split: ModeSplit,
                            cut: TailCutoff, eps: float) -> BlockEstimateReport:
-    """Tail-seminorm estimates on the (1,1) corner: the corner expressions
-    of (A11, B11) = (V*AV, V*BV) on each half-line block (see
-    ``corner_estimates``), each the largest over the blocks."""
+    """Tail-seminorm estimates on the (1,1) corner: rows 0, 1, 4, 5, 6 and 7
+    of ``RELATIONS`` at (A1, B1) = (V*AV, V*BV) on each half-line block,
+    keyed by the row names, each the largest over the blocks.  |a*a - b*b|
+    and |aa* - bb*| are bounded by 2 eps, the four (a - b)-rows by 4 eps.
+
+    These six rows are the closeness conditions of both comparison
+    operators: rows 5 and 7 compare C = A|H1 with B, rows 4 and 6 compare
+    C = B|H1 with A, and rows 0 and 1 serve both.  An expression X on H1 is
+    the operator V X V* on the block; its tail seminorm is the norm of
+    V[band] X V[band]*.
+    """
     estimates: Dict[str, float] = {}
-    bounds: Dict[str, float] = {}
     for blk in split_blocks(a, b, split, cut):
-        table = corner_estimates(blk.a1, blk.b1, blk.v[blk.band], eps)
-        for key, (value, bound) in zip(_BLOCK_ESTIMATES, table):
-            _raise_to(estimates, key, value)
-            bounds[key] = bound
+        band_v = blk.v[blk.band]
+        for (name, _, _), e in zip(_CORNER_ROWS, relation_matrices(
+                blk.a1, blk.b1, _CORNER_ROWS, None)):
+            _raise_to(estimates, name, opnorm(band_v @ e @ _h(band_v)))
+    bounds = {name: k * eps
+              for (name, _, _), k in zip(_CORNER_ROWS, _CORNER_BOUNDS)}
     return BlockEstimateReport(eps, estimates, bounds)

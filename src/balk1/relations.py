@@ -1,10 +1,10 @@
 """The balanced-pair relations as one table of named factor products.
 
 This table is the only statement of the relations.  The numeric residual
-kernel (``balanced.relation_residuals``), the corner estimates of the split
-pipeline (``opmodel.corner_estimates``), the exact relation ideals and the
-doubled 2x2 suite entries (``starpoly.suites``) all evaluate its rows, so the
-module imports nothing.
+kernel (``balanced.relation_residuals``), the six corner estimates of the
+split pipeline (``opmodel.verify_block_estimates``), the exact relation
+ideals and the doubled 2x2 suite entries (``starpoly.suites``) all evaluate
+its rows, so the module imports nothing.
 
 Some rows are twins, listed in ``TWINS``:
 

@@ -20,20 +20,20 @@ The relative index of a pair (A, B) against a splitting projection follows
 the three equivalent recipes: the defining difference
 ind(C* A|H1) - ind(C* B|H1) for the comparison operator C = A|H1 or
 C = B|H1, the corner formula ind(1 + B1*(A1 - B1)) on H1, and the global
-formula ind(1 + B*(A - B)) on the whole truncated space; one builder forms
+formula ind(1 + B*(A - B)) on the whole truncated space.  ``rel_index``
+reads both engines' signed values for any one of them; one builder forms
 the candidate operators of every recipe, block by block over the half-lines
 of the operator model (the index of a block-diagonal candidate is the sum
 of its block indices), from the split records of ``opmodel.split_blocks``.
 For C = A|H1 or C = B|H1 the term C*C is Hermitian, so its index is 0, and
 the two terms left, (AV)*(BV) and (BV)*(AV), are adjoints of each other:
 since ind X* = -ind X from the same singular values, the pipeline reads
-definition-B off definition-A's engine values, and only ``rel_index`` with
-choice "B" forms (BV)*(AV).  A comparison operator is admissible when it
-meets the corner estimates of the split decomposition, so
-``validate_choice`` reads the same ``opmodel.corner_estimates`` table.
-``verify_index_theorem`` runs the full pipeline at a mode count and its
-double and checks every formula and engine against the winding-number
-index of the symbols.
+definition-B off definition-A's engine values, and only
+``rel_index(..., "definition-B", records)`` forms (BV)*(AV).  Both choices
+of C are admissible when the split meets the six corner estimates of
+``opmodel.verify_block_estimates``.  ``verify_index_theorem`` runs the full
+pipeline at a mode count and its double and checks every formula and engine
+against the winding-number index of the symbols.
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .balanced import canonical_unitary
-from .errors import (CChoiceError, EngineDisagreementError, FedosovResidueError,
-                     PipelineStageError, SingularGapError)
+from .errors import FedosovResidueError, PipelineStageError, SingularGapError
 from .loops import SplitSymbol, SymbolPair, topo_index
 from .numkern import Array, opnorm
 from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
-                      check_same_shape, clip_to_contraction, corner_estimates,
-                      kbalance_report, quantize, split_blocks,
-                      splitting_projection, verify_split_blocks)
+                      check_same_shape, clip_to_contraction, kbalance_report,
+                      quantize, splitting_projection, verify_split_blocks)
 
 Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
 
@@ -63,6 +61,7 @@ RESIDUE_CEILING = 0.2  # largest trace-formula distance from an integer
 SKETCH_WIDTH = 64  # first width of the defect range finder
 SKETCH_TOLERANCE = 1e-10  # delta: the Frobenius norm a defect range may leave out
 SKETCH_SEED = 2011  # the range finder's test matrices are the same in every run
+SPLIT_EPS = 0.1  # eps of the split decomposition the pipeline verifies
 
 
 def _interior_count(vectors: Array, weights: Weights) -> int:
@@ -316,46 +315,6 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
 # -- relative index ------------------------------------------------------------
 
 
-def _resolve_choice(data: List[SplitBlock], choice: str) -> Tuple[Array, ...]:
-    """The half-line blocks of the comparison operator C = A|H1 ("A") or
-    C = B|H1 ("B")."""
-    if choice == "A":
-        return tuple(d.av for d in data)
-    if choice == "B":
-        return tuple(d.bv for d in data)
-    raise CChoiceError(f"unknown comparison choice {choice!r}: "
-                       "expected 'A' or 'B'")
-
-
-def validate_choice(c_blocks: Sequence[Array], data: List[SplitBlock],
-                    eps: float) -> Dict[str, float]:
-    """Residuals of the three closeness conditions against both restrictions,
-    each the largest over the half-line blocks.
-
-    The first condition compares the lower blocks in plain norm; the other
-    two are the corner expressions of (X1, C1) for X = A, B, in the tail
-    seminorm of H1 (low modes carry the compact parts, the truncation collar
-    its edge junk, and both discount).
-    """
-    out: Dict[str, float] = {}
-    bounds: Dict[str, float] = {}
-    for c_matrix, blk in zip(c_blocks, data):
-        c1, c2 = blk.v.conj().T @ c_matrix, blk.w.conj().T @ c_matrix
-        for x, xv, x1 in (("A", blk.av, blk.a1), ("B", blk.bv, blk.b1)):
-            keys = (f"C2-{x}2", f"C1*C1-{x}1*{x}1", f"C1C1*-{x}1{x}1*",
-                    f"(C1-{x}1)(1-{x}1*{x}1)", f"(C1-{x}1)*(1-{x}1{x}1*)")
-            table = [(opnorm(c2 - blk.w.conj().T @ xv), eps)]
-            table += corner_estimates(x1, c1, blk.v[blk.band], eps)
-            for key, (value, bound) in zip(keys, table):
-                out[key] = max(out.get(key, 0.0), value)
-                bounds[key] = bound
-    for key, value in out.items():
-        if value >= bounds[key]:
-            raise CChoiceError(
-                f"comparison condition {key} = {value:.4f} exceeds {bounds[key]:.4f}")
-    return out
-
-
 _FORMULAS = ("definition-A", "definition-B", "corner", "global")
 
 # sign, the half-line blocks of a Fredholm candidate, and their weights
@@ -363,7 +322,7 @@ Candidate = Tuple[int, Tuple[Array, ...], Tuple[Weights, ...]]
 
 
 def _candidate(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
-               data: Optional[List[SplitBlock]] = None) -> Candidate:
+               records: Optional[List[SplitBlock]] = None) -> Candidate:
     """The signed Fredholm candidate of one relative-index formula, one
     block per half-line, with the interior weights its engines count
     against.
@@ -372,7 +331,7 @@ def _candidate(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     ``definition-A`` and ``definition-B`` compare through C = A|H1 and
     C = B|H1.  Their C*C term is Hermitian, so its index is 0 and it is not
     formed: definition-A is -ind((AV)*(BV)) and definition-B is
-    ind((BV)*(AV)).  Every formula but ``global`` reads the split data.
+    ind((BV)*(AV)).  Every formula but ``global`` reads the split records.
     The global candidate leaves out every half-line where a and b hold one
     block object (see ``opmodel.quantize``): there 1 + b*(a - b) is exactly
     the identity, which adds 0 to both engines.
@@ -384,44 +343,34 @@ def _candidate(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
                 zip(a.blocks, b.blocks, block_slices(a.sizes)) if am is not bm]
         return (1, tuple(canonical_unitary(am, bm) for am, bm, _ in kept),
                 tuple(interior[s] for _, _, s in kept))
-    grams = tuple(d.h1_gram for d in data)
+    grams = tuple(d.h1_gram for d in records)
     if formula == "corner":
-        return 1, tuple(canonical_unitary(d.a1, d.b1) for d in data), grams
+        return 1, tuple(canonical_unitary(d.a1, d.b1) for d in records), grams
     if formula == "definition-A":
-        return -1, tuple(d.av.conj().T @ d.bv for d in data), grams
-    return 1, tuple(d.bv.conj().T @ d.av for d in data), grams
+        return -1, tuple(d.av.conj().T @ d.bv for d in records), grams
+    return 1, tuple(d.bv.conj().T @ d.av for d in records), grams
 
 
-def _formula_index(candidate: Candidate, strict: bool) -> EngineValues:
+def _signed_values(candidate: Candidate) -> EngineValues:
     """Both engines' values of one formula's candidate, the indices signed
-    by the formula; when strict, both engines must agree."""
+    by the formula."""
     sign, blocks, weights = candidate
     ev = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
-    if strict and not ev.agree:
-        raise EngineDisagreementError(
-            f"counting engine gave {ev.svd}, trace engine {ev.fedosov}")
     return replace(ev, svd=sign * ev.svd, fedosov=sign * ev.fedosov)
 
 
-def rel_index(a: TruncOp, b: TruncOp, split: ModeSplit, choice: str = "A",
-              cut: Optional[TailCutoff] = None, eps: Optional[float] = None
-              ) -> int:
-    """ind(C* A|H1) - ind(C* B|H1) for C = A|H1 ("A") or C = B|H1 ("B");
-    with ``eps`` the choice must first pass ``validate_choice``."""
-    cut = TailCutoff(a.modes // 2) if cut is None else cut
-    data = split_blocks(a, b, split, cut)
-    c_blocks = _resolve_choice(data, choice)
-    if eps is not None:
-        validate_choice(c_blocks, data, eps)
-    candidate = _candidate(a, b, cut, f"definition-{choice}", data)
-    return _formula_index(candidate, strict=True).svd
-
-
-def rel_index_global(a: TruncOp, b: TruncOp,
-                     cut: Optional[TailCutoff] = None) -> int:
-    """ind(1 + B*(A - B)) on the whole truncated space; no split needed."""
-    cut = TailCutoff(a.modes // 2) if cut is None else cut
-    return _formula_index(_candidate(a, b, cut, "global"), strict=True).svd
+def rel_index(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
+              records: Optional[List[SplitBlock]] = None) -> EngineValues:
+    """Both engines' signed values of one relative-index formula, a name in
+    ``_FORMULAS``, counted against the interior window of ``cut``.  Every
+    formula but ``global`` reads the split records of a, b and the split
+    (``opmodel.split_blocks``)."""
+    if formula not in _FORMULAS:
+        raise ValueError(f"unknown formula {formula!r}: expected one of "
+                         f"{', '.join(_FORMULAS)}")
+    if records is None and formula != "global":
+        raise ValueError(f"formula {formula!r} reads the split records")
+    return _signed_values(_candidate(a, b, cut, formula, records))
 
 
 # -- the index-theorem pipeline ---------------------------------------------------
@@ -448,9 +397,8 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
                 split_symbol: Optional[SplitSymbol],
-                splits: Optional[Dict[int, ModeSplit]], eps: float,
-                kbalance_tol: float, residuals: Dict[str, float]
-                ) -> Dict[str, EngineValues]:
+                splits: Optional[Dict[int, ModeSplit]],
+                residuals: Dict[str, float]) -> Dict[str, EngineValues]:
     """The pipeline at one mode count: its residuals go into ``residuals``
     in report order, and every formula's signed engine values are returned.
 
@@ -461,7 +409,7 @@ def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
     """
     d1, d2 = _stage("quantize", quantize, sp, n)
     d1, d2 = _stage("clip_to_contraction", clip_to_contraction, d1, d2)
-    kb = _stage("kbalance", kbalance_report, d1, d2, cut, kbalance_tol)
+    kb = _stage("kbalance", kbalance_report, d1, d2, cut)
     if splits is not None and n in splits:
         split = splits[n]
     elif split_symbol is None:
@@ -471,9 +419,9 @@ def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
         split = _stage("splitting_projection", splitting_projection,
                        sp, n, split_symbol)
     blocks = _stage("verify_split_blocks", verify_split_blocks,
-                    d1, d2, split, cut, eps)
-    evs = {f: _stage(f"fredholm_index[{f}]", _formula_index,
-                     _candidate(d1, d2, cut, f, blocks.records), strict=False)
+                    d1, d2, split, cut, SPLIT_EPS)
+    evs = {f: _stage(f"fredholm_index[{f}]", rel_index, d1, d2, cut, f,
+                     blocks.records)
            for f in ("definition-A", "corner")}
     measured = blocks.max_measured
     del blocks
@@ -488,8 +436,7 @@ def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
         cols = f[:, in_band]  # 1 - F*F on the band is 1 - cols* cols
         defect = max(defect, opnorm(np.eye(cols.shape[1])
                                     - cols.conj().T @ cols))
-    evs["global"] = _stage("fredholm_index[global]", _formula_index, global_,
-                           strict=False)
+    evs["global"] = _stage("fredholm_index[global]", _signed_values, global_)
     # definition-B's candidate (BV)*(AV) is the adjoint of definition-A's
     # (AV)*(BV) and enters with the opposite sign: ind(X*) = -ind(X) from
     # the same singular values, so its signed values are definition-A's
@@ -507,7 +454,6 @@ def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
 
 def verify_index_theorem(sp: SymbolPair, modes: int,
                          split_symbol: Optional[SplitSymbol] = None,
-                         eps: float = 0.1, kbalance_tol: float = 0.05,
                          splits: Optional[Dict[int, ModeSplit]] = None,
                          tail_cutoff: Optional[int] = None) -> IndexReport:
     """Quantize, verify the split, and compare every analytic index with the
@@ -532,8 +478,7 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
     for n in (modes, 2 * modes):
         cut = TailCutoff(n // 2 if tail_cutoff is None
                          else (n // modes) * tail_cutoff)
-        evs = _mode_count(sp, n, cut, split_symbol, splits, eps, kbalance_tol,
-                          residuals)
+        evs = _mode_count(sp, n, cut, split_symbol, splits, residuals)
         for formula in _FORMULAS:
             values[formula]["svd"][n] = evs[formula].svd
             values[formula]["fedosov"][n] = evs[formula].fedosov

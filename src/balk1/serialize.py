@@ -2,7 +2,9 @@
 
 Complex scalars are stored as [re, im] pairs; loops record their glued
 parameter domain explicitly.  Everything is plain text so fixtures diff
-cleanly.
+cleanly.  A file of the wrong form raises ``ValueError`` naming the field at
+fault; every check reads shapes and types only, so its cost does not grow
+with the matrices.
 """
 
 from __future__ import annotations
@@ -25,9 +27,34 @@ def _encode_matrix(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _decode_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _object(data, what: str, keys: Tuple[str, ...]) -> dict:
+    """data, which must be a JSON object holding every key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} lacks {missing}")
+    return data
+
+
+def _decode_matrix(data, field: str, axes: int) -> np.ndarray:
+    """A complex array with ``axes`` axes from nested [re, im] pairs."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != axes + 1 or arr.shape[-1] != 2:
+        raise ValueError(f"field {field!r} must be an array of [re, im] "
+                         f"pairs with {axes} axes")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _tol(data: dict, field: str) -> float:
+    tol = data.get("tol", 1e-10)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ValueError(f"field {field!r} must be a number, got {tol!r}")
+    return float(tol)
 
 
 def pair_to_dict(pair: BalancedPair) -> dict:
@@ -36,8 +63,12 @@ def pair_to_dict(pair: BalancedPair) -> dict:
 
 
 def pair_from_dict(data: dict) -> BalancedPair:
-    a, b = _decode_matrix(data["a"]), _decode_matrix(data["b"])
-    return BalancedPair(a, b, float(data.get("tol", 1e-10)))
+    data = _object(data, "pair file", ("a", "b"))
+    a, b = _decode_matrix(data["a"], "a", 2), _decode_matrix(data["b"], "b", 2)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError(f"fields 'a' and 'b' must be square matrices of one "
+                         f"shape, got {a.shape} and {b.shape}")
+    return BalancedPair(a, b, _tol(data, "tol"))
 
 
 def loop_to_dict(loop: MatrixLoop) -> dict:
@@ -45,10 +76,11 @@ def loop_to_dict(loop: MatrixLoop) -> dict:
             "samples": _encode_matrix(loop.samples)}
 
 
-def loop_from_dict(data: dict) -> MatrixLoop:
+def loop_from_dict(data: dict, field: str) -> MatrixLoop:
+    data = _object(data, f"field {field!r}", ("samples",))
     if data.get("param", PARAM_DOMAIN) != PARAM_DOMAIN:
         raise ValueError(f"unsupported loop parameter domain {data.get('param')!r}")
-    return MatrixLoop(_decode_matrix(data["samples"]))
+    return MatrixLoop(_decode_matrix(data["samples"], f"{field}.samples", 3))
 
 
 def loop_pair_to_dict(lp: LoopPair) -> dict:
@@ -56,9 +88,11 @@ def loop_pair_to_dict(lp: LoopPair) -> dict:
             "tol": lp.tol}
 
 
-def loop_pair_from_dict(data: dict) -> LoopPair:
-    return LoopPair(loop_from_dict(data["sigma1"]), loop_from_dict(data["sigma2"]),
-                    float(data.get("tol", 1e-10)))
+def loop_pair_from_dict(data: dict, field: str) -> LoopPair:
+    data = _object(data, f"field {field!r}", ("sigma1", "sigma2"))
+    return LoopPair(loop_from_dict(data["sigma1"], f"{field}.sigma1"),
+                    loop_from_dict(data["sigma2"], f"{field}.sigma2"),
+                    _tol(data, f"{field}.tol"))
 
 
 def symbol_pair_to_dict(sp: SymbolPair, split: SplitSymbol) -> dict:
@@ -68,14 +102,16 @@ def symbol_pair_to_dict(sp: SymbolPair, split: SplitSymbol) -> dict:
 
 
 def symbol_pair_from_dict(data: dict) -> Tuple[SymbolPair, SplitSymbol]:
+    data = _object(data, "symbol-pair file", ())
     missing = [key for key in ("plus", "minus", "split") if key not in data]
     if missing:
         raise ValueError(f"symbol-pair file lacks {missing}: it needs 'plus', "
                          "'minus' and 'split' (balk1 loop-pair writes one)")
-    sp = SymbolPair(loop_pair_from_dict(data["plus"]),
-                    loop_pair_from_dict(data["minus"]))
-    split = data["split"]
-    return sp, (loop_from_dict(split["plus"]), loop_from_dict(split["minus"]))
+    sp = SymbolPair(loop_pair_from_dict(data["plus"], "plus"),
+                    loop_pair_from_dict(data["minus"], "minus"))
+    split = _object(data["split"], "field 'split'", ("plus", "minus"))
+    return sp, (loop_from_dict(split["plus"], "split.plus"),
+                loop_from_dict(split["minus"], "split.minus"))
 
 
 def balance_report_to_dict(rep: BalanceReport) -> dict:

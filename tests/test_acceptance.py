@@ -21,9 +21,9 @@ from balk1.loops import (default_gamma, rotating_diagonal_pair,
                          standard_split_symbol, standard_symbol_pair, turn)
 from balk1.numkern import random_unitary
 from balk1.opmodel import (TailCutoff, clip_to_contraction, kbalance_report,
-                           quantize, splitting_projection,
+                           quantize, split_blocks, splitting_projection,
                            verify_block_estimates, verify_split_blocks)
-from balk1.relindex import (engine_values, rel_index, rel_index_global,
+from balk1.relindex import (EngineValues, engine_values, rel_index,
                             verify_index_theorem)
 from balk1.starpoly import default_suite, verify_identity_suite
 
@@ -45,8 +45,8 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 @dataclass
 class SweepData:
     reports: Dict[Tuple[int, int], object]
-    antisymmetry: Dict[Tuple[int, int], Tuple[int, int]]
-    choice_pairs: Dict[Tuple[int, int], Tuple[int, int]]
+    antisymmetry: Dict[Tuple[int, int], Tuple[int, EngineValues]]
+    choice_pairs: Dict[Tuple[int, int], Tuple[int, EngineValues]]
     seconds: float
 
 
@@ -68,11 +68,12 @@ def sweep() -> SweepData:
             # so choice independence needs its own evaluation with C = B|H1,
             # and antisymmetry one swapped evaluation
             d1, d2 = clip_to_contraction(*quantize(sp, SWEEP_MODES))
+            split = splits[SWEEP_MODES]
             forward = rep.details["definition-A"]["svd"][SWEEP_MODES]
-            choices[(p, q)] = (forward, rel_index(d1, d2, splits[SWEEP_MODES],
-                                                  "B", cut))
-            backward = rel_index(d2, d1, splits[SWEEP_MODES], "A", cut)
-            anti[(p, q)] = (forward, backward)
+            choices[(p, q)] = (forward, rel_index(
+                d1, d2, cut, "definition-B", split_blocks(d1, d2, split, cut)))
+            anti[(p, q)] = (forward, rel_index(
+                d2, d1, cut, "definition-A", split_blocks(d2, d1, split, cut)))
     return SweepData(reports, anti, choices, time.perf_counter() - started)
 
 
@@ -179,8 +180,9 @@ def test_criterion_5_index_theorem_sweep(sweep):
 
 
 def test_criterion_6_choice_independence_and_antisymmetry(sweep):
-    choice_ok = all(a == b for a, b in sweep.choice_pairs.values())
-    anti_ok = all(fwd == -bwd for fwd, bwd in sweep.antisymmetry.values())
+    choice_ok = all(b.agree and a == b.svd for a, b in sweep.choice_pairs.values())
+    anti_ok = all(bwd.agree and fwd == -bwd.svd
+                  for fwd, bwd in sweep.antisymmetry.values())
     report("criterion 6: comparison-choice independence and antisymmetry",
            choice_ok and anti_ok,
            "A-restricted = B-restricted and ind(A,B) = -ind(B,A) on all 25")
@@ -231,8 +233,9 @@ def test_criterion_7_split_decomposition():
     shrink_ok = all(vals[high] <= vals[low] + 0.02
                     for vals in kb.residuals.values())
     report("criterion 7: split decomposition at eps = 0.1 with corner estimates",
-           blocks.passed and estimates.passed and shrink_ok,
-           f"max block {blocks.max_measured:.3f}, corner estimates within "
+           blocks.passed and estimates.passed and len(estimates.estimates) == 6
+           and shrink_ok,
+           f"max block {blocks.max_measured:.3f}, six corner estimates within "
            f"2eps/4eps, tail residuals non-increasing {low}->{high}")
 
 

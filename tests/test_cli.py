@@ -58,6 +58,53 @@ def test_check_pair_malformed_json(runner, tmp_path):
     assert result.exit_code == 2
 
 
+ONE = [[[1.0, 0.0]]]  # the 1 x 1 identity as [re, im] pairs
+
+
+@pytest.mark.parametrize("command", [["check-pair"], ["homotopy", "swap"]],
+                         ids=["check-pair", "homotopy"])
+@pytest.mark.parametrize("payload, field", [
+    ([1, 2], "pair file must be a JSON object"),
+    ({"a": 5, "b": 5}, "field 'a'"),
+    ({"a": ONE, "b": ONE, "tol": None}, "field 'tol'"),
+    ({"a": ONE}, "pair file lacks ['b']"),
+    ({"a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "b": ONE},
+     "fields 'a' and 'b'"),
+], ids=["list", "scalar-matrices", "null-tol", "no-b", "two-shapes"])
+def test_malformed_pair_file_is_a_usage_error(runner, tmp_path, command,
+                                              payload, field):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error:") and field in result.output
+
+
+def symbol_pair_payload(**changes):
+    data = serialize.symbol_pair_to_dict(standard_symbol_pair(1, 0, 64),
+                                         standard_split_symbol(64))
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"plus": 1, "minus": 2, "split": 3}, "field 'plus'"),
+    ([1, 2], "symbol-pair file must be a JSON object"),
+    (symbol_pair_payload(minus={"sigma1": ONE, "sigma2": ONE}),
+     "field 'minus.sigma1'"),
+    (symbol_pair_payload(split=3), "field 'split'"),
+    (symbol_pair_payload(split={"plus": {"samples": 1}, "minus": {}}),
+     "field 'split.plus.samples'"),
+], ids=["integers", "list", "matrix-loop", "split-integer", "split-samples"])
+def test_malformed_symbol_pair_file_is_a_usage_error(runner, tmp_path,
+                                                     payload, field):
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["index", str(path), "--modes", "8"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error:") and field in result.output
+
+
 def test_homotopy_command(runner, pair_file, tmp_path):
     out = tmp_path / "path.json"
     result = runner.invoke(main, ["homotopy", "swap", pair_file,

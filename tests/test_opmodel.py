@@ -13,9 +13,10 @@ from balk1.numkern import opnorm, random_unitary
 from balk1.opmodel import (ModeSplit, TailCutoff, TruncOp, bandwidth_estimate,
                            block_band_norm, block_slices, clip_to_contraction,
                            kbalance_report, quantize, quantize_symbol,
-                           split_blocks, splitting_projection,
-                           verify_block_estimates, verify_split_blocks)
-from balk1.relindex import engine_values, validate_choice
+                           splitting_projection, verify_block_estimates,
+                           verify_split_blocks)
+from balk1.relindex import engine_values
+from dense_reference import reference_engine
 
 
 def scalar_loop(fn, grid):
@@ -332,9 +333,11 @@ def test_splitting_projection_gap_failure_and_override():
 def test_splitting_projection_frames_are_those_of_eigh(modes):
     split_sym = standard_split_symbol(2048)
     split = splitting_projection(standard_symbol_pair(1, 0, 2048), modes, split_sym)
-    raw = quantize_symbol(*split_sym, modes, enforce_bandwidth=False)
-    assert not raw.blocks[0].any()  # the zero - block takes the diagonal path
-    for block, (v, w) in zip(raw.blocks, split.blocks):
+    plus, minus = split_sym
+    raw = [opmodel._half_line_block(minus, modes, 0),
+           opmodel._half_line_block(plus, modes, 1)]
+    assert not raw[0].any()  # the zero - block takes the diagonal path
+    for block, (v, w) in zip(raw, split.blocks):
         vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
         assert np.array_equal(v, vecs[:, vals > opmodel.SPLIT_THRESHOLD])
         assert np.array_equal(w, vecs[:, vals <= opmodel.SPLIT_THRESHOLD])
@@ -347,8 +350,8 @@ def test_splitting_projection_reads_a_diagonal_block_off_its_diagonal():
     loop = MatrixLoop.constant(diag, grid)
     sp = SymbolPair(LoopPair(loop, loop), LoopPair(loop, loop))
     split = splitting_projection(sp, 3, (loop, loop))
-    raw = quantize_symbol(loop, loop, 3, enforce_bandwidth=False)
-    for block, (v, w) in zip(raw.blocks, split.blocks):
+    raw = [opmodel._half_line_block(loop, 3, k) for k in (0, 1)]
+    for block, (v, w) in zip(raw, split.blocks):
         vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
         assert np.abs(np.sort(np.diag(block).real) - vals).max() <= 1e-15
         ref = vecs[:, vals > opmodel.SPLIT_THRESHOLD]
@@ -401,7 +404,7 @@ def test_verify_block_estimates_equal_operators():
     d1, _ = quantize(sp, 64)
     split = splitting_projection(sp, 64, explicit_symbol=standard_split_symbol(1024))
     report = verify_block_estimates(d1, d1, split, TailCutoff(32), eps=0.05)
-    assert report.estimates["A11*A11-B11*B11"] == 0.0
+    assert set(report.estimates.values()) == {0.0}
     assert report.passed
 
 
@@ -441,28 +444,6 @@ def dense_split_blocks(am, bm, projector, mask):
             defect_blocks[f"{name}:{left}{right}"] = opnorm(
                 embedded[np.ix_(mask, mask)])
     return diff_blocks, defect_blocks
-
-
-def dense_corner_estimates(x11, y11, projector, mask):
-    """The four corner expressions of (x11, y11) = (P X P, P Y P), dense,
-    in the band norm: |x*x - y*y|, |xx* - yy*|, |(y - x)(P - x*x)| and
-    |(y - x)*(P - xx*)|."""
-    xh, yh = x11.conj().T, y11.conj().T
-    exprs = (xh @ x11 - yh @ y11, x11 @ xh - y11 @ yh,
-             (y11 - x11) @ (projector - xh @ x11),
-             (yh - xh) @ (projector - x11 @ xh))
-    return [opnorm(e[np.ix_(mask, mask)]) for e in exprs]
-
-
-def dense_engines(f, weights, threshold=1e-3, p=2):
-    """Counting index, trace total and singular values of one square matrix."""
-    u, s, vh = np.linalg.svd(f)
-    domain = weights @ np.abs(vh.conj().T) ** 2
-    codomain = weights @ np.abs(u) ** 2
-    rank = int(np.sum(s >= threshold))
-    count = int(np.sum(domain[rank:] >= 0.5)) - int(np.sum(codomain[rank:] >= 0.5))
-    powers = (1 - s ** 2) ** p
-    return count, float(powers @ domain - powers @ codomain), s
 
 
 @pytest.fixture(scope="module")
@@ -523,30 +504,19 @@ def test_block_path_matches_dense_reference(two_way_winding):
     assert report.diff_blocks == pytest.approx(diff_blocks, abs=1e-12)
     assert report.defect_blocks == pytest.approx(defect_blocks, abs=1e-12)
 
-    # the corner estimates and the comparison conditions under C = A|H1 and
-    # C = B|H1, from P A P and P B P
+    # the six corner estimates, the comparison conditions under C = A|H1
+    # and C = B|H1, are relation rows of (P A P, P B P): on H1 the identity
+    # in a defect acts as P, since (x - y)(1 - P) = 0
     projector = split.projector
-    corners = {"A": projector @ am @ projector, "B": projector @ bm @ projector}
-    full = {"A": am, "B": bm}
+    corners = dense_relations(projector @ am @ projector,
+                              projector @ bm @ projector)
     estimates = verify_block_estimates(d1, d2, split, cut, eps=0.1).estimates
-    expected = dense_corner_estimates(corners["A"], corners["B"], projector, mask)
-    assert [estimates[k] for k in ("A11*A11-B11*B11", "A11A11*-B11B11*",
-                                   "(B11-A11)(1-A11*A11)",
-                                   "(B11-A11)*(1-A11A11*)")] == pytest.approx(
-        expected, abs=1e-12)
-    data = split_blocks(d1, d2, split, cut)
-    complement = np.eye(len(am)) - projector
-    for c, c_blocks in (("A", [blk.av for blk in data]),
-                        ("B", [blk.bv for blk in data])):
-        values = validate_choice(c_blocks, data, eps=np.inf)
-        for x in ("A", "B"):
-            assert values[f"C2-{x}2"] == pytest.approx(
-                opnorm(complement @ (full[c] - full[x]) @ projector), abs=1e-12)
-            keys = (f"C1*C1-{x}1*{x}1", f"C1C1*-{x}1{x}1*",
-                    f"(C1-{x}1)(1-{x}1*{x}1)", f"(C1-{x}1)*(1-{x}1{x}1*)")
-            assert [values[k] for k in keys] == pytest.approx(
-                dense_corner_estimates(corners[x], corners[c], projector, mask),
-                abs=1e-12), (c, x)
+    assert list(estimates) == ["a*a-b*b", "aa*-bb*", "(a-b)(1-a*a)",
+                               "(a-b)(1-b*b)", "(a*-b*)(1-aa*)",
+                               "(a*-b*)(1-bb*)"]
+    for name, value in estimates.items():
+        assert value == pytest.approx(
+            opnorm(corners[name][np.ix_(mask, mask)]), abs=1e-12), name
 
     kb = kbalance_report(d1, d2, cut)
     dense = dense_relations(am, bm)
@@ -565,9 +535,9 @@ def test_block_path_matches_dense_reference(two_way_winding):
               for x, y in zip(d1.blocks, d2.blocks)]
     weights = [interior[s] for s in block_slices(d1.sizes)]
     values = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
-    count, total, s = dense_engines(np.eye(len(am)) + bm.conj().T @ (am - bm),
-                                    interior)
-    assert values.svd == count == values.fedosov == round(total) == -2
+    index, below, above, total = reference_engine(
+        np.eye(len(am)) + bm.conj().T @ (am - bm), interior, interior)
+    assert values.svd == index == values.fedosov == round(total) == -2
     assert values.residue == pytest.approx(abs(total - round(total)), abs=1e-12)
-    assert values.below == pytest.approx(s[s < 1e-3].max(), abs=1e-12)
-    assert values.above == pytest.approx(s[s >= 1e-3].min(), abs=1e-12)
+    assert values.below == pytest.approx(below, abs=1e-12)
+    assert values.above == pytest.approx(above, abs=1e-12)

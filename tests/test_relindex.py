@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balk1 import relindex
-from balk1.errors import (CChoiceError, EngineDisagreementError,
-                          FedosovResidueError, PipelineStageError, ShapeError,
+from balk1.errors import (FedosovResidueError, PipelineStageError, ShapeError,
                           SingularGapError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
@@ -16,10 +15,9 @@ from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
 from balk1.numkern import block_diag, random_unitary
 from balk1.opmodel import (TailCutoff, TruncOp, clip_to_contraction,
                            kbalance_report, quantize, split_blocks,
-                           splitting_projection, verify_block_estimates,
-                           verify_split_blocks)
-from balk1.relindex import (engine_values, rel_index, rel_index_global,
-                            validate_choice, verify_index_theorem)
+                           splitting_projection)
+from balk1.relindex import engine_values, rel_index, verify_index_theorem
+from dense_reference import reference_engine
 
 
 def hardy_shift(n):
@@ -165,21 +163,6 @@ def low_rank_defect_block(n, m, values, seed):
             (np.arange(n) < h).astype(float), (np.arange(m) < h).astype(float))
 
 
-def reference_engine(f, w_dom, w_cod):
-    """The counting engine's values from one full SVD of f, and the trace
-    total from the products: sum_i w_i |D_i|^2 - sum_i w_i |E_i|^2."""
-    u, s, vh = np.linalg.svd(f)
-    rank = int(np.sum(s >= relindex.INCLUSIVE_THRESHOLD))
-    kernel = np.sum(w_dom @ np.abs(vh[rank:].T) ** 2 >= 0.5)
-    cokernel = np.sum(w_cod @ np.abs(u[:, rank:]) ** 2 >= 0.5)
-    d = np.eye(f.shape[1]) - f.conj().T @ f
-    e = np.eye(f.shape[0]) - f @ f.conj().T
-    total = (w_dom @ np.sum(np.abs(d) ** 2, axis=1)
-             - w_cod @ np.sum(np.abs(e) ** 2, axis=1))
-    return (int(kernel - cokernel), float(s[rank:].max(initial=0.0)),
-            float(s[:rank].min()), total)
-
-
 @pytest.mark.parametrize("n, m, middle, width", [
     (300, 300, 12, 64),    # defect rank 16: the first sketch passes
     (520, 520, 100, 128),  # defect rank 104: the sketch is widened once
@@ -217,20 +200,24 @@ def test_count_does_not_depend_on_the_null_basis(seed):
     The SVD returns some basis of that null space, whose vectors each carry
     less than half their mass inside the window on seeds 0, 3 and 4; the
     weight compressed to the null space still has one eigenvalue 1, so the
-    count is -1 on every seed, as the trace engine's."""
+    count is -1 on every seed, as the trace engine's and the dense
+    reference's."""
     turn_cod = block_diag(random_unitary(150, seed), random_unitary(153, seed + 100))
     turn_dom = block_diag(random_unitary(150, seed + 200),
                           random_unitary(150, seed + 300))
     f = turn_cod @ np.eye(303, 300, k=-1) @ turn_dom
-    ev = engine_values(f, domain_weights=(np.arange(300) < 150).astype(float),
-                       codomain_weights=(np.arange(303) < 150).astype(float))
-    assert (ev.svd, ev.fedosov) == (-1, -1)
+    w_dom = (np.arange(300) < 150).astype(float)
+    w_cod = (np.arange(303) < 150).astype(float)
+    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    index, below, _, total = reference_engine(f, w_dom, w_cod)
+    assert (ev.svd, ev.fedosov) == (index, round(total)) == (-1, -1)
+    assert ev.below == pytest.approx(below, abs=1e-12)
 
 
 def test_engines_share_no_decomposition(flagship, monkeypatch):
     """Exchanging the most contracted right singular vector with the first
     in the counting engine's SVD changes its count but not the trace
-    engine's total, so ``rel_index`` reports the disagreement.  On the
+    engine's total, so the two engines of ``rel_index`` disagree.  On the
     sketch path the first vector (singular value 1.2) lies inside the
     window and the last (the zero column) outside, so the count moves by
     one."""
@@ -241,9 +228,11 @@ def test_engines_share_no_decomposition(flagship, monkeypatch):
         u, s, vh = real_svd(x, full)
         return u, s, vh[np.r_[len(vh) - 1, 1:len(vh) - 1, 0]]
 
+    records = split_blocks(d1, d2, split, cut)
+    assert rel_index(d1, d2, cut, "definition-A", records).agree
     monkeypatch.setattr(relindex, "_counting_svd", permuted)
-    with pytest.raises(EngineDisagreementError):
-        rel_index(d1, d2, split, "A", cut)
+    ev = rel_index(d1, d2, cut, "definition-A", records)
+    assert not ev.agree and ev.fedosov == -1
     f, w_dom, w_cod = low_rank_defect_block(300, 300, [1.2, 1e-4], seed=3)
     ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
     assert (ev.svd, ev.fedosov) == (0, -1)
@@ -282,69 +271,45 @@ def flagship():
     return sp, d1, d2, split, TailCutoff(32), split_sym
 
 
+def signed_indices(d1, d2, split, cut):
+    """Each formula's index from ``rel_index``, once both engines agree on it."""
+    records = split_blocks(d1, d2, split, cut)
+    values = {f: rel_index(d1, d2, cut, f, records) for f in relindex._FORMULAS}
+    assert all(ev.agree for ev in values.values()), values
+    return {f: ev.svd for f, ev in values.items()}
+
+
 def test_rel_index_formulas_agree(flagship):
     _, d1, d2, split, cut, _ = flagship
-    assert rel_index(d1, d2, split, "A", cut) == -1
-    assert rel_index(d1, d2, split, "B", cut) == -1
-    assert rel_index_global(d1, d2, cut) == -1
+    assert set(signed_indices(d1, d2, split, cut).values()) == {-1}
 
 
 def test_rel_index_equal_pair(flagship):
     _, d1, _, split, cut, _ = flagship
-    assert rel_index(d1, d1, split, "A", cut) == 0
-    assert rel_index_global(d1, d1, cut) == 0
+    assert set(signed_indices(d1, d1, split, cut).values()) == {0}
 
 
 def test_rel_index_antisymmetric(flagship):
     _, d1, d2, split, cut, _ = flagship
-    assert rel_index(d2, d1, split, "A", cut) == 1
-    assert rel_index_global(d2, d1, cut) == 1
+    assert set(signed_indices(d2, d1, split, cut).values()) == {1}
 
 
 def test_rel_index_global_rejects_operators_of_two_sizes(flagship):
     sp, d1, _, _, cut, _ = flagship
     _, wide = quantize(sp, 128)
     with pytest.raises(ShapeError, match="share modes and dimension"):
-        rel_index_global(d1, wide, cut)
+        rel_index(d1, wide, cut, "global")
 
 
-def test_restricted_choices_pass_validation(flagship):
+def test_rel_index_rejects_an_unknown_formula_or_missing_records(flagship):
     _, d1, d2, split, cut, _ = flagship
-    assert rel_index(d1, d2, split, "A", cut, eps=0.1) == -1
-    assert rel_index(d1, d2, split, "B", cut, eps=0.1) == -1
-    for other in ("A-restricted", "C", None):
-        with pytest.raises(CChoiceError):
-            rel_index(d1, d2, split, other, cut)
-
-
-def test_comparison_check_reads_the_split_estimates(flagship):
-    """With C = B|H1 the comparison conditions against A are the corner
-    estimates of the split and its (2,1) difference block."""
-    _, d1, d2, split, cut, _ = flagship
-    data = split_blocks(d1, d2, split, cut)
-    values = validate_choice([blk.bv for blk in data], data, eps=0.1)
-    estimates = verify_block_estimates(d1, d2, split, cut, eps=0.1).estimates
-    assert min(estimates.values()) > 0
-    pairs = {"C1*C1-A1*A1": "A11*A11-B11*B11",
-             "C1C1*-A1A1*": "A11A11*-B11B11*",
-             "(C1-A1)(1-A1*A1)": "(B11-A11)(1-A11*A11)",
-             "(C1-A1)*(1-A1A1*)": "(B11-A11)*(1-A11A11*)"}
-    for choice_key, estimate_key in pairs.items():
-        assert values[choice_key] == pytest.approx(estimates[estimate_key],
-                                                   abs=1e-12)
-    diff_blocks = verify_split_blocks(d1, d2, split, cut, eps=0.1).diff_blocks
-    assert values["C2-A2"] == pytest.approx(diff_blocks["21"], abs=1e-12)
-    assert values["C2-B2"] == 0.0
-
-
-def test_custom_choice_validation_rejects_junk(flagship):
-    _, d1, d2, split, cut, _ = flagship
-    rng = np.random.default_rng(0)
-    data = split_blocks(d1, d2, split, cut)
-    junk = [rng.standard_normal(blk.v.shape) + 1j * rng.standard_normal(blk.v.shape)
-            for blk in data]
-    with pytest.raises(CChoiceError):
-        validate_choice(junk, data, eps=0.1)
+    records = split_blocks(d1, d2, split, cut)
+    for name in ("A", "definition-C", None):
+        with pytest.raises(ValueError, match="unknown formula"):
+            rel_index(d1, d2, cut, name, records)
+    for formula in ("definition-A", "definition-B", "corner"):
+        with pytest.raises(ValueError, match="reads the split records"):
+            rel_index(d1, d2, cut, formula)
 
 
 @pytest.mark.parametrize("gamma", [

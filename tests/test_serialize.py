@@ -31,4 +31,4 @@ def test_loop_rejects_unknown_domain():
     data = serialize.loop_to_dict(sp.plus.sigma1)
     data["param"] = "0-2pi"
     with pytest.raises(ValueError):
-        serialize.loop_from_dict(data)
+        serialize.loop_from_dict(data, "plus.sigma1")
