@@ -45,14 +45,6 @@ class UndersampledError(Balk1Error, ValueError):
     """Loop grid or mode count too small for the requested quantization."""
 
 
-class SingularGapError(Balk1Error, ValueError):
-    """A singular value sits inside the threshold gap of the index engine."""
-
-    def __init__(self, message: str, value: float):
-        super().__init__(message)
-        self.value = value
-
-
 class FedosovResidueError(Balk1Error, ValueError):
     """Trace-formula output too far from an integer."""
 

@@ -54,12 +54,10 @@ class MatrixLoop:
         return HALF_PI * np.arange(self.grid) / self.grid
 
     @staticmethod
-    def from_function(fn: Callable[[float], Array], grid: int,
-                      dim: Optional[int] = None) -> "MatrixLoop":
+    def from_function(fn: Callable[[float], Array], grid: int) -> "MatrixLoop":
         ts = HALF_PI * np.arange(grid) / grid
         first = np.atleast_2d(np.asarray(fn(float(ts[0])), dtype=np.complex128))
-        dim = first.shape[0] if dim is None else dim
-        out = np.empty((grid, dim, dim), dtype=np.complex128)
+        out = np.empty((grid, *first.shape), dtype=np.complex128)
         out[0] = first
         for k in range(1, grid):
             out[k] = np.atleast_2d(np.asarray(fn(float(ts[k])), dtype=np.complex128))
@@ -240,8 +238,8 @@ def vanishing_point_pair(grid: int,
     def b_fn(t: float) -> Array:
         return np.array([[h(t) + 0j]])
 
-    s1 = MatrixLoop.from_function(a_fn, grid, dim=1)
-    s2 = MatrixLoop.from_function(b_fn, grid, dim=1)
+    s1 = MatrixLoop.from_function(a_fn, grid)
+    s2 = MatrixLoop.from_function(b_fn, grid)
     return LoopPair(s1, s2, tol).validate()
 
 
@@ -273,7 +271,7 @@ def subbundle_projection_loop(grid: int) -> MatrixLoop:
         vec = np.array([np.cos(psi), -np.sin(psi)], dtype=np.complex128)
         return np.outer(vec, vec.conj())
 
-    return MatrixLoop.from_function(proj, grid, dim=2)
+    return MatrixLoop.from_function(proj, grid)
 
 
 # -- winding and the topological index ----------------------------------------------

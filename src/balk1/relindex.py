@@ -1,18 +1,18 @@
 """Fredholm index engines and the relative index of operator pairs.
 
-``engine_values`` reads the index of a near-isometric Fredholm candidate F
-in two ways that share no decomposition, both weighted by the interior
-window:
+``engine_values`` reads the index of a near-isometric Fredholm candidate F,
+given by its diagonal blocks, in two ways that share no decomposition, both
+weighted by the interior window:
 
 * the counting engine compares the numbers of near-null directions of F and
-  of F*; on a square truncation the raw counts always agree, so callers pass
-  interior weights and only directions carried by the interior modes count
-  (truncation-edge artifacts localize at the cut and are discarded).  It
-  finds them by thin SVDs of F and F* on the ranges of the defects
-  1 - F*F and 1 - FF*, which a fixed-seed randomized sketch captures to a
-  certified residual ``SKETCH_TOLERANCE`` (one full SVD of a block too
-  small for the sketch);
-* the trace engine evaluates tr (1-F*F)^p - tr (1-FF*)^p over the same
+  of F* (singular value below ``INCLUSIVE_THRESHOLD``); on a square
+  truncation the raw counts always agree, so only directions carried by the
+  interior modes count (truncation-edge artifacts localize at the cut and
+  are discarded).  It finds them by thin SVDs of F and F* on the ranges of
+  the defects 1 - F*F and 1 - FF*, which a fixed-seed randomized sketch
+  captures to a certified residual ``SKETCH_TOLERANCE`` (one full SVD of a
+  block too small for the sketch);
+* the trace engine evaluates tr (1-F*F)^2 - tr (1-FF*)^2 over the same
   interior window straight from the two defect products, and rounds to the
   nearest integer, reporting the distance as a residue.
 
@@ -39,24 +39,23 @@ against the winding-number index of the symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .balanced import canonical_unitary
-from .errors import FedosovResidueError, PipelineStageError, SingularGapError
+from .errors import FedosovResidueError, PipelineStageError
 from .loops import SplitSymbol, SymbolPair, topo_index
 from .numkern import Array, opnorm
 from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
                       check_same_shape, clip_to_contraction, kbalance_report,
                       quantize, splitting_projection, verify_split_blocks)
 
-Weights = Union[np.ndarray, None]  # 1-d mode weights or PSD Gram matrix
+Weights = np.ndarray  # 1-d mode weights or PSD Gram matrix
 
 
-INCLUSIVE_THRESHOLD = 1e-3
-GAP_FACTOR = 10.0  # an explicit threshold needs no singular value in [t, 10 t)
+INCLUSIVE_THRESHOLD = 1e-3  # the counting cut: near-null below it
 RESIDUE_CEILING = 0.2  # largest trace-formula distance from an integer
 SKETCH_WIDTH = 64  # first width of the defect range finder
 SKETCH_TOLERANCE = 1e-10  # delta: the Frobenius norm a defect range may leave out
@@ -69,8 +68,6 @@ def _interior_count(vectors: Array, weights: Weights) -> int:
     compressed to the span of the orthonormal columns X: how many
     directions of that span the interior window carries at least half of.
     It depends on the span only, not on the basis an SVD returns for it."""
-    if weights is None:
-        return vectors.shape[1]
     image = weights[:, None] * vectors if weights.ndim == 1 else weights @ vectors
     return int(np.sum(np.linalg.eigvalsh(vectors.conj().T @ image) >= 0.5))
 
@@ -84,18 +81,14 @@ def _defect(f: Array, adjoint: Array, domain: bool) -> Array:
     return defect
 
 
-def _weighted_trace(x: Array, weights: Weights, p: int) -> float:
-    """Re tr(W X^p) of a Hermitian X, without decomposing it: with
-    L = X^(p//2) and R = X^(p - p//2), tr(WLR) = sum_ij (WL)_ij conj(R_ij).
-    W is None (the identity), mode weights or a Gram matrix."""
-    low = np.linalg.matrix_power(x, p // 2)
-    high = np.linalg.matrix_power(x, p - p // 2)
-    if weights is None:
-        return float(np.vdot(high, low).real)
+def _weighted_trace(x: Array, weights: Weights) -> float:
+    """Re tr(W X^2) of a Hermitian X, without forming X^2:
+    tr(WXX) = sum_ij (WX)_ij conj(X_ij).  W is mode weights or a Gram
+    matrix."""
     if weights.ndim == 1:
-        return float(weights @ (np.einsum("ij,ij->i", low.real, high.real)
-                                + np.einsum("ij,ij->i", low.imag, high.imag)))
-    return float(np.vdot(high, weights @ low).real)
+        return float(weights @ (np.einsum("ij,ij->i", x.real, x.real)
+                                + np.einsum("ij,ij->i", x.imag, x.imag)))
+    return float(np.vdot(x, weights @ x).real)
 
 
 def _left_out(x: Array, q: Array) -> float:
@@ -132,14 +125,12 @@ def _counting_svd(x: Array, full: bool) -> Tuple[Array, np.ndarray, Array]:
     return np.linalg.svd(x, full_matrices=full)
 
 
-def _near_null(f: Array, adjoint: Array, ranges: Optional[Tuple[Array, Array]],
-               threshold: float
-               ) -> Tuple[np.ndarray, np.ndarray, Array, Array, float]:
+def _near_null(f: Array, adjoint: Array, ranges: Optional[Tuple[Array, Array]]
+               ) -> Tuple[np.ndarray, Array, Array, float]:
     """The counting engine's view of one block: the singular values of F read
-    on the domain and on the codomain side, the near-null domain and
-    codomain singular vectors (singular value below the threshold) as
-    columns, and the value ``above`` takes when no singular value at or
-    above the threshold is read.
+    on the domain side, the near-null domain and codomain singular vectors
+    (singular value below ``INCLUSIVE_THRESHOLD``) as columns, and the value
+    ``above`` takes when no singular value at or above the cut is read.
 
     With the defect ranges (Q_R, Q_L), the values and vectors come from
     thin SVDs of F Q_R and F* Q_L; every singular value left out has
@@ -149,13 +140,13 @@ def _near_null(f: Array, adjoint: Array, ranges: Optional[Tuple[Array, Array]],
         q_dom, q_cod = ranges
         _, s, zh = _counting_svd(f @ q_dom, False)
         _, s_cod, yh = _counting_svd(adjoint @ q_cod, False)
-        rank = int(np.sum(s >= threshold))
-        rank_cod = int(np.sum(s_cod >= threshold))
-        return (s, s_cod, q_dom @ zh[rank:].conj().T,
-                q_cod @ yh[rank_cod:].conj().T, 1.0)
+        rank = int(np.sum(s >= INCLUSIVE_THRESHOLD))
+        rank_cod = int(np.sum(s_cod >= INCLUSIVE_THRESHOLD))
+        return (s, q_dom @ zh[rank:].conj().T, q_cod @ yh[rank_cod:].conj().T,
+                1.0)
     u, s, vh = _counting_svd(f, True)
-    rank = int(np.sum(s >= threshold))
-    return s, s, vh[rank:].conj().T, u[:, rank:], math.inf
+    rank = int(np.sum(s >= INCLUSIVE_THRESHOLD))
+    return s, vh[rank:].conj().T, u[:, rank:], math.inf
 
 
 @dataclass
@@ -193,40 +184,35 @@ def _is_hermitian(f: Array) -> bool:
     return float(np.linalg.norm(f - f.conj().T)) <= 1e-10 * scale
 
 
-Blocks = Union[Array, Sequence[Array]]
-
-
-def engine_values(f: Blocks, threshold: Optional[float] = None,
-                  p: int = 2, domain_weights: Union[Weights, Sequence[Weights]] = None,
-                  codomain_weights: Union[Weights, Sequence[Weights]] = None
-                  ) -> EngineValues:
+def engine_values(blocks: Sequence[Array], domain_weights: Sequence[Weights],
+                  codomain_weights: Sequence[Weights]) -> EngineValues:
     """Both index engines, reading no decomposition in common.
 
-    F is one matrix, or a sequence of the diagonal blocks of a
-    block-diagonal operator with the weights then given per block (or
-    None).  The index of a block-diagonal operator is the sum of the block
-    indices, so counts and trace totals are summed over the blocks before
-    the trace total is rounded.  Each block's defects D = 1 - F*F and
-    E = 1 - FF* are formed by two products.
+    F is given by the diagonal blocks of a block-diagonal operator, each
+    with its interior weights on the domain and on the codomain side.  The
+    index of a block-diagonal operator is the sum of the block indices, so
+    counts and trace totals are summed over the blocks before the trace
+    total is rounded.  Each block's defects D = 1 - F*F and E = 1 - FF*
+    are formed by two products.
 
-    The trace engine evaluates Re tr(W_dom D^p) - Re tr(W_cod E^p) straight
+    The trace engine evaluates Re tr(W_dom D^2) - Re tr(W_cod E^2) straight
     off D and E, W being the interior weights, and rounds it to the nearest
     integer; the distance is the residue, which must stay below
     ``RESIDUE_CEILING``.
 
     The counting engine takes dim ker - dim coker over the singular
-    directions below the threshold, counting on each side the eigenvalues
-    >= 1/2 of the interior weight compressed to their span
+    directions below ``INCLUSIVE_THRESHOLD``, counting on each side the
+    eigenvalues >= 1/2 of the interior weight compressed to their span
     (``_interior_count``), so a degenerate near-null space that straddles
-    the window counts alike in every basis.  With an explicit threshold
-    the singular spectrum must avoid the band [threshold, GAP_FACTOR *
-    threshold).  Without one, the count is taken inclusively at a fixed
-    loose cut: every strongly contracted direction joins both counts, which
-    is harmless for index differences as long as its left and right vectors
+    the window counts alike in every basis.  The cut is inclusive and
+    loose: every strongly contracted direction joins both counts, which is
+    harmless for index differences as long as its left and right vectors
     classify alike; the pipeline cross-checks every such count against the
     trace engine, the other index formulas and the doubled truncation, so a
-    misclassification cannot pass silently.  The counting engine reads the
-    near-null directions off the ranges of D and E, not off a full SVD:
+    misclassification cannot pass silently, and it records the singular
+    values on either side of the cut (``count_gap``).  The counting engine
+    reads the near-null directions off the ranges of D and E, not off a
+    full SVD:
 
     * Q_R and Q_L are orthonormal ranges of D and E found by a fixed-seed
       sketch (``_defect_range``): width ``SKETCH_WIDTH``, doubled until
@@ -235,65 +221,48 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
       of |1 - s^2| above 1e-12 at sizes 258 and 514), so width 64 passes.
     * Thin SVDs of F Q_R and F* Q_L give the singular values and the
       near-null domain and codomain vectors.
-    * Once 4 * width exceeds the smaller side of F, or when the gap band
-      reaches past sqrt(1 - 2 delta), one full SVD of F gives both.
+    * Once 4 * width exceeds the smaller side of F, one full SVD of F gives
+      both.
 
     Why nothing the engine reads is lost: write P = QQ* for the domain side
     (the codomain side is the same with E).  D - PDP = (1 - P)D + PD(1 - P)
     has norm at most 2 delta, so by Weyl's inequality the eigenvalues
     1 - s^2 of D are within 2 delta of those of PDP, which are 0 on the
     range of 1 - P and 1 - rho^2 for the singular values rho of FQ.  So
-    every singular value left out has |1 - s^2| <= 2 delta: it lies above
-    the gap band and the counting cut (the sketch is used only when
-    (GAP_FACTOR * threshold)^2 < 1 - 2 delta), is not near-null, and moves
+    every singular value left out has |1 - s^2| <= 2 delta: it is at least
+    sqrt(1 - 2 delta), far above the cut, is not near-null, and moves
     ``above`` by at most about delta.  A near-null direction x has
-    Dx = (1 - s^2)x with 1 - s^2 >= 1 - threshold^2, so
-    |(1 - P)x| <= delta / (1 - threshold^2): every near-null vector lies
-    within about delta of the captured range, its Ritz vector within about
-    delta of it, and the compressed weight within about delta of its own.
-    By Cauchy interlacing each near-null Ritz value is at least the true
+    Dx = (1 - s^2)x with 1 - s^2 >= 1 - t^2 at the cut t, so
+    |(1 - P)x| <= delta / (1 - t^2): every near-null vector lies within
+    about delta of the captured range, its Ritz vector within about delta
+    of it, and the compressed weight within about delta of its own.  By
+    Cauchy interlacing each near-null Ritz value is at least the true
     value and at most about delta above it.  The check is a posteriori: a
     sketch that misses part of a range fails its residual and is widened.
 
-    A square Hermitian block has equal kernel and cokernel whatever the
-    threshold, and its two defect operators coincide, so it adds exactly 0
-    to both engines, its spectral-gap precondition is moot, and it is not
-    decomposed.
+    A square Hermitian block has equal kernel and cokernel at any cut, and
+    its two defect operators coincide, so it adds exactly 0 to both engines
+    and is not decomposed.
     """
-    if isinstance(f, (list, tuple)):
-        none = [None] * len(f)
-        parts = zip(f, domain_weights or none, codomain_weights or none)
-    else:
-        parts = [(f, domain_weights, codomain_weights)]
-    explicit = threshold is not None
-    threshold = threshold if explicit else INCLUSIVE_THRESHOLD
-    sketch = (GAP_FACTOR * threshold) ** 2 < 1.0 - 2.0 * SKETCH_TOLERANCE
     kernel = cokernel = 0
     total, below, above = 0.0, 0.0, math.inf
-    for block, dom_w, cod_w in parts:
+    for block, dom_w, cod_w in zip(blocks, domain_weights, codomain_weights,
+                                   strict=True):
         block = np.asarray(block, dtype=np.complex128)
         if _is_hermitian(block):
             continue
         adjoint = block.conj().T
         ranges = []
-        use_sketch = sketch and 4 * SKETCH_WIDTH <= min(block.shape)
+        use_sketch = 4 * SKETCH_WIDTH <= min(block.shape)
         for domain, weights, sign in ((True, dom_w, 1.0), (False, cod_w, -1.0)):
             defect = _defect(block, adjoint, domain)
-            total += sign * _weighted_trace(defect, weights, p)
+            total += sign * _weighted_trace(defect, weights)
             if use_sketch:
                 ranges.append(_defect_range(defect))
                 use_sketch = ranges[-1] is not None
             del defect  # freed before the next product is formed
-        s, s_cod, kernel_vectors, cokernel_vectors, ceiling = _near_null(
-            block, adjoint, tuple(ranges) if use_sketch else None, threshold)
-        if explicit:
-            for values in (s, s_cod):
-                in_gap = (values >= threshold) & (values < GAP_FACTOR * threshold)
-                if np.any(in_gap):
-                    raise SingularGapError(
-                        f"singular value {float(values[in_gap][0]):.3e} inside "
-                        f"the gap [{threshold:.1e}, {GAP_FACTOR * threshold:.1e})",
-                        float(values[in_gap][0]))
+        s, kernel_vectors, cokernel_vectors, ceiling = _near_null(
+            block, adjoint, tuple(ranges) if use_sketch else None)
         max_defect = float(np.max(np.abs(1.0 - s ** 2), initial=0.0))
         if max_defect > 1.2:
             raise ValueError(
@@ -301,8 +270,9 @@ def engine_values(f: Blocks, threshold: Optional[float] = None,
                 "far from an isometry for the trace formula")
         kernel += _interior_count(kernel_vectors, dom_w)
         cokernel += _interior_count(cokernel_vectors, cod_w)
-        below = max(below, float(s[s < threshold].max(initial=0.0)))
-        above = min(above, float(s[s >= threshold].min(initial=ceiling)))
+        near_null = s < INCLUSIVE_THRESHOLD
+        below = max(below, float(s[near_null].max(initial=0.0)))
+        above = min(above, float(s[~near_null].min(initial=ceiling)))
     nearest = int(np.rint(total))
     residue = abs(total - nearest)
     if residue >= RESIDUE_CEILING:
@@ -355,7 +325,7 @@ def _signed_values(candidate: Candidate) -> EngineValues:
     """Both engines' values of one formula's candidate, the indices signed
     by the formula."""
     sign, blocks, weights = candidate
-    ev = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
+    ev = engine_values(blocks, weights, weights)
     return replace(ev, svd=sign * ev.svd, fedosov=sign * ev.fedosov)
 
 
@@ -385,7 +355,7 @@ class IndexReport:
     topological: int
     residuals: Dict[str, float]
     verdict: bool
-    details: Dict[str, Dict[str, Dict[int, int]]] = field(default_factory=dict)
+    details: Dict[str, Dict[str, Dict[int, int]]]
 
 
 def _stage(name: str, fn, *args, **kwargs):

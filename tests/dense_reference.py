@@ -14,7 +14,7 @@ def interior_count(vectors, weights):
 
 def reference_engine(f, w_dom, w_cod):
     """Both engines from one full SVD of f and two dense products, at the
-    inclusive threshold with p = 2: the counting index (kernel minus
+    inclusive threshold: the counting index (kernel minus
     cokernel, each counted by ``interior_count`` on the near-null singular
     vectors), the largest singular value below the cut and the smallest at
     or above it, and the trace total sum_i w_i |D_i|^2 - sum_i w_i |E_i|^2

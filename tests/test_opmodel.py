@@ -20,7 +20,7 @@ from dense_reference import reference_engine
 
 
 def scalar_loop(fn, grid):
-    return MatrixLoop.from_function(lambda t: np.array([[fn(t)]]), grid, dim=1)
+    return MatrixLoop.from_function(lambda t: np.array([[fn(t)]]), grid)
 
 
 def identity_loop(dim, grid):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balk1 import relindex
-from balk1.errors import (FedosovResidueError, PipelineStageError, ShapeError,
-                          SingularGapError)
+from balk1.errors import FedosovResidueError, PipelineStageError, ShapeError
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          rotating_diagonal_pair, standard_split_symbol,
                          standard_symbol_pair, subbundle_projection_loop, turn)
@@ -30,57 +29,64 @@ def hardy_shift(n):
     return m
 
 
+def one_block(f, w_dom=None, w_cod=None):
+    """Both engines of the single block f, weighted by all ones on a side
+    where no weights are given."""
+    w_dom = np.ones(f.shape[1]) if w_dom is None else w_dom
+    w_cod = np.ones(f.shape[0]) if w_cod is None else w_cod
+    return engine_values([f], [w_dom], [w_cod])
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_shift_oracle_both_engines(n):
-    f = hardy_shift(n)
-    values = engine_values(f, threshold=1e-6, p=1)
+    values = one_block(hardy_shift(n))
     assert values.svd == values.fedosov == -1 and values.residue < 1e-12
-    assert engine_values(f, threshold=1e-6, p=2).fedosov == -1
 
 
 def test_unitary_instance_is_zero():
-    values = engine_values(random_unitary(24, 5), threshold=1e-6)
+    values = one_block(random_unitary(24, 5))
     assert values.svd == values.fedosov == 0 and values.residue <= 1e-10
 
 
 def test_self_adjoint_examples():
-    assert engine_values(np.diag([0.0, 1.0, 1.0]), threshold=1e-6).svd == 0
-    assert engine_values(np.diag([0.0, 1.0]), p=1).fedosov == 0
-    assert engine_values(np.eye(5), threshold=1e-6).svd == 0
-
-
-def test_explicit_threshold_gap_error():
-    f = np.diag([5e-6, 1.0]).astype(complex) + np.diag([1e-8], k=1)
-    with pytest.raises(SingularGapError):
-        engine_values(f, threshold=1e-6)
+    assert one_block(np.diag([0.0, 1.0, 1.0])).svd == 0
+    assert one_block(np.diag([0.0, 1.0])).fedosov == 0
+    assert one_block(np.eye(5)).svd == 0
 
 
 def test_fedosov_residue_error():
     f = hardy_shift(16)
     weights = np.ones(17)
     weights[0] = 0.5  # half-weighted cokernel direction
-    with pytest.raises(FedosovResidueError):
-        engine_values(f, p=1, codomain_weights=weights,
-                      domain_weights=np.ones(16))
+    with pytest.raises(FedosovResidueError) as err:
+        one_block(f, w_cod=weights)
+    assert err.value.residue == pytest.approx(0.5)
 
 
 def test_fedosov_rejects_far_from_isometry():
     # non-Hermitian, so the defect guard is reached: singular values 2 give
     # defects 1 - 4 = -3
     with pytest.raises(ValueError):
-        engine_values(2.0 * hardy_shift(3))
+        one_block(2.0 * hardy_shift(3))
+
+
+def test_blocks_and_weights_must_pair_up():
+    f = hardy_shift(4)
+    with pytest.raises(ValueError):
+        engine_values([f, f], [np.ones(4)], [np.ones(5)])
 
 
 def test_count_gap_reports_the_cut_margin():
     f = random_unitary(3, 7) @ np.diag([1.0, 0.5, 1e-6])
-    values = engine_values(f)
+    values = one_block(f)
     assert values.svd == values.fedosov == 0
     assert values.below == pytest.approx(1e-6, rel=1e-6)
     assert values.above == pytest.approx(0.5)
     assert values.count_gap == pytest.approx(5e5, rel=1e-6)
     # a Hermitian block is skipped and leaves no margin
-    assert engine_values([np.eye(2), f]).count_gap == values.count_gap
-    assert engine_values(np.eye(2)).count_gap == np.inf
+    ones = [np.ones(2), np.ones(3)]
+    assert engine_values([np.eye(2), f], ones, ones).count_gap == values.count_gap
+    assert one_block(np.eye(2)).count_gap == np.inf
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -96,9 +102,8 @@ def test_adjoint_negates_the_index(n, shift, seed):
     basis = random_unitary(n, seed)
     x = basis @ (np.eye(n, k=-shift) + 1e-6 * noise) @ basis.conj().T
     gram = (basis * (np.arange(n) < n // 2)) @ basis.conj().T
-    forward = engine_values(x, domain_weights=gram, codomain_weights=gram)
-    adjoint = engine_values(x.conj().T, domain_weights=gram,
-                            codomain_weights=gram)
+    forward = one_block(x, gram, gram)
+    adjoint = one_block(x.conj().T, gram, gram)
     assert forward.svd == forward.fedosov == -shift
     assert (adjoint.svd, adjoint.fedosov) == (shift, shift)
     assert adjoint.residue == pytest.approx(forward.residue, rel=0, abs=1e-12)
@@ -134,7 +139,7 @@ def test_trace_total_by_products_matches_the_svd_engine(n, extra, shift, noise,
     else:
         total = (w_dom @ np.sum(np.abs(d) ** 2, axis=1)
                  - w_cod @ np.sum(np.abs(e) ** 2, axis=1))
-    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    ev = one_block(f, w_dom, w_cod)
     assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
 
 
@@ -183,7 +188,7 @@ def test_sketch_path_matches_a_full_svd(n, m, middle, width, monkeypatch):
 
     real_range = relindex._defect_range
     monkeypatch.setattr(relindex, "_defect_range", recorded)
-    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    ev = one_block(f, w_dom, w_cod)
     index, below, above, total = reference_engine(f, w_dom, w_cod)
     assert widths == [width, width]
     assert ev.svd == ev.fedosov == index == -1
@@ -208,7 +213,7 @@ def test_count_does_not_depend_on_the_null_basis(seed):
     f = turn_cod @ np.eye(303, 300, k=-1) @ turn_dom
     w_dom = (np.arange(300) < 150).astype(float)
     w_cod = (np.arange(303) < 150).astype(float)
-    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    ev = one_block(f, w_dom, w_cod)
     index, below, _, total = reference_engine(f, w_dom, w_cod)
     assert (ev.svd, ev.fedosov) == (index, round(total)) == (-1, -1)
     assert ev.below == pytest.approx(below, abs=1e-12)
@@ -234,12 +239,12 @@ def test_engines_share_no_decomposition(flagship, monkeypatch):
     ev = rel_index(d1, d2, cut, "definition-A", records)
     assert not ev.agree and ev.fedosov == -1
     f, w_dom, w_cod = low_rank_defect_block(300, 300, [1.2, 1e-4], seed=3)
-    ev = engine_values(f, domain_weights=w_dom, codomain_weights=w_cod)
+    ev = one_block(f, w_dom, w_cod)
     assert (ev.svd, ev.fedosov) == (0, -1)
 
 
 def test_hermitian_shortcut():
-    values = engine_values(np.diag([1e-7, 0.5, 1.0]).astype(complex))
+    values = one_block(np.diag([1e-7, 0.5, 1.0]).astype(complex))
     assert values.svd == values.fedosov == 0
 
 
@@ -251,12 +256,10 @@ def test_interior_weights_discard_edge_artifacts():
     for k in range(n):
         square[k + 1, k] = 1.0
     interior = (np.arange(n + 1) <= n // 2).astype(float)
-    values = engine_values(square, threshold=1e-6, p=2,
-                           domain_weights=interior, codomain_weights=interior)
+    values = one_block(square, interior, interior)
     assert values.svd == values.fedosov == -1
     gram = np.diag(interior)  # the same window as a Gram matrix
-    from_gram = engine_values(square, threshold=1e-6, p=2,
-                              domain_weights=gram, codomain_weights=gram)
+    from_gram = one_block(square, gram, gram)
     assert from_gram.svd == from_gram.fedosov == -1
     assert from_gram.residue == pytest.approx(values.residue, abs=1e-12)
 
