@@ -2,9 +2,10 @@
 
 Explicitly-toleranced helpers over LAPACK via numpy: operator norms of
 single matrices and of (..., m, n) stacks (one kernel, from the top
-eigenvalue of a scaled Gram matrix), block-diagonal assembly, Haar-random
-unitaries and the spectral decomposition of unitaries through a Cayley
-transform to a Hermitian matrix.  Matrices are complex128 arrays; numpy is
+eigenvalue of a scaled Gram matrix, in closed form when it is 1 x 1 or
+2 x 2), block-diagonal assembly, Haar-random unitaries and the spectral
+decomposition of unitaries through a Cayley transform to a Hermitian
+matrix.  Matrices are complex128 arrays; numpy is
 the only dependency.
 """
 
@@ -49,11 +50,15 @@ def stack_opnorm(x: Array) -> np.ndarray:
 
     Each matrix X is scaled to Y = X/s by its largest entry modulus s, so
     the Gram matrix cannot overflow or underflow, and the norm is
-    s sqrt(lambda_max(Y*Y)), with the Gram formed on the smaller side and
-    its top eigenvalue read by ``eigvalsh``.  The relative error is a few
-    units of roundoff times the smaller dimension, against the values-only
-    SVD; only the top singular value is accurate this way, so a caller
-    that needs singular vectors or small singular values decomposes.
+    s sqrt(lambda_max(Y*Y)), with the Gram formed on the smaller side.  A
+    1 x 1 or 2 x 2 Gram [[a, b], [b*, d]] is not formed: a, d and b are
+    elementwise column sums, and its top eigenvalue is
+    (a + d)/2 + hypot((a - d)/2, |b|), a sum of nonnegative terms (the
+    squared column or row norm a when 1 x 1).  A larger Gram's top
+    eigenvalue is read by ``eigvalsh``.  The relative error is a few units
+    of roundoff times the smaller dimension, against the values-only SVD;
+    only the top singular value is accurate this way, so a caller that
+    needs singular vectors or small singular values decomposes.
     """
     x = np.asarray(x, dtype=np.complex128)
     m, n = x.shape[-2:]
@@ -61,8 +66,15 @@ def stack_opnorm(x: Array) -> np.ndarray:
         return np.zeros(x.shape[:-2])
     scale = np.abs(x).max(axis=(-2, -1))
     y = x / np.where(scale > 0, scale, 1.0)[..., None, None]
-    yh = y.conj().swapaxes(-1, -2)
-    top = np.linalg.eigvalsh(yh @ y if m >= n else y @ yh)[..., -1]
+    if min(m, n) <= 2:  # Gram [[a, b], [b*, d]]; d = a and b = 0 when 1 x 1
+        cols = y if m >= n else y.swapaxes(-1, -2)
+        sq = (cols.real ** 2 + cols.imag ** 2).sum(axis=-2)
+        a, d = sq[..., 0], sq[..., -1]
+        b = (cols[..., :1].conj() * cols[..., 1:]).sum(axis=(-2, -1))
+        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
+    else:
+        yh = y.conj().swapaxes(-1, -2)
+        top = np.linalg.eigvalsh(yh @ y if m >= n else y @ yh)[..., -1]
     return scale * np.sqrt(np.maximum(top, 0.0))
 
 

@@ -10,6 +10,9 @@ Operators are kept as their two half-line blocks n < 0 and n >= 0, each a
 finite Toeplitz section, as quantization builds them.  Clipping, spectral
 splitting and the defect products preserve the half-line structure, so
 every stage works block by block and takes the maximum of the block norms.
+Quantization records with each block a norm bound read off its symbol, the
+largest norm over the loop's samples, and clipping keeps every block whose
+bound certifies a contraction without decomposing it.
 ``TruncOp.matrix`` and ``ModeSplit.projector`` are dense views for tests,
 assembled by ``numkern.block_diag``.
 
@@ -44,7 +47,7 @@ import numpy as np
 from .balanced import relation_matrices, relation_residuals
 from .errors import ShapeError, SpectralGapError, UndersampledError
 from .loops import MatrixLoop, SplitSymbol, SymbolPair
-from .numkern import Array, adjoint_matmul, block_diag, opnorm
+from .numkern import Array, adjoint_matmul, block_diag, opnorm, stack_opnorm
 from .relations import RELATIONS
 
 DEFAULT_COLLAR_FRACTION = 4  # edge collar is modes // DEFAULT_COLLAR_FRACTION
@@ -78,14 +81,17 @@ def block_band_norm(blocks: Sequence[Array], mask: np.ndarray) -> float:
 
 class TruncOp:
     """Operator on Fourier modes -N..N tensor C^dim, row (n+N)*dim + j, kept
-    as its two half-line blocks n < 0 and n >= 0."""
+    as its two half-line blocks n < 0 and n >= 0, with an upper bound on the
+    norm of each block (inf, unknown, unless given)."""
 
-    def __init__(self, modes: int, dim: int, blocks: Sequence[Array]):
+    def __init__(self, modes: int, dim: int, blocks: Sequence[Array],
+                 bounds: Optional[Sequence[float]] = None):
         blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
         if [b.shape for b in blocks] != [(k, k) for k in half_lines(modes, dim)]:
             raise ShapeError(f"block shapes {[b.shape for b in blocks]} do not "
                              f"match (modes={modes}, dim={dim})")
         self.modes, self.dim, self.blocks = modes, dim, blocks
+        self.bounds = (np.inf, np.inf) if bounds is None else tuple(bounds)
 
     @property
     def size(self) -> int:
@@ -197,6 +203,19 @@ def _half_line_block(loop: MatrixLoop, modes: int, k: int) -> Array:
                            half_lines(modes, 1)[k], max_lag)
 
 
+def _sample_bound(loop: MatrixLoop) -> float:
+    """The largest norm over the loop's samples, which bounds the norm of
+    each of its half-line blocks.
+
+    A block has entries sigma_hat(r - c) with |r - c| < grid, so it is a
+    principal compression of the block circulant of the grid's DFT
+    coefficients; the DFT turns that circulant into the block diagonal of
+    the samples, whose norm is this maximum.  The FFT rounds the entries by
+    about count d log2(grid) 2.2e-16 (6e-13 for 514 x 514 at grid 2048),
+    far inside ``CONTRACTION_SLACK``."""
+    return float(stack_opnorm(loop.samples).max())
+
+
 def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int) -> TruncOp:
     """Compression of multiplication operators to the two mode half-lines.
 
@@ -210,23 +229,26 @@ def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int) -> TruncOp:
     for name, loop in (("plus", plus), ("minus", minus)):
         _check_bandwidth(name, loop, modes)
     return TruncOp(modes, plus.dim, (_half_line_block(minus, modes, 0),
-                                     _half_line_block(plus, modes, 1)))
+                                     _half_line_block(plus, modes, 1)),
+                   (_sample_bound(minus), _sample_bound(plus)))
 
 
 def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
-    """Quantize both members of a symbol pair, each distinct component loop
-    once: where a loop of the second member has the samples of the first
+    """Quantize both members of a symbol pair, with the sample bound of
+    each block (``_sample_bound``), each distinct component loop once:
+    where a loop of the second member has the samples of the first
     member's, the second operator holds the first one's block object (the
     identity - direction of every ``standard_symbol_pair``, and both
     directions when its two members coincide).  No stage writes into a
     block, so shared blocks stay equal."""
     d1 = quantize_symbol(sp.plus.sigma1, sp.minus.sigma1, modes)
-    blocks = list(d1.blocks)
+    blocks, bounds = list(d1.blocks), list(d1.bounds)
     for name, lp, k in (("plus", sp.plus, 1), ("minus", sp.minus, 0)):
         if not np.array_equal(lp.sigma2.samples, lp.sigma1.samples):
             _check_bandwidth(name, lp.sigma2, modes)
             blocks[k] = _half_line_block(lp.sigma2, modes, k)
-    return d1, TruncOp(modes, sp.dim, blocks)
+            bounds[k] = _sample_bound(lp.sigma2)
+    return d1, TruncOp(modes, sp.dim, blocks, bounds)
 
 
 # -- contraction clipping ------------------------------------------------------
@@ -235,35 +257,11 @@ def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
 CONTRACTION_SLACK = 1e-9  # a block is kept when its norm is at most 1 + this
 
 
-def _certified_contraction(block: Array) -> bool:
-    """Whether (1 + ``CONTRACTION_SLACK``)^2 - M*M has a Cholesky factor,
-    which certifies |M| <= 1 + ``CONTRACTION_SLACK``.
-
-    The Gram is formed as M^T conj(M), the conjugate of M*M with the same
-    eigenvalues, and negated and shifted in place, so the test holds one
-    n x n array beside the factorization's.  Forming it rounds each entry
-    by about n 2.2e-16 (1e-13 at n = 514), far below the 2e-9 headroom."""
-    gram = block.T @ block.conj()
-    np.negative(gram, out=gram)
-    diagonal = np.arange(gram.shape[0])
-    gram[diagonal, diagonal] += (1.0 + CONTRACTION_SLACK) ** 2
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _clipped(block: Array) -> Array:
-    if _is_diagonal(block):
-        top = np.abs(block.diagonal()).max(initial=0.0)
-        kept = top <= 1.0 + CONTRACTION_SLACK
-    else:
-        kept = _certified_contraction(block)
-    if kept:
-        return block
+    """The block with its singular values clipped to at most 1, or the block
+    itself when its top singular value is at most 1 + ``CONTRACTION_SLACK``."""
     u, s, vh = np.linalg.svd(block)
-    if s.size == 0 or s[0] <= 1.0 + 1e-12:
+    if s.size == 0 or s[0] <= 1.0 + CONTRACTION_SLACK:
         return block
     return (u * np.minimum(s, 1.0)[np.newaxis, :]) @ vh
 
@@ -272,22 +270,23 @@ def clip_to_contraction(*ops: TruncOp) -> Tuple[TruncOp, ...]:
     """Clip the singular values of every operator to at most 1; an operator
     whose blocks all stay put is returned itself.
 
-    Compressions of contraction-valued multiplication operators are exact
-    contractions, so a block whose norm is certified at most 1 + 1e-9 is
-    returned untouched, and any other block is decomposed and clipped
-    exactly.  An exactly diagonal block (the identity - block of every
-    ``standard_symbol_pair``) is certified by its largest diagonal modulus,
-    which is its norm; any other block by a Cholesky factorization
-    (``_certified_contraction``).  A block object shared by several
-    operators (see ``quantize``) is screened once, and the clipped
-    operators share the result.
+    Compressions of contraction-valued multiplication operators are
+    contractions, so a block whose recorded bound (``TruncOp.bounds``; for a
+    quantized block the largest norm over its symbol's samples) is at most
+    1 + ``CONTRACTION_SLACK`` is returned untouched, with no decomposition.
+    Any other block, one with an unknown bound included, is decomposed by
+    SVD and kept if its norm is at most 1 + ``CONTRACTION_SLACK``, else
+    clipped exactly; a clipped operator's bounds are unknown.  A block
+    object shared by several operators (see ``quantize``) is screened once,
+    and the clipped operators share the result.
     """
     clipped: Dict[int, Array] = {}  # by the id of the input block
     out = []
     for op in ops:
-        for b in op.blocks:
+        for b, bound in zip(op.blocks, op.bounds, strict=True):
             if id(b) not in clipped:
-                clipped[id(b)] = _clipped(b)
+                clipped[id(b)] = (b if bound <= 1.0 + CONTRACTION_SLACK
+                                  else _clipped(b))
         blocks = tuple(clipped[id(b)] for b in op.blocks)
         same = all(new is old for new, old in zip(blocks, op.blocks))
         out.append(op if same else TruncOp(op.modes, op.dim, blocks))

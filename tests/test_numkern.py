@@ -41,14 +41,18 @@ def test_opnorm_matches_max_singular_value():
 
 
 def _stacks(rng):
-    """Square, tall, wide, 1x1, rank-one and zero stacks."""
+    """Square, tall, wide, 1x1, rank-one and zero stacks, and stacks whose
+    smaller side is 1 or 2 (the closed-form Grams), some with zero members."""
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rank_one = cplx(3, 6, 1) @ cplx(3, 1, 4)
     zero_mixed = cplx(3, 5, 5)
     zero_mixed[1] = 0.0
+    thin = [cplx(4, 7, 1), cplx(2, 3, 1, 6), cplx(4, 9, 2), cplx(3, 2, 5),
+            cplx(5, 2, 2), cplx(3, 2, 1) @ cplx(3, 1, 2)]
+    thin[2][1] = 0.0
     return [cplx(4, 6, 6), cplx(2, 3, 9, 4), cplx(3, 4, 9), cplx(5, 1, 1),
-            rank_one, zero_mixed, np.zeros((2, 3, 3), dtype=complex)]
+            rank_one, zero_mixed, np.zeros((2, 3, 3), dtype=complex)] + thin
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150, 1e160])
@@ -65,6 +69,8 @@ def test_stack_opnorm_matches_svd_at_extreme_scales(scale):
             assert opnorm(m) == pytest.approx(e, rel=1e-13, abs=0)
     for shape in ((3, 0, 4), (2, 4, 0), (0, 3, 3)):
         assert np.array_equal(stack_opnorm(np.zeros(shape)), np.zeros(shape[:-2]))
+    assert stack_opnorm(np.ones((1, 1))) == 1.0
+    assert stack_opnorm(np.zeros((1, 1))) == 0.0
 
 
 def test_func_calc_identity_function():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balk1 import opmodel
 from balk1.balanced import REL1_NAMES, REL2_NAMES
@@ -76,6 +77,44 @@ def test_bandwidth_estimate():
     assert bandwidth_estimate(identity_loop(2, 128)) == 0
 
 
+def _random_loop(rng, dim, grid, lags, norm):
+    """A loop with random coefficients at lags -lags..lags and noise at 1e-4
+    on every lag, scaled to the largest sample norm ``norm``."""
+    ts = np.arange(grid) / grid
+    coeffs = rng.standard_normal((2 * lags + 1, dim, dim, 2)) @ [1, 1j]
+    waves = np.exp(2j * np.pi * np.outer(ts, np.arange(-lags, lags + 1)))
+    samples = np.einsum("tk,kij->tij", waves, coeffs)
+    samples += 1e-4 * (rng.standard_normal((grid, dim, dim, 2)) @ [1, 1j])
+    top = np.linalg.svd(samples, compute_uv=False)[:, 0].max()
+    return MatrixLoop(samples * (norm / top))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       grid=st.sampled_from([64, 128, 256]), modes=st.sampled_from([8, 12, 15]),
+       lags=st.integers(0, 2), norm=st.floats(0.1, 1.0))
+def test_quantized_blocks_are_bounded_by_their_samples(seed, dim, grid, modes,
+                                                       lags, norm):
+    """Each quantized block is a compression of the block circulant whose
+    DFT is the block diagonal of the samples, so its norm is at most the
+    recorded bound, the largest sample norm.  Scaled to sample norm 1.3 the
+    bound exceeds 1 and clipping brings the block to norm at most 1."""
+    rng = np.random.default_rng(seed)
+    plus, minus = (_random_loop(rng, dim, grid, lags, norm) for _ in range(2))
+    op = quantize_symbol(plus, minus, modes)
+    for block, bound in zip(op.blocks, op.bounds):
+        assert bound == pytest.approx(norm, rel=1e-12)
+        assert opnorm(block) <= bound + 1e-12
+    (clipped,) = clip_to_contraction(op)
+    assert clipped is op
+    big = [MatrixLoop(lp.samples * (1.3 / norm)) for lp in (plus, minus)]
+    op = quantize_symbol(*big, modes)
+    assert min(op.bounds) > 1
+    (clipped,) = clip_to_contraction(op)
+    for block in clipped.blocks:
+        assert opnorm(block) <= 1 + 1e-12
+
+
 def test_clip_leaves_contractions():
     sp = standard_symbol_pair(1, 0, 1024)
     d1, d2 = quantize(sp, 64)
@@ -107,38 +146,56 @@ def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
     """A loop of the second member equal to the first member's is quantized
     and screened once: the - block of every standard pair, and both blocks
     when p = q.  Each shared block is bitwise the quantization of its loop
-    alone."""
+    alone, with its bound."""
     sp = standard_symbol_pair(*pq, 2048)
     d1, d2 = quantize(sp, 128)
     assert [x is y for x, y in zip(d1.blocks, d2.blocks)] == shared
     for k, lp in enumerate((sp.minus, sp.plus)):
-        alone = quantize_symbol(lp.sigma2, lp.sigma2, 128).blocks[k]
-        assert d2.blocks[k].tobytes() == alone.tobytes()
+        alone = quantize_symbol(lp.sigma2, lp.sigma2, 128)
+        assert d2.blocks[k].tobytes() == alone.blocks[k].tobytes()
+        assert d2.bounds[k] == alone.bounds[k]
     screened = []
     clipped = opmodel._clipped
     monkeypatch.setattr(opmodel, "_clipped",
                         lambda m: screened.append(m) or clipped(m))
-    c1, c2 = clip_to_contraction(d1, d2)
+    assert clip_to_contraction(d1, d2) == (d1, d2)
+    assert screened == []  # every block is certified by its bound
+    # without bounds every distinct block object is decomposed once
+    unbounded = [TruncOp(d.modes, d.dim, d.blocks) for d in (d1, d2)]
+    c1, c2 = clip_to_contraction(*unbounded)
     assert len(screened) == 4 - sum(shared)
-    assert c1 is d1 and c2 is d2
+    assert c1 is unbounded[0] and c2 is unbounded[1]
 
 
-def _no_certificate(matrix):
-    raise AssertionError("a diagonal block went to the contraction certificate")
+def _no_decomposition(matrix):
+    raise AssertionError("a certified block was decomposed")
 
 
-def test_clip_reads_the_identity_block_off_its_diagonal(monkeypatch):
-    """The identity - block of a standard pair is screened exactly, by its
-    largest diagonal modulus, and comes back as the same object."""
+def test_clip_decomposes_no_block_of_the_sweep(monkeypatch):
+    """Every block of the 25 pairs (p, q), |p|, |q| <= 2, that the index sweep
+    quantizes at N = 128 and 256 (grid 2048) is certified by its bound."""
+    monkeypatch.setattr(opmodel, "_clipped", _no_decomposition)
+    for p in range(-2, 3):
+        for q in range(-2, 3):
+            sp = standard_symbol_pair(p, q, 2048)
+            for n in (128, 256):
+                d1, d2 = quantize(sp, n)
+                assert clip_to_contraction(d1, d2) == (d1, d2)
+
+
+def test_clip_keeps_the_identity_block_by_its_bound(monkeypatch):
+    """The identity - block of a standard pair records bound 1, so it comes
+    back as the same object and is not decomposed."""
     d1, d2 = quantize(standard_symbol_pair(1, 0, 1024), 64)
     minus = d1.blocks[0]
     assert np.array_equal(minus, np.eye(minus.shape[0]))
-    monkeypatch.setattr(opmodel, "_certified_contraction", _no_certificate)
-    assert opmodel._clipped(minus) is minus
+    assert d1.bounds[0] == 1.0
+    monkeypatch.setattr(opmodel, "_clipped", _no_decomposition)
+    c1, c2 = clip_to_contraction(d1, d2)
+    assert c1.blocks[0] is minus and c2.blocks[0] is minus
 
 
-def test_clip_diagonal_overshoot(monkeypatch):
-    monkeypatch.setattr(opmodel, "_certified_contraction", _no_certificate)
+def test_clip_diagonal_overshoot():
     block = np.diag([0.5, -1.5j, 1.0]).astype(np.complex128)
     kept = block.copy()
     out = opmodel._clipped(block)
@@ -150,8 +207,7 @@ def test_clip_diagonal_overshoot(monkeypatch):
 @pytest.mark.parametrize("block", [np.zeros((0, 0), np.complex128),
                                    np.array([[0.25j]]), np.array([[3.0 + 4j]])],
                          ids=["0x0", "1x1-inside", "1x1-outside"])
-def test_clip_empty_and_scalar_diagonal_blocks(block, monkeypatch):
-    monkeypatch.setattr(opmodel, "_certified_contraction", _no_certificate)
+def test_clip_empty_and_scalar_diagonal_blocks(block):
     out = opmodel._clipped(block)
     if block.size == 0 or abs(block[0, 0]) <= 1:
         assert out is block
@@ -159,16 +215,24 @@ def test_clip_empty_and_scalar_diagonal_blocks(block, monkeypatch):
         assert np.allclose(out, [[0.6 + 0.8j]])
 
 
-def test_clip_certificate_catches_a_norm_just_above_one():
-    """A dense block of norm 1 + 1e-7 fails the Cholesky certificate and is
-    clipped; a dense unitary passes it and comes back as the same object."""
+def test_clip_certificate_catches_a_norm_just_above_one(monkeypatch):
+    """A dense block of norm 1 + 1e-7 fails the certificate and is clipped; a
+    dense unitary passes it and comes back as the same object, screened by
+    SVD when its bound is unknown and undecomposed when its bound is 1."""
     u = random_unitary(514, 0)
     assert opmodel._clipped(u) is u
     block = (u * np.r_[1 + 1e-7, np.ones(513)]) @ u.conj().T
     assert opnorm(block) > 1 + 5e-8
-    assert not opmodel._certified_contraction(block)
-    out = opmodel._clipped(block)
-    assert opnorm(out) <= 1 + 1e-12
+    decomposed = []
+    clipped = opmodel._clipped
+    monkeypatch.setattr(opmodel, "_clipped",
+                        lambda m: decomposed.append(m) or clipped(m))
+    v = random_unitary(512, 1)
+    op = TruncOp(256, 2, (v, block), (opnorm(v), opnorm(block)))
+    (c,) = clip_to_contraction(op)
+    assert c.blocks[0] is v
+    assert len(decomposed) == 1 and decomposed[0] is op.blocks[1]
+    assert opnorm(c.blocks[1]) <= 1 + 1e-12
 
 
 def test_clip_shares_a_clipped_block_without_writing_into_it():
