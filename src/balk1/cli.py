@@ -7,6 +7,7 @@ each instance over the available cores.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -63,17 +64,23 @@ def cmd_verify_identities(suite_path, out):
     sys.exit(PASS if report.ok else FAIL)
 
 
+def _load_pair(pair_path: str) -> balanced.BalancedPair:
+    """The matrix pair stored at ``pair_path``; exits with ``USAGE`` when
+    the file cannot be read or parsed."""
+    try:
+        return serialize.pair_from_dict(serialize.load_json(pair_path))
+    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(USAGE)
+
+
 @main.command("check-pair")
 @click.argument("pair_path", type=click.Path())
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path())
 def cmd_check_pair(pair_path, tol, out):
     """Evaluate the relation residuals of a stored matrix pair."""
-    try:
-        pair = serialize.pair_from_dict(serialize.load_json(pair_path))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+    pair = _load_pair(pair_path)
     report = balanced.check_balanced(pair.a, pair.b, tol)
     _write_or_print(serialize.balance_report_to_dict(report), out)
     sys.exit(PASS if report.balanced else FAIL)
@@ -87,17 +94,10 @@ def cmd_check_pair(pair_path, tol, out):
 @click.option("--out", type=click.Path())
 def cmd_homotopy(kind, pair_path, grid, tol, out):
     """Validate a homotopy path built on a stored pair."""
-    try:
-        pair = serialize.pair_from_dict(serialize.load_json(pair_path))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+    pair = _load_pair(pair_path)
     path = balanced.HomotopyPath(kind, pair)
     report = balanced.validate_path(path, grid=grid, tol=tol)
-    payload = {"kind": report.kind, "grid": report.grid,
-               "max_residual": report.max_residual, "worst_t": report.worst_t,
-               "ok": report.ok}
-    _write_or_print(payload, out)
+    _write_or_print(dataclasses.asdict(report), out)
     sys.exit(PASS if report.ok else FAIL)
 
 

@@ -130,10 +130,6 @@ class SymbolPair:
     def dim(self) -> int:
         return self.plus.dim
 
-    @property
-    def tol(self) -> float:
-        return max(self.plus.tol, self.minus.tol)
-
 
 # -- constructions ----------------------------------------------------------------
 

@@ -33,8 +33,9 @@ Compactness has no exact finite stand-in: "small modulo compacts" is
 measured by the tail seminorm, the operator norm of the compression to a
 band of modes that excludes both the low modes (where genuine compact parts
 live) and a collar at the truncation edge (where the compression itself
-manufactures defects, e.g. the lost column of a shift).  Claims are asserted
-as two-point convergence between a cutoff and its double.
+manufactures defects, e.g. the lost column of a shift).  A report reads
+one cutoff; claims are asserted as two-point convergence between the
+pipeline's mode count and cutoff (N, M) and their doubles (2N, 2M).
 """
 
 from __future__ import annotations
@@ -122,14 +123,13 @@ class TailCutoff:
 
     m: int
 
-    def band_mask(self, op_modes: int, op_dim: int,
-                  m: Optional[int] = None) -> np.ndarray:
-        m = self.m if m is None else m
-        if m >= op_modes:
-            raise ValueError(f"cutoff {m} must be below the mode count {op_modes}")
+    def band_mask(self, op_modes: int, op_dim: int) -> np.ndarray:
+        if self.m >= op_modes:
+            raise ValueError(f"cutoff {self.m} must be below the mode count "
+                             f"{op_modes}")
         collar = op_modes // DEFAULT_COLLAR_FRACTION
         modes = np.repeat(np.arange(-op_modes, op_modes + 1), op_dim)
-        return (np.abs(modes) > m) & (np.abs(modes) <= op_modes - collar)
+        return (np.abs(modes) > self.m) & (np.abs(modes) <= op_modes - collar)
 
     def interior_mask(self, op_modes: int, op_dim: int) -> np.ndarray:
         modes = np.repeat(np.arange(-op_modes, op_modes + 1), op_dim)
@@ -298,35 +298,35 @@ def clip_to_contraction(*ops: TruncOp) -> Tuple[TruncOp, ...]:
 
 @dataclass
 class KBalanceReport:
-    """Relation residuals in the tail seminorm at a cutoff and its double.
+    """Relation residuals and band norms in the tail seminorm at one cutoff.
 
-    ``populated`` lists the cutoffs whose tail band holds at least one mode;
-    an empty band measures nothing and reports zeros.
+    ``populated`` says whether the tail band holds at least one mode; an
+    empty band measures nothing, reports zeros and fails the verdict.
     """
 
-    cutoffs: Tuple[int, int]
-    residuals: Dict[str, Dict[int, float]]
-    contraction: Dict[str, Dict[int, float]]
-    populated: Tuple[int, ...]
+    cutoff: int
+    residuals: Dict[str, float]
+    contraction: Dict[str, float]
+    populated: bool
 
     @property
     def verdict(self) -> bool:
-        """Read at the largest populated cutoff against ``KBALANCE_TOL``;
-        fails when none is populated."""
-        if not self.populated:
-            return False
-        top = max(self.populated)
-        return (all(v[top] <= KBALANCE_TOL for v in self.residuals.values())
-                and all(v[top] <= 1 + KBALANCE_TOL
+        """Every residual within ``KBALANCE_TOL`` and both band norms within
+        1 + ``KBALANCE_TOL``, on a populated band."""
+        return (self.populated
+                and all(v <= KBALANCE_TOL for v in self.residuals.values())
+                and all(v <= 1 + KBALANCE_TOL
                         for v in self.contraction.values()))
 
-    def worst(self, cutoff: int) -> float:
-        return max(v[cutoff] for v in self.residuals.values())
+    def worst(self) -> float:
+        return max(self.residuals.values())
 
 
 def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
-    """The twelve balanced-pair residuals in the tail seminorm at cutoffs
-    {M, 2M} (a cutoff at or beyond the band end yields an empty band).
+    """The twelve balanced-pair residuals, and the band norms of a and b, in
+    the tail seminorm at the cutoff M (``TailCutoff.band_mask`` raises
+    ``ValueError`` unless M is below the mode count; a cutoff at or beyond
+    the band end yields an empty band).
 
     Every residual of block-diagonal operators is block-diagonal, so each is
     the largest of its block residuals.  Only the band columns and rows of
@@ -335,27 +335,15 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
     its largest truncations.
     """
     check_same_shape(a, b)
-    if cut.m >= a.modes:
-        raise ValueError(f"cutoff {cut.m} must be below the mode count {a.modes}")
-    slices = block_slices(a.sizes)
-    cutoffs = (cut.m, min(2 * cut.m, a.modes))
-    residuals: Dict[str, Dict[int, float]] = {}
-    contraction: Dict[str, Dict[int, float]] = {}
-    populated = []
-    for m in cutoffs:
-        if m >= a.modes:
-            mask = np.zeros(a.size, dtype=bool)
-        else:
-            mask = cut.band_mask(a.modes, a.dim, m)
-        if mask.any():
-            populated.append(m)
-        values = np.max([relation_residuals(ab, bb, RELATIONS, mask[s])
-                         for ab, bb, s in zip(a.blocks, b.blocks, slices)], axis=0)
-        for (name, _, _), value in zip(RELATIONS, values.tolist()):
-            residuals.setdefault(name, {})[m] = value
-        contraction.setdefault("|a|", {})[m] = block_band_norm(a.blocks, mask)
-        contraction.setdefault("|b|", {})[m] = block_band_norm(b.blocks, mask)
-    return KBalanceReport(cutoffs, residuals, contraction, tuple(populated))
+    mask = cut.band_mask(a.modes, a.dim)
+    values = np.max([relation_residuals(ab, bb, RELATIONS, mask[s])
+                     for ab, bb, s in zip(a.blocks, b.blocks,
+                                          block_slices(a.sizes))], axis=0)
+    residuals = {name: value
+                 for (name, _, _), value in zip(RELATIONS, values.tolist())}
+    contraction = {"|a|": block_band_norm(a.blocks, mask),
+                   "|b|": block_band_norm(b.blocks, mask)}
+    return KBalanceReport(cut.m, residuals, contraction, bool(mask.any()))
 
 
 # -- splitting projection ---------------------------------------------------------
@@ -487,8 +475,9 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
                                  block_slices(a.sizes)):
         vh = _h(v)
         av = am @ v
-        # where a - b is exactly zero, B's products are A's
-        bv = av if am is bm or np.array_equal(am, bm) else bm @ v
+        # where a and b hold one block object (see ``quantize``), a - b is
+        # exactly zero there and B's products are A's
+        bv = av if am is bm else bm @ v
         a1 = vh @ av
         b1 = a1 if bv is av else vh @ bv
         records.append(SplitBlock(am, bm, v, w, av, bv, a1, b1,
@@ -568,14 +557,15 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     of ``splitting_projection`` are: a defect Q is then read from thin
     products with the range frame only (see ``_defect_blocks``), and since
     Q is self-adjoint its (1,2) block is the adjoint of its (2,1) block.
-    Where a - b is exactly zero on a block, its difference blocks there are
-    0 and not formed, and b's defects are a's.
+    Where a and b hold one block object (``quantize``), a - b is exactly
+    zero: its difference blocks there are 0 and not formed, and b's defects
+    are a's.
     """
     diff_blocks: Dict[str, float] = {}
     defect_blocks: Dict[str, float] = {}
     records = split_blocks(a, b, split, cut)
     for blk in records:
-        same = blk.bv is blk.av  # split_blocks found a - b exactly zero
+        same = blk.bv is blk.av  # a and b hold one block object
         if same:
             diffs = dict.fromkeys(("12", "21", "22"), 0.0)
         else:

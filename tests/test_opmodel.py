@@ -252,8 +252,11 @@ def test_tail_seminorm_band():
     op = quantize_symbol(identity_loop(1, 128), identity_loop(1, 128), 16)
     cut = TailCutoff(8)
     assert block_band_norm(op.blocks, cut.band_mask(16, 1)) == pytest.approx(1.0)
-    empty = TailCutoff(8).band_mask(16, 1, m=15)
-    assert empty.sum() == 0
+    # the band M < |n| <= N - N // 4 is empty from M = 12 up
+    assert TailCutoff(11).band_mask(16, 1).sum() == 2
+    assert TailCutoff(12).band_mask(16, 1).sum() == 0
+    with pytest.raises(ValueError, match="below the mode count"):
+        TailCutoff(16).band_mask(16, 1)
 
 
 def dense_relations(am, bm):
@@ -285,31 +288,38 @@ def test_kbalance_matches_naive_small_case():
     lp = LoopPair(plus1, plus2)
     sp = SymbolPair(lp, LoopPair(identity_loop(1, 256), identity_loop(1, 256)))
     d1, d2 = quantize(sp, 16)
-    cut = TailCutoff(4)
-    report = kbalance_report(d1, d2, cut)
     dense = dense_relations(d1.matrix, d2.matrix)
     names = REL1_NAMES + REL2_NAMES
-    assert set(names) == set(dense) == set(report.residuals)
-    for m in report.cutoffs:
-        mask = cut.band_mask(16, 1, m)
-        assert mask.any()
+    for m in (4, 8):
+        cut = TailCutoff(m)
+        report = kbalance_report(d1, d2, cut)
+        assert set(names) == set(dense) == set(report.residuals)
+        mask = cut.band_mask(16, 1)
+        assert report.cutoff == m and report.populated and mask.any()
         for name in names:
             naive = opnorm(dense[name][np.ix_(mask, mask)])
-            assert report.residuals[name][m] == pytest.approx(naive, abs=1e-12), \
+            assert report.residuals[name] == pytest.approx(naive, abs=1e-12), \
                 (name, m)
 
 
-def test_kbalance_verdict_reads_populated_cutoff():
-    # at the default cut M = N/2 the doubled cutoff 2M = N has an empty band
+def test_kbalance_verdict_fails_on_an_empty_band():
+    # an unbalanced pair fails on a populated band, and a balanced one
+    # fails where the band M < |n| <= N - N // 4 holds no mode (M >= 48 at
+    # N = 64)
     grid = 512
     lp = LoopPair(MatrixLoop.constant(0.5 * np.eye(1), grid),
                   MatrixLoop.constant(np.eye(1), grid), tol=10.0)
     sp = SymbolPair(lp, LoopPair(identity_loop(1, grid), identity_loop(1, grid)))
     d1, d2 = quantize(sp, 32)
     report = kbalance_report(d1, d2, TailCutoff(16))
-    assert report.cutoffs == (16, 32) and report.populated == (16,)
-    assert report.residuals["a*a-b*b"][16] == pytest.approx(0.75)
+    assert report.cutoff == 16 and report.populated
+    assert report.residuals["a*a-b*b"] == pytest.approx(0.75)
     assert not report.verdict
+    d1, d2 = quantize(standard_symbol_pair(1, 0, 1024), 64)
+    assert kbalance_report(d1, d2, TailCutoff(47)).verdict
+    empty = kbalance_report(d1, d2, TailCutoff(48))
+    assert not empty.populated and not empty.verdict
+    assert empty.worst() == 0.0
 
 
 def test_kbalance_balanced_symbols_small():
@@ -317,17 +327,17 @@ def test_kbalance_balanced_symbols_small():
     d1, d2 = quantize(sp, 64)
     report = kbalance_report(d1, d2, TailCutoff(32))
     assert report.verdict
-    assert all(v[32] <= 0.05 for v in report.residuals.values())
+    assert all(v <= 0.05 for v in report.residuals.values())
 
 
 def test_kbalance_equal_operators():
     sp = standard_symbol_pair(1, 1, 1024)
     d1, d2 = quantize(sp, 64)
     report = kbalance_report(d1, d1, TailCutoff(32))
-    for name, vals in report.residuals.items():
+    for name, value in report.residuals.items():
         if "(a" in name or "a-b" in name or "a*-b*" in name:
             continue
-        assert max(vals.values()) < 1e-12
+        assert value < 1e-12
 
 
 def test_kbalance_unbalanced_symbols_persist():
@@ -340,16 +350,17 @@ def test_kbalance_unbalanced_symbols_persist():
     r1 = kbalance_report(d1, d2, TailCutoff(8))
     r2 = kbalance_report(d1, d2, TailCutoff(12))
     floor = 0.3
-    assert r1.residuals["a*a-b*b"][8] > floor
-    assert r2.residuals["a*a-b*b"][12] > floor
+    assert r1.residuals["a*a-b*b"] > floor
+    assert r2.residuals["a*a-b*b"] > floor
 
 
 def test_kbalance_tail_monotone():
     sp = standard_symbol_pair(2, -1, 1024)
     d1, d2 = quantize(sp, 128)
-    report = kbalance_report(d1, d2, TailCutoff(32))
-    for vals in report.residuals.values():
-        assert vals[64] <= vals[32] + 0.02
+    low, high = (kbalance_report(d1, d2, TailCutoff(m)) for m in (32, 64))
+    assert low.populated and high.populated
+    for name, value in high.residuals.items():
+        assert value <= low.residuals[name] + 0.02
 
 
 def test_hardy_isometry_modulo_tail():
@@ -584,14 +595,13 @@ def test_block_path_matches_dense_reference(two_way_winding):
 
     kb = kbalance_report(d1, d2, cut)
     dense = dense_relations(am, bm)
-    for m in kb.cutoffs:
-        band = (cut.band_mask(d1.modes, d1.dim, m) if m < d1.modes
-                else np.zeros(d1.size, dtype=bool))
-        for name, mat in dense.items():
-            assert kb.residuals[name][m] == pytest.approx(
-                opnorm(mat[np.ix_(band, band)]), abs=1e-12), (name, m)
-        assert kb.contraction["|a|"][m] == pytest.approx(
-            opnorm(am[np.ix_(band, band)]), abs=1e-12)
+    assert kb.populated
+    for name, mat in dense.items():
+        assert kb.residuals[name] == pytest.approx(
+            opnorm(mat[np.ix_(mask, mask)]), abs=1e-12), name
+    for name, mat in (("|a|", am), ("|b|", bm)):
+        assert kb.contraction[name] == pytest.approx(
+            opnorm(mat[np.ix_(mask, mask)]), abs=1e-12)
 
     # the global candidate 1 + B*(A - B), block by block and dense
     interior = cut.interior_mask(d1.modes, d1.dim).astype(float)

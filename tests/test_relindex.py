@@ -49,9 +49,15 @@ def test_unitary_instance_is_zero():
 
 
 def test_self_adjoint_examples():
+    # a Hermitian block has equal kernel and cokernel and equal defects, so
+    # both engines read 0 with no shortcut
     assert one_block(np.diag([0.0, 1.0, 1.0])).svd == 0
     assert one_block(np.diag([0.0, 1.0])).fedosov == 0
     assert one_block(np.eye(5)).svd == 0
+    values = one_block(np.diag([1e-7, 0.5, 1.0]).astype(complex))
+    assert values.svd == values.fedosov == 0
+    values = one_block(np.zeros((0, 0), dtype=complex))
+    assert values.svd == values.fedosov == 0
 
 
 def test_fedosov_residue_error():
@@ -243,11 +249,6 @@ def test_engines_share_no_decomposition(flagship, monkeypatch):
     assert (ev.svd, ev.fedosov) == (0, -1)
 
 
-def test_hermitian_shortcut():
-    values = one_block(np.diag([1e-7, 0.5, 1.0]).astype(complex))
-    assert values.svd == values.fedosov == 0
-
-
 def test_interior_weights_discard_edge_artifacts():
     # square truncated shift: raw counts cancel, weighted counts see only
     # the genuine cokernel at the bottom mode
@@ -332,12 +333,12 @@ def test_verify_index_theorem_flagship(gamma):
     for formula, engines in report.details.items():
         for engine, series in engines.items():
             assert set(series.values()) == {-1}, (formula, engine)
-    # the k-balance diagnostic is read at the populated cutoff N/2
+    # the k-balance diagnostic is read at the pipeline's cutoff N/2
     for n in (64, 128):
         d1, d2 = clip_to_contraction(*quantize(sp, n))
-        cut = TailCutoff(n // 2)
-        worst = kbalance_report(d1, d2, cut).worst(cut.m)
-        assert report.residuals[f"kbalance_worst_N{n}"] == worst > 0
+        kb = kbalance_report(d1, d2, TailCutoff(n // 2))
+        assert kb.populated
+        assert report.residuals[f"kbalance_worst_N{n}"] == kb.worst() > 0
         assert report.residuals[f"count_gap_N{n}"] > 100
         assert report.residuals[f"measured_eps_N{n}"] < 0.1
 
@@ -404,6 +405,37 @@ def test_global_candidate_leaves_out_shared_blocks(pq, monkeypatch):
     for n in (modes, 2 * modes):
         key = f"global_unitarity_defect_N{n}"
         assert full.residuals[key] == report.residuals[key]
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (1, 0)], ids=["p-eq-q", "p-ne-q"])
+def test_no_coinciding_block_reaches_an_engine(pq, monkeypatch):
+    """Where a and b hold one block object, every formula leaves that
+    half-line out: for (1, 1) no call of ``engine_values`` gets a block, and
+    for (1, 0) every call gets only the + half-line block, of the split's
+    rank there for definition-A and the corner formula and of the full
+    half-line for the global formula."""
+    grid, modes = 1024, 64
+    sp = standard_symbol_pair(*pq, grid)
+    split_sym = standard_split_symbol(grid)
+    seen = []
+    real = relindex.engine_values
+
+    def recorder(blocks, domain_weights, codomain_weights):
+        seen.append([np.shape(b) for b in blocks])
+        return real(blocks, domain_weights, codomain_weights)
+
+    monkeypatch.setattr(relindex, "engine_values", recorder)
+    report = verify_index_theorem(sp, modes, split_symbol=split_sym)
+    assert report.verdict
+    expected = []
+    for n in (modes, 2 * modes):
+        rank = splitting_projection(sp, n, split_sym).blocks[1][0].shape[1]
+        size = 2 * (n + 1)  # the + half-line: modes 0..n of C^2
+        if pq == (1, 1):
+            expected += [[], [], []]
+        else:  # definition-A, corner, global
+            expected += [[(rank, rank)], [(rank, rank)], [(size, size)]]
+    assert seen == expected
 
 
 def test_index_item_keeps_few_blocks_alive():
