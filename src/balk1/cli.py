@@ -106,7 +106,9 @@ def cmd_homotopy(kind, pair_path, grid, tol, out):
               help="Loop turns of the first unimodular entry.")
 @click.option("--q", "q", type=int, default=0, show_default=True,
               help="Loop turns of the second unimodular entry.")
-@click.option("--grid", type=click.IntRange(min=1), default=256, show_default=True)
+@click.option("--grid", type=click.IntRange(min=1), default=1024, show_default=True,
+              help="Loop samples: `index --modes M` needs at least 4M + 2 "
+                   "samples and a symbol bandwidth of at most M/4.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_loop_pair(p, q, grid, tol, out):
@@ -158,7 +160,9 @@ def _index_one(p, q, grid, modes, splits, tail_cutoff):
 
 @main.command("index")
 @click.argument("symbolpair_path", required=False, type=click.Path())
-@click.option("--modes", type=click.IntRange(min=1), default=128, show_default=True)
+@click.option("--modes", type=click.IntRange(min=1), default=128, show_default=True,
+              help="Base mode count M, run at M and 2M: needs loop grid "
+                   ">= 4M + 2 and symbol bandwidth <= M/4.")
 @click.option("--grid", type=click.IntRange(min=1), default=None,
               help="Loop grid for sweep instances (default 16*modes).")
 @click.option("--sweep", type=str, default=None, metavar="P0:P1,Q0:Q1",

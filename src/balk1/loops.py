@@ -101,11 +101,11 @@ class LoopPair:
         a, b = self.sigma1.samples, self.sigma2.samples
         worst = float(relation_residuals(a, b, REL1).max(initial=0.0))
         norms = float(np.max(stack_opnorm(np.stack((a, b))), initial=0.0))
-        return max(worst, norms - 1.0, 0.0)
+        return float(np.max([worst, norms - 1.0, 0.0]))  # keeps a NaN
 
     def validate(self) -> "LoopPair":
         worst = self.max_pointwise_residual()
-        if worst > self.tol:
+        if not worst <= self.tol:  # a NaN residual fails too
             raise ValueError(f"loop pair is not pointwise balanced: "
                              f"worst residual {worst:.3e} > {self.tol:.1e}")
         return self
@@ -282,7 +282,7 @@ def winding(values: np.ndarray) -> int:
     """
     values = np.asarray(values, dtype=np.complex128).ravel()
     moduli = np.abs(values)
-    if moduli.min() < MIN_MODULUS:
+    if not moduli.min() >= MIN_MODULUS:  # a NaN sample fails too
         raise WindingError(
             f"loop modulus {moduli.min():.3e} below the floor {MIN_MODULUS:.3e}")
     jumps = np.angle(np.roll(values, -1) / values)
@@ -307,7 +307,7 @@ def _certified_unitary_dets(lp: LoopPair) -> np.ndarray:
     defect = float(np.max(stack_opnorm(
         c.samples.conj().transpose(0, 2, 1) @ c.samples - eye), initial=0.0))
     allowed = max(50 * lp.tol, 1e-12)
-    if defect > allowed:
+    if not defect <= allowed:
         raise NotUnitaryError(
             f"canonical loop unitarity defect {defect:.3e} exceeds {allowed:.1e}")
     return np.linalg.det(c.samples)

@@ -119,7 +119,7 @@ def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
     if n != u.shape[1]:
         raise ShapeError("unitary input must be square")
     defect = opnorm(u.conj().T @ u - np.eye(n))
-    if defect > tol:
+    if not defect <= tol:
         raise NotUnitaryError(f"input is not unitary: defect {defect:.3e} > {tol:.1e}")
     if n == 0:
         return np.zeros(0, dtype=np.complex128), u

@@ -7,7 +7,11 @@ sampled on the glued interval [0, pi/2) are read in the circle coordinate
 tau = 4t, so one loop turn is one Fourier harmonic.
 
 Operators are kept as their two half-line blocks n < 0 and n >= 0, each a
-finite Toeplitz section, as quantization builds them.  Clipping, spectral
+finite Toeplitz section, as quantization builds them.  A section of count
+rows reads only the lags |r - c| < count, so one FFT of each loop feeds its
+block and the bandwidth gate, and a grid of 2N + 2 samples suffices at N
+modes (4N + 2 for a pipeline that also runs 2N).  Cutoffs give their tail
+band and interior window per half-line block too.  Clipping, spectral
 splitting and the defect products preserve the half-line structure, so
 every stage works block by block and takes the maximum of the block norms.
 Quantization records with each block a norm bound read off its symbol, the
@@ -68,16 +72,10 @@ def half_lines(modes: int, dim: int) -> Tuple[int, int]:
     return dim * modes, dim * (modes + 1)
 
 
-def block_slices(sizes: Sequence[int]) -> List[slice]:
-    """Consecutive coordinate ranges of blocks with the given sizes."""
-    bounds = np.cumsum((0,) + tuple(sizes)).tolist()
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def block_band_norm(blocks: Sequence[Array], mask: np.ndarray) -> float:
-    """Band norm of a block-diagonal matrix: the largest block band norm."""
-    slices = block_slices([blk.shape[0] for blk in blocks])
-    return max(band_norm(blk, mask[s]) for blk, s in zip(blocks, slices))
+def _half_line_moduli(modes: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """|n| at every row of the half-line blocks n < 0 and n >= 0."""
+    return (np.repeat(np.arange(modes, 0, -1), dim),
+            np.repeat(np.arange(modes + 1), dim))
 
 
 class TruncOp:
@@ -119,88 +117,88 @@ def check_same_shape(a: TruncOp, b: TruncOp) -> None:
 @dataclass(frozen=True)
 class TailCutoff:
     """Cutoff M < N: the tail band is M < |n| <= N - collar, with the collar
-    N // ``DEFAULT_COLLAR_FRACTION``."""
+    N // ``DEFAULT_COLLAR_FRACTION``, and the interior window is |n| <= M.
+    Both are given per half-line block, n < 0 and n >= 0."""
 
     m: int
 
-    def band_mask(self, op_modes: int, op_dim: int) -> np.ndarray:
+    def band_masks(self, op_modes: int, op_dim: int) -> Tuple[np.ndarray, ...]:
         if self.m >= op_modes:
             raise ValueError(f"cutoff {self.m} must be below the mode count "
                              f"{op_modes}")
-        collar = op_modes // DEFAULT_COLLAR_FRACTION
-        modes = np.repeat(np.arange(-op_modes, op_modes + 1), op_dim)
-        return (np.abs(modes) > self.m) & (np.abs(modes) <= op_modes - collar)
+        top = op_modes - op_modes // DEFAULT_COLLAR_FRACTION
+        return tuple((n > self.m) & (n <= top)
+                     for n in _half_line_moduli(op_modes, op_dim))
 
-    def interior_mask(self, op_modes: int, op_dim: int) -> np.ndarray:
-        modes = np.repeat(np.arange(-op_modes, op_modes + 1), op_dim)
-        return np.abs(modes) <= self.m
-
-
-def band_norm(matrix: Array, mask: np.ndarray) -> float:
-    """Operator norm of the compression to the masked rows and columns."""
-    return opnorm(matrix[np.ix_(mask, mask)])
+    def interior_weights(self, op_modes: int, op_dim: int
+                         ) -> Tuple[np.ndarray, ...]:
+        """1.0 on the interior window and 0.0 elsewhere."""
+        return tuple((n <= self.m).astype(float)
+                     for n in _half_line_moduli(op_modes, op_dim))
 
 
 # -- quantization -------------------------------------------------------------
 
 
-def fourier_coefficients(loop: MatrixLoop, max_lag: int) -> Array:
-    """Coefficients sigma_hat(k), k = -max_lag..max_lag, in tau = 4t.
-
-    The loop grid must resolve every requested lag without aliasing.
-    """
+def fourier_coefficients(loop: MatrixLoop, modes: int) -> Array:
+    """Coefficients sigma_hat(k) in tau = 4t at index k mod grid: the DFT of
+    the samples over the grid, which must resolve the lags -modes..modes
+    that the half-line sections at ``modes`` read (2 modes + 2 samples)."""
     grid = loop.grid
-    if grid < 2 * max_lag + 2:
+    if grid < 2 * modes + 2:
         raise UndersampledError(
-            f"loop grid {grid} cannot supply lags up to {max_lag}; "
-            f"need at least {2 * max_lag + 2} samples")
-    coeffs = np.fft.fft(loop.samples, axis=0) / grid
-    lags = np.arange(-max_lag, max_lag + 1)
-    return coeffs[lags % grid]
+            f"{modes} modes read lags up to {modes}, which loop grid {grid} "
+            f"cannot supply; need at least {2 * modes + 2} samples")
+    return np.fft.fft(loop.samples, axis=0) / grid
 
 
-def bandwidth_estimate(loop: MatrixLoop) -> int:
-    """Largest lag whose coefficient norm exceeds ``BANDWIDTH_FLOOR`` times
-    the largest."""
-    half = loop.grid // 2
-    coeffs = fourier_coefficients(loop, max(half - 1, 0))
-    norms = np.linalg.norm(coeffs.reshape(coeffs.shape[0], -1), axis=1)
-    floor = BANDWIDTH_FLOOR * norms.max()
-    lags = np.arange(-(half - 1), half)
-    active = lags[norms > floor]
+def bandwidth_estimate(coeffs: Array) -> int:
+    """Largest lag |k| < grid/2 whose coefficient norm exceeds
+    ``BANDWIDTH_FLOOR`` times the largest, from a loop's
+    ``fourier_coefficients``."""
+    grid = coeffs.shape[0]
+    lags = np.arange(1 - grid // 2, grid // 2)
+    norms = np.linalg.norm(coeffs[lags % grid].reshape(lags.size, -1), axis=1)
+    active = lags[norms > BANDWIDTH_FLOOR * norms.max()]
     return int(np.abs(active).max()) if active.size else 0
 
 
-def _toeplitz_block(coeffs: Array, count: int, max_lag: int) -> Array:
-    """The count x count Toeplitz section (sigma_hat(r - c)) of coefficients
-    at lags -max_lag..max_lag, as a (count d) x (count d) matrix.
+def _toeplitz_block(coeffs: Array, count: int) -> Array:
+    """The count x count Toeplitz section (sigma_hat(r - c)) of
+    ``fourier_coefficients``, as a (count d) x (count d) matrix.
 
-    Row r holds the lags r - c, c = 0..count-1: the window of the reversed
-    coefficients that starts at max_lag - r.  The windows are views, so the
-    block is the only array allocated."""
+    It reads only the lags r - c = -(count - 1)..count - 1 (Boettcher &
+    Silbermann, Introduction to Large Truncated Toeplitz Matrices, 1999).
+    Row r is the window of those lags in descending order that starts at
+    count - 1 - r; the windows are views."""
     d = coeffs.shape[1]
-    windows = np.lib.stride_tricks.sliding_window_view(coeffs[::-1], count,
+    descending = coeffs[np.arange(count - 1, -count, -1) % coeffs.shape[0]]
+    windows = np.lib.stride_tricks.sliding_window_view(descending, count,
                                                        axis=0)
-    rows = windows[max_lag - count + 1:max_lag + 1][::-1]  # (r, i, j, c)
     block = np.empty((count, d, count, d), dtype=coeffs.dtype)
-    block[...] = rows.transpose(0, 1, 3, 2)
+    block[...] = windows[::-1].transpose(0, 1, 3, 2)  # (r, i, j, c)
     return block.reshape(count * d, count * d)
-
-
-def _check_bandwidth(name: str, loop: MatrixLoop, modes: int) -> None:
-    bw = bandwidth_estimate(loop)
-    if modes < 4 * bw:
-        raise UndersampledError(
-            f"{name} symbol bandwidth ~{bw} needs at least {4 * bw} "
-            f"modes, got {modes}")
 
 
 def _half_line_block(loop: MatrixLoop, modes: int, k: int) -> Array:
     """Toeplitz section of multiplication by the loop on half-line block k:
     n < 0 for k = 0, n >= 0 for k = 1."""
-    max_lag = 2 * modes
-    return _toeplitz_block(fourier_coefficients(loop, max_lag),
-                           half_lines(modes, 1)[k], max_lag)
+    return _toeplitz_block(fourier_coefficients(loop, modes),
+                           half_lines(modes, 1)[k])
+
+
+def _gated_block(name: str, loop: MatrixLoop, modes: int, k: int
+                 ) -> Tuple[Array, float]:
+    """The loop's half-line block k with its sample bound, from one FFT
+    that also feeds the bandwidth gate: a loop whose spectral content the
+    mode window cannot resolve is rejected."""
+    coeffs = fourier_coefficients(loop, modes)
+    bw = bandwidth_estimate(coeffs)
+    if modes < 4 * bw:
+        raise UndersampledError(
+            f"{name} symbol bandwidth ~{bw} needs at least {4 * bw} "
+            f"modes, got {modes}")
+    return _toeplitz_block(coeffs, half_lines(modes, 1)[k]), _sample_bound(loop)
 
 
 def _sample_bound(loop: MatrixLoop) -> float:
@@ -219,35 +217,34 @@ def _sample_bound(loop: MatrixLoop) -> float:
 def quantize_symbol(plus: MatrixLoop, minus: MatrixLoop, modes: int) -> TruncOp:
     """Compression of multiplication operators to the two mode half-lines.
 
-    The bandwidth gate rejects loops whose spectral content the mode window
-    cannot resolve.  ``splitting_projection`` reads the raw half-line blocks
-    of its symbol and skips the gate: the quality of a split is certified
-    downstream (``verify_split_blocks``) rather than assumed.
+    Each loop is transformed once, and the transform feeds both the
+    bandwidth gate, which rejects loops whose spectral content the mode
+    window cannot resolve, and the loop's section (``_gated_block``).
+    ``splitting_projection`` reads the raw half-line blocks of its symbol
+    and skips the gate: the quality of a split is certified downstream
+    (``verify_split_blocks``) rather than assumed.
     """
     if plus.dim != minus.dim:
         raise ShapeError("both symbol components must share the dimension")
-    for name, loop in (("plus", plus), ("minus", minus)):
-        _check_bandwidth(name, loop, modes)
-    return TruncOp(modes, plus.dim, (_half_line_block(minus, modes, 0),
-                                     _half_line_block(plus, modes, 1)),
-                   (_sample_bound(minus), _sample_bound(plus)))
+    plus_block, plus_bound = _gated_block("plus", plus, modes, 1)
+    minus_block, minus_bound = _gated_block("minus", minus, modes, 0)
+    return TruncOp(modes, plus.dim, (minus_block, plus_block),
+                   (minus_bound, plus_bound))
 
 
 def quantize(sp: SymbolPair, modes: int) -> Tuple[TruncOp, TruncOp]:
     """Quantize both members of a symbol pair, with the sample bound of
-    each block (``_sample_bound``), each distinct component loop once:
-    where a loop of the second member has the samples of the first
-    member's, the second operator holds the first one's block object (the
-    identity - direction of every ``standard_symbol_pair``, and both
+    each block (``_sample_bound``), each distinct component loop once, by
+    one FFT: where a loop of the second member has the samples of the
+    first member's, the second operator holds the first one's block object
+    (the identity - direction of every ``standard_symbol_pair``, and both
     directions when its two members coincide).  No stage writes into a
     block, so shared blocks stay equal."""
     d1 = quantize_symbol(sp.plus.sigma1, sp.minus.sigma1, modes)
     blocks, bounds = list(d1.blocks), list(d1.bounds)
     for name, lp, k in (("plus", sp.plus, 1), ("minus", sp.minus, 0)):
         if not np.array_equal(lp.sigma2.samples, lp.sigma1.samples):
-            _check_bandwidth(name, lp.sigma2, modes)
-            blocks[k] = _half_line_block(lp.sigma2, modes, k)
-            bounds[k] = _sample_bound(lp.sigma2)
+            blocks[k], bounds[k] = _gated_block(name, lp.sigma2, modes, k)
     return d1, TruncOp(modes, sp.dim, blocks, bounds)
 
 
@@ -298,7 +295,7 @@ def clip_to_contraction(*ops: TruncOp) -> Tuple[TruncOp, ...]:
 
 @dataclass
 class KBalanceReport:
-    """Relation residuals and band norms in the tail seminorm at one cutoff.
+    """Relation residuals in the tail seminorm at one cutoff.
 
     ``populated`` says whether the tail band holds at least one mode; an
     empty band measures nothing, reports zeros and fails the verdict.
@@ -306,27 +303,22 @@ class KBalanceReport:
 
     cutoff: int
     residuals: Dict[str, float]
-    contraction: Dict[str, float]
     populated: bool
 
     @property
     def verdict(self) -> bool:
-        """Every residual within ``KBALANCE_TOL`` and both band norms within
-        1 + ``KBALANCE_TOL``, on a populated band."""
+        """Every residual within ``KBALANCE_TOL``, on a populated band."""
         return (self.populated
-                and all(v <= KBALANCE_TOL for v in self.residuals.values())
-                and all(v <= 1 + KBALANCE_TOL
-                        for v in self.contraction.values()))
+                and all(v <= KBALANCE_TOL for v in self.residuals.values()))
 
     def worst(self) -> float:
         return max(self.residuals.values())
 
 
 def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
-    """The twelve balanced-pair residuals, and the band norms of a and b, in
-    the tail seminorm at the cutoff M (``TailCutoff.band_mask`` raises
-    ``ValueError`` unless M is below the mode count; a cutoff at or beyond
-    the band end yields an empty band).
+    """The twelve balanced-pair residuals in the tail seminorm at the cutoff
+    M (``TailCutoff.band_masks`` raises ``ValueError`` unless M is below the
+    mode count; a cutoff at or beyond the band end yields an empty band).
 
     Every residual of block-diagonal operators is block-diagonal, so each is
     the largest of its block residuals.  Only the band columns and rows of
@@ -335,15 +327,13 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
     its largest truncations.
     """
     check_same_shape(a, b)
-    mask = cut.band_mask(a.modes, a.dim)
-    values = np.max([relation_residuals(ab, bb, RELATIONS, mask[s])
-                     for ab, bb, s in zip(a.blocks, b.blocks,
-                                          block_slices(a.sizes))], axis=0)
+    bands = cut.band_masks(a.modes, a.dim)
+    values = np.max([relation_residuals(ab, bb, RELATIONS, band)
+                     for ab, bb, band in zip(a.blocks, b.blocks, bands)],
+                    axis=0)
     residuals = {name: value
                  for (name, _, _), value in zip(RELATIONS, values.tolist())}
-    contraction = {"|a|": block_band_norm(a.blocks, mask),
-                   "|b|": block_band_norm(b.blocks, mask)}
-    return KBalanceReport(cut.m, residuals, contraction, bool(mask.any()))
+    return KBalanceReport(cut.m, residuals, any(band.any() for band in bands))
 
 
 # -- splitting projection ---------------------------------------------------------
@@ -468,11 +458,10 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     if split.sizes != a.sizes:
         raise ShapeError(f"split block sizes {split.sizes} do not match the "
                          f"operator block sizes {a.sizes}")
-    band = cut.band_mask(a.modes, a.dim)
-    interior = cut.interior_mask(a.modes, a.dim).astype(float)
     records = []
-    for am, bm, (v, w), s in zip(a.blocks, b.blocks, split.blocks,
-                                 block_slices(a.sizes)):
+    for am, bm, (v, w), band, interior in zip(
+            a.blocks, b.blocks, split.blocks, cut.band_masks(a.modes, a.dim),
+            cut.interior_weights(a.modes, a.dim)):
         vh = _h(v)
         av = am @ v
         # where a and b hold one block object (see ``quantize``), a - b is
@@ -481,7 +470,7 @@ def split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
         a1 = vh @ av
         b1 = a1 if bv is av else vh @ bv
         records.append(SplitBlock(am, bm, v, w, av, bv, a1, b1,
-                                  band[s], vh @ (interior[s][:, None] * v)))
+                                  band, vh @ (interior[:, None] * v)))
     return records
 
 
@@ -508,7 +497,7 @@ class SplitBlockReport:
 
 
 def _raise_to(values: Dict[str, float], key: str, value: float) -> None:
-    values[key] = max(values.get(key, 0.0), value)
+    values[key] = float(np.maximum(values.get(key, 0.0), value))  # keeps NaN
 
 
 def _defect_blocks(x: Array, xv: Array, v: Array, band: np.ndarray,

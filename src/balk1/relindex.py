@@ -48,7 +48,7 @@ from .balanced import canonical_unitary
 from .errors import FedosovResidueError, PipelineStageError
 from .loops import SplitSymbol, SymbolPair, topo_index
 from .numkern import Array, opnorm
-from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp, block_slices,
+from .opmodel import (ModeSplit, SplitBlock, TailCutoff, TruncOp,
                       check_same_shape, clip_to_contraction, kbalance_report,
                       quantize, splitting_projection, verify_split_blocks)
 
@@ -303,11 +303,10 @@ def _candidate(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
     """
     kept = _kept(a, b)
     if formula == "global":
-        interior = cut.interior_mask(a.modes, a.dim).astype(float)
-        slices = block_slices(a.sizes)
+        interior = cut.interior_weights(a.modes, a.dim)
         return (1, tuple(canonical_unitary(a.blocks[k], b.blocks[k])
                          for k in kept),
-                tuple(interior[slices[k]] for k in kept))
+                tuple(interior[k] for k in kept))
     records = [records[k] for k in kept]
     grams = tuple(d.h1_gram for d in records)
     if formula == "corner":
@@ -392,8 +391,8 @@ def _mode_count(sp: SymbolPair, n: int, cut: TailCutoff,
     measured = blocks.max_measured
     del blocks
     global_ = _candidate(d1, d2, cut, "global")
-    band, slices = cut.band_mask(n, d1.dim), block_slices(d1.sizes)
-    bands = [band[slices[k]] for k in _kept(d1, d2)]
+    masks = cut.band_masks(n, d1.dim)
+    bands = [masks[k] for k in _kept(d1, d2)]
     del d1, d2
     _, f_global, _ = global_
     defect = 0.0

@@ -2,9 +2,8 @@
 
 Complex scalars are stored as [re, im] pairs; loops record their glued
 parameter domain explicitly.  Everything is plain text so fixtures diff
-cleanly.  A file of the wrong form raises ``ValueError`` naming the field at
-fault; every check reads shapes and types only, so its cost does not grow
-with the matrices.
+cleanly.  A file of the wrong form, or with a NaN or infinite number in a
+matrix, raises ``ValueError`` naming the field at fault.
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ def _decode_matrix(data, field: str, axes: int) -> np.ndarray:
     if arr is None or arr.ndim != axes + 1 or arr.shape[-1] != 2:
         raise ValueError(f"field {field!r} must be an array of [re, im] "
                          f"pairs with {axes} axes")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"field {field!r} holds a NaN or infinite number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -70,7 +70,10 @@ ONE = [[[1.0, 0.0]]]  # the 1 x 1 identity as [re, im] pairs
     ({"a": ONE}, "pair file lacks ['b']"),
     ({"a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "b": ONE},
      "fields 'a' and 'b'"),
-], ids=["list", "scalar-matrices", "null-tol", "no-b", "two-shapes"])
+    ({"a": [[[float("nan"), 0.0]]], "b": ONE}, "field 'a'"),
+    ({"a": ONE, "b": [[[1.0, float("-inf")]]]}, "field 'b'"),
+], ids=["list", "scalar-matrices", "null-tol", "no-b", "two-shapes", "nan-a",
+        "inf-b"])
 def test_malformed_pair_file_is_a_usage_error(runner, tmp_path, command,
                                               payload, field):
     path = tmp_path / "pair.json"
@@ -87,6 +90,17 @@ def symbol_pair_payload(**changes):
     return data
 
 
+def symbol_pair_payload_with_sample(value, *path):
+    """A symbol-pair payload whose loop at ``path`` has ``value`` as the real
+    part of its first entry at sample 3."""
+    data = symbol_pair_payload()
+    loop = data
+    for key in path:
+        loop = loop[key]
+    loop["samples"][3][0][0][0] = value
+    return data
+
+
 @pytest.mark.parametrize("payload, field", [
     ({"plus": 1, "minus": 2, "split": 3}, "field 'plus'"),
     ([1, 2], "symbol-pair file must be a JSON object"),
@@ -95,7 +109,12 @@ def symbol_pair_payload(**changes):
     (symbol_pair_payload(split=3), "field 'split'"),
     (symbol_pair_payload(split={"plus": {"samples": 1}, "minus": {}}),
      "field 'split.plus.samples'"),
-], ids=["integers", "list", "matrix-loop", "split-integer", "split-samples"])
+    (symbol_pair_payload_with_sample(float("nan"), "plus", "sigma1"),
+     "field 'plus.sigma1.samples'"),
+    (symbol_pair_payload_with_sample(float("inf"), "split", "minus"),
+     "field 'split.minus.samples'"),
+], ids=["integers", "list", "matrix-loop", "split-integer", "split-samples",
+        "nan-sample", "inf-split-sample"])
 def test_malformed_symbol_pair_file_is_a_usage_error(runner, tmp_path,
                                                      payload, field):
     path = tmp_path / "sp.json"
@@ -345,6 +364,23 @@ def test_loop_pair_file_round_trips_through_index(runner, tmp_path):
               for series in engines.values() for v in series.values()]
     assert payload["verdict"] and payload["topological"] == -1
     assert len(values) == 16 and set(values) == {-1}
+
+
+@pytest.mark.parametrize("made, indexed", [
+    ([], []), (["--grid", "512"], ["--modes", "64"])],
+    ids=["defaults", "grid-512-modes-64"])
+def test_loop_pair_files_index_down_to_the_grid_floor(runner, tmp_path, made,
+                                                     indexed):
+    """`index --modes M` also runs at 2M, whose sections read lags up to 2M,
+    so it needs grid 4M + 2: the default file (grid 1024) indexes at the
+    default 128 modes, and a grid-512 file at 64 modes."""
+    path, out = tmp_path / "sp.json", tmp_path / "report.json"
+    result = runner.invoke(main, ["loop-pair", *made, "--out", str(path)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["index", str(path), *indexed, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] and payload["topological"] == -1
 
 
 @pytest.mark.parametrize("args", [

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from balk1.errors import ConstraintError, ShapeError, WindingError
+from balk1.errors import (ConstraintError, NotUnitaryError, ShapeError,
+                          WindingError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, canonical_unitary_loop,
                          default_gamma, rotating_diagonal_pair,
                          standard_symbol_pair, subbundle_projection_loop,
@@ -35,8 +36,9 @@ def test_winding_grid_stability():
 
 
 def test_winding_rejects_small_modulus():
-    with pytest.raises(WindingError):
-        winding(np.array([1.0, 0.01, 1.0, 1.0]))
+    for floor_breach in (0.01, np.nan):
+        with pytest.raises(WindingError):
+            winding(np.array([1.0, floor_breach, 1.0, 1.0]))
 
 
 def test_winding_rejects_coarse_grid():
@@ -147,6 +149,16 @@ def test_subbundle_projection_loop():
     # last sample back to sample 0 included, is small
     steps = np.roll(loop.samples, -1, axis=0) - loop.samples
     assert max(np.linalg.norm(step, 2) for step in steps) < 0.2
+
+
+def test_nan_samples_fail_the_balance_and_unitarity_gates():
+    lp = standard_symbol_pair(1, 0, 64).plus
+    nan = MatrixLoop(np.full_like(lp.sigma1.samples, np.nan))
+    for pair in (LoopPair(nan, nan), LoopPair(lp.sigma1, nan)):
+        with pytest.raises(ValueError, match="not pointwise balanced"):
+            pair.validate()
+    with pytest.raises(NotUnitaryError):
+        topo_index(SymbolPair(LoopPair(lp.sigma1, nan), lp))
 
 
 def test_loop_pair_shape_check():

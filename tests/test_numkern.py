@@ -155,5 +155,7 @@ def test_func_calc_flattened_circle_map():
 def test_func_calc_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         eig_unitary(np.diag([2.0, 1.0]).astype(complex))
+    with pytest.raises(NotUnitaryError):
+        eig_unitary(np.full((2, 2), np.nan + 0j))
     with pytest.raises(ShapeError):
         eig_unitary(np.ones((2, 3)))

@@ -12,7 +12,7 @@ from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
                          standard_symbol_pair, subbundle_projection_loop, turn)
 from balk1.numkern import opnorm, random_unitary
 from balk1.opmodel import (ModeSplit, TailCutoff, TruncOp, bandwidth_estimate,
-                           block_band_norm, block_slices, clip_to_contraction,
+                           clip_to_contraction, fourier_coefficients,
                            kbalance_report, quantize, quantize_symbol,
                            splitting_projection, verify_block_estimates,
                            verify_split_blocks)
@@ -72,9 +72,35 @@ def test_quantize_bandwidth_guard():
         quantize_symbol(rough, scalar_loop(lambda t: 1.0, 4096), 16)
 
 
+def test_quantize_at_the_exact_grid_floor():
+    """The sections at N modes read lags -N..N only, so grid 2N + 2 suffices:
+    each block is (sigma_hat(r - c)) entry by entry from the DFT of its
+    loop's samples.  One sample less raises, naming the mode count."""
+    modes, dim = 16, 2
+    rng = np.random.default_rng(5)
+    grid = 2 * modes + 2
+    plus, minus = (_random_loop(rng, dim, grid, 2, 0.9) for _ in range(2))
+    op = quantize_symbol(plus, minus, modes)
+    for block, loop in zip(op.blocks, (minus, plus)):
+        coeffs = np.fft.fft(loop.samples, axis=0) / grid
+        count = block.shape[0] // dim
+        expected = np.empty_like(block)
+        for r in range(count):
+            for c in range(count):
+                expected[r * dim:(r + 1) * dim, c * dim:(c + 1) * dim] = \
+                    coeffs[(r - c) % grid]
+        assert np.array_equal(block, expected)
+    assert op.blocks[1].shape == (dim * (modes + 1),) * 2
+    short = [MatrixLoop(loop.samples[:-1]) for loop in (plus, minus)]
+    with pytest.raises(UndersampledError, match=f"{modes} modes .* need at "
+                                                f"least {grid} samples"):
+        quantize_symbol(*short, modes)
+
+
 def test_bandwidth_estimate():
-    assert bandwidth_estimate(scalar_loop(lambda t: np.exp(8j * t), 512)) == 2
-    assert bandwidth_estimate(identity_loop(2, 128)) == 0
+    loops = (scalar_loop(lambda t: np.exp(8j * t), 512), identity_loop(2, 128))
+    assert [bandwidth_estimate(fourier_coefficients(loop, 0))
+            for loop in loops] == [2, 0]
 
 
 def _random_loop(rng, dim, grid, lags, norm):
@@ -250,13 +276,13 @@ def test_clip_shares_a_clipped_block_without_writing_into_it():
 
 def test_tail_seminorm_band():
     op = quantize_symbol(identity_loop(1, 128), identity_loop(1, 128), 16)
-    cut = TailCutoff(8)
-    assert block_band_norm(op.blocks, cut.band_mask(16, 1)) == pytest.approx(1.0)
+    mask = np.concatenate(TailCutoff(8).band_masks(16, 1))
+    assert opnorm(op.matrix[np.ix_(mask, mask)]) == pytest.approx(1.0)
     # the band M < |n| <= N - N // 4 is empty from M = 12 up
-    assert TailCutoff(11).band_mask(16, 1).sum() == 2
-    assert TailCutoff(12).band_mask(16, 1).sum() == 0
+    assert np.concatenate(TailCutoff(11).band_masks(16, 1)).sum() == 2
+    assert np.concatenate(TailCutoff(12).band_masks(16, 1)).sum() == 0
     with pytest.raises(ValueError, match="below the mode count"):
-        TailCutoff(16).band_mask(16, 1)
+        TailCutoff(16).band_masks(16, 1)
 
 
 def dense_relations(am, bm):
@@ -294,7 +320,7 @@ def test_kbalance_matches_naive_small_case():
         cut = TailCutoff(m)
         report = kbalance_report(d1, d2, cut)
         assert set(names) == set(dense) == set(report.residuals)
-        mask = cut.band_mask(16, 1)
+        mask = np.concatenate(cut.band_masks(16, 1))
         assert report.cutoff == m and report.populated and mask.any()
         for name in names:
             naive = opnorm(dense[name][np.ix_(mask, mask)])
@@ -371,7 +397,7 @@ def test_hardy_isometry_modulo_tail():
         op = quantize_symbol(plus, minus, modes)
         defect = np.eye(op.size) - op.matrix.conj().T @ op.matrix
         cut = TailCutoff(modes // 2)
-        mask = cut.band_mask(modes, 1)
+        mask = np.concatenate(cut.band_masks(modes, 1))
         assert opnorm(defect[np.ix_(mask, mask)]) < 1e-10
 
 
@@ -483,6 +509,19 @@ def test_verify_block_estimates_equal_operators():
     assert report.passed
 
 
+def test_a_nan_norm_fails_both_split_checks(standard_pairs, monkeypatch):
+    """The running maxima keep a NaN norm, so a check that reads one fails,
+    whatever finite norms come after it."""
+    d1, d2, split, cut = standard_pairs[(1, 0)]
+    checks = (verify_split_blocks, verify_block_estimates)
+    assert all(check(d1, d2, split, cut, eps=0.1).passed for check in checks)
+    for check in checks:
+        norms = []
+        monkeypatch.setattr(opmodel, "opnorm", lambda x: norms.append(x)
+                            or (np.nan if len(norms) == 1 else opnorm(x)))
+        assert not check(d1, d2, split, cut, eps=0.1).passed
+
+
 def test_trunc_op_shape_check():
     with pytest.raises(ShapeError):
         TruncOp(4, 2, (np.eye(5), np.eye(5)))
@@ -557,7 +596,7 @@ def test_split_blocks_with_zero_differences_match_dense_reference(case, standard
     d1, d2, split, cut = standard_pairs[case]
     zero_blocks = [np.array_equal(x, y) for x, y in zip(d1.blocks, d2.blocks)]
     assert zero_blocks == {(1, 0): [True, False], (1, 1): [True, True]}[case]
-    mask = cut.band_mask(d1.modes, d1.dim)
+    mask = np.concatenate(cut.band_masks(d1.modes, d1.dim))
     report = verify_split_blocks(d1, d2, split, cut, eps=0.1)
     diff_blocks, defect_blocks = dense_split_blocks(d1.matrix, d2.matrix,
                                                     split.projector, mask)
@@ -572,7 +611,7 @@ def test_split_blocks_with_zero_differences_match_dense_reference(case, standard
 def test_block_path_matches_dense_reference(two_way_winding):
     d1, d2, split, cut = two_way_winding
     am, bm = d1.matrix, d2.matrix
-    mask = cut.band_mask(d1.modes, d1.dim)
+    mask = np.concatenate(cut.band_masks(d1.modes, d1.dim))
 
     report = verify_split_blocks(d1, d2, split, cut, eps=0.1)
     diff_blocks, defect_blocks = dense_split_blocks(am, bm, split.projector, mask)
@@ -599,15 +638,12 @@ def test_block_path_matches_dense_reference(two_way_winding):
     for name, mat in dense.items():
         assert kb.residuals[name] == pytest.approx(
             opnorm(mat[np.ix_(mask, mask)]), abs=1e-12), name
-    for name, mat in (("|a|", am), ("|b|", bm)):
-        assert kb.contraction[name] == pytest.approx(
-            opnorm(mat[np.ix_(mask, mask)]), abs=1e-12)
 
     # the global candidate 1 + B*(A - B), block by block and dense
-    interior = cut.interior_mask(d1.modes, d1.dim).astype(float)
+    weights = list(cut.interior_weights(d1.modes, d1.dim))
+    interior = np.concatenate(weights)
     blocks = [np.eye(len(x)) + y.conj().T @ (x - y)
               for x, y in zip(d1.blocks, d2.blocks)]
-    weights = [interior[s] for s in block_slices(d1.sizes)]
     values = engine_values(blocks, domain_weights=weights, codomain_weights=weights)
     index, below, above, total = reference_engine(
         np.eye(len(am)) + bm.conj().T @ (am - bm), interior, interior)
