@@ -302,6 +302,11 @@ def canonical_unitary_loop(lp: LoopPair) -> MatrixLoop:
 
 
 def _certified_unitary_dets(lp: LoopPair) -> np.ndarray:
+    # c is the identity wherever sigma1 - sigma2 is exactly zero, without
+    # reading the samples, so a non-finite sample is rejected here
+    for loop in (lp.sigma1, lp.sigma2):
+        if not np.isfinite(loop.samples).all():
+            raise NotUnitaryError("canonical loop of non-finite samples")
     c = canonical_unitary_loop(lp)
     eye = np.eye(lp.dim)[np.newaxis]
     defect = float(np.max(stack_opnorm(

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import NotUnitaryError, ShapeError
 
 Array = np.ndarray
+_TINY = 2.0 ** -1022  # np.finfo(float).tiny, the least normal float
+_LIFT = 2.0 ** 600  # lifts a subnormal scale into [2**-474, 2**-422)
 
 
 def as_matrix(x) -> Array:
@@ -51,8 +53,10 @@ def stack_opnorm(x: Array) -> np.ndarray:
     Each matrix X is scaled to Y = X/s by its largest entry modulus s, so
     the Gram matrix cannot overflow or underflow, and the norm is
     s sqrt(lambda_max(Y*Y)), with the Gram formed on the smaller side.  A
-    1 x 1 or 2 x 2 Gram [[a, b], [b*, d]] is not formed: a, d and b are
-    elementwise column sums, and its top eigenvalue is
+    matrix whose s is subnormal, where 1/s overflows, is first multiplied
+    by 2^600, which is exact, and its norm divided by it; other matrices
+    keep every bit.  A 1 x 1 or 2 x 2 Gram [[a, b], [b*, d]] is not formed:
+    a, d and b are elementwise column sums, and its top eigenvalue is
     (a + d)/2 + hypot((a - d)/2, |b|), a sum of nonnegative terms (the
     squared column or row norm a when 1 x 1).  A larger Gram's top
     eigenvalue is read by ``eigvalsh``.  The relative error is a few units
@@ -65,6 +69,11 @@ def stack_opnorm(x: Array) -> np.ndarray:
     if m == 0 or n == 0:
         return np.zeros(x.shape[:-2])
     scale = np.abs(x).max(axis=(-2, -1))
+    low = scale < _TINY
+    if low.any() and scale[low].any():
+        # a subnormal scale: lift those matrices, and their norms back down
+        lift = np.where(low, _LIFT, 1.0)
+        return stack_opnorm(x * lift[..., None, None]) / lift
     y = x / np.where(scale > 0, scale, 1.0)[..., None, None]
     if min(m, n) <= 2:  # Gram [[a, b], [b*, d]]; d = a and b = 0 when 1 x 1
         cols = y if m >= n else y.swapaxes(-1, -2)

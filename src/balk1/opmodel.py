@@ -25,7 +25,10 @@ of a pair lives on H1 and its unitarity defects on H2.  The caller names it
 by a splitting symbol, one projection-valued loop per cosphere direction
 (``loops.standard_split_symbol`` for the rotating-diagonal family), and
 ``splitting_projection`` quantizes and rounds that symbol; nothing here
-derives a split from the pair.
+derives a split from the pair.  A split keeps per half-line block the
+range and kernel frames as column views of the block's one eigenvector
+matrix, and keeps no kernel frame (None, the whole block) where the range
+is empty, as on the zero - direction of the standard split.
 
 Everything that reads a pair against a split (the split verification, the
 corner estimates, and in ``relindex`` the index candidates) reads one record
@@ -60,7 +63,8 @@ BANDWIDTH_FLOOR = 1e-3  # bandwidth: lags above this share of the top norm
 SPLIT_THRESHOLD, SPLIT_GAP = 0.25, 0.05  # split rounding cut, its empty band
 KBALANCE_TOL = 0.05  # largest tail residual of a pair balanced modulo tails
 
-Frames = Tuple[Array, Array]  # orthonormal bases of a range and its complement
+# orthonormal bases of a range and its complement; None is the whole block
+Frames = Tuple[Array, Optional[Array]]
 
 
 def _h(x: Array) -> Array:
@@ -341,7 +345,9 @@ def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
 
 class ModeSplit:
     """A projection on the truncated space, kept as orthonormal frames
-    (V of the range, W of the kernel) on each half-line block."""
+    (V of the range, W of the kernel) on each half-line block.  Where the
+    range is empty on a block, its kernel is the whole block and W is None
+    rather than an identity frame."""
 
     def __init__(self, blocks: Sequence[Frames]):
         self.blocks: Tuple[Frames, ...] = tuple(blocks)
@@ -389,11 +395,15 @@ def splitting_projection(sp: SymbolPair, modes: int,
     eigenvalue above ``SPLIT_THRESHOLD`` joins the range, so the complement
     keeps only cleanly-absent states.  A populated band of half-width
     ``SPLIT_GAP`` around the threshold is reported as a spectral-gap
-    failure.  The eigenvectors of each half-line block are the frames of the
-    split on that block; a block whose Hermitian part is exactly diagonal
+    failure, and so is a NaN eigenvalue (a non-finite symbol).  The
+    eigenvectors of each half-line block are the frames of the split on
+    that block; a block whose Hermitian part is exactly diagonal
     (the zero - direction of ``standard_split_symbol``, constant symbols) is
     read off its diagonal, with unit-vector frames in ascending order, and
-    not decomposed.  The returned split is guaranteed only to be a
+    not decomposed.  The eigenvalues ascend, so the kernel frame W and the
+    range frame V are the leading and trailing columns of one matrix, kept
+    as views of it; where the range is empty, W is None (the whole block)
+    and no frame is stored.  The returned split is guaranteed only to be a
     projection; its quality is established by :func:`verify_split_blocks`.
     """
     dims = [loop.dim for loop in explicit_symbol]
@@ -410,15 +420,20 @@ def splitting_projection(sp: SymbolPair, modes: int,
         herm *= 0.5
         del block
         if _is_diagonal(herm):
-            d = herm.diagonal().real
-            order = np.argsort(d, kind="stable")
-            w = d[order]
-            frames.append((_unit_frame(len(d), order[w > SPLIT_THRESHOLD]),
-                           _unit_frame(len(d), order[w <= SPLIT_THRESHOLD])))
+            order = np.argsort(herm.diagonal().real, kind="stable")
+            w, v = herm.diagonal().real[order], None
         else:
             w, v = np.linalg.eigh(herm)
-            frames.append((v[:, w > SPLIT_THRESHOLD], v[:, w <= SPLIT_THRESHOLD]))
-        inside.extend(w[np.abs(w - SPLIT_THRESHOLD) <= SPLIT_GAP].tolist())
+        del herm
+        # the eigenvalues ascend, so the kernel's columns come first
+        cut = int(np.searchsorted(w, SPLIT_THRESHOLD, side="right"))
+        if cut == len(w):  # no range: the kernel is the whole block
+            frames.append((np.empty((cut, 0), dtype=np.complex128), None))
+        else:
+            if v is None:  # unit vectors in ascending order of the diagonal
+                v = _unit_frame(len(w), order)
+            frames.append((v[:, cut:], v[:, :cut]))
+        inside.extend(w[~(np.abs(w - SPLIT_THRESHOLD) > SPLIT_GAP)].tolist())
     if inside:
         bad = min(inside)
         raise SpectralGapError(
@@ -434,14 +449,15 @@ def splitting_projection(sp: SymbolPair, modes: int,
 @dataclass
 class SplitBlock:
     """One half-line block shared by a pair a, b and a split: the operator
-    blocks, the range and kernel frames V and W, AV and BV, the (1,1)
-    corners A1 = V*AV and B1 = V*BV, the tail-band rows of the block and
-    the interior Gram V* diag(interior) V."""
+    blocks, the range and kernel frames V and W (None where the kernel is
+    the whole block), AV and BV, the (1,1) corners A1 = V*AV and B1 = V*BV,
+    the tail-band rows of the block and the interior Gram
+    V* diag(interior) V."""
 
     a: Array
     b: Array
     v: Array
-    w: Array
+    w: Optional[Array]
     av: Array
     bv: Array
     a1: Array
@@ -500,6 +516,9 @@ def _raise_to(values: Dict[str, float], key: str, value: float) -> None:
     values[key] = float(np.maximum(values.get(key, 0.0), value))  # keeps NaN
 
 
+_DEFECT_NAMES = ("1-a*a", "1-aa*", "1-b*b", "1-bb*")  # of a's and b's defects
+
+
 def _defect_blocks(x: Array, xv: Array, v: Array, band: np.ndarray,
                    name: str) -> Dict[str, Tuple[float, float]]:
     """Tail seminorms of the (1,1) and (2,1) blocks of the defects 1 - x*x
@@ -527,7 +546,10 @@ def _defect_blocks(x: Array, xv: Array, v: Array, band: np.ndarray,
 
 def _difference_blocks(blk: SplitBlock) -> Dict[str, float]:
     """Plain norms of the (1,2), (2,1) and (2,2) blocks of a - b on one
-    half-line block, from (a - b)V = AV - BV and (a - b)W."""
+    half-line block, from (a - b)V = AV - BV and (a - b)W.  Where W is None
+    (no range) the (2,2) block is a - b itself and the others are empty."""
+    if blk.w is None:
+        return {"12": 0.0, "21": 0.0, "22": opnorm(blk.a - blk.b)}
     dv, dw = blk.av - blk.bv, (blk.a - blk.b) @ blk.w
     return {"12": opnorm(_h(blk.v) @ dw), "21": opnorm(_h(blk.w) @ dv),
             "22": opnorm(_h(blk.w) @ dw)}
@@ -548,7 +570,10 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
     Q is self-adjoint its (1,2) block is the adjoint of its (2,1) block.
     Where a and b hold one block object (``quantize``), a - b is exactly
     zero: its difference blocks there are 0 and not formed, and b's defects
-    are a's.
+    are a's.  Where the split has no range on a block (W is None), the
+    (2,2) difference block is a - b itself and every other block read there
+    is empty, so its defect blocks are 0 and not formed.  ``degenerate``
+    says H1 or H2 is 0, read off the rank.
     """
     diff_blocks: Dict[str, float] = {}
     defect_blocks: Dict[str, float] = {}
@@ -561,17 +586,21 @@ def verify_split_blocks(a: TruncOp, b: TruncOp, split: ModeSplit,
             diffs = _difference_blocks(blk)
         for key, value in diffs.items():
             _raise_to(diff_blocks, key, value)
-        defects = _defect_blocks(blk.a, blk.av, blk.v, blk.band, "a")
-        if same:
-            defects.update({name.replace("a", "b"): value
-                            for name, value in defects.items()})
+        if blk.w is None:  # no range: every defect block read is empty
+            defects = dict.fromkeys(_DEFECT_NAMES, (0.0, 0.0))
         else:
-            defects.update(_defect_blocks(blk.b, blk.bv, blk.v, blk.band, "b"))
+            defects = _defect_blocks(blk.a, blk.av, blk.v, blk.band, "a")
+            if same:
+                defects.update({name.replace("a", "b"): value
+                                for name, value in defects.items()})
+            else:
+                defects.update(_defect_blocks(blk.b, blk.bv, blk.v, blk.band,
+                                              "b"))
         for name, (within, across) in defects.items():
             _raise_to(defect_blocks, f"{name}:11", within)
             _raise_to(defect_blocks, f"{name}:12", across)
             _raise_to(defect_blocks, f"{name}:21", across)
-    degenerate = split.rank == 0 or all(w.shape[1] == 0 for _, w in split.blocks)
+    degenerate = split.rank in (0, sum(split.sizes))  # H1 or H2 is 0
     return SplitBlockReport(eps, diff_blocks, defect_blocks, degenerate, records)
 
 

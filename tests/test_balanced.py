@@ -394,6 +394,15 @@ def test_path_checks_are_bitwise_the_recorded_ones(kind):
     assert values.hexdigest()[:16] == want_values
 
 
+def test_a_subnormal_difference_reads_finite_residuals():
+    """b - a = 1e-310 everywhere: every residual is subnormal and finite."""
+    a = 0.5 * np.eye(2)
+    rep = check_balanced(a, a + 1e-310, tol=1e-10)
+    values = list(rep.rel1.values()) + list(rep.rel2.values())
+    assert all(0.0 < v < 1e-308 for v in values)
+    assert rep.balanced
+
+
 def test_direct_sum_of_balanced_pairs():
     p1 = random_balanced_pair(2, 41)
     p2 = random_balanced_pair(3, 43)

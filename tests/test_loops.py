@@ -161,6 +161,20 @@ def test_nan_samples_fail_the_balance_and_unitarity_gates():
         topo_index(SymbolPair(LoopPair(lp.sigma1, nan), lp))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_topo_index_rejects_one_non_finite_loop_object(bad):
+    """A pair whose two members are one loop object has c = 1 without a
+    product; a non-finite sample must still fail the unitarity gate."""
+    lp = standard_symbol_pair(1, 0, 64).plus
+    samples = lp.sigma1.samples.copy()
+    samples[5, 0, 0] = bad
+    loop = MatrixLoop(samples)
+    for sp in (SymbolPair(LoopPair(loop, loop), LoopPair(loop, loop)),
+               SymbolPair(lp, LoopPair(loop, loop))):
+        with pytest.raises(NotUnitaryError, match="non-finite"):
+            topo_index(sp)
+
+
 def test_loop_pair_shape_check():
     with pytest.raises(ShapeError):
         LoopPair(MatrixLoop.constant(np.eye(2), 16),

@@ -73,6 +73,31 @@ def test_stack_opnorm_matches_svd_at_extreme_scales(scale):
     assert stack_opnorm(np.zeros((1, 1))) == 0.0
 
 
+@pytest.mark.parametrize("unit", [1e-310, 5e-324])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (5, 2), (2, 4),
+                                   (4, 6)])
+def test_stack_opnorm_matches_svd_on_subnormal_stacks(unit, shape):
+    """Subnormal largest moduli (1 x 1, 2 x 2 closed forms, thin Grams and
+    eigvalsh Grams) against the SVD, which LAPACK scales internally; a
+    stack mixing them with normal and zero members leaves the others'
+    norms bitwise as they are alone."""
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-3, 4, (3,) + shape) + 1j * rng.integers(-3, 4, (3,) + shape)
+    ints[:, 0, 0] = 3  # no zero member
+    x = unit * ints  # multiples of 5e-324 are exact
+    expected = np.linalg.svd(x, compute_uv=False)[..., 0]
+    got = stack_opnorm(x)
+    assert np.isfinite(got).all() and (got > 0).all()
+    # one unit of the subnormal spacing per rounding of either side
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=2 * 5e-324)
+    for m, e in zip(x, expected):
+        assert opnorm(m) == pytest.approx(e, rel=1e-13, abs=2 * 5e-324)
+    normal = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mixed = np.stack([x[0], np.zeros(shape), normal])
+    assert np.array_equal(stack_opnorm(mixed),
+                          [got[0], 0.0, stack_opnorm(normal)])
+
+
 def test_func_calc_identity_function():
     # the identity function through the spectral decomposition rebuilds u
     u = random_unitary(5, 11)

@@ -406,6 +406,13 @@ def test_splitting_projection_trivial_difference():
     zero = MatrixLoop.constant(np.zeros((2, 2)), 1024)
     split = splitting_projection(sp, 64, (zero, zero))
     assert split.rank == 0
+    # no range anywhere: H1 = 0, and every defect block reads 0 unformed
+    assert all(w is None for _, w in split.blocks)
+    d1, d2 = quantize(sp, 64)
+    report = verify_split_blocks(d1, d2, split, TailCutoff(32), eps=0.1)
+    assert report.degenerate
+    assert len(report.defect_blocks) == 12
+    assert set(report.defect_blocks.values()) == {0.0}
 
 
 def test_splitting_projection_full_difference():
@@ -430,6 +437,17 @@ def test_splitting_projection_gap_failure_and_override():
     assert opnorm(p - p.conj().T) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_splitting_projection_rejects_a_non_finite_symbol(bad):
+    samples = standard_split_symbol(256)[0].samples.copy()
+    samples[3, 0, 0] = bad
+    loop = MatrixLoop(samples)
+    with pytest.raises(SpectralGapError) as err:
+        splitting_projection(standard_symbol_pair(1, 0, 256), 32, (loop, loop))
+    assert np.isnan(err.value.eigenvalue)
+
+
 @pytest.mark.parametrize("modes", [128, 256])
 def test_splitting_projection_frames_are_those_of_eigh(modes):
     split_sym = standard_split_symbol(2048)
@@ -441,8 +459,12 @@ def test_splitting_projection_frames_are_those_of_eigh(modes):
     for block, (v, w) in zip(raw, split.blocks):
         vals, vecs = np.linalg.eigh((block + block.conj().T) / 2)
         assert np.array_equal(v, vecs[:, vals > opmodel.SPLIT_THRESHOLD])
-        assert np.array_equal(w, vecs[:, vals <= opmodel.SPLIT_THRESHOLD])
-    assert np.array_equal(split.blocks[0][1], np.eye(2 * modes))
+        if w is not None:
+            assert np.array_equal(w, vecs[:, vals <= opmodel.SPLIT_THRESHOLD])
+    # the zero - block has no range, and its kernel is the whole block
+    assert split.blocks[0][0].shape == (2 * modes, 0)
+    assert split.blocks[0][1] is None
+    assert split.blocks[1][1] is not None
 
 
 def test_splitting_projection_reads_a_diagonal_block_off_its_diagonal():
@@ -470,7 +492,37 @@ def test_splitting_projection_one_by_one_blocks():
     assert split.sizes == (0, 1) and split.rank == 1
     split = splitting_projection(sp, 1, (one, zero))
     assert split.sizes == (1, 2) and split.rank == 2
-    assert np.array_equal(split.blocks[0][1], np.eye(1))
+    v, w = split.blocks[0]  # no range: the kernel is the whole block
+    assert v.shape == (1, 0) and w is None
+
+
+def _buffer(x):
+    """The array that owns the memory of an array or of a view of one."""
+    while x.base is not None:
+        x = x.base
+    return x
+
+
+@pytest.mark.parametrize("modes", [128, 256])
+def test_shared_splits_hold_one_frame_buffer_per_ranged_block(modes):
+    """The splits the sweep shares hold one n x n eigenvector buffer on the
+    + half-line, viewed by both frames, and nothing n x n on the - one."""
+    split = splitting_projection(standard_symbol_pair(0, 0, 2048), modes,
+                                 standard_split_symbol(2048))
+    (v_minus, w_minus), (v_plus, w_plus) = split.blocks
+    assert w_minus is None and _buffer(v_minus).nbytes == 0
+    n = 2 * (modes + 1)
+    buffer = _buffer(v_plus)
+    assert _buffer(w_plus) is buffer and buffer.nbytes == 16 * n * n
+    assert np.shares_memory(v_plus, buffer) and np.shares_memory(w_plus, buffer)
+
+
+def test_a_diagonal_block_with_a_range_shares_one_frame_buffer():
+    loop = MatrixLoop.constant(np.diag([0.9, 0.0]), 256)
+    sp = SymbolPair(LoopPair(loop, loop), LoopPair(loop, loop))
+    for v, w in splitting_projection(sp, 3, (loop, loop)).blocks:
+        assert _buffer(v) is _buffer(w) and _buffer(v).shape == (v.shape[0],) * 2
+        assert v.shape[1] == w.shape[1] == v.shape[0] // 2
 
 
 def test_splitting_projection_rejects_a_split_of_another_dimension():
@@ -606,6 +658,24 @@ def test_split_blocks_with_zero_differences_match_dense_reference(case, standard
     assert report.defect_blocks == pytest.approx(defect_blocks, abs=1e-12)
     if all(zero_blocks):
         assert set(report.diff_blocks.values()) == {0.0}
+
+
+def test_a_block_with_no_range_matches_dense_reference(two_way_winding):
+    """a - b on a half-line where the split has no range: (a - b) is its
+    own (2,2) block there, and the other blocks are empty."""
+    d1, d2, _, cut = two_way_winding
+    split = splitting_projection(standard_symbol_pair(0, 0, 1024), d1.modes,
+                                 standard_split_symbol(1024))
+    assert split.blocks[0][1] is None
+    mask = np.concatenate(cut.band_masks(d1.modes, d1.dim))
+    report = verify_split_blocks(d1, d2, split, cut, eps=0.1)
+    diff_blocks, defect_blocks = dense_split_blocks(d1.matrix, d2.matrix,
+                                                    split.projector, mask)
+    assert report.diff_blocks["22"] >= opnorm(d1.blocks[0] - d2.blocks[0]) > 0.1
+    assert report.diff_blocks == pytest.approx(diff_blocks, abs=1e-12)
+    assert report.defect_blocks == pytest.approx(defect_blocks, abs=1e-12)
+    assert list(report.defect_blocks) == list(defect_blocks)
+    assert not report.degenerate and not report.passed
 
 
 def test_block_path_matches_dense_reference(two_way_winding):
