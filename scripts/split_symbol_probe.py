@@ -13,6 +13,8 @@ per process to size each pair alone).
         --grid 4098 --pairs 1:-1,2:0
 
 The grid defaults to 4 N + 2, the least that resolves the pipeline's 2N.
+A pair list that starts with a minus sign is given as ``--pairs=-1:1``;
+``--pairs -1:1`` reads as an unknown option.
 """
 
 import argparse

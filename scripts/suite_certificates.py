@@ -3,16 +3,18 @@
 Runs ``verify_identity_suite(default_suite())`` once, writes one JSON record
 per entry (the entries of ``SuiteReport.to_json`` without their seconds:
 the verdicts and the certificate, every term as [coefficient, left,
-generator, right]), and prints the suite seconds and the five slowest
-entries.
+generator, right]), and prints the suite seconds, the median entry's
+milliseconds and the five slowest entries.
 
     PYTHONPATH=src python scripts/suite_certificates.py [OUT.json]
 
 Without OUT.json the records are not written.  The first printed line is
-``identity suite: <seconds> s``.
+``identity suite: <seconds> s``, the second ``median entry: <ms> ms``, the
+median of the per-entry seconds.
 """
 
 import json
+import statistics
 import sys
 import time
 
@@ -36,6 +38,8 @@ def main() -> None:
     seconds = time.perf_counter() - started
     print(f"identity suite: {seconds:.2f} s ({len(report.results)} entries, "
           f"ok={report.ok})")
+    median = statistics.median(r.seconds for r in report.results)
+    print(f"median entry: {1000 * median:.3f} ms")
     for r in sorted(report.results, key=lambda r: -r.seconds)[:5]:
         print(f"  {r.seconds:7.3f} s  {r.name}  ({r.n_terms} terms)")
     if len(sys.argv) > 1:

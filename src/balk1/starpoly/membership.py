@@ -10,8 +10,9 @@ decomposition exists up to the bound.
 The products are enumerated in a fixed order, shortest multipliers first, and
 the search runs in two stages:
 
-* **modular search**: the products are eliminated, a chunk at a time, in an
-  incremental row echelon over the prime field F_p, p = 998244353.  Since
+* **modular search**: the products are eliminated in an incremental row
+  echelon over the prime field F_p, p = 998244353, and the target is tried
+  after 1, 2, 4, ... products, then after every CHUNK of them.  Since
   p ≡ 1 (mod 4), the imaginary unit maps to a square root of -1 mod p.  Each
   pivot records the product it came from and the eliminations that reduced
   that product's row into it; no pivot carries a combination of products.
@@ -27,7 +28,16 @@ denominator, and a combination mod p need not hold exactly.  So whenever a
 coefficient of the target or of a generator has a denominator divisible by
 p, the modular search finds nothing, or the exact solve on the support
 leaves a residue, the same exact solve runs over every product up to the
-bound.  Completeness up to the bound is that of exact elimination.
+bound, trying the target on the same schedule.  Completeness up to the
+bound is that of exact elimination.
+
+Where the attempts fall does not change a certificate.  A product's row
+becomes a pivot exactly when it is independent of the rows of the products
+before it, whatever the attempts, and the pivots have distinct leads.  So
+the target's combination over the pivots is unique once it exists, and the
+pivots that later products add get factor 0 in it: the support, the exact
+solve on it and the certificate are the same whichever prefix spanning the
+target is tried first.  The search may therefore stop at the first one.
 
 Two structural reductions keep the search small without losing completeness:
 
@@ -39,7 +49,8 @@ Two structural reductions keep the search small without losing completeness:
   -1 for their adjoints), the ideal is charge-graded, so only products
   matching the charge of each target component can contribute.  Components
   of one charge share one modular echelon, extended as far as the most
-  demanding of them needs.
+  demanding of them needs; its batches go on from where the last component
+  left them, in the same order on every run.
 
 Relation ideals are *-closed: the adjoint of every listed generator is
 adjoined to the working set, matching the semantics of relations that hold
@@ -70,7 +81,7 @@ from .algebra import (ONE_C, GaussianRational, Monomial, StarPoly, Word,
 from .parsing import parse
 
 PRODUCT_CEILING = 400_000  # a search that would enumerate more products fails
-CHUNK = 256  # products eliminated between two attempts at the target
+CHUNK = 256  # most products eliminated between two attempts at the target
 
 # the modular search runs over F_P; P = 119·2^23 + 1 ≡ 1 (mod 4) and 3
 # generates its multiplicative group, so _I below squares to -1 mod P
@@ -358,7 +369,7 @@ class _Search:
         self._products = products
         self._exact_row = exact_row
         self._mod_row = mod_row
-        self._pending = products()
+        self._pending = _batches(products())
         self._seen: List[Product] = []
         self._echelon = _ModEchelon()
 
@@ -367,18 +378,20 @@ class _Search:
         target_mod = None if self._mod_row is None else _mod_row(target)
         support = None if target_mod is None else self.support(target_mod)
         if support is not None:
-            found = self._exact_solve(target, support)
+            found = self._exact_solve(target, [support])
             if found is not None:
                 return found
-        return self._exact_solve(target, self._products())
+        return self._exact_solve(target, _batches(self._products()))
 
     def support(self, target_mod: Dict[object, int]) -> Optional[List[Product]]:
         """The products of a combination equal to the target mod P, in
         enumeration order; None when no product up to the bound gives one.
 
-        The reduced target and its factors carry over from one chunk to the
-        next: the fully reduced residue, and the factors that reach it, do
-        not depend on the order of the eliminations."""
+        The echelon is extended a batch at a time (see ``_batches``) until
+        the target reduces to zero.  The reduced target and its factors
+        carry over from one batch to the next: the fully reduced residue,
+        and the factors that reach it, do not depend on the order of the
+        eliminations."""
         residue: Dict[object, int] = dict(target_mod)
         factors: Dict[object, int] = {}
         while True:
@@ -389,37 +402,48 @@ class _Search:
                 return None
 
     def _extend(self) -> bool:
-        start = len(self._seen)
-        for item in itertools.islice(self._pending, CHUNK):
+        """Eliminate the next batch of products mod P into the shared
+        echelon; False when every product is in it already."""
+        batch = next(self._pending, None)
+        if batch is None:
+            return False
+        for item in batch:
             row = self._mod_row(item)
             if row:
                 self._echelon.insert(row, len(self._seen))
             self._seen.append(item)
-        return len(self._seen) > start
+        return True
 
-    def _exact_solve(self, target: dict, products: Iterable[Product]
+    def _exact_solve(self, target: dict, batches: Iterable[List[Product]]
                      ) -> Optional[Solution]:
         """Exact elimination of the products' rows in order, trying the
-        target after every chunk of products and after the last."""
+        target after each batch: the support comes as one batch, every
+        product up to the bound in the batches of ``_batches``."""
         echelon = _Echelon()
         used: List[Product] = []
-
-        def finish() -> Optional[Solution]:
+        for batch in batches:
+            for item in batch:
+                used.append(item)
+                row = self._exact_row(item)
+                if row:
+                    echelon.insert(row, {len(used) - 1: ONE_C})
             residue, combo = echelon.reduce_fully(target)
-            if residue:
-                return None
-            return [(-combo[j], used[j]) for j in sorted(combo)]
+            if not residue:
+                return [(-combo[j], used[j]) for j in sorted(combo)]
+        return None
 
-        for item in products:
-            used.append(item)
-            row = self._exact_row(item)
-            if row:
-                echelon.insert(row, {len(used) - 1: ONE_C})
-            if len(used) % CHUNK == 0:
-                found = finish()
-                if found is not None:
-                    return found
-        return finish()
+
+def _batches(products: Iterable[Product]) -> Iterator[List[Product]]:
+    """The products in runs that end where the target is tried: after 1, 2,
+    4, ... products, then after every CHUNK."""
+    products = iter(products)
+    done = 0
+    while True:
+        batch = list(itertools.islice(products, min(CHUNK, max(1, done))))
+        if not batch:
+            return
+        done += len(batch)
+        yield batch
 
 
 def _capped(products: Iterable[Product], bound: int) -> Iterator[Product]:

@@ -652,6 +652,42 @@ def test_determinism():
     assert first == second
 
 
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_certificates_do_not_depend_on_where_the_target_is_tried(
+        monkeypatch, chunk):
+    # pivots have distinct leads, so the target's combination over them is
+    # unique once it exists: any attempt schedule gives the pinned records
+    monkeypatch.setattr(membership, "CHUNK", chunk)
+    entries = [e for e in default_suite() if e.effective_bound() < 11]
+    pinned = {r["name"]: r for r in
+              json.loads(PINNED_CERTIFICATES.read_text(encoding="utf-8"))}
+    got = json.loads(verify_identity_suite(entries).to_json())["entries"]
+    assert len(got) == 61
+    for entry in got:
+        del entry["seconds"]
+        assert entry == pinned[entry["name"]], entry["name"]
+
+
+@pytest.mark.parametrize("name, most", [("double-swap:adjstar:12", 4),
+                                        ("unitary:flipflip*", 48)])
+def test_search_stops_at_the_first_prefix_that_spans_the_target(
+        monkeypatch, name, most):
+    # the first needs 2 products and the second 24; a whole first chunk
+    # would insert 58 and 256 rows
+    insert = membership._ModEchelon.insert
+    inserted = []
+
+    def counted(self, row, product):
+        inserted.append(product)
+        return insert(self, row, product)
+
+    monkeypatch.setattr(membership._ModEchelon, "insert", counted)
+    entry, = [e for e in default_suite() if e.name == name]
+    cert = ideal_member(entry.target, entry.ideal, entry.effective_bound())
+    assert cert is not None and certificate_is_valid(cert)
+    assert len(inserted) <= most
+
+
 def test_zero_target_over_empty_ideal():
     cert = ideal_member(StarPoly.zero(), ideal_by_name("none"), 0)
     assert cert is not None and cert.terms == ()
