@@ -19,6 +19,7 @@ import sys
 from balk1.loops import standard_split_symbol, standard_symbol_pair
 from balk1.opmodel import splitting_projection
 from balk1.relindex import verify_index_theorem
+from balk1.serialize import index_report_to_dict
 
 MODES = 128
 GRID = 2048
@@ -27,9 +28,7 @@ PINNED_RESIDUALS = ("measured_eps", "kbalance_worst")
 
 def sweep_record(rep) -> dict:
     """The pinned values of one report; mode counts become string keys."""
-    record = {"details": {f: {e: {str(n): v for n, v in by_n.items()}
-                              for e, by_n in engines.items()}
-                          for f, engines in rep.details.items()},
+    record = {"details": index_report_to_dict(rep)["details"],
               "topological": rep.topological, "verdict": rep.verdict}
     for name in PINNED_RESIDUALS:
         for n in (MODES, 2 * MODES):

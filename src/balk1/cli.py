@@ -1,6 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 on pass, 1 on verification failure, 2 on usage or IO errors.
+``_Main.invoke`` enforces them for every command: a command exits with its
+verdict, and a failure it raises reaches that one handler.
 Sweeps run their instances one after another; numpy's BLAS already spreads
 each instance over the available cores.
 """
@@ -9,12 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 
 import click
 
 from . import balanced, loops, serialize
-from .errors import Balk1Error, DegreeBoundError, ParseError, PipelineStageError
+from .errors import PipelineStageError
 from .relindex import verify_index_theorem
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -27,7 +30,25 @@ def _write_or_print(payload: dict, out: str | None) -> None:
         click.echo(json.dumps(payload, indent=2))
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns a failure a command raises into its exit code: a failed
+    pipeline stage fails verification, and a file that cannot be read,
+    parsed or written, or a rejected input value, is a usage error (every
+    package error but ``PipelineStageError`` is a ``ValueError``)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PipelineStageError as exc:
+            click.echo(f"pipeline failure at stage '{exc.stage}': {exc.cause}",
+                       err=True)
+            sys.exit(FAIL)
+        except (OSError, KeyError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(USAGE)
+
+
+@click.group(cls=_Main)
 def main():
     """Balanced-pair toolkit: identity certificates, loop pairs and indices."""
 
@@ -40,20 +61,12 @@ def cmd_verify_identities(suite_path, out):
     # the symbolic engine loads only for the command that uses it
     from .starpoly import suites
 
-    try:
-        if suite_path is None:
-            entries = suites.default_suite()
-        else:
-            with open(suite_path) as fh:
-                entries = suites.parse_suite(fh.read())
-    except (OSError, ParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
-    try:
-        report = suites.verify_identity_suite(entries)
-    except DegreeBoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+    if suite_path is None:
+        entries = suites.default_suite()
+    else:
+        with open(suite_path, encoding="utf-8") as fh:
+            entries = suites.parse_suite(fh.read())
+    report = suites.verify_identity_suite(entries)
     if out:
         with open(out, "w") as fh:
             fh.write(report.to_json())
@@ -65,13 +78,7 @@ def cmd_verify_identities(suite_path, out):
 
 
 def _load_pair(pair_path: str) -> balanced.BalancedPair:
-    """The matrix pair stored at ``pair_path``; exits with ``USAGE`` when
-    the file cannot be read or parsed."""
-    try:
-        return serialize.pair_from_dict(serialize.load_json(pair_path))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+    return serialize.pair_from_dict(serialize.load_json(pair_path))
 
 
 @main.command("check-pair")
@@ -82,7 +89,7 @@ def cmd_check_pair(pair_path, tol, out):
     """Evaluate the relation residuals of a stored matrix pair."""
     pair = _load_pair(pair_path)
     report = balanced.check_balanced(pair.a, pair.b, tol)
-    _write_or_print(serialize.balance_report_to_dict(report), out)
+    _write_or_print(dataclasses.asdict(report), out)
     sys.exit(PASS if report.balanced else FAIL)
 
 
@@ -114,11 +121,7 @@ def cmd_homotopy(kind, pair_path, grid, tol, out):
 def cmd_loop_pair(p, q, grid, tol, out):
     """Store the rotating-diagonal loop pair as a symbol-pair file: the pair
     on the + direction, the identity on the - direction, and its split."""
-    try:
-        sp = loops.standard_symbol_pair(p, q, grid, tol=tol)
-    except Balk1Error as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+    sp = loops.standard_symbol_pair(p, q, grid, tol=tol)
     serialize.dump_json(serialize.symbol_pair_to_dict(
         sp, loops.standard_split_symbol(grid)), out)
     click.echo(f"wrote symbol pair (p={p}, q={q}, grid={grid}) to {out}")
@@ -134,15 +137,11 @@ def cmd_loop_pair(p, q, grid, tol, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_make_pair(dim, seed, delta, out):
     """Generate a balanced pair (random split form, or a unitalization)."""
-    try:
-        if delta is None:
-            pair = balanced.random_balanced_pair(dim, seed)
-        else:
-            from .numkern import random_unitary
-            pair = balanced.unitalization_pair(random_unitary(dim, seed), delta)
-    except (Balk1Error, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+    if delta is None:
+        pair = balanced.random_balanced_pair(dim, seed)
+    else:
+        from .numkern import random_unitary
+        pair = balanced.unitalization_pair(random_unitary(dim, seed), delta)
     serialize.dump_json(serialize.pair_to_dict(pair), out)
     click.echo(f"wrote pair (dim={dim}, seed={seed}) to {out}")
     sys.exit(PASS)
@@ -174,45 +173,37 @@ def cmd_index(symbolpair_path, modes, grid, sweep, tail_cutoff, out):
     """Verify analytic = topological index for a stored symbol pair, or for
     a sweep of rotating-diagonal instances."""
     if (symbolpair_path is None) == (sweep is None):
-        click.echo("error: provide either a symbol-pair file or --sweep",
-                   err=True)
-        sys.exit(USAGE)
-    try:
-        if sweep is not None:
-            rows = _run_sweep(sweep, modes, grid, tail_cutoff)
-            if out:
-                serialize.write_sweep_csv(rows, out)
-            for row in rows:
-                click.echo(
-                    f"p={row[0]:+d} q={row[1]:+d}: analytic={row[2]:+d} "
-                    f"topological={row[3]:+d} pass={row[4]}")
-            sys.exit(PASS if all(r[4] for r in rows) else FAIL)
-        sp, split = serialize.symbol_pair_from_dict(
-            serialize.load_json(symbolpair_path))
-        report = verify_index_theorem(sp, modes, split_symbol=split,
-                                      tail_cutoff=tail_cutoff)
-        _write_or_print(serialize.index_report_to_dict(report), out)
-        sys.exit(PASS if report.verdict else FAIL)
-    except PipelineStageError as exc:
-        click.echo(f"pipeline failure at stage '{exc.stage}': {exc.cause}",
-                   err=True)
-        sys.exit(FAIL)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(USAGE)
+        raise ValueError("provide either a symbol-pair file or --sweep")
+    if sweep is not None:
+        rows = _run_sweep(sweep, modes, grid, tail_cutoff)
+        if out:
+            serialize.write_sweep_csv(rows, out)
+        for row in rows:
+            click.echo(
+                f"p={row[0]:+d} q={row[1]:+d}: analytic={row[2]:+d} "
+                f"topological={row[3]:+d} pass={row[4]}")
+        sys.exit(PASS if all(r[4] for r in rows) else FAIL)
+    sp, split = serialize.symbol_pair_from_dict(
+        serialize.load_json(symbolpair_path))
+    report = verify_index_theorem(sp, modes, split_symbol=split,
+                                  tail_cutoff=tail_cutoff)
+    _write_or_print(serialize.index_report_to_dict(report), out)
+    sys.exit(PASS if report.verdict else FAIL)
+
+
+_INT = r"\s*([+-]?\d+)\s*"
+_SWEEP_SPEC = re.compile(f"{_INT}:{_INT},{_INT}:{_INT}")
 
 
 def _run_sweep(sweep: str, modes: int, grid: int | None,
                tail_cutoff: int | None):
     from .opmodel import splitting_projection
 
-    try:
-        p_part, q_part = sweep.split(",")
-        p0, p1 = (int(x) for x in p_part.split(":"))
-        q0, q1 = (int(x) for x in q_part.split(":"))
-    except ValueError:
+    spec = _SWEEP_SPEC.fullmatch(sweep)
+    if spec is None:
         raise ValueError(f"cannot parse sweep spec {sweep!r}; "
-                         "expected P0:P1,Q0:Q1") from None
+                         "expected P0:P1,Q0:Q1")
+    p0, p1, q0, q1 = map(int, spec.groups())
     if p0 > p1 or q0 > q1:
         raise ValueError(f"sweep spec {sweep!r} has an empty range; "
                          "each range needs start <= end")

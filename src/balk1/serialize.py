@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from typing import Tuple
 
 import numpy as np
 
-from .balanced import BalancedPair, BalanceReport
+from .balanced import BalancedPair
 from .loops import LoopPair, MatrixLoop, SplitSymbol, SymbolPair
 from .relindex import IndexReport
 
@@ -113,10 +112,6 @@ def symbol_pair_from_dict(data: dict) -> Tuple[SymbolPair, SplitSymbol]:
     split = _object(data["split"], "field 'split'", ("plus", "minus"))
     return sp, (loop_from_dict(split["plus"], "split.plus"),
                 loop_from_dict(split["minus"], "split.minus"))
-
-
-def balance_report_to_dict(rep: BalanceReport) -> dict:
-    return asdict(rep)
 
 
 def index_report_to_dict(rep: IndexReport) -> dict:

@@ -248,8 +248,8 @@ class StarPoly:
         raise ValueError(f"unknown central symbol {name!r}")
 
     @staticmethod
-    def monomial(m: Monomial, coeff: CoeffLike = 1) -> "StarPoly":
-        return StarPoly({m: GaussianRational.coerce(coeff)})
+    def monomial(m: Monomial) -> "StarPoly":
+        return StarPoly({m: ONE_C})
 
     # -- inspection --------------------------------------------------------
 

@@ -418,3 +418,41 @@ def test_index_rejects_a_tail_cutoff_at_the_mode_count(runner, monkeypatch):
                                   "--grid", "256", "--tail-cutoff", "16"])
     assert result.exit_code == 2, result.output
     assert "tail cutoff 16 must be below the mode count 16" in result.output
+
+
+def assert_usage_error(result):
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert any(line.startswith("error:") for line in result.stderr.splitlines())
+
+
+@pytest.mark.parametrize("args", [
+    ["check-pair", "PAIR"],
+    ["homotopy", "swap", "PAIR", "--grid", "5"],
+    ["make-pair"],
+    ["loop-pair", "--grid", "64"],
+    ["verify-identities", "SUITE"],
+], ids=["check-pair", "homotopy", "make-pair", "loop-pair", "verify-identities"])
+def test_out_under_a_missing_directory_is_a_usage_error(runner, pair_file,
+                                                        tmp_path, args):
+    suite_path = tmp_path / "suite.txt"
+    suite_path.write_text(suites.format_suite(suites.default_suite()[:1]))
+    args = [pair_file if a == "PAIR" else str(suite_path) if a == "SUITE"
+            else a for a in args]
+    out = tmp_path / "missing" / "out.json"
+    assert_usage_error(runner.invoke(main, [*args, "--out", str(out)]))
+
+
+def test_loop_pair_rejects_a_negative_tolerance(runner, tmp_path):
+    out = tmp_path / "sp.json"
+    result = runner.invoke(main, ["loop-pair", "--grid", "64", "--tol", "-1",
+                                  "--out", str(out)])
+    assert_usage_error(result)
+    assert not out.exists()
+
+
+def test_verify_identities_rejects_a_file_that_is_not_utf8(runner, tmp_path):
+    suite_path = tmp_path / "suite.txt"
+    suite_path.write_bytes(b"name: \xff\xfe\nideal: rel1\ntarget: a - b\n")
+    assert_usage_error(runner.invoke(main, ["verify-identities",
+                                            str(suite_path)]))
