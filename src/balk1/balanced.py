@@ -116,9 +116,17 @@ class BalanceReport:
         return max(self.max_rel1, max(self.rel2.values()))
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless the residual tolerance is at least 0 (a
+    NaN tolerance fails too)."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance tol must be at least 0, got {tol}")
+
+
 def check_balanced(a: Array, b: Array, tol: float = 1e-10) -> BalanceReport:
     """Evaluate all relation residuals; the verdict uses the contraction
     bounds and the four defining relations only."""
+    check_tolerance(tol)
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"need equal square shapes, got {a.shape} and {b.shape}")
@@ -309,6 +317,7 @@ def validate_path(path: HomotopyPath, grid: int = 101,
     if grid < 2:
         raise ValueError("grid must be at least 2")
     tol = path.base.tol if tol is None else tol
+    check_tolerance(tol)
     ts = np.linspace(0.0, np.pi / 2, grid)
     left, right = homotopy_eval(path, ts)
     rel1 = relation_residuals(left, right, REL1).max(axis=1)

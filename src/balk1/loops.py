@@ -19,7 +19,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .balanced import BalancedPair, canonical_unitary, relation_residuals
+from .balanced import (BalancedPair, canonical_unitary, check_tolerance,
+                       relation_residuals)
 from .errors import ConstraintError, NotUnitaryError, ShapeError, WindingError
 from .numkern import Array, stack_opnorm
 from .relations import REL1
@@ -49,10 +50,6 @@ class MatrixLoop:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def ts(self) -> np.ndarray:
-        return HALF_PI * np.arange(self.grid) / self.grid
-
     @staticmethod
     def from_function(fn: Callable[[float], Array], grid: int) -> "MatrixLoop":
         ts = HALF_PI * np.arange(grid) / grid
@@ -67,9 +64,6 @@ class MatrixLoop:
     def constant(matrix: Array, grid: int) -> "MatrixLoop":
         m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
         return MatrixLoop(np.broadcast_to(m, (grid, *m.shape)).copy())
-
-    def adjoint(self) -> "MatrixLoop":
-        return MatrixLoop(self.samples.conj().transpose(0, 2, 1))
 
 
 # a splitting symbol: projection-valued loops on the + and - directions
@@ -88,6 +82,7 @@ class LoopPair:
         if (self.sigma1.grid != self.sigma2.grid
                 or self.sigma1.dim != self.sigma2.dim):
             raise ShapeError("loop pair entries must share grid and dimension")
+        check_tolerance(self.tol)
 
     @property
     def grid(self) -> int:

@@ -229,10 +229,6 @@ class StarPoly:
         return StarPoly({UNIT_MONOMIAL: q}, _normalized=True)
 
     @staticmethod
-    def imaginary_unit() -> "StarPoly":
-        return StarPoly.scalar(GaussianRational(0, 1))
-
-    @staticmethod
     def letter(name: str) -> "StarPoly":
         code = _LETTER_CODE.get(name)
         if code is None:

@@ -443,11 +443,20 @@ def test_out_under_a_missing_directory_is_a_usage_error(runner, pair_file,
     assert_usage_error(runner.invoke(main, [*args, "--out", str(out)]))
 
 
-def test_loop_pair_rejects_a_negative_tolerance(runner, tmp_path):
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("args", [
+    ["check-pair", "PAIR"],
+    ["homotopy", "swap", "PAIR", "--grid", "5"],
+    ["loop-pair", "--grid", "64", "--out", "OUT"],
+], ids=["check-pair", "homotopy", "loop-pair"])
+def test_a_tolerance_below_zero_or_nan_is_a_usage_error(runner, pair_file,
+                                                        tmp_path, args, tol):
     out = tmp_path / "sp.json"
-    result = runner.invoke(main, ["loop-pair", "--grid", "64", "--tol", "-1",
-                                  "--out", str(out)])
+    args = [pair_file if a == "PAIR" else str(out) if a == "OUT" else a
+            for a in args]
+    result = runner.invoke(main, [*args, "--tol", tol])
     assert_usage_error(result)
+    assert f"tolerance tol must be at least 0, got {float(tol)}" in result.stderr
     assert not out.exists()
 
 

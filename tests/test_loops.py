@@ -76,7 +76,7 @@ def test_rotating_pair_rejects_bad_endpoint():
 def test_det_of_canonical_loop_is_phase_ratio():
     lp = rotating_diagonal_pair(turn(1), turn(0), default_gamma, 256)
     dets = np.linalg.det(canonical_unitary_loop(lp).samples)
-    expected = np.exp(4j * lp.sigma1.ts)  # conj(beta) * alpha
+    expected = samples(lambda t: np.exp(4j * t), 256)  # conj(beta) * alpha
     assert np.abs(dets - expected).max() < 1e-12
 
 

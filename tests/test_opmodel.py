@@ -57,7 +57,9 @@ def test_quantize_zero_symbol_kills_half():
 def test_quantize_star_compatible():
     sp = standard_symbol_pair(1, 0, 1024)
     d1, _ = quantize(sp, 64)
-    adj = quantize_symbol(sp.plus.sigma1.adjoint(), sp.minus.sigma1.adjoint(), 64)
+    adj = quantize_symbol(
+        *(MatrixLoop(lp.sigma1.samples.conj().transpose(0, 2, 1))
+          for lp in (sp.plus, sp.minus)), 64)
     assert opnorm(adj.matrix - d1.matrix.conj().T) < 1e-12
 
 
@@ -193,14 +195,10 @@ def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
     assert c1 is unbounded[0] and c2 is unbounded[1]
 
 
-def _no_decomposition(matrix):
-    raise AssertionError("a certified block was decomposed")
-
-
-def test_clip_decomposes_no_block_of_the_sweep(monkeypatch):
+@pytest.mark.usefixtures("forbid_decomposition")
+def test_clip_decomposes_no_block_of_the_sweep():
     """Every block of the 25 pairs (p, q), |p|, |q| <= 2, that the index sweep
     quantizes at N = 128 and 256 (grid 2048) is certified by its bound."""
-    monkeypatch.setattr(opmodel, "_clipped", _no_decomposition)
     for p in range(-2, 3):
         for q in range(-2, 3):
             sp = standard_symbol_pair(p, q, 2048)
@@ -209,14 +207,14 @@ def test_clip_decomposes_no_block_of_the_sweep(monkeypatch):
                 assert clip_to_contraction(d1, d2) == (d1, d2)
 
 
-def test_clip_keeps_the_identity_block_by_its_bound(monkeypatch):
+@pytest.mark.usefixtures("forbid_decomposition")
+def test_clip_keeps_the_identity_block_by_its_bound():
     """The identity - block of a standard pair records bound 1, so it comes
     back as the same object and is not decomposed."""
     d1, d2 = quantize(standard_symbol_pair(1, 0, 1024), 64)
     minus = d1.blocks[0]
     assert np.array_equal(minus, np.eye(minus.shape[0]))
     assert d1.bounds[0] == 1.0
-    monkeypatch.setattr(opmodel, "_clipped", _no_decomposition)
     c1, c2 = clip_to_contraction(d1, d2)
     assert c1.blocks[0] is minus and c2.blocks[0] is minus
 

@@ -14,7 +14,8 @@ from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
 from balk1.numkern import block_diag, random_unitary
 from balk1.opmodel import (TailCutoff, TruncOp, clip_to_contraction,
                            kbalance_report, quantize, split_blocks,
-                           splitting_projection)
+                           splitting_projection, verify_block_estimates,
+                           verify_split_blocks)
 from balk1.relindex import engine_values, rel_index, verify_index_theorem
 from dense_reference import reference_engine
 
@@ -373,6 +374,63 @@ def test_verify_index_theorem_winding_families(plus, minus, expected):
               for e in ("svd", "fedosov") for n in (modes, 2 * modes)]
     assert report.verdict and report.topological == expected
     assert len(values) == 16 and set(values) == {expected}
+
+
+def conjugated_pair(p, q, gamma, grid=1024):
+    """A trigonometric-polynomial family whose split is exact, from samples:
+    with z = e^{4it} and the rotation R = R(4t), a loop that closes up, the
+    + direction carries (R* diag(z^p, gamma) R, R* diag(z^q, gamma) R) and
+    the - direction the identity.  Its split symbol is (R* e1 e1* R, 0): the
+    difference lies in the range of R* e1 e1* R and every defect in its
+    complement, pointwise and exactly."""
+    t = (np.pi / 2) * np.arange(grid) / grid
+    z, c, s = np.exp(4j * t), np.cos(4 * t), np.sin(4 * t)
+    r = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    rh = r.conj().transpose(0, 2, 1)
+    g = gamma(4 * t)
+
+    def conjugated(alpha):
+        diag = np.zeros((grid, 2, 2), dtype=np.complex128)
+        diag[:, 0, 0], diag[:, 1, 1] = alpha, g
+        return MatrixLoop(rh @ diag @ r)
+
+    eye = MatrixLoop.constant(np.eye(2), grid)
+    sp = SymbolPair(LoopPair(conjugated(z ** p), conjugated(z ** q)),
+                    LoopPair(eye, eye))
+    split = (MatrixLoop(rh[:, :, :1] @ r[:, :1, :]),
+             MatrixLoop.constant(np.zeros((2, 2)), grid))
+    return sp, split
+
+
+@pytest.mark.parametrize("gamma", [lambda tau: (3 + np.cos(tau)) / 4,
+                                   lambda tau: (1 + np.cos(tau)) / 2],
+                         ids=["elliptic", "vanishing-at-pi-over-4"])
+@pytest.mark.parametrize("pq", [(1, 0), (2, 1), (1, -1), (2, -2), (0, 2),
+                                (-2, 1)], ids=lambda pq: "%d,%d" % pq)
+@pytest.mark.usefixtures("forbid_decomposition")
+def test_verify_index_theorem_conjugated_family(pq, gamma):
+    """On a second family, whose split is exact, every integer is q - p,
+    the split and corner checks pass with a measured eps at rounding level,
+    the pair is balanced modulo tails, and clipping certifies every block
+    by its bound without decomposing it."""
+    modes = 64
+    sp, split_symbol = conjugated_pair(*pq, gamma)
+    expected = pq[1] - pq[0]
+    report = verify_index_theorem(sp, modes, split_symbol=split_symbol)
+    values = [report.details[f][e][n] for f in report.details
+              for e in ("svd", "fedosov") for n in (modes, 2 * modes)]
+    assert report.verdict and report.topological == expected
+    assert len(values) == 16 and set(values) == {expected}
+    for n in (modes, 2 * modes):
+        assert report.residuals[f"measured_eps_N{n}"] < 1e-12
+        d1, d2 = quantize(sp, n)
+        assert clip_to_contraction(d1, d2) == (d1, d2)
+        split = splitting_projection(sp, n, split_symbol)
+        cut = TailCutoff(n // 2)
+        assert verify_split_blocks(d1, d2, split, cut, relindex.SPLIT_EPS).passed
+        assert verify_block_estimates(d1, d2, split, cut,
+                                      relindex.SPLIT_EPS).passed
+        assert kbalance_report(d1, d2, cut).verdict
 
 
 def test_verify_index_theorem_equal_symbols():

@@ -52,7 +52,7 @@ def test_parse_ascii_and_rationals():
     from fractions import Fraction
     assert parse("3/2 a b* - 2") == \
         StarPoly.scalar(Fraction(3, 2)) * A * B.star - 2
-    assert parse("i·a") == StarPoly.imaginary_unit() * A
+    assert parse("i·a") == StarPoly.scalar(GaussianRational(0, 1)) * A
     assert parse("a^3") == A * A * A
 
 
@@ -247,7 +247,7 @@ class _ReferenceParser:
                 return StarPoly.letter(tok.text)
             if tok.text in ("s", "c"):
                 return StarPoly.central(tok.text)
-            return StarPoly.imaginary_unit()
+            return StarPoly.scalar(GaussianRational(0, 1))
         if tok.kind == "LP":
             self.advance()
             value = self.expr()
