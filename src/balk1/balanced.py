@@ -141,7 +141,8 @@ def check_balanced(a: Array, b: Array, tol: float = 1e-10) -> BalanceReport:
 
 @dataclass(frozen=True)
 class BalancedPair:
-    """A pair of same-shape square contractions with a residual tolerance."""
+    """A pair of same-shape square contractions.  ``tol`` records the
+    tolerance the pair was built to; no check in the package reads it."""
 
     a: Array
     b: Array
@@ -150,9 +151,6 @@ class BalancedPair:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    def report(self) -> BalanceReport:
-        return check_balanced(self.a, self.b, self.tol)
 
 
 def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
@@ -176,7 +174,7 @@ def random_balanced_pair(dim: int, seed: int) -> BalancedPair:
     q = random_unitary(dim, seed * 7 + 3)
     a = q @ block_diag(*blocks_a) @ q.conj().T
     b = q @ block_diag(*blocks_b) @ q.conj().T
-    return BalancedPair(a, b, tol=1e-10)
+    return BalancedPair(a, b)
 
 
 # -- the canonical unitary -----------------------------------------------------
@@ -311,12 +309,11 @@ class PathReport:
     ok: bool
 
 
-def validate_path(path: HomotopyPath, grid: int = 101,
-                  tol: Optional[float] = None) -> PathReport:
-    """Check balancedness at uniformly spaced parameters; grid >= 2."""
+def validate_path(path: HomotopyPath, grid: int, tol: float) -> PathReport:
+    """Check balancedness at ``grid`` >= 2 uniformly spaced parameters: the
+    path passes when every defining residual is at most ``tol``."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    tol = path.base.tol if tol is None else tol
     check_tolerance(tol)
     ts = np.linspace(0.0, np.pi / 2, grid)
     left, right = homotopy_eval(path, ts)

@@ -116,12 +116,11 @@ def cmd_homotopy(kind, pair_path, grid, tol, out):
 @click.option("--grid", type=click.IntRange(min=1), default=1024, show_default=True,
               help="Loop samples: `index --modes M` needs at least 4M + 2 "
                    "samples and a symbol bandwidth of at most M/4.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def cmd_loop_pair(p, q, grid, tol, out):
+def cmd_loop_pair(p, q, grid, out):
     """Store the rotating-diagonal loop pair as a symbol-pair file: the pair
     on the + direction, the identity on the - direction, and its split."""
-    sp = loops.standard_symbol_pair(p, q, grid, tol=tol)
+    sp = loops.standard_symbol_pair(p, q, grid)
     serialize.dump_json(serialize.symbol_pair_to_dict(
         sp, loops.standard_split_symbol(grid)), out)
     click.echo(f"wrote symbol pair (p={p}, q={q}, grid={grid}) to {out}")
@@ -163,7 +162,7 @@ def _index_one(p, q, grid, modes, splits, tail_cutoff):
               help="Base mode count M, run at M and 2M: needs loop grid "
                    ">= 4M + 2 and symbol bandwidth <= M/4.")
 @click.option("--grid", type=click.IntRange(min=1), default=None,
-              help="Loop grid for sweep instances (default 16*modes).")
+              help="Loop grid for --sweep instances (default 16*modes).")
 @click.option("--sweep", type=str, default=None, metavar="P0:P1,Q0:Q1",
               help="Run the loop-turn family over inclusive integer ranges.")
 @click.option("--tail-cutoff", type=click.IntRange(min=0), default=None,
@@ -174,6 +173,8 @@ def cmd_index(symbolpair_path, modes, grid, sweep, tail_cutoff, out):
     a sweep of rotating-diagonal instances."""
     if (symbolpair_path is None) == (sweep is None):
         raise ValueError("provide either a symbol-pair file or --sweep")
+    if sweep is None and grid is not None:
+        raise ValueError("--grid applies only to --sweep")
     if sweep is not None:
         rows = _run_sweep(sweep, modes, grid, tail_cutoff)
         if out:

@@ -1,9 +1,10 @@
 """Matrix-valued loops on the circle and the topological index of symbol pairs.
 
 Loops are sampled on the glued parameter interval [0, pi/2) at N uniform
-points; sample 0 represents both endpoints.  A LoopPair is a pointwise
-balanced pair of loops; a SymbolPair carries one LoopPair per cosphere
-direction (+1 for nonnegative Fourier modes, -1 for negative ones).
+points; sample 0 represents both endpoints.  A LoopPair is a pair of loops,
+which the constructions here validate as pointwise balanced to ``PAIR_TOL``;
+a SymbolPair carries one LoopPair per cosphere direction (+1 for
+nonnegative Fourier modes, -1 for negative ones).
 
 The orientation convention lives in exactly one place: ``topo_index``
 returns  wind(det c_minus) - wind(det c_plus)  where c = 1 + sigma2*(sigma1
@@ -19,8 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .balanced import (BalancedPair, canonical_unitary, check_tolerance,
-                       relation_residuals)
+from .balanced import BalancedPair, canonical_unitary, relation_residuals
 from .errors import ConstraintError, NotUnitaryError, ShapeError, WindingError
 from .numkern import Array, stack_opnorm
 from .relations import REL1
@@ -28,6 +28,11 @@ from .relations import REL1
 HALF_PI = np.pi / 2
 RAMP_HALF_WIDTH = 0.1  # of the split line's turn at the glued endpoint
 MIN_MODULUS = 0.5  # a loop whose winding is read stays this far from zero
+PAIR_TOL = 1e-10  # pointwise residual bound of the constructed pairs
+# unitarity gate of the canonical loops that topo_index reads, fixed so
+# that no stored pair can widen it: c*c - 1 stays within a small multiple
+# of a pair's balance residual
+UNITARITY_TOL = 50 * PAIR_TOL
 
 
 @dataclass(frozen=True)
@@ -72,17 +77,17 @@ SplitSymbol = Tuple[MatrixLoop, MatrixLoop]
 
 @dataclass(frozen=True)
 class LoopPair:
-    """Two loops forming a pointwise balanced pair within tol."""
+    """Two loops of one grid and dimension; balanced pointwise when
+    ``validate(tol)`` accepts them.  The pair holds no tolerance: each
+    check states its own."""
 
     sigma1: MatrixLoop
     sigma2: MatrixLoop
-    tol: float = 1e-10
 
     def __post_init__(self):
         if (self.sigma1.grid != self.sigma2.grid
                 or self.sigma1.dim != self.sigma2.dim):
             raise ShapeError("loop pair entries must share grid and dimension")
-        check_tolerance(self.tol)
 
     @property
     def grid(self) -> int:
@@ -98,16 +103,15 @@ class LoopPair:
         norms = float(np.max(stack_opnorm(np.stack((a, b))), initial=0.0))
         return float(np.max([worst, norms - 1.0, 0.0]))  # keeps a NaN
 
-    def validate(self) -> "LoopPair":
+    def validate(self, tol: float) -> "LoopPair":
         worst = self.max_pointwise_residual()
-        if not worst <= self.tol:  # a NaN residual fails too
+        if not worst <= tol:  # a NaN residual fails too
             raise ValueError(f"loop pair is not pointwise balanced: "
-                             f"worst residual {worst:.3e} > {self.tol:.1e}")
+                             f"worst residual {worst:.3e} > {tol:.1e}")
         return self
 
     def pair_at(self, k: int) -> BalancedPair:
-        return BalancedPair(self.sigma1.samples[k], self.sigma2.samples[k],
-                            self.tol)
+        return BalancedPair(self.sigma1.samples[k], self.sigma2.samples[k])
 
 
 @dataclass(frozen=True)
@@ -137,13 +141,14 @@ def rotation_2x2(t: float) -> Array:
 def rotating_diagonal_pair(alpha: Callable[[float], complex],
                            beta: Callable[[float], complex],
                            gamma: Callable[[float], complex],
-                           grid: int, tol: float = 1e-10) -> LoopPair:
+                           grid: int) -> LoopPair:
     """The 2x2 pair (U* diag(alpha, gamma) U, U* diag(beta, gamma) U).
 
     alpha and beta must be unimodular, gamma strictly contractive on the
     open interval, and all three equal to 1 at both glued endpoints.  The
     pair is balanced pointwise because the unimodular entries contribute no
-    defect and the shared gamma entry cancels in every relation.
+    defect and the shared gamma entry cancels in every relation; it is
+    validated to ``PAIR_TOL``.
     """
     ts = HALF_PI * np.arange(grid) / grid
     values = {}
@@ -170,7 +175,7 @@ def rotating_diagonal_pair(alpha: Callable[[float], complex],
     uh = u.conj().transpose(0, 2, 1)
     s1, s2 = (MatrixLoop((uh * np.stack((values[x], values["gamma"]), axis=-1)
                           [:, np.newaxis, :]) @ u) for x in ("alpha", "beta"))
-    return LoopPair(s1, s2, tol).validate()
+    return LoopPair(s1, s2).validate(PAIR_TOL)
 
 
 def default_gamma(t: float) -> complex:
@@ -183,14 +188,14 @@ def turn(p: int) -> Callable[[float], complex]:
 
 
 def standard_symbol_pair(p: int, q: int, grid: int,
-                         gamma: Optional[Callable[[float], complex]] = None,
-                         tol: float = 1e-10) -> SymbolPair:
+                         gamma: Optional[Callable[[float], complex]] = None
+                         ) -> SymbolPair:
     """Symbol pair carried entirely on the + direction: the rotating diagonal
     pair with alpha, beta turning p and q times, identity on the - direction."""
     gamma = default_gamma if gamma is None else gamma
-    plus = rotating_diagonal_pair(turn(p), turn(q), gamma, grid, tol)
+    plus = rotating_diagonal_pair(turn(p), turn(q), gamma, grid)
     eye_loop = MatrixLoop.constant(np.eye(2), grid)
-    minus = LoopPair(eye_loop, eye_loop, tol)
+    minus = LoopPair(eye_loop, eye_loop)
     return SymbolPair(plus, minus)
 
 
@@ -231,7 +236,7 @@ def vanishing_point_pair(grid: int,
 
     s1 = MatrixLoop.from_function(a_fn, grid)
     s2 = MatrixLoop.from_function(b_fn, grid)
-    return LoopPair(s1, s2, tol).validate()
+    return LoopPair(s1, s2).validate(tol)
 
 
 def subbundle_projection_loop(grid: int) -> MatrixLoop:
@@ -306,10 +311,9 @@ def _certified_unitary_dets(lp: LoopPair) -> np.ndarray:
     eye = np.eye(lp.dim)[np.newaxis]
     defect = float(np.max(stack_opnorm(
         c.samples.conj().transpose(0, 2, 1) @ c.samples - eye), initial=0.0))
-    allowed = max(50 * lp.tol, 1e-12)
-    if not defect <= allowed:
-        raise NotUnitaryError(
-            f"canonical loop unitarity defect {defect:.3e} exceeds {allowed:.1e}")
+    if not defect <= UNITARITY_TOL:
+        raise NotUnitaryError(f"canonical loop unitarity defect {defect:.3e} "
+                              f"exceeds {UNITARITY_TOL:.1e}")
     return np.linalg.det(c.samples)
 
 

@@ -162,10 +162,6 @@ class EngineValues:
     above: float
 
     @property
-    def agree(self) -> bool:
-        return self.svd == self.fedosov
-
-    @property
     def count_gap(self) -> float:
         """Ratio of the singular values on either side of the counting cut;
         infinite when either side is empty."""

@@ -4,6 +4,10 @@ Complex scalars are stored as [re, im] pairs; loops record their glued
 parameter domain explicitly.  Everything is plain text so fixtures diff
 cleanly.  A file of the wrong form, or with a NaN or infinite number in a
 matrix, raises ``ValueError`` naming the field at fault.
+
+Pair and loop-pair records hold their matrices only: a tolerance belongs to
+the check that reads a pair, so none is stored, and the ``tol`` key of an
+older file is ignored, as ``dim`` is.
 """
 
 from __future__ import annotations
@@ -50,16 +54,9 @@ def _decode_matrix(data, field: str, axes: int) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _tol(data: dict, field: str) -> float:
-    tol = data.get("tol", 1e-10)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ValueError(f"field {field!r} must be a number, got {tol!r}")
-    return float(tol)
-
-
 def pair_to_dict(pair: BalancedPair) -> dict:
     return {"dim": pair.dim, "a": _encode_matrix(pair.a),
-            "b": _encode_matrix(pair.b), "tol": pair.tol}
+            "b": _encode_matrix(pair.b)}
 
 
 def pair_from_dict(data: dict) -> BalancedPair:
@@ -68,7 +65,7 @@ def pair_from_dict(data: dict) -> BalancedPair:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"fields 'a' and 'b' must be square matrices of one "
                          f"shape, got {a.shape} and {b.shape}")
-    return BalancedPair(a, b, _tol(data, "tol"))
+    return BalancedPair(a, b)
 
 
 def loop_to_dict(loop: MatrixLoop) -> dict:
@@ -84,15 +81,13 @@ def loop_from_dict(data: dict, field: str) -> MatrixLoop:
 
 
 def loop_pair_to_dict(lp: LoopPair) -> dict:
-    return {"sigma1": loop_to_dict(lp.sigma1), "sigma2": loop_to_dict(lp.sigma2),
-            "tol": lp.tol}
+    return {"sigma1": loop_to_dict(lp.sigma1), "sigma2": loop_to_dict(lp.sigma2)}
 
 
 def loop_pair_from_dict(data: dict, field: str) -> LoopPair:
     data = _object(data, f"field {field!r}", ("sigma1", "sigma2"))
     return LoopPair(loop_from_dict(data["sigma1"], f"{field}.sigma1"),
-                    loop_from_dict(data["sigma2"], f"{field}.sigma2"),
-                    _tol(data, f"{field}.tol"))
+                    loop_from_dict(data["sigma2"], f"{field}.sigma2"))
 
 
 def symbol_pair_to_dict(sp: SymbolPair, split: SplitSymbol) -> dict:

@@ -464,7 +464,7 @@ class _GenMeta:
     poly: StarPoly
     degree: int
     charge: Optional[int]  # None when not homogeneous
-    terms: List[Tuple[Monomial, GaussianRational]] = field(default_factory=list)
+    terms: List[Tuple[Monomial, GaussianRational]] = field(init=False)
 
     def __post_init__(self):
         self.terms = list(self.poly.items())

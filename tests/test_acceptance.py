@@ -14,9 +14,9 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, make_c,
-                            random_balanced_pair, unitalization_pair,
-                            validate_path)
+from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS,
+                            check_balanced, make_c, random_balanced_pair,
+                            unitalization_pair, validate_path)
 from balk1.loops import (default_gamma, rotating_diagonal_pair,
                          standard_split_symbol, standard_symbol_pair, turn)
 from balk1.numkern import random_unitary
@@ -189,8 +189,9 @@ def test_criterion_5_index_theorem_sweep(sweep):
 
 
 def test_criterion_6_choice_independence_and_antisymmetry(sweep):
-    choice_ok = all(b.agree and a == b.svd for a, b in sweep.choice_pairs.values())
-    anti_ok = all(bwd.agree and fwd == -bwd.svd
+    choice_ok = all(b.svd == b.fedosov and a == b.svd
+                    for a, b in sweep.choice_pairs.values())
+    anti_ok = all(bwd.svd == bwd.fedosov and fwd == -bwd.svd
                   for fwd, bwd in sweep.antisymmetry.values())
     report("criterion 6: comparison-choice independence and antisymmetry",
            choice_ok and anti_ok,
@@ -262,7 +263,7 @@ def test_criterion_8_unitalization():
         u = random_unitary(dim, seed + 300)
         for delta in (0.1, 0.2, 0.3):
             pair = unitalization_pair(u, delta, tol=1e-8)
-            rep = pair.report()
+            rep = check_balanced(pair.a, pair.b, 1e-8)
             ok = ok and rep.balanced
             worst = max(worst, rep.max_rel1)
     report("criterion 8: unitalization pairs balanced at 1e-8",

@@ -39,7 +39,7 @@ def test_unitary_vs_one_is_balanced():
 
 def test_diagonal_pair_balanced():
     pair = diag_pair()
-    rep = pair.report()
+    rep = check_balanced(pair.a, pair.b, 1e-12)
     assert rep.balanced
     # hand evaluation: a(1-a*a) = diag(0, 0.375) = b(1-b*b)
     assert rep.rel1["a(1-a*a)-b(1-b*b)"] == 0.0
@@ -61,7 +61,7 @@ def test_shape_mismatch():
 def test_random_pairs_satisfy_derived_rel2_bound():
     for seed in range(8):
         pair = random_balanced_pair(4, seed)
-        rep = pair.report()
+        rep = check_balanced(pair.a, pair.b, 1e-10)
         assert rep.balanced
         assert max(rep.rel2.values()) <= 6 * max(rep.max_rel1, 1e-15)
 
@@ -410,7 +410,7 @@ def test_direct_sum_of_balanced_pairs():
     b = np.block([[p1.b, np.zeros((2, 3))], [np.zeros((3, 2)), p2.b]])
     rep = check_balanced(a, b, tol=1e-10)
     assert rep.balanced
-    expected = max(p1.report().max_rel1, p2.report().max_rel1)
+    expected = max(check_balanced(p.a, p.b).max_rel1 for p in (p1, p2))
     assert rep.max_rel1 <= expected + 1e-14
 
 
@@ -472,7 +472,7 @@ def test_unitalization_balanced():
         u = random_unitary(3, seed)
         for delta in (0.1, 0.2, 0.3):
             pair = unitalization_pair(u, delta)
-            assert pair.report().balanced
+            assert check_balanced(pair.a, pair.b, 1e-8).balanced
 
 
 def test_unitalization_trivial_at_identity():

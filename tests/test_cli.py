@@ -66,14 +66,12 @@ ONE = [[[1.0, 0.0]]]  # the 1 x 1 identity as [re, im] pairs
 @pytest.mark.parametrize("payload, field", [
     ([1, 2], "pair file must be a JSON object"),
     ({"a": 5, "b": 5}, "field 'a'"),
-    ({"a": ONE, "b": ONE, "tol": None}, "field 'tol'"),
     ({"a": ONE}, "pair file lacks ['b']"),
     ({"a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "b": ONE},
      "fields 'a' and 'b'"),
     ({"a": [[[float("nan"), 0.0]]], "b": ONE}, "field 'a'"),
     ({"a": ONE, "b": [[[1.0, float("-inf")]]]}, "field 'b'"),
-], ids=["list", "scalar-matrices", "null-tol", "no-b", "two-shapes", "nan-a",
-        "inf-b"])
+], ids=["list", "scalar-matrices", "no-b", "two-shapes", "nan-a", "inf-b"])
 def test_malformed_pair_file_is_a_usage_error(runner, tmp_path, command,
                                               payload, field):
     path = tmp_path / "pair.json"
@@ -81,6 +79,22 @@ def test_malformed_pair_file_is_a_usage_error(runner, tmp_path, command,
     result = runner.invoke(main, [*command, str(path)])
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error:") and field in result.output
+
+
+@pytest.mark.parametrize("tol", [-5.0, None, "x"], ids=["negative", "null",
+                                                        "string"])
+def test_check_pair_ignores_the_tol_key_of_an_older_pair_file(runner, tmp_path,
+                                                              pair_file, tol):
+    """Pair files once stored a tolerance; its key is now ignored, whatever
+    it holds, and check-pair reads --tol alone."""
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**json.loads(Path(pair_file).read_text()),
+                               "tol": tol}))
+    results = [runner.invoke(main, ["check-pair", path, "--tol", "1e-9"])
+               for path in (pair_file, str(old))]
+    assert [r.exit_code for r in results] == [0, 0], results[1].output
+    assert results[1].stdout == results[0].stdout
+    assert json.loads(results[1].stdout)["tol"] == 1e-9
 
 
 def symbol_pair_payload(**changes):
@@ -146,6 +160,7 @@ def test_loop_pair_command(runner, tmp_path):
                           np.broadcast_to(np.eye(2), (128, 2, 2)))
     for loop, expected in zip(split, standard_split_symbol(128)):
         assert np.array_equal(loop.samples, expected.samples)
+    assert "--tol" not in runner.invoke(main, ["loop-pair", "--help"]).output
 
 
 def test_verify_identities_subset(runner, tmp_path):
@@ -241,6 +256,34 @@ def test_index_trivial_symbol_pair(runner, tmp_path):
     assert payload["verdict"] and payload["topological"] == 0
 
 
+def test_index_of_a_file_rejects_grid(runner, tmp_path):
+    # --grid sets the loops a sweep builds; a stored file has its own
+    path = tmp_path / "sp.json"
+    write_symbol_pair(path, standard_symbol_pair(1, 0, 64))
+    result = runner.invoke(main, ["index", str(path), "--modes", "8",
+                                  "--grid", "7"])
+    assert_usage_error(result)
+    assert "--grid applies only to --sweep" in result.stderr
+
+
+def test_index_ignores_the_tol_keys_of_an_older_loop_pair_file(runner,
+                                                               tmp_path):
+    """Loop-pair records once stored a tolerance, which rescaled the
+    unitarity gate of the topological index; a file carrying one now gives
+    the same report, byte for byte, as the file without."""
+    path, old = tmp_path / "sp.json", tmp_path / "old.json"
+    made = runner.invoke(main, ["loop-pair", "--grid", "512", "--out", str(path)])
+    assert made.exit_code == 0, made.output
+    data = json.loads(path.read_text())
+    for direction in ("plus", "minus"):
+        data[direction]["tol"] = 1e-6
+    old.write_text(json.dumps(data))
+    results = [runner.invoke(main, ["index", str(p), "--modes", "64"])
+               for p in (path, old)]
+    assert [r.exit_code for r in results] == [0, 0], results[1].output
+    assert results[1].stdout == results[0].stdout
+
+
 def test_index_undersampled_loop_fails_at_quantize(runner, tmp_path):
     sp = standard_symbol_pair(0, 0, 64)
     path = tmp_path / "sp.json"
@@ -322,7 +365,7 @@ from balk1 import balanced, loops, opmodel
 from balk1.numkern import random_unitary
 pairs = [balanced.random_balanced_pair(4, 1),
          balanced.unitalization_pair(random_unitary(4, 2), 0.2)]
-ok = [balanced.validate_path(balanced.HomotopyPath(kind, p), grid=5).ok
+ok = [balanced.validate_path(balanced.HomotopyPath(kind, p), 5, 1e-8).ok
       for kind in balanced.PATH_KINDS for p in pairs]
 sp = loops.standard_symbol_pair(1, 0, 1024)
 a, b = opmodel.quantize(sp, 64)
@@ -447,17 +490,13 @@ def test_out_under_a_missing_directory_is_a_usage_error(runner, pair_file,
 @pytest.mark.parametrize("args", [
     ["check-pair", "PAIR"],
     ["homotopy", "swap", "PAIR", "--grid", "5"],
-    ["loop-pair", "--grid", "64", "--out", "OUT"],
-], ids=["check-pair", "homotopy", "loop-pair"])
+], ids=["check-pair", "homotopy"])
 def test_a_tolerance_below_zero_or_nan_is_a_usage_error(runner, pair_file,
-                                                        tmp_path, args, tol):
-    out = tmp_path / "sp.json"
-    args = [pair_file if a == "PAIR" else str(out) if a == "OUT" else a
-            for a in args]
+                                                        args, tol):
+    args = [pair_file if a == "PAIR" else a for a in args]
     result = runner.invoke(main, [*args, "--tol", tol])
     assert_usage_error(result)
     assert f"tolerance tol must be at least 0, got {float(tol)}" in result.stderr
-    assert not out.exists()
 
 
 def test_verify_identities_rejects_a_file_that_is_not_utf8(runner, tmp_path):

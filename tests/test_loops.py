@@ -99,8 +99,7 @@ def test_topo_index_sweep_matches_turn_difference():
 
 def test_topo_index_swap_negates():
     sp = standard_symbol_pair(1, 0, 256)
-    swapped = SymbolPair(LoopPair(sp.plus.sigma2, sp.plus.sigma1, sp.plus.tol),
-                         sp.minus)
+    swapped = SymbolPair(LoopPair(sp.plus.sigma2, sp.plus.sigma1), sp.minus)
     assert topo_index(swapped) == -topo_index(sp)
 
 
@@ -117,8 +116,7 @@ def test_topo_index_additive_under_direct_sum():
 
     def dsum(lp1, lp2):
         return LoopPair(MatrixLoop(block(lp1.sigma1.samples, lp2.sigma1.samples)),
-                        MatrixLoop(block(lp1.sigma2.samples, lp2.sigma2.samples)),
-                        max(lp1.tol, lp2.tol))
+                        MatrixLoop(block(lp1.sigma2.samples, lp2.sigma2.samples)))
 
     combined = SymbolPair(dsum(sp1.plus, sp2.plus), dsum(sp1.minus, sp2.minus))
     assert topo_index(combined) == topo_index(sp1) + topo_index(sp2)
@@ -156,7 +154,7 @@ def test_nan_samples_fail_the_balance_and_unitarity_gates():
     nan = MatrixLoop(np.full_like(lp.sigma1.samples, np.nan))
     for pair in (LoopPair(nan, nan), LoopPair(lp.sigma1, nan)):
         with pytest.raises(ValueError, match="not pointwise balanced"):
-            pair.validate()
+            pair.validate(1e-10)
     with pytest.raises(NotUnitaryError):
         topo_index(SymbolPair(LoopPair(lp.sigma1, nan), lp))
 

@@ -332,7 +332,7 @@ def test_kbalance_verdict_fails_on_an_empty_band():
     # N = 64)
     grid = 512
     lp = LoopPair(MatrixLoop.constant(0.5 * np.eye(1), grid),
-                  MatrixLoop.constant(np.eye(1), grid), tol=10.0)
+                  MatrixLoop.constant(np.eye(1), grid))
     sp = SymbolPair(lp, LoopPair(identity_loop(1, grid), identity_loop(1, grid)))
     d1, d2 = quantize(sp, 32)
     report = kbalance_report(d1, d2, TailCutoff(16))
@@ -368,7 +368,7 @@ def test_kbalance_unbalanced_symbols_persist():
     grid = 512
     plus1 = MatrixLoop.constant(0.5 * np.eye(1), grid)
     plus2 = MatrixLoop.constant(np.eye(1), grid)
-    lp = LoopPair(plus1, plus2, tol=10.0)  # deliberately not balanced
+    lp = LoopPair(plus1, plus2)  # deliberately not balanced
     sp = SymbolPair(lp, LoopPair(identity_loop(1, grid), identity_loop(1, grid)))
     d1, d2 = quantize(sp, 32)
     r1 = kbalance_report(d1, d2, TailCutoff(8))

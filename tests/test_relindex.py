@@ -246,10 +246,11 @@ def test_engines_share_no_decomposition(flagship, monkeypatch):
         return u, s, vh[np.r_[len(vh) - 1, 1:len(vh) - 1, 0]]
 
     records = split_blocks(d1, d2, split, cut)
-    assert rel_index(d1, d2, cut, "definition-A", records).agree
+    ev = rel_index(d1, d2, cut, "definition-A", records)
+    assert ev.svd == ev.fedosov
     monkeypatch.setattr(relindex, "_counting_svd", permuted)
     ev = rel_index(d1, d2, cut, "definition-A", records)
-    assert not ev.agree and ev.fedosov == -1
+    assert ev.svd != ev.fedosov and ev.fedosov == -1
     f, w_dom, w_cod = low_rank_defect_block(300, 300, [1.2, 1e-4], seed=3)
     ev = one_block(f, w_dom, w_cod)
     assert (ev.svd, ev.fedosov) == (0, -1)
@@ -285,7 +286,7 @@ def signed_indices(d1, d2, split, cut):
     """Each formula's index from ``rel_index``, once both engines agree on it."""
     records = split_blocks(d1, d2, split, cut)
     values = {f: rel_index(d1, d2, cut, f, records) for f in relindex._FORMULAS}
-    assert all(ev.agree for ev in values.values()), values
+    assert all(ev.svd == ev.fedosov for ev in values.values()), values
     return {f: ev.svd for f, ev in values.items()}
 
 

@@ -10,10 +10,18 @@ from balk1.loops import standard_split_symbol, standard_symbol_pair
 
 def test_pair_roundtrip():
     pair = random_balanced_pair(3, 9)
-    back = serialize.pair_from_dict(serialize.pair_to_dict(pair))
+    data = serialize.pair_to_dict(pair)
+    back = serialize.pair_from_dict(data)
     assert np.array_equal(back.a, pair.a)
     assert np.array_equal(back.b, pair.b)
-    assert back.tol == pair.tol
+    assert "tol" not in data
+
+
+def test_loop_pair_records_hold_no_tolerance():
+    sp = standard_symbol_pair(1, 0, 32)
+    data = serialize.symbol_pair_to_dict(sp, standard_split_symbol(32))
+    assert "tol" not in data["plus"] and "tol" not in data["minus"]
+    assert set(serialize.loop_pair_to_dict(sp.plus)) == {"sigma1", "sigma2"}
 
 
 def test_symbol_pair_roundtrip():
