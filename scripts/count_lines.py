@@ -8,10 +8,19 @@ a bare string literal.  It also prints the number of settable values, read
 off the syntax tree: parameters with a default, fields with a default in
 classes decorated as dataclasses, and ``click.option`` calls.
 
+Last it lists the functions, classes and properties defined under DIR that
+no Python file outside a ``tests`` directory references, the files under
+DIR included; DIR's parent is searched.  A reference is a name, an
+attribute, an imported name or a string that names a dotted path, matched
+by name alone; a package's ``__init__.py`` re-exports and is not read.  So
+a definition that only docstrings, exports or tests mention is listed.
+Dunders and decorated functions other than properties are skipped.
+
     python scripts/count_lines.py [DIR]
 """
 
 import ast
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -71,6 +80,74 @@ def settable_values(path: Path) -> int:
     return count
 
 
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _docstrings(tree: ast.AST) -> set:
+    """The ids of the string constants that are docstrings."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def referenced_names(path: Path) -> set:
+    """Every name one file refers to (see the module docstring)."""
+    tree = ast.parse(path.read_bytes())
+    docstrings = _docstrings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings and _DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def _is_property(node: ast.AST) -> bool:
+    return [ast.unparse(d) for d in node.decorator_list] == ["property"]
+
+
+def definitions(path: Path):
+    """(qualified name, name) of every function, class and property of one
+    file, dunders and other decorated functions left out."""
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield prefix + node.name, node.name
+                yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if not node.decorator_list or _is_property(node):
+                    yield prefix + node.name, node.name
+                yield from walk(node.body, f"{prefix}{node.name}.")
+
+    yield from walk(ast.parse(path.read_bytes()).body, "")
+
+
+def unreferenced(root: Path) -> list:
+    """``file:qualname`` of every definition under root that no file
+    outside a ``tests`` directory under root's parent references, an
+    ``__init__.py`` left out."""
+    base = root.resolve().parent
+    names = set()
+    for f in sorted(base.rglob("*.py")):
+        parts = f.relative_to(base).parts
+        if f.name != "__init__.py" and not any(
+                p == "tests" or p.startswith(".") for p in parts):
+            names |= referenced_names(f)
+    return [f"{f.relative_to(root)}:{qualname}"
+            for f in sorted(root.rglob("*.py"))
+            for qualname, name in definitions(f) if name not in names]
+
+
 def main() -> None:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
     files = sorted(root.rglob("*.py"))
@@ -78,6 +155,10 @@ def main() -> None:
     print(f"{root}/ lines: {physical}")
     print(f"{root}/ code-only lines: {sum(code_lines(f) for f in files)}")
     print(f"{root}/ settable values: {sum(settable_values(f) for f in files)}")
+    names = unreferenced(root)
+    print(f"{root}/ definitions no file outside tests references: {len(names)}")
+    for name in names:
+        print(f"  {name}")
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance tol must be at least 0, got {tol}")
 
 
-def check_balanced(a: Array, b: Array, tol: float = 1e-10) -> BalanceReport:
+def check_balanced(a: Array, b: Array, tol: float) -> BalanceReport:
     """Evaluate all relation residuals; the verdict uses the contraction
     bounds and the four defining relations only."""
     check_tolerance(tol)
@@ -207,8 +207,13 @@ def make_c(pair: BalancedPair) -> Array:
 # -- evaluating *-polynomials ----------------------------------------------------
 
 
-def _evaluator(a: Array, b: Array):
-    """``evaluate`` at the letters (a, b), forming each word product once."""
+def evaluator(a: Array, b: Array):
+    """The evaluation of *-polynomials at the letters a, b, as a function
+    ``value(poly, s, c)``: the matrix of a *-polynomial at a, b and the
+    central symbols s, c, the sum of q s^e c^f W over its terms, W the word
+    in a, a*, b, b*.  s and c broadcast against each other and against
+    stacks of a, b; for n x n letters the shape is broadcast(s, c) + (n, n).
+    Each word product is formed once, on first use."""
     # keyed by the letter codes of a word: a, a*, b, b* are 0, 1, 2, 3
     letters = {(0,): a, (1,): _adj(a), (2,): b, (3,): _adj(b)}
     words = {(): np.eye(a.shape[-1]), **letters}
@@ -235,14 +240,6 @@ def _evaluator(a: Array, b: Array):
         return out
 
     return value
-
-
-def evaluate(poly, a: Array, b: Array, s=0.0, c=1.0) -> Array:
-    """The matrix of a *-polynomial at the letters a, b and the central
-    symbols s, c: the sum of q s^e c^f W over its terms, W the word in a,
-    a*, b, b*.  s and c broadcast against each other and against stacks of
-    a, b; for n x n letters the shape is broadcast(s, c) + (n, n)."""
-    return _evaluator(np.asarray(a), np.asarray(b))(poly, s, c)
 
 
 # -- homotopy paths -------------------------------------------------------------
@@ -295,7 +292,7 @@ def homotopy_eval(path: HomotopyPath, t) -> Tuple[Array, Array]:
     # the symbolic engine is imported on first use: workloads that never
     # evaluate a path do not pay for it
     from .starpoly.suites import path_pair
-    value, s, c = _evaluator(a, b), np.sin(t), np.cos(t)
+    value, s, c = evaluator(a, b), np.sin(t), np.cos(t)
     return tuple(np.block([[value(x, s, c) for x in row] for row in mat])
                  for mat in path_pair(path.kind))
 

@@ -129,7 +129,7 @@ def cmd_loop_pair(p, q, grid, out):
 
 @main.command("make-pair")
 @click.option("--dim", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--delta", type=float, default=None,
               help="Build the unitalization pair of a random unitary with "
                    "this arc width instead of a random balanced pair.")
@@ -188,7 +188,7 @@ def cmd_index(symbolpair_path, modes, grid, sweep, tail_cutoff, out):
         serialize.load_json(symbolpair_path))
     report = verify_index_theorem(sp, modes, split_symbol=split,
                                   tail_cutoff=tail_cutoff)
-    _write_or_print(serialize.index_report_to_dict(report), out)
+    _write_or_print(dataclasses.asdict(report), out)
     sys.exit(PASS if report.verdict else FAIL)
 
 

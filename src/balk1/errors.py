@@ -1,19 +1,15 @@
 """Exception types shared across the package."""
 
 
-class Balk1Error(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ShapeError(Balk1Error, ValueError):
+class ShapeError(ValueError):
     """Operands have incompatible shapes."""
 
 
-class NotUnitaryError(Balk1Error, ValueError):
+class NotUnitaryError(ValueError):
     """A matrix required to be unitary is not, within tolerance."""
 
 
-class SpectralGapError(Balk1Error, ValueError):
+class SpectralGapError(ValueError):
     """An eigenvalue sits inside a forbidden spectral band."""
 
     def __init__(self, message: str, eigenvalue: float):
@@ -21,7 +17,7 @@ class SpectralGapError(Balk1Error, ValueError):
         self.eigenvalue = eigenvalue
 
 
-class ParseError(Balk1Error, ValueError):
+class ParseError(ValueError):
     """Malformed expression text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -29,23 +25,23 @@ class ParseError(Balk1Error, ValueError):
         self.position = position
 
 
-class DegreeBoundError(Balk1Error, ValueError):
+class DegreeBoundError(ValueError):
     """Degree bound rejected: too small for the target or too large to enumerate."""
 
 
-class ConstraintError(Balk1Error, ValueError):
+class ConstraintError(ValueError):
     """A loop sample violates a modulus or endpoint constraint."""
 
 
-class WindingError(Balk1Error, ValueError):
+class WindingError(ValueError):
     """Winding number undefined: modulus too small, jump too large or residue too big."""
 
 
-class UndersampledError(Balk1Error, ValueError):
+class UndersampledError(ValueError):
     """Loop grid or mode count too small for the requested quantization."""
 
 
-class FedosovResidueError(Balk1Error, ValueError):
+class FedosovResidueError(ValueError):
     """Trace-formula output too far from an integer."""
 
     def __init__(self, message: str, residue: float):
@@ -53,7 +49,7 @@ class FedosovResidueError(Balk1Error, ValueError):
         self.residue = residue
 
 
-class PipelineStageError(Balk1Error, RuntimeError):
+class PipelineStageError(RuntimeError):
     """A verification pipeline stage failed; carries the stage name."""
 
     def __init__(self, stage: str, cause: Exception):

@@ -208,13 +208,14 @@ def standard_split_symbol(grid: int) -> SplitSymbol:
 
 
 def vanishing_point_pair(grid: int,
-                         h: Optional[Callable[[float], float]] = None,
-                         tol: float = 1e-12) -> LoopPair:
+                         h: Optional[Callable[[float], float]] = None
+                         ) -> LoopPair:
     """Scalar balanced pair (h e^{i chi}, h) whose entries vanish at sample 0.
 
     The default modulus h ramps smoothly 0 -> 1 -> 0 over the glued interval
     and the phase chi makes one full turn supported where h is exactly 1, so
-    the pair is balanced to machine precision at every sample.
+    the pair is balanced to machine precision at every sample; it is
+    validated to 1e-12.
     """
     if h is None:
         def h(t: float) -> float:
@@ -236,7 +237,7 @@ def vanishing_point_pair(grid: int,
 
     s1 = MatrixLoop.from_function(a_fn, grid)
     s2 = MatrixLoop.from_function(b_fn, grid)
-    return LoopPair(s1, s2).validate(tol)
+    return LoopPair(s1, s2).validate(1e-12)
 
 
 def subbundle_projection_loop(grid: int) -> MatrixLoop:

@@ -110,7 +110,7 @@ def random_unitary(dim: int, seed: int) -> Array:
     return q * phases[np.newaxis, :]
 
 
-def eig_unitary(u: Array, tol: float = 1e-8) -> Tuple[Array, Array]:
+def eig_unitary(u: Array, tol: float) -> Tuple[Array, Array]:
     """Spectral decomposition of a unitary: unit-modulus eigenvalues and a
     unitary eigenvector matrix q, with u = q diag(eigs) q*.
 

@@ -97,10 +97,6 @@ class TruncOp:
         self.bounds = (np.inf, np.inf) if bounds is None else tuple(bounds)
 
     @property
-    def size(self) -> int:
-        return self.dim * (2 * self.modes + 1)
-
-    @property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(b.shape[0] for b in self.blocks)
 
@@ -120,13 +116,15 @@ def check_same_shape(a: TruncOp, b: TruncOp) -> None:
 
 @dataclass(frozen=True)
 class TailCutoff:
-    """Cutoff M < N: the tail band is M < |n| <= N - collar, with the collar
-    N // ``DEFAULT_COLLAR_FRACTION``, and the interior window is |n| <= M.
-    Both are given per half-line block, n < 0 and n >= 0."""
+    """Cutoff 0 <= M < N: the tail band is M < |n| <= N - collar, with the
+    collar N // ``DEFAULT_COLLAR_FRACTION``, and the interior window is
+    |n| <= M.  Both are given per half-line block, n < 0 and n >= 0."""
 
     m: int
 
     def band_masks(self, op_modes: int, op_dim: int) -> Tuple[np.ndarray, ...]:
+        if self.m < 0:
+            raise ValueError(f"cutoff {self.m} must be at least 0")
         if self.m >= op_modes:
             raise ValueError(f"cutoff {self.m} must be below the mode count "
                              f"{op_modes}")
@@ -274,21 +272,17 @@ def clip_to_contraction(*ops: TruncOp) -> Tuple[TruncOp, ...]:
     Compressions of contraction-valued multiplication operators are
     contractions, so a block whose recorded bound (``TruncOp.bounds``; for a
     quantized block the largest norm over its symbol's samples) is at most
-    1 + ``CONTRACTION_SLACK`` is returned untouched, with no decomposition.
-    Any other block, one with an unknown bound included, is decomposed by
-    SVD and kept if its norm is at most 1 + ``CONTRACTION_SLACK``, else
-    clipped exactly; a clipped operator's bounds are unknown.  A block
-    object shared by several operators (see ``quantize``) is screened once,
-    and the clipped operators share the result.
+    1 + ``CONTRACTION_SLACK`` is returned itself, with no decomposition, and
+    a block object that several operators share (see ``quantize``) stays
+    shared.  Any other block, one with an unknown bound included, is
+    decomposed by SVD and kept if its norm is at most
+    1 + ``CONTRACTION_SLACK``, else clipped exactly; a clipped operator's
+    bounds are unknown.
     """
-    clipped: Dict[int, Array] = {}  # by the id of the input block
     out = []
     for op in ops:
-        for b, bound in zip(op.blocks, op.bounds, strict=True):
-            if id(b) not in clipped:
-                clipped[id(b)] = (b if bound <= 1.0 + CONTRACTION_SLACK
-                                  else _clipped(b))
-        blocks = tuple(clipped[id(b)] for b in op.blocks)
+        blocks = tuple(b if bound <= 1.0 + CONTRACTION_SLACK else _clipped(b)
+                       for b, bound in zip(op.blocks, op.bounds, strict=True))
         same = all(new is old for new, old in zip(blocks, op.blocks))
         out.append(op if same else TruncOp(op.modes, op.dim, blocks))
     return tuple(out)
@@ -321,8 +315,9 @@ class KBalanceReport:
 
 def kbalance_report(a: TruncOp, b: TruncOp, cut: TailCutoff) -> KBalanceReport:
     """The twelve balanced-pair residuals in the tail seminorm at the cutoff
-    M (``TailCutoff.band_masks`` raises ``ValueError`` unless M is below the
-    mode count; a cutoff at or beyond the band end yields an empty band).
+    M (``TailCutoff.band_masks`` raises ``ValueError`` unless M is at least
+    0 and below the mode count; a cutoff at or beyond the band end yields an
+    empty band).
 
     Every residual of block-diagonal operators is block-diagonal, so each is
     the largest of its block residuals.  Only the band columns and rows of

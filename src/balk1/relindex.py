@@ -339,13 +339,15 @@ def rel_index(a: TruncOp, b: TruncOp, cut: TailCutoff, formula: str,
 
 @dataclass
 class IndexReport:
-    """Analytic and topological indices with the supporting diagnostics."""
+    """Analytic and topological indices with the supporting diagnostics.
+    The field order is the key order of the JSON that ``balk1 index``
+    prints."""
 
     analytic_svd: int
     analytic_fedosov: int
     topological: int
-    residuals: Dict[str, float]
     verdict: bool
+    residuals: Dict[str, float]
     details: Dict[str, Dict[str, Dict[int, int]]]
 
 
@@ -424,10 +426,13 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
     them), else the quantized ``split_symbol``; with neither the pipeline
     fails at stage ``splitting_projection``.  ``tail_cutoff`` overrides the
     default mode cutoff N/2 at the base size and is doubled along with it;
-    it must be below ``modes``, else ``ValueError`` is raised before any
-    stage runs.  Each mode count runs in its own call (``_mode_count``), so
-    nothing dense from the first is alive during the second.
+    it must be at least 0 and below ``modes``, else ``ValueError`` is
+    raised before any stage runs.  Each mode count runs in its own call
+    (``_mode_count``), so nothing dense from the first is alive during the
+    second.
     """
+    if tail_cutoff is not None and tail_cutoff < 0:
+        raise ValueError(f"tail cutoff {tail_cutoff} must be at least 0")
     if tail_cutoff is not None and tail_cutoff >= modes:
         raise ValueError(f"tail cutoff {tail_cutoff} must be below the mode "
                          f"count {modes}")
@@ -457,5 +462,5 @@ def verify_index_theorem(sp: SymbolPair, modes: int,
     all_values = [values[f][e][n] for f in _FORMULAS
                   for e in ("svd", "fedosov") for n in (modes, top_n)]
     verdict = all(v == topological for v in all_values)
-    return IndexReport(analytic_svd, analytic_fedosov, topological,
-                       residuals, verdict, values)
+    return IndexReport(analytic_svd, analytic_fedosov, topological, verdict,
+                       residuals, values)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .balanced import BalancedPair
 from .loops import LoopPair, MatrixLoop, SplitSymbol, SymbolPair
-from .relindex import IndexReport
 
 PARAM_DOMAIN = "glued-0-pi/2"
 
@@ -107,19 +106,6 @@ def symbol_pair_from_dict(data: dict) -> Tuple[SymbolPair, SplitSymbol]:
     split = _object(data["split"], "field 'split'", ("plus", "minus"))
     return sp, (loop_from_dict(split["plus"], "split.plus"),
                 loop_from_dict(split["minus"], "split.minus"))
-
-
-def index_report_to_dict(rep: IndexReport) -> dict:
-    return {
-        "analytic_svd": rep.analytic_svd,
-        "analytic_fedosov": rep.analytic_fedosov,
-        "topological": rep.topological,
-        "verdict": rep.verdict,
-        "residuals": {k: float(v) for k, v in rep.residuals.items()},
-        "details": {f: {e: {str(n): v for n, v in series.items()}
-                        for e, series in engines.items()}
-                    for f, engines in rep.details.items()},
-    }
 
 
 def dump_json(payload: dict, path: str) -> None:

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParseError
 from ..relations import REL1, REL2_NAMES, RELATIONS
-from .algebra import StarPoly, format_poly
+from .algebra import StarPoly
 from .membership import (MembershipCertificate, RelationIdeal, ideal_member,
                          certificate_is_valid)
 from .parsing import parse
@@ -281,23 +281,6 @@ def default_suite() -> List[SuiteEntry]:
 
 
 # -- suite files ---------------------------------------------------------------
-
-
-def format_suite(entries: Sequence[SuiteEntry]) -> str:
-    """Render entries in the stanza text format (one blank line between)."""
-    blocks = []
-    for e in entries:
-        if e.ideal.name in ("rel1", "rel2", "none"):
-            ideal_line = e.ideal.name
-        else:
-            ideal_line = "custom: " + " ; ".join(format_poly(g)
-                                                 for g in e.ideal.generators)
-        lines = [f"name: {e.name}", f"ideal: {ideal_line}"]
-        if e.bound is not None:
-            lines.append(f"bound: {e.bound}")
-        lines.append(f"target: {format_poly(e.target)}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
 
 
 def _field(stanza: str, read, text: str):

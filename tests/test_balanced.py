@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from balk1.balanced import (BalancedPair, HomotopyPath, PATH_KINDS, bump_from_one,
-                            canonical_unitary, check_balanced, evaluate,
+                            canonical_unitary, check_balanced, evaluator,
                             flat_circle_map, homotopy_eval,
                             make_c, random_balanced_pair, relation_matrices,
                             relation_residuals, unitalization_pair,
@@ -55,7 +55,7 @@ def test_swapped_diagonal_not_balanced():
 
 def test_shape_mismatch():
     with pytest.raises(ShapeError):
-        check_balanced(np.eye(2), np.eye(3))
+        check_balanced(np.eye(2), np.eye(3), 1e-10)
 
 
 def test_random_pairs_satisfy_derived_rel2_bound():
@@ -159,9 +159,9 @@ THETAS = np.linspace(0.0, 2 * np.pi, 25)
 def suite_norms(suite, pair):
     """The norm of every suite target at the pair, the largest over a grid of
     theta for the central symbols (s, c) = (sin theta, cos theta)."""
-    return {e.name: float(stack_opnorm(evaluate(e.target, pair.a, pair.b,
-                                                np.sin(THETAS),
-                                                np.cos(THETAS))).max())
+    value = evaluator(pair.a, pair.b)
+    return {e.name: float(stack_opnorm(value(e.target, np.sin(THETAS),
+                                             np.cos(THETAS))).max())
             for e in suite}
 
 
@@ -190,7 +190,7 @@ def test_pinned_certificates_evaluate_to_their_targets():
     rng = np.random.default_rng(11)
     pairs = [tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                    for _ in "ab") for _ in range(2)]
-    assert not any(check_balanced(a, b).balanced for a, b in pairs)
+    assert not any(check_balanced(a, b, 1e-10).balanced for a, b in pairs)
     rows = json.loads(PINNED.read_text(encoding="utf-8"))
     assert len(rows) == 65
     for row in rows:
@@ -199,7 +199,7 @@ def test_pinned_certificates_evaluate_to_their_targets():
                                      tuple(c["generators"]),
                                      tuple(CertTerm(*t) for t in c["terms"]))
         for a, b in pairs:
-            got, want = (evaluate(poly, a, b, np.sin(THETAS), np.cos(THETAS))
+            got, want = (evaluator(a, b)(poly, np.sin(THETAS), np.cos(THETAS))
                          for poly in (replay_certificate(cert), parse(c["target"])))
             error = stack_opnorm(got - want).max() / stack_opnorm(want).max()
             assert error <= 1e-9, (row["name"], error)
@@ -235,12 +235,13 @@ def test_evaluate_reads_words_centrals_and_coefficients():
     a = np.array([[0.0, 1.0], [2.0, 3.0]])
     b = np.array([[1.0, 0.0], [1j, 1.0]])
     s, c = np.array([0.0, 0.6]), np.array([1.0, 0.8])
-    value = evaluate(parse("(1/2 + i)·s·c^2·a·b* - b + 3"), a, b, s, c)
+    value = evaluator(a, b)(parse("(1/2 + i)·s·c^2·a·b* - b + 3"), s, c)
     expected = [(0.5 + 1j) * si * ci ** 2 * a @ b.conj().T - b + 3 * np.eye(2)
                 for si, ci in zip(s, c)]
     assert value.shape == (2, 2, 2)
     assert np.abs(value - np.array(expected)).max() <= 1e-15
-    assert np.array_equal(evaluate(parse("0"), a, b), np.zeros((2, 2)))
+    assert np.array_equal(evaluator(a, b)(parse("0"), 0.0, 1.0),
+                          np.zeros((2, 2)))
 
 
 def test_path_kinds_validate():
@@ -389,8 +390,8 @@ def test_path_checks_are_bitwise_the_recorded_ones(kind):
     for pair in pairs:
         for row in itertools.chain(*path_pair(kind)):
             for x in row:
-                values.update(evaluate(x, pair.a, pair.b, np.sin(ts),
-                                       np.cos(ts)).tobytes())
+                values.update(evaluator(pair.a, pair.b)(
+                    x, np.sin(ts), np.cos(ts)).tobytes())
     assert values.hexdigest()[:16] == want_values
 
 
@@ -410,7 +411,7 @@ def test_direct_sum_of_balanced_pairs():
     b = np.block([[p1.b, np.zeros((2, 3))], [np.zeros((3, 2)), p2.b]])
     rep = check_balanced(a, b, tol=1e-10)
     assert rep.balanced
-    expected = max(check_balanced(p.a, p.b).max_rel1 for p in (p1, p2))
+    expected = max(check_balanced(p.a, p.b, 1e-10).max_rel1 for p in (p1, p2))
     assert rep.max_rel1 <= expected + 1e-14
 
 

@@ -163,10 +163,13 @@ def test_loop_pair_command(runner, tmp_path):
     assert "--tol" not in runner.invoke(main, ["loop-pair", "--help"]).output
 
 
+# one entry of the built-in suite, as a suite file holds it
+CARRY_SUITE = "name: carry:bc-a\nideal: rel1\ntarget: -a + b + b·b*·a - b·b*·b\n"
+
+
 def test_verify_identities_subset(runner, tmp_path):
-    entries = [e for e in suites.default_suite() if e.name.startswith("carry")]
     suite_path = tmp_path / "suite.txt"
-    suite_path.write_text(suites.format_suite(entries))
+    suite_path.write_text(CARRY_SUITE)
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["verify-identities", str(suite_path),
                                   "--out", str(out)])
@@ -308,6 +311,14 @@ def test_make_pair_commands(runner, tmp_path):
     assert check.exit_code == 0
 
 
+def test_make_pair_rejects_a_negative_seed_by_its_option(runner, tmp_path):
+    out = tmp_path / "pair.json"
+    result = runner.invoke(main, ["make-pair", "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not out.exists()
+
+
 def test_make_pair_rejects_bad_delta(runner, tmp_path):
     result = runner.invoke(main, ["make-pair", "--delta", "0.9",
                                   "--out", str(tmp_path / "x.json")])
@@ -403,6 +414,9 @@ def test_loop_pair_file_round_trips_through_index(runner, tmp_path):
                                   "--out", str(out)])
     assert result.exit_code == 0, result.output
     payload = json.loads(out.read_text())
+    # the report's field order sets the key order of the JSON
+    assert list(payload) == ["analytic_svd", "analytic_fedosov", "topological",
+                             "verdict", "residuals", "details"]
     values = [v for engines in payload["details"].values()
               for series in engines.values() for v in series.values()]
     assert payload["verdict"] and payload["topological"] == -1
@@ -479,7 +493,7 @@ def assert_usage_error(result):
 def test_out_under_a_missing_directory_is_a_usage_error(runner, pair_file,
                                                         tmp_path, args):
     suite_path = tmp_path / "suite.txt"
-    suite_path.write_text(suites.format_suite(suites.default_suite()[:1]))
+    suite_path.write_text(CARRY_SUITE)
     args = [pair_file if a == "PAIR" else str(suite_path) if a == "SUITE"
             else a for a in args]
     out = tmp_path / "missing" / "out.json"

@@ -101,14 +101,14 @@ def test_stack_opnorm_matches_svd_on_subnormal_stacks(unit, shape):
 def test_func_calc_identity_function():
     # the identity function through the spectral decomposition rebuilds u
     u = random_unitary(5, 11)
-    eigs, q = eig_unitary(u)
+    eigs, q = eig_unitary(u, tol=1e-8)
     assert np.allclose(np.abs(eigs), 1.0)
     assert opnorm(q.conj().T @ q - np.eye(5)) < 1e-12
     assert opnorm((q * eigs) @ q.conj().T - u) < 1e-10
 
 
 def test_func_calc_square_on_diag():
-    eigs, q = eig_unitary(np.diag([1.0, -1.0]).astype(complex))
+    eigs, q = eig_unitary(np.diag([1.0, -1.0]).astype(complex), tol=1e-8)
     assert np.allclose((q * eigs ** 2) @ q.conj().T, np.eye(2))
 
 
@@ -132,7 +132,7 @@ EIG_CASES = {
 def assert_decomposes(u):
     """q is unitary, q diag(eigs) q* rebuilds u and |eigs| = 1."""
     n = u.shape[0]
-    eigs, q = eig_unitary(u)
+    eigs, q = eig_unitary(u, tol=1e-8)
     assert eigs.shape == (n,) and q.shape == (n, n)
     assert opnorm(q.conj().T @ q - np.eye(n)) < 1e-12
     assert opnorm((q * eigs) @ q.conj().T - u) < 1e-10
@@ -150,7 +150,7 @@ def test_eig_unitary_decomposes_special_spectra(name):
 def test_eig_unitary_decomposes_haar_unitaries():
     for n in range(1, 65):
         assert_decomposes(random_unitary(n, n))
-    eigs, q = eig_unitary(np.zeros((0, 0)))
+    eigs, q = eig_unitary(np.zeros((0, 0)), tol=1e-8)
     assert eigs.shape == (0,) and q.shape == (0, 0)
 
 
@@ -171,7 +171,7 @@ def test_func_calc_flattened_circle_map():
     from balk1.balanced import flat_circle_map
     delta = 0.2
     u = np.diag([np.exp(1j * np.pi / 4)])
-    eigs, q = eig_unitary(u)
+    eigs, q = eig_unitary(u, tol=1e-8)
     f = (q * np.exp(1j * flat_circle_map(np.angle(eigs), delta))) @ q.conj().T
     assert opnorm(f - u) < delta
     assert opnorm(f.conj().T @ f - np.eye(1)) < 1e-8
@@ -179,8 +179,8 @@ def test_func_calc_flattened_circle_map():
 
 def test_func_calc_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
-        eig_unitary(np.diag([2.0, 1.0]).astype(complex))
+        eig_unitary(np.diag([2.0, 1.0]).astype(complex), tol=1e-8)
     with pytest.raises(NotUnitaryError):
-        eig_unitary(np.full((2, 2), np.nan + 0j))
+        eig_unitary(np.full((2, 2), np.nan + 0j), tol=1e-8)
     with pytest.raises(ShapeError):
-        eig_unitary(np.ones((2, 3)))
+        eig_unitary(np.ones((2, 3)), tol=1e-8)

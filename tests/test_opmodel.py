@@ -30,7 +30,7 @@ def identity_loop(dim, grid):
 
 def test_quantize_constant_identity():
     op = quantize_symbol(identity_loop(2, 128), identity_loop(2, 128), 16)
-    assert np.allclose(op.matrix, np.eye(op.size))
+    assert np.allclose(op.matrix, np.eye(sum(op.sizes)))
 
 
 def test_quantize_one_turn_is_forward_shift():
@@ -172,9 +172,9 @@ def test_clip_random_overshoot():
                          ids=["standard-1-0", "standard-2-2"])
 def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
     """A loop of the second member equal to the first member's is quantized
-    and screened once: the - block of every standard pair, and both blocks
-    when p = q.  Each shared block is bitwise the quantization of its loop
-    alone, with its bound."""
+    once: the - block of every standard pair, and both blocks when p = q.
+    Each shared block is bitwise the quantization of its loop alone, with
+    its bound, and clipping by the bounds keeps it shared."""
     sp = standard_symbol_pair(*pq, 2048)
     d1, d2 = quantize(sp, 128)
     assert [x is y for x, y in zip(d1.blocks, d2.blocks)] == shared
@@ -188,10 +188,10 @@ def test_equal_loops_share_their_blocks(pq, shared, monkeypatch):
                         lambda m: screened.append(m) or clipped(m))
     assert clip_to_contraction(d1, d2) == (d1, d2)
     assert screened == []  # every block is certified by its bound
-    # without bounds every distinct block object is decomposed once
+    # without bounds every block of every operator is decomposed
     unbounded = [TruncOp(d.modes, d.dim, d.blocks) for d in (d1, d2)]
     c1, c2 = clip_to_contraction(*unbounded)
-    assert len(screened) == 4 - sum(shared)
+    assert len(screened) == 4
     assert c1 is unbounded[0] and c2 is unbounded[1]
 
 
@@ -260,13 +260,15 @@ def test_clip_certificate_catches_a_norm_just_above_one(monkeypatch):
 
 
 def test_clip_shares_a_clipped_block_without_writing_into_it():
+    """A block object that two operators share and that needs clipping is
+    clipped for each of them, to equal results, and is not written into."""
     rng = np.random.default_rng(3)
     big = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     big *= 1.5 / opnorm(big)
     kept = big.copy()
     ops = [TruncOp(1, 3, (big, np.eye(6) * s)) for s in (1.0, 0.5)]
     c1, c2 = clip_to_contraction(*ops)
-    assert c1.blocks[0] is c2.blocks[0]
+    assert np.array_equal(c1.blocks[0], c2.blocks[0])
     assert opnorm(c1.blocks[0]) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(big, kept)
     assert c1.blocks[1] is ops[0].blocks[1] and c2.blocks[1] is ops[1].blocks[1]
@@ -281,6 +283,21 @@ def test_tail_seminorm_band():
     assert np.concatenate(TailCutoff(12).band_masks(16, 1)).sum() == 0
     with pytest.raises(ValueError, match="below the mode count"):
         TailCutoff(16).band_masks(16, 1)
+
+
+def test_a_negative_cutoff_is_rejected_by_every_stage_that_reads_it():
+    """A cutoff below 0 has an empty interior window; the band masks, the
+    k-balance report and the split records refuse it."""
+    sp = standard_symbol_pair(1, 0, 1024)
+    d1, d2 = quantize(sp, 64)
+    split = splitting_projection(sp, 64, standard_split_symbol(1024))
+    cut = TailCutoff(-1)
+    with pytest.raises(ValueError, match="cutoff -1 must be at least 0"):
+        cut.band_masks(64, 2)
+    with pytest.raises(ValueError, match="at least 0"):
+        kbalance_report(d1, d2, cut)
+    with pytest.raises(ValueError, match="at least 0"):
+        opmodel.split_blocks(d1, d2, split, cut)
 
 
 def dense_relations(am, bm):
@@ -393,7 +410,7 @@ def test_hardy_isometry_modulo_tail():
     minus = scalar_loop(lambda t: 1.0, grid)
     for modes in (32, 64):
         op = quantize_symbol(plus, minus, modes)
-        defect = np.eye(op.size) - op.matrix.conj().T @ op.matrix
+        defect = np.eye(sum(op.sizes)) - op.matrix.conj().T @ op.matrix
         cut = TailCutoff(modes // 2)
         mask = np.concatenate(cut.band_masks(modes, 1))
         assert opnorm(defect[np.ix_(mask, mask)]) < 1e-10

@@ -88,6 +88,19 @@ def test_blocks_and_weights_must_pair_up():
         engine_values([f, f], [np.ones(4)], [np.ones(5)])
 
 
+def test_index_rejects_a_negative_tail_cutoff_before_any_stage(monkeypatch):
+    """A cutoff below 0 leaves the interior window empty, where every
+    analytic integer reads 0; it is refused before anything is quantized."""
+    def no_quantize(*args, **kwargs):
+        raise AssertionError("quantized before rejecting the cutoff")
+
+    monkeypatch.setattr(relindex, "quantize", no_quantize)
+    with pytest.raises(ValueError, match="tail cutoff -5 must be at least 0"):
+        verify_index_theorem(standard_symbol_pair(1, 0, 1024), 64,
+                             split_symbol=standard_split_symbol(1024),
+                             tail_cutoff=-5)
+
+
 def test_count_gap_reports_the_cut_margin():
     f = random_unitary(3, 7) @ np.diag([1.0, 0.5, 1e-6])
     values = one_block(f)

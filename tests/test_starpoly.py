@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balk1.balanced import check_balanced, evaluate
+from balk1.balanced import check_balanced, evaluator
 from balk1.errors import DegreeBoundError, ParseError
 from balk1.numkern import opnorm, random_unitary
 from balk1.starpoly import (GaussianRational, StarPoly, certificate_is_valid,
-                            default_suite, format_poly, format_suite,
+                            default_suite, format_poly,
                             ideal_by_name, ideal_member, parse, parse_suite,
                             rel1_ideal, rel2_ideal, replay_certificate,
                             verify_identity_suite)
@@ -417,8 +417,8 @@ def test_membership_not_found_for_difference():
     assert ideal_member(A - B, rel1_ideal(), 8) is None
     # the witness for every degree bound: (u, 1), u unitary, is balanced
     u, one = random_unitary(3, 1), np.eye(3)
-    assert check_balanced(u, one).balanced
-    assert opnorm(evaluate(A - B, u, one)) > 1
+    assert check_balanced(u, one, 1e-10).balanced
+    assert opnorm(evaluator(u, one)(A - B, 0.0, 1.0)) > 1
 
 
 def test_crossed_defect_products_are_not_members():
@@ -428,7 +428,7 @@ def test_crossed_defect_products_are_not_members():
     # b = -a is balanced, yet the crossed product is 2a there
     a = np.array([[0, 0], [1, 0]], dtype=complex)
     assert check_balanced(a, -a, tol=1e-14).balanced
-    assert opnorm(evaluate(crossed, a, -a)) == pytest.approx(2.0)
+    assert opnorm(evaluator(a, -a)(crossed, 0.0, 1.0)) == pytest.approx(2.0)
 
 
 def test_target_with_modulus_in_denominator_falls_back_to_exact(monkeypatch):
@@ -471,10 +471,11 @@ def test_modular_hit_without_exact_solution_is_rejected(monkeypatch):
     # the witness: at the balanced pair (u, 1) the member b·c - a vanishes,
     # so the target is P (u - 1) there
     u, one = random_unitary(3, 1), np.eye(3)
-    assert check_balanced(u, one).balanced
-    member = evaluate(B * canonical_unitary_poly() - A, u, one)
+    assert check_balanced(u, one, 1e-10).balanced
+    value = evaluator(u, one)
+    member = value(B * canonical_unitary_poly() - A, 0.0, 1.0)
     assert opnorm(member) < 1e-12 and opnorm(u - one) > 1
-    assert opnorm(evaluate(target, u, one) - membership.P * (u - one)) \
+    assert opnorm(value(target, 0.0, 1.0) - membership.P * (u - one)) \
         < 1e-12 * membership.P
 
 
@@ -489,8 +490,8 @@ def test_central_generator_member_and_non_member():
     # and a - b does not
     a, b = np.eye(1), np.zeros((1, 1))
     for g in entry.ideal.effective_generators():
-        assert not evaluate(g, a, b, s=0.0, c=1.0).any()
-    assert opnorm(evaluate(A - B, a, b, s=0.0, c=1.0)) == 1.0
+        assert not evaluator(a, b)(g, 0.0, 1.0).any()
+    assert opnorm(evaluator(a, b)(A - B, 0.0, 1.0)) == 1.0
 
 
 _REL1_GENERATORS = rel1_ideal().effective_generators()
@@ -720,16 +721,6 @@ def test_intermediate_identity_over_rel2():
     qb = ONE - B.star * B
     cert = ideal_member(qa * qb - qa * qa, rel2_ideal(), 6)
     assert cert is not None and certificate_is_valid(cert)
-
-
-def test_suite_file_roundtrip():
-    entries = default_suite()
-    parsed = parse_suite(format_suite(entries))
-    assert len(parsed) == len(entries)
-    for got, expected in zip(parsed, entries):
-        assert got.name == expected.name
-        assert got.target == expected.target
-        assert got.effective_bound() == expected.effective_bound()
 
 
 def test_suite_parse_rejects_missing_fields():
