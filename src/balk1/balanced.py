@@ -111,10 +111,6 @@ class BalanceReport:
     def max_rel1(self) -> float:
         return max(self.rel1.values())
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_rel1, max(self.rel2.values()))
-
 
 def check_tolerance(tol: float) -> None:
     """Raise ``ValueError`` unless the residual tolerance is at least 0 (a

@@ -1,10 +1,12 @@
 """Matrix-valued loops on the circle and the topological index of symbol pairs.
 
-Loops are sampled on the glued parameter interval [0, pi/2) at N uniform
-points; sample 0 represents both endpoints.  A LoopPair is a pair of loops,
-which the constructions here validate as pointwise balanced to ``PAIR_TOL``;
-a SymbolPair carries one LoopPair per cosphere direction (+1 for
-nonnegative Fourier modes, -1 for negative ones).
+Loops are sampled on the glued parameter interval [0, pi/2) at the N
+uniform points of ``sample_times(N)``; sample 0 represents both endpoints.
+Every construction evaluates its functions once on that whole array.  A
+LoopPair is a pair of loops, which the constructions here validate as
+pointwise balanced to ``PAIR_TOL``; a SymbolPair carries one LoopPair per
+cosphere direction (+1 for nonnegative Fourier modes, -1 for negative
+ones).
 
 The orientation convention lives in exactly one place: ``topo_index``
 returns  wind(det c_minus) - wind(det c_plus)  where c = 1 + sigma2*(sigma1
@@ -54,16 +56,6 @@ class MatrixLoop:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    @staticmethod
-    def from_function(fn: Callable[[float], Array], grid: int) -> "MatrixLoop":
-        ts = HALF_PI * np.arange(grid) / grid
-        first = np.atleast_2d(np.asarray(fn(float(ts[0])), dtype=np.complex128))
-        out = np.empty((grid, *first.shape), dtype=np.complex128)
-        out[0] = first
-        for k in range(1, grid):
-            out[k] = np.atleast_2d(np.asarray(fn(float(ts[k])), dtype=np.complex128))
-        return MatrixLoop(out)
 
     @staticmethod
     def constant(matrix: Array, grid: int) -> "MatrixLoop":
@@ -133,29 +125,40 @@ class SymbolPair:
 # -- constructions ----------------------------------------------------------------
 
 
-def rotation_2x2(t: float) -> Array:
+def sample_times(grid: int) -> np.ndarray:
+    """The grid t_k = (pi/2) k / grid, k < grid, of the glued interval."""
+    return HALF_PI * np.arange(grid) / grid
+
+
+def _on_times(fn: Callable[[np.ndarray], Array], ts: np.ndarray) -> np.ndarray:
+    """fn called once on the array ts; a constant result is broadcast."""
+    return np.broadcast_to(np.asarray(fn(ts), dtype=np.complex128), ts.shape)
+
+
+def rotation_2x2(t: np.ndarray) -> Array:
     c, s = np.cos(t), np.sin(t)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def rotating_diagonal_pair(alpha: Callable[[float], complex],
-                           beta: Callable[[float], complex],
-                           gamma: Callable[[float], complex],
+def rotating_diagonal_pair(alpha: Callable[[np.ndarray], Array],
+                           beta: Callable[[np.ndarray], Array],
+                           gamma: Callable[[np.ndarray], Array],
                            grid: int) -> LoopPair:
     """The 2x2 pair (U* diag(alpha, gamma) U, U* diag(beta, gamma) U).
 
     alpha and beta must be unimodular, gamma strictly contractive on the
-    open interval, and all three equal to 1 at both glued endpoints.  The
+    open interval, and all three equal to 1 at both glued endpoints.  Each
+    is called once on the array of grid times and the far endpoint.  The
     pair is balanced pointwise because the unimodular entries contribute no
     defect and the shared gamma entry cancels in every relation; it is
     validated to ``PAIR_TOL``.
     """
-    ts = HALF_PI * np.arange(grid) / grid
+    ts = sample_times(grid)
     values = {}
     for name, fn, unimodular in (("alpha", alpha, True), ("beta", beta, True),
                                  ("gamma", gamma, False)):
         # the grid points, then the far glued endpoint
-        at = np.array([complex(fn(float(t))) for t in ts] + [complex(fn(HALF_PI))])
+        at = _on_times(fn, np.append(ts, HALF_PI))
         for endpoint, value in ((0.0, at[0]), (HALF_PI, at[-1])):
             if abs(value - 1.0) > 1e-9:
                 raise ConstraintError(
@@ -178,17 +181,17 @@ def rotating_diagonal_pair(alpha: Callable[[float], complex],
     return LoopPair(s1, s2).validate(PAIR_TOL)
 
 
-def default_gamma(t: float) -> complex:
+def default_gamma(t: np.ndarray) -> np.ndarray:
     return 1.0 - np.sin(2.0 * t) / 2.0
 
 
-def turn(p: int) -> Callable[[float], complex]:
+def turn(p: int) -> Callable[[np.ndarray], np.ndarray]:
     """t -> exp(4 i p t): p full loop turns over the glued interval."""
     return lambda t: np.exp(4j * p * t)
 
 
 def standard_symbol_pair(p: int, q: int, grid: int,
-                         gamma: Optional[Callable[[float], complex]] = None
+                         gamma: Optional[Callable[[np.ndarray], Array]] = None
                          ) -> SymbolPair:
     """Symbol pair carried entirely on the + direction: the rotating diagonal
     pair with alpha, beta turning p and q times, identity on the - direction."""
@@ -208,35 +211,26 @@ def standard_split_symbol(grid: int) -> SplitSymbol:
 
 
 def vanishing_point_pair(grid: int,
-                         h: Optional[Callable[[float], float]] = None
+                         h: Optional[Callable[[np.ndarray], Array]] = None
                          ) -> LoopPair:
     """Scalar balanced pair (h e^{i chi}, h) whose entries vanish at sample 0.
 
     The default modulus h ramps smoothly 0 -> 1 -> 0 over the glued interval
     and the phase chi makes one full turn supported where h is exactly 1, so
     the pair is balanced to machine precision at every sample; it is
-    validated to 1e-12.
+    validated to 1e-12.  A given h is called once on the grid times.
     """
+    ts = sample_times(grid)
     if h is None:
-        def h(t: float) -> float:
-            x = np.clip(t / (np.pi / 8), 0.0, 1.0)
-            y = np.clip((HALF_PI - t) / (np.pi / 8), 0.0, 1.0)
-            ramp = lambda z: z * z * (3 - 2 * z)
-            return float(ramp(x) * ramp(y))
-
-    def chi(t: float) -> float:
-        lo, hi = np.pi / 8, 3 * np.pi / 8
-        x = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
-        return float(2 * np.pi * x * x * (3 - 2 * x))
-
-    def a_fn(t: float) -> Array:
-        return np.array([[h(t) * np.exp(1j * chi(t))]])
-
-    def b_fn(t: float) -> Array:
-        return np.array([[h(t) + 0j]])
-
-    s1 = MatrixLoop.from_function(a_fn, grid)
-    s2 = MatrixLoop.from_function(b_fn, grid)
+        x = np.clip(ts / (np.pi / 8), 0.0, 1.0)
+        y = np.clip((HALF_PI - ts) / (np.pi / 8), 0.0, 1.0)
+        modulus = x * x * (3 - 2 * x) * (y * y * (3 - 2 * y))
+    else:
+        modulus = _on_times(h, ts)
+    x = np.clip((ts - np.pi / 8) / (3 * np.pi / 8 - np.pi / 8), 0.0, 1.0)
+    chi = 2 * np.pi * x * x * (3 - 2 * x)
+    s1 = MatrixLoop((modulus * np.exp(1j * chi))[:, np.newaxis, np.newaxis])
+    s2 = MatrixLoop(modulus[:, np.newaxis, np.newaxis])
     return LoopPair(s1, s2).validate(1e-12)
 
 
@@ -248,27 +242,23 @@ def subbundle_projection_loop(grid: int) -> MatrixLoop:
     completing the extra half turn, which makes the loop a genuinely
     continuous projection field on the circle.
     """
+    ts = sample_times(grid)
     window = RAMP_HALF_WIDTH
     lo = HALF_PI - window
-
-    def angle(t: float) -> float:
-        if window <= t <= lo:
-            return t
-        # wrapped coordinate through the glued endpoint, x in [0, 1]
-        x = (t - lo) / (2 * window) if t > lo else (t + window) / (2 * window)
-        psi0, psi1 = lo, np.pi + window
-        m = 2 * window  # endpoint slope matching d(psi)/dx = slope * dt/dx
-        h00 = 3 * x * x - 2 * x ** 3
-        h10 = x ** 3 - 2 * x * x + x
-        h11 = x ** 3 - x * x
-        return psi0 + (psi1 - psi0) * h00 + m * (h10 + h11)
-
-    def proj(t: float) -> Array:
-        psi = angle(t)
-        vec = np.array([np.cos(psi), -np.sin(psi)], dtype=np.complex128)
-        return np.outer(vec, vec.conj())
-
-    return MatrixLoop.from_function(proj, grid)
+    # wrapped coordinate through the glued endpoint, x in [0, 1]
+    x = np.where(ts > lo, (ts - lo) / (2 * window), (ts + window) / (2 * window))
+    # C pow, which Python's float x ** 3 calls; numpy's x ** 3 differs in
+    # the last bit, which would move the pinned samples
+    cube = np.float_power(x, 3)
+    h00 = 3 * x * x - 2 * cube
+    h10 = cube - 2 * x * x + x
+    h11 = cube - x * x
+    psi0, psi1 = lo, np.pi + window
+    m = 2 * window  # endpoint slope matching d(psi)/dx = slope * dt/dx
+    ramp = psi0 + (psi1 - psi0) * h00 + m * (h10 + h11)
+    psi = np.where((window <= ts) & (ts <= lo), ts, ramp)
+    vec = np.stack((np.cos(psi), -np.sin(psi)), axis=-1).astype(np.complex128)
+    return MatrixLoop(vec[:, :, np.newaxis] * vec.conj()[:, np.newaxis, :])
 
 
 # -- winding and the topological index ----------------------------------------------

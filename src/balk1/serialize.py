@@ -104,8 +104,13 @@ def symbol_pair_from_dict(data: dict) -> Tuple[SymbolPair, SplitSymbol]:
     sp = SymbolPair(loop_pair_from_dict(data["plus"], "plus"),
                     loop_pair_from_dict(data["minus"], "minus"))
     split = _object(data["split"], "field 'split'", ("plus", "minus"))
-    return sp, (loop_from_dict(split["plus"], "split.plus"),
-                loop_from_dict(split["minus"], "split.minus"))
+    plus, minus = (loop_from_dict(split[key], f"split.{key}")
+                   for key in ("plus", "minus"))
+    for key, loop in (("plus", plus), ("minus", minus)):
+        if loop.dim != sp.dim:
+            raise ValueError(f"field 'split.{key}' holds {loop.dim}x{loop.dim} "
+                             f"loops; the symbol pair has dimension {sp.dim}")
+    return sp, (plus, minus)
 
 
 def dump_json(payload: dict, path: str) -> None:

@@ -269,14 +269,9 @@ def default_suite() -> List[SuiteEntry]:
         rel2_ideal()))
     entries += [SuiteEntry(name, target, rel1)
                 for name, target in c_identities().items()]
-    for kind in PATH_KINDS:
-        for name, target in pair_relation_entries(*path_pair(kind),
-                                                  prefix=f"double-{kind}"):
-            if target.is_zero:
-                entries.append(SuiteEntry(name, target,
-                                          ideal_by_name("none"), bound=0))
-            else:
-                entries.append(SuiteEntry(name, target, rel1))
+    entries += [SuiteEntry(name, target, rel1) for kind in PATH_KINDS
+                for name, target in pair_relation_entries(
+                    *path_pair(kind), prefix=f"double-{kind}")]
     return entries
 
 

@@ -178,6 +178,21 @@ def test_verify_identities_subset(runner, tmp_path):
     assert payload["ok"]
 
 
+def test_verify_identities_without_a_path_certifies_the_builtin_suite(
+        runner, monkeypatch):
+    """With no suite path the command certifies ``default_suite()``, here
+    cut to its first three entries."""
+    entries = suites.default_suite()[:3]
+    monkeypatch.setattr(suites, "default_suite", lambda: entries)
+    result = runner.invoke(main, ["verify-identities"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == len(entries)
+    for line, entry in zip(lines, entries):
+        assert line.startswith(f"{entry.name}: certified (bound "
+                               f"{entry.effective_bound()}, "), line
+
+
 def test_verify_identities_uncertifiable_entry(runner, tmp_path):
     suite_path = tmp_path / "suite.txt"
     suite_path.write_text("name: difference\nideal: rel1\nbound: 6\ntarget: a - b\n")
@@ -223,18 +238,41 @@ def test_verify_identities_rejects_a_bad_bound_or_ideal(runner, tmp_path,
     assert f"error: {message}" in result.output
 
 
+@pytest.mark.parametrize("key", ["plus", "minus"])
+def test_a_split_loop_of_the_wrong_dimension_is_a_usage_error(runner, tmp_path,
+                                                              key):
+    path = tmp_path / "sp.json"
+    made = runner.invoke(main, ["loop-pair", "--grid", "256", "--out", str(path)])
+    assert made.exit_code == 0, made.output
+    data = json.loads(path.read_text())
+    loop = data["split"][key]
+    # the top-left entry of every sample: a 1x1 loop
+    loop["samples"] = [[row[:1] for row in sample[:1]]
+                       for sample in loop["samples"]]
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["index", str(path), "--modes", "32"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error:")
+    assert f"field 'split.{key}' holds 1x1 loops" in result.output
+
+
 def test_verify_identities_missing_file(runner):
     result = runner.invoke(main, ["verify-identities", "/nonexistent.txt"])
     assert result.exit_code == 2
 
 
 def test_bundled_suite_matches_builtin():
+    """The bundled file states the built-in suite entry for entry: name,
+    target, ideal and the bound the prover runs at."""
     text = resources.files("balk1").joinpath("data/default_suite.txt").read_text()
     parsed = suites.parse_suite(text)
     built = suites.default_suite()
     assert len(parsed) == len(built)
     for a, b in zip(parsed, built):
         assert a.name == b.name and a.target == b.target
+        assert a.ideal.name == b.ideal.name, a.name
+        assert a.ideal.generators == b.ideal.generators, a.name
+        assert a.effective_bound() == b.effective_bound(), a.name
 
 
 def test_index_requires_input_or_sweep(runner):
@@ -323,6 +361,13 @@ def test_make_pair_rejects_bad_delta(runner, tmp_path):
     result = runner.invoke(main, ["make-pair", "--delta", "0.9",
                                   "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("spec", ["0:0", "a:1,0:0", "0:1;0:1", "0:1,0:1,2:3"])
+def test_index_rejects_a_sweep_spec_it_cannot_parse(runner, spec):
+    result = runner.invoke(main, ["index", "--sweep", spec, "--modes", "8"])
+    assert result.exit_code == 2, result.output
+    assert f"error: cannot parse sweep spec {spec!r}" in result.output
 
 
 def test_index_sweep_csv(runner, tmp_path):

@@ -5,15 +5,15 @@ import pytest
 
 from balk1.errors import (ConstraintError, NotUnitaryError, ShapeError,
                           WindingError)
-from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, canonical_unitary_loop,
-                         default_gamma, rotating_diagonal_pair,
+from balk1.loops import (HALF_PI, RAMP_HALF_WIDTH, LoopPair, MatrixLoop,
+                         SymbolPair, canonical_unitary_loop,
+                         default_gamma, rotating_diagonal_pair, sample_times,
                          standard_symbol_pair, subbundle_projection_loop,
                          topo_index, turn, vanishing_point_pair, winding)
 
 
 def samples(fn, grid):
-    ts = np.pi / 2 * np.arange(grid) / grid
-    return fn(ts)
+    return fn(sample_times(grid))
 
 
 def test_winding_one_turn():
@@ -137,6 +137,51 @@ def test_vanishing_point_pair_constant_modulus():
     assert np.allclose(unit.sigma2.samples, 1.0)
 
 
+def one_time_at_a_time(fn, grid):
+    """The loop of fn called on each grid time as a Python float: the scalar
+    reference that the builders, which evaluate on the whole grid at once,
+    match bit for bit."""
+    return np.array([np.atleast_2d(fn(float(t))) for t in sample_times(grid)],
+                    dtype=np.complex128)
+
+
+def reference_projection(t):
+    window = RAMP_HALF_WIDTH
+    lo = HALF_PI - window
+    if not window <= t <= lo:
+        x = (t - lo) / (2 * window) if t > lo else (t + window) / (2 * window)
+        h00 = 3 * x * x - 2 * x ** 3
+        h10 = x ** 3 - 2 * x * x + x
+        h11 = x ** 3 - x * x
+        t = lo + (np.pi + window - lo) * h00 + 2 * window * (h10 + h11)
+    vec = np.array([np.cos(t), -np.sin(t)], dtype=np.complex128)
+    return np.outer(vec, vec.conj())
+
+
+def reference_vanishing_modulus(t):
+    ramp = lambda z: z * z * (3 - 2 * z)
+    return float(ramp(np.clip(t / (np.pi / 8), 0.0, 1.0))
+                 * ramp(np.clip((HALF_PI - t) / (np.pi / 8), 0.0, 1.0)))
+
+
+def reference_vanishing_phase(t):
+    x = np.clip((t - np.pi / 8) / (3 * np.pi / 8 - np.pi / 8), 0.0, 1.0)
+    return float(2 * np.pi * x * x * (3 - 2 * x))
+
+
+@pytest.mark.parametrize("grid", [64, 1024, 4098])
+def test_builders_match_their_scalar_reference_bit_for_bit(grid):
+    split = subbundle_projection_loop(grid).samples
+    vanishing = vanishing_point_pair(grid)
+    references = (
+        (split, reference_projection),
+        (vanishing.sigma1.samples, lambda t: reference_vanishing_modulus(t)
+         * np.exp(1j * reference_vanishing_phase(t))),
+        (vanishing.sigma2.samples, lambda t: reference_vanishing_modulus(t) + 0j))
+    for samples, fn in references:
+        assert samples.tobytes() == one_time_at_a_time(fn, grid).tobytes()
+
+
 def test_subbundle_projection_loop():
     loop = subbundle_projection_loop(512)
     for k in range(0, 512, 37):
@@ -171,6 +216,15 @@ def test_topo_index_rejects_one_non_finite_loop_object(bad):
                SymbolPair(lp, LoopPair(loop, loop))):
         with pytest.raises(NotUnitaryError, match="non-finite"):
             topo_index(sp)
+
+
+def test_topo_index_rejects_a_finite_unbalanced_pair():
+    """(1/2, 1) is finite but not balanced: its canonical loop c = 1/2 has
+    unitarity defect |c*c - 1| = 3/4."""
+    half, eye = (MatrixLoop.constant(x * np.eye(2), 64) for x in (0.5, 1.0))
+    sp = SymbolPair(LoopPair(half, eye), LoopPair(eye, eye))
+    with pytest.raises(NotUnitaryError, match="unitarity defect 7.500e-01"):
+        topo_index(sp)
 
 
 def test_loop_pair_shape_check():

@@ -8,8 +8,9 @@ from balk1 import opmodel
 from balk1.balanced import REL1_NAMES, REL2_NAMES
 from balk1.errors import ShapeError, SpectralGapError, UndersampledError
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
-                         rotating_diagonal_pair, standard_split_symbol,
-                         standard_symbol_pair, subbundle_projection_loop, turn)
+                         rotating_diagonal_pair, sample_times,
+                         standard_split_symbol, standard_symbol_pair,
+                         subbundle_projection_loop, turn)
 from balk1.numkern import opnorm, random_unitary
 from balk1.opmodel import (ModeSplit, TailCutoff, TruncOp, bandwidth_estimate,
                            clip_to_contraction, fourier_coefficients,
@@ -21,7 +22,10 @@ from dense_reference import reference_engine
 
 
 def scalar_loop(fn, grid):
-    return MatrixLoop.from_function(lambda t: np.array([[fn(t)]]), grid)
+    """The 1x1 loop of fn called once on the grid times; a constant
+    result is broadcast."""
+    values = np.broadcast_to(fn(sample_times(grid)), (grid,))
+    return MatrixLoop(values[:, np.newaxis, np.newaxis])
 
 
 def identity_loop(dim, grid):

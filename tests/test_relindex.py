@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balk1 import relindex
-from balk1.errors import FedosovResidueError, PipelineStageError, ShapeError
+from balk1.errors import (FedosovResidueError, NotUnitaryError,
+                          PipelineStageError, ShapeError)
 from balk1.loops import (LoopPair, MatrixLoop, SymbolPair, default_gamma,
-                         rotating_diagonal_pair, standard_split_symbol,
-                         standard_symbol_pair, subbundle_projection_loop, turn)
+                         rotating_diagonal_pair, sample_times,
+                         standard_split_symbol, standard_symbol_pair,
+                         subbundle_projection_loop, turn)
 from balk1.numkern import block_diag, random_unitary
 from balk1.opmodel import (TailCutoff, TruncOp, clip_to_contraction,
                            kbalance_report, quantize, split_blocks,
@@ -222,6 +224,35 @@ def test_sketch_path_matches_a_full_svd(n, m, middle, width, monkeypatch):
     assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
 
 
+def test_a_range_the_sketch_cannot_hold_falls_back_to_one_full_svd(
+        monkeypatch):
+    """At n = 260 the sketch starts at width 64, which a domain defect of
+    rank 151 fails; width 128 is more than a quarter of the size, so the
+    range finder gives up, the codomain side is not sketched, and one full
+    SVD of the block gives the counts, as in the dense reference."""
+    values = [1e-4, 2e-4, 3e-4, *np.linspace(0.2, 0.9, 147)]
+    f, w_dom, w_cod = low_rank_defect_block(260, 260, values, seed=11)
+    ranges, svds = [], []
+    real_range, real_svd = relindex._defect_range, relindex._counting_svd
+
+    def recorded_range(defect):
+        ranges.append(real_range(defect))
+        return ranges[-1]
+
+    def recorded_svd(x, full):
+        svds.append((x.shape, full))
+        return real_svd(x, full)
+
+    monkeypatch.setattr(relindex, "_defect_range", recorded_range)
+    monkeypatch.setattr(relindex, "_counting_svd", recorded_svd)
+    ev = one_block(f, w_dom, w_cod)
+    index, below, above, total = reference_engine(f, w_dom, w_cod)
+    assert ranges == [None] and svds == [((260, 260), True)]
+    assert ev.svd == ev.fedosov == index == round(total) == -1
+    assert (ev.below, ev.above) == (below, above)
+    assert abs(abs(total - ev.fedosov) - ev.residue) <= 1e-9
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_count_does_not_depend_on_the_null_basis(seed):
     """The 303 x 300 shift e_j -> e_(j+1), turned by unitaries that are
@@ -397,7 +428,7 @@ def conjugated_pair(p, q, gamma, grid=1024):
     the - direction the identity.  Its split symbol is (R* e1 e1* R, 0): the
     difference lies in the range of R* e1 e1* R and every defect in its
     complement, pointwise and exactly."""
-    t = (np.pi / 2) * np.arange(grid) / grid
+    t = sample_times(grid)
     z, c, s = np.exp(4j * t), np.cos(4 * t), np.sin(4 * t)
     r = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
     rh = r.conj().transpose(0, 2, 1)
@@ -564,6 +595,18 @@ def test_split_at_another_mode_count_fails_at_its_stage():
     assert err.value.stage == "verify_split_blocks"
     assert isinstance(err.value.cause, ShapeError)
     assert str(coarse.sizes) in str(err.value) and "(128, 130)" in str(err.value)
+
+
+def test_an_unbalanced_pair_fails_at_topo_index():
+    """The winding index is the first stage: a finite pair whose canonical
+    loop is not unitary fails there, before anything is quantized."""
+    grid = 1024
+    half, eye = (MatrixLoop.constant(x * np.eye(2), grid) for x in (0.5, 1.0))
+    sp = SymbolPair(LoopPair(half, eye), LoopPair(eye, eye))
+    with pytest.raises(PipelineStageError) as err:
+        verify_index_theorem(sp, 64, split_symbol=standard_split_symbol(grid))
+    assert err.value.stage == "topo_index"
+    assert isinstance(err.value.cause, NotUnitaryError)
 
 
 def test_pipeline_attributes_stage_failures():
