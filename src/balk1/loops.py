@@ -210,23 +210,18 @@ def standard_split_symbol(grid: int) -> SplitSymbol:
             MatrixLoop.constant(np.zeros((2, 2)), grid))
 
 
-def vanishing_point_pair(grid: int,
-                         h: Optional[Callable[[np.ndarray], Array]] = None
-                         ) -> LoopPair:
+def vanishing_point_pair(grid: int) -> LoopPair:
     """Scalar balanced pair (h e^{i chi}, h) whose entries vanish at sample 0.
 
-    The default modulus h ramps smoothly 0 -> 1 -> 0 over the glued interval
-    and the phase chi makes one full turn supported where h is exactly 1, so
-    the pair is balanced to machine precision at every sample; it is
-    validated to 1e-12.  A given h is called once on the grid times.
+    The modulus h ramps smoothly 0 -> 1 -> 0 over the glued interval and the
+    phase chi makes one full turn supported where h is exactly 1, so the
+    pair is balanced to machine precision at every sample; it is validated
+    to 1e-12.
     """
     ts = sample_times(grid)
-    if h is None:
-        x = np.clip(ts / (np.pi / 8), 0.0, 1.0)
-        y = np.clip((HALF_PI - ts) / (np.pi / 8), 0.0, 1.0)
-        modulus = x * x * (3 - 2 * x) * (y * y * (3 - 2 * y))
-    else:
-        modulus = _on_times(h, ts)
+    x = np.clip(ts / (np.pi / 8), 0.0, 1.0)
+    y = np.clip((HALF_PI - ts) / (np.pi / 8), 0.0, 1.0)
+    modulus = x * x * (3 - 2 * x) * (y * y * (3 - 2 * y))
     x = np.clip((ts - np.pi / 8) / (3 * np.pi / 8 - np.pi / 8), 0.0, 1.0)
     chi = 2 * np.pi * x * x * (3 - 2 * x)
     s1 = MatrixLoop((modulus * np.exp(1j * chi))[:, np.newaxis, np.newaxis])

@@ -129,14 +129,6 @@ def test_vanishing_point_pair():
     assert abs(lp.sigma2.samples[0][0, 0]) == 0.0
 
 
-def test_vanishing_point_pair_constant_modulus():
-    zero = vanishing_point_pair(64, h=lambda t: 0.0)
-    assert np.abs(zero.sigma1.samples).max() == 0.0
-    unit = vanishing_point_pair(64, h=lambda t: 1.0)
-    assert np.allclose(np.abs(unit.sigma1.samples), 1.0)
-    assert np.allclose(unit.sigma2.samples, 1.0)
-
-
 def one_time_at_a_time(fn, grid):
     """The loop of fn called on each grid time as a Python float: the scalar
     reference that the builders, which evaluate on the whole grid at once,

@@ -555,14 +555,24 @@ class _CombinationModEchelon:
     @staticmethod
     def _eliminate(lead, row, combo, pivot):
         factor = membership.P - row[lead]
-        membership._axpy_mod(row, pivot[0], factor)
-        membership._axpy_mod(combo, pivot[1], factor)
+        _axpy_mod(row, pivot[0], factor)
+        _axpy_mod(combo, pivot[1], factor)
+
+
+def _axpy_mod(dst, src, factor):
+    """dst += factor × src mod P, both dict rows."""
+    for key, val in src.items():
+        acc = (dst.get(key, 0) + val * factor) % membership.P
+        if acc:
+            dst[key] = acc
+        else:
+            dst.pop(key, None)
 
 
 def _combination(rows, coeffs):
     out = {}
     for row, c in zip(rows, coeffs):
-        membership._axpy_mod(out, row, c)
+        _axpy_mod(out, row, c)
     return out
 
 
@@ -589,7 +599,7 @@ def _mod_rows_and_targets(draw):
         else:
             earlier = dict(draw(st.sampled_from(rows)))
             below = draw(st.integers(0, max(earlier)))
-            membership._axpy_mod(earlier, {below: 1}, draw(values))
+            _axpy_mod(earlier, {below: 1}, draw(values))
             rows.append(earlier)
     targets = []
     for _ in range(3):
@@ -632,7 +642,7 @@ def test_mod_support_follows_the_elimination_steps():
     for j, row in enumerate(rows):
         echelon.insert(dict(row), j)
         reference.insert(dict(row), {j: 1})
-    assert echelon.pivots[2][4] == [(3, P - 1)]
+    assert echelon.pivots[2][4] == [3, P - 1]
     for target, support in (({2: 1, 1: P - 1}, [0, 1]), ({3: 1, 2: 1}, [1])):
         residue, factors = dict(target), {}
         echelon.reduce(residue, factors)
@@ -653,28 +663,26 @@ def test_determinism():
     assert first == second
 
 
-@pytest.mark.parametrize("chunk", [1, 4096])
-def test_certificates_do_not_depend_on_where_the_target_is_tried(
-        monkeypatch, chunk):
-    # pivots have distinct leads, so the target's combination over them is
-    # unique once it exists: any attempt schedule gives the pinned records
-    monkeypatch.setattr(membership, "CHUNK", chunk)
-    entries = [e for e in default_suite() if e.effective_bound() < 11]
+@pytest.fixture
+def cold_searches(monkeypatch):
+    """An empty map of word-problem searches for the test's duration.  With
+    the echelons that earlier tests left, a test of the attempt schedule or
+    of the rows a search inserts would insert none and pass untested."""
+    monkeypatch.setattr(membership, "_SEARCHES", {})
+
+
+def _assert_pinned(entries):
     pinned = {r["name"]: r for r in
               json.loads(PINNED_CERTIFICATES.read_text(encoding="utf-8"))}
     got = json.loads(verify_identity_suite(entries).to_json())["entries"]
-    assert len(got) == 61
+    assert len(got) == len(entries)
     for entry in got:
         del entry["seconds"]
         assert entry == pinned[entry["name"]], entry["name"]
 
 
-@pytest.mark.parametrize("name, most", [("double-swap:adjstar:12", 4),
-                                        ("unitary:flipflip*", 48)])
-def test_search_stops_at_the_first_prefix_that_spans_the_target(
-        monkeypatch, name, most):
-    # the first needs 2 products and the second 24; a whole first chunk
-    # would insert 58 and 256 rows
+def _counted_inserts(monkeypatch):
+    """The products of the rows ``_ModEchelon.insert`` gets from now on."""
     insert = membership._ModEchelon.insert
     inserted = []
 
@@ -683,10 +691,64 @@ def test_search_stops_at_the_first_prefix_that_spans_the_target(
         return insert(self, row, product)
 
     monkeypatch.setattr(membership._ModEchelon, "insert", counted)
+    return inserted
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_certificates_do_not_depend_on_where_the_target_is_tried(
+        cold_searches, monkeypatch, chunk):
+    # pivots have distinct leads, so the target's combination over them is
+    # unique once it exists: any attempt schedule gives the pinned records
+    monkeypatch.setattr(membership, "CHUNK", chunk)
+    inserted = _counted_inserts(monkeypatch)
+    entries = [e for e in default_suite() if e.effective_bound() < 11]
+    assert len(entries) == 61
+    _assert_pinned(entries)
+    assert inserted
+
+
+def test_certificates_do_not_depend_on_earlier_calls(cold_searches,
+                                                     monkeypatch):
+    # the forward pass leaves each echelon extended as far as the most
+    # demanding entry of its key; the reversed pass reuses them, reaching
+    # some echelons before and some past the prefix its entry needs
+    entries = [e for e in default_suite() if e.effective_bound() < 11]
+    _assert_pinned(entries)
+    inserted = _counted_inserts(monkeypatch)
+    _assert_pinned(entries[::-1])
+    assert inserted == []
+
+
+def test_a_search_that_raises_is_dropped(cold_searches, monkeypatch):
+    entry, = [e for e in default_suite() if e.name == "double-canonical:staradj:11"]
+    bound = entry.effective_bound()
+    key = (tuple(entry.ideal.effective_generators()), bound, 0)
+    ceiling = membership.PRODUCT_CEILING
+    monkeypatch.setattr(membership, "PRODUCT_CEILING", 16)
+    with pytest.raises(DegreeBoundError):
+        ideal_member(entry.target, entry.ideal, bound)
+    assert key not in membership._SEARCHES
+    # warm: a generator of the key spans its target after one product
+    assert ideal_member(A.star * A - B.star * B, entry.ideal, bound) is not None
+    assert key in membership._SEARCHES
+    with pytest.raises(DegreeBoundError):
+        ideal_member(entry.target, entry.ideal, bound)
+    assert key not in membership._SEARCHES
+    monkeypatch.setattr(membership, "PRODUCT_CEILING", ceiling)
+    _assert_pinned([entry])
+
+
+@pytest.mark.parametrize("name, most", [("double-swap:adjstar:12", 4),
+                                        ("unitary:flipflip*", 48)])
+def test_search_stops_at_the_first_prefix_that_spans_the_target(
+        cold_searches, monkeypatch, name, most):
+    # the first needs 2 products and the second 24; a whole first chunk
+    # would insert 58 and 256 rows
+    inserted = _counted_inserts(monkeypatch)
     entry, = [e for e in default_suite() if e.name == name]
     cert = ideal_member(entry.target, entry.ideal, entry.effective_bound())
     assert cert is not None and certificate_is_valid(cert)
-    assert len(inserted) <= most
+    assert 0 < len(inserted) <= most
 
 
 def test_zero_target_over_empty_ideal():
